@@ -1,0 +1,264 @@
+"""Log-linear model over ordered set partitions.
+
+The unnormalized weight of a partition X factorizes over object pairs:
+a symmetric tie potential phi(x_i ~ x_j) for objects sharing a block and
+an order potential psi(x_i > x_j) for objects in distinct blocks, with
+i's block ranked above j's.  Everything lives in the log domain; a model
+is any object exposing ``n_objects``, ``log_tie(i, j)`` and
+``log_order(i, j)``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
+
+from .combinatorics import OrderedPartition
+
+__all__ = [
+    "PairPotentialModel",
+    "MatrixPairModel",
+    "WorthPairModel",
+    "LogLinearParams",
+    "uniform_pair_model",
+    "loglinear_pair_model",
+    "log_weight",
+    "log_ratio_split",
+    "log_ratio_merge",
+    "from_graded_ratings",
+    "worth_features",
+]
+
+
+class PairPotentialModel:
+    """Interface: log-domain pairwise tie and order potentials."""
+
+    n_objects: int
+
+    def log_tie(self, i: int, j: int) -> float:
+        raise NotImplementedError
+
+    def log_order(self, i: int, j: int) -> float:
+        raise NotImplementedError
+
+    def scaled(self, factor: float) -> "PairPotentialModel":
+        """Model with every log-potential multiplied by ``factor`` (tempering)."""
+        raise NotImplementedError
+
+
+class MatrixPairModel(PairPotentialModel):
+    """Potentials tabulated as dense n x n matrices.
+
+    ``tie`` must be symmetric; diagonals are ignored.  ``order[i, j]`` is
+    log psi(x_i > x_j) for i ranked above j.
+    """
+
+    def __init__(self, tie: np.ndarray, order: np.ndarray):
+        tie = np.asarray(tie, dtype=float)
+        order = np.asarray(order, dtype=float)
+        if tie.shape != order.shape or tie.ndim != 2 or tie.shape[0] != tie.shape[1]:
+            raise ValueError("tie and order must be square matrices of equal shape")
+        if not np.allclose(tie, tie.T):
+            raise ValueError("tie matrix must be symmetric")
+        if not (np.isfinite(tie).all() and np.isfinite(order).all()):
+            raise ValueError("potentials must be finite")
+        self.n_objects = tie.shape[0]
+        self.tie = tie
+        self.order = order
+
+    def log_tie(self, i: int, j: int) -> float:
+        return self.tie[i, j]
+
+    def log_order(self, i: int, j: int) -> float:
+        return self.order[i, j]
+
+    def scaled(self, factor: float) -> "MatrixPairModel":
+        # scaling preserves symmetry/finiteness; skip re-validation
+        return _unchecked_matrix_model(self.tie * factor, self.order * factor)
+
+
+class WorthPairModel(PairPotentialModel):
+    """Per-item worth parameterization used by the collaborative-ranking model.
+
+    Each item i carries a log-worth w_i; ties get ``nu + (w_i + w_j) / 2``
+    (compatible items have positively correlated worths) and orderings get
+    the winner's worth ``w_i``.
+    """
+
+    def __init__(self, nu: float, worth: np.ndarray):
+        worth = np.asarray(worth, dtype=float)
+        if worth.ndim != 1 or not np.isfinite(worth).all() or not np.isfinite(nu):
+            raise ValueError("worth must be a finite 1-d vector, nu finite")
+        self.nu = float(nu)
+        self.worth = worth
+        self.n_objects = worth.shape[0]
+
+    def log_tie(self, i: int, j: int) -> float:
+        return self.nu + 0.5 * (self.worth[i] + self.worth[j])
+
+    def log_order(self, i: int, j: int) -> float:
+        return self.worth[i]
+
+    def scaled(self, factor: float) -> "WorthPairModel":
+        return WorthPairModel(self.nu * factor, self.worth * factor)
+
+
+def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairModel:
+    """Internal constructor bypassing validation for matrices known valid."""
+    mdl = MatrixPairModel.__new__(MatrixPairModel)
+    mdl.n_objects = tie.shape[0]
+    mdl.tie = tie
+    mdl.order = order
+    return mdl
+
+
+def uniform_pair_model(n: int) -> MatrixPairModel:
+    """All potentials 1 (log 0): every ordered partition equally weighted."""
+    z = np.zeros((n, n))
+    return MatrixPairModel(z, z.copy())
+
+
+@dataclass
+class LogLinearParams:
+    """Weights and feature evaluators for log-linear pair potentials.
+
+    ``tie_features[a](i, j)`` and ``order_features[b](i, j)`` are
+    deterministic real-valued features; log phi = sum_a alpha_a f_a and
+    log psi = sum_b beta_b g_b.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    tie_features: Sequence[Callable[[int, int], float]]
+    order_features: Sequence[Callable[[int, int], float]]
+
+    def __post_init__(self):
+        self.alpha = np.asarray(self.alpha, dtype=float)
+        self.beta = np.asarray(self.beta, dtype=float)
+        if len(self.alpha) != len(self.tie_features):
+            raise ValueError("alpha length must match tie feature count")
+        if len(self.beta) != len(self.order_features):
+            raise ValueError("beta length must match order feature count")
+
+
+def loglinear_pair_model(params: LogLinearParams, n_objects: int) -> MatrixPairModel:
+    """Tabulate the log-linear potentials over all object pairs.
+
+    The tie table is symmetrized via f_a evaluated on sorted pairs, so tie
+    features need not be written symmetric themselves.
+    """
+    tie = np.zeros((n_objects, n_objects))
+    order = np.zeros((n_objects, n_objects))
+    for i in range(n_objects):
+        for j in range(n_objects):
+            if i == j:
+                continue
+            lo, hi = (i, j) if i < j else (j, i)
+            tie[i, j] = sum(a * f(lo, hi) for a, f in zip(params.alpha, params.tie_features))
+            order[i, j] = sum(b * g(i, j) for b, g in zip(params.beta, params.order_features))
+    return MatrixPairModel(tie, order)
+
+
+def within_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
+    for block in X.blocks:
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
+                yield block[a], block[b]
+
+
+def cross_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
+    """(i, j) with i's block ranked strictly above j's."""
+    for t in range(len(X.blocks)):
+        for u in range(t + 1, len(X.blocks)):
+            for i in X.blocks[t]:
+                for j in X.blocks[u]:
+                    yield i, j
+
+
+def worth_features(X: OrderedPartition) -> tuple[int, dict[int, float]]:
+    """Structural coefficients of log Omega under a worth model.
+
+    Returns (m, c) with m = number of within-block pairs and
+    c[i] = 0.5 * (within-block pairs touching i) + (objects ranked below i),
+    so that log Omega(X) = nu * m + sum_i c[i] * w_i.
+    """
+    m = 0
+    c: dict[int, float] = {}
+    below = sum(len(b) for b in X.blocks)
+    for block in X.blocks:
+        size = len(block)
+        below -= size
+        m += size * (size - 1) // 2
+        for i in block:
+            c[i] = 0.5 * (size - 1) + below
+    return m, c
+
+
+def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:
+    """log Omega(X): tie terms over within-block pairs plus order terms over
+    all cross-block pairs (higher-ranked object first)."""
+    if X.n_objects != m.n_objects:
+        raise ValueError(f"partition indexes {X.n_objects} objects, model has {m.n_objects}")
+    if isinstance(m, WorthPairModel):
+        pairs, coef = worth_features(X)
+        return m.nu * pairs + sum(m.worth[i] * ci for i, ci in coef.items())
+    total = 0.0
+    for i, j in within_block_pairs(X):
+        total += m.log_tie(i, j)
+    for i, j in cross_block_pairs(X):
+        total += m.log_order(i, j)
+    return total
+
+
+def log_ratio_split(
+    X: OrderedPartition,
+    t: int,
+    assignment: tuple[Sequence[int], Sequence[int]],
+    m: PairPotentialModel,
+) -> float:
+    """log of the weight ratio Omega(X') / Omega(X) for splitting block t
+    into (A, B), A ranked just above B.
+
+    Only the |A| * |B| pairs that change relation contribute: each moves
+    from tied to ordered, so the ratio is prod psi(a > b) / phi(a ~ b).
+    """
+    A, B = assignment
+    if t >= X.n_blocks:
+        raise ValueError("block index out of range")
+    block = set(X.blocks[t])
+    if len(block) < 2:
+        raise ValueError("cannot split a singleton block")
+    sa, sb = set(A), set(B)
+    if not sa or not sb or sa & sb or sa | sb != block:
+        raise ValueError("assignment must bipartition the block into non-empty halves")
+    total = 0.0
+    for i in A:
+        for j in B:
+            total += m.log_order(i, j) - m.log_tie(i, j)
+    return total
+
+
+def log_ratio_merge(X: OrderedPartition, t: int, m: PairPotentialModel) -> float:
+    """log weight ratio for merging consecutive blocks t and t+1 (inverse split)."""
+    if t + 1 >= X.n_blocks:
+        raise ValueError("merge needs a successor block")
+    total = 0.0
+    for i in X.blocks[t]:
+        for j in X.blocks[t + 1]:
+            total += m.log_tie(i, j) - m.log_order(i, j)
+    return total
+
+
+def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) -> OrderedPartition:
+    """Group objects by equal grade, blocks ordered by decreasing grade."""
+    if not grades:
+        raise ValueError("grades must be non-empty")
+    by_grade: dict[float, list[int]] = {}
+    for obj, g in grades.items():
+        by_grade.setdefault(g, []).append(obj)
+    blocks = [tuple(sorted(by_grade[g])) for g in sorted(by_grade, reverse=True)]
+    if n_objects is None:
+        n_objects = 1 + max(grades)
+    return OrderedPartition(tuple(blocks), n_objects)

@@ -1,0 +1,450 @@
+"""Maximum-likelihood training for the collaborative-ranking parameterization.
+
+Items carry log-worths: theta = e^nu, phi(x_i) = e^{u_i} and, per hidden
+unit k, phi_k(x_i) = e^{W_ik}.  Ties get theta * sqrt(phi phi), orderings
+the winner's worth.  Gradients are data statistics (with exact hidden
+posteriors) minus model statistics estimated from short persistent
+per-user chains; an enumeration oracle provides exact gradients and
+likelihoods at small sizes.
+"""
+
+from __future__ import annotations
+
+import random
+import warnings
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+from scipy.special import expit, logsumexp
+
+from .combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
+from .core import WorthPairModel, worth_features
+from .latent import LatentModel, gibbs_mh_step, hidden_posterior
+
+__all__ = [
+    "CFParams",
+    "GradientEstimate",
+    "TrainConfig",
+    "cf_latent_model",
+    "sufficient_stats",
+    "estimate_gradient",
+    "exact_gradient",
+    "exact_log_likelihood",
+    "sample_partitions_exact",
+    "pairwise_disagreement",
+    "train",
+    "save_checkpoint",
+    "load_checkpoint",
+    "CHECKPOINT_MAGIC",
+]
+
+CHECKPOINT_MAGIC = "osmrank-checkpoint"
+CHECKPOINT_VERSION = 1
+
+
+@dataclass
+class CFParams:
+    """Free parameters: scalar nu, per-item worths u, per-item-per-unit worths W."""
+
+    nu: float
+    u: np.ndarray
+    W: np.ndarray
+
+    def __post_init__(self):
+        self.nu = float(self.nu)
+        self.u = np.asarray(self.u, dtype=float)
+        self.W = np.asarray(self.W, dtype=float)
+        if self.u.ndim != 1 or self.W.ndim != 2 or self.W.shape[0] != self.u.shape[0]:
+            raise ValueError("u must be (n_items,), W must be (n_items, K)")
+        if not (np.isfinite(self.nu) and np.isfinite(self.u).all() and np.isfinite(self.W).all()):
+            raise ValueError("parameters must be finite")
+
+    @property
+    def n_items(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def n_hidden(self) -> int:
+        return self.W.shape[1]
+
+    def copy(self) -> "CFParams":
+        return CFParams(self.nu, self.u.copy(), self.W.copy())
+
+    @staticmethod
+    def zeros(n_items: int, n_hidden: int) -> "CFParams":
+        return CFParams(0.0, np.zeros(n_items), np.zeros((n_items, n_hidden)))
+
+    @staticmethod
+    def random_init(
+        n_items: int, n_hidden: int, rng: np.random.Generator, scale: float = 0.01
+    ) -> "CFParams":
+        """Small symmetric init; nu starts at 0."""
+        return CFParams(
+            0.0,
+            rng.uniform(-scale, scale, size=n_items),
+            rng.uniform(-scale, scale, size=(n_items, n_hidden)),
+        )
+
+
+@dataclass
+class GradientEstimate:
+    d_nu: float
+    d_u: np.ndarray
+    d_W: np.ndarray
+    n_data_terms: int
+    n_model_samples: int
+
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 0.01
+    block_size: int = 100
+    chain_steps_per_update: int = 1
+    epochs: int = 1
+    n_hidden: int = 10
+    seed: int = 0
+    l2: float = 0.0
+    init_scale: float = 0.01
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+
+
+def cf_latent_model(p: CFParams) -> LatentModel:
+    """Latent pair-potential model for the worth parameterization.
+
+    Base: log phi(i~j) = nu + (u_i + u_j)/2, log psi(i>j) = u_i.
+    Hidden unit k: same forms with W_:k in place of u, sharing nu.
+    """
+    base = WorthPairModel(p.nu, p.u)
+    hidden = [WorthPairModel(p.nu, p.W[:, k]) for k in range(p.n_hidden)]
+    return LatentModel(base, hidden)
+
+
+def sufficient_stats(
+    X: OrderedPartition, h: np.ndarray, n_items: int, n_hidden: int
+) -> GradientEstimate:
+    """Exact partials of log joint weight w.r.t. (nu, u, W) at (X, h).
+
+    ``h`` may be a binary hidden state or a posterior vector; the statistics
+    are linear in h, so posteriors give the exact conditional expectation.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.shape != (n_hidden,):
+        raise ValueError(f"h must have shape ({n_hidden},)")
+    pairs, coef = worth_features(X)
+    items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
+    c = np.fromiter(coef.values(), dtype=float, count=len(coef))
+    d_u = np.zeros(n_items)
+    d_u[items] = c
+    d_W = np.zeros((n_items, n_hidden))
+    d_W[items] = np.outer(c, h)
+    return GradientEstimate(pairs * (1.0 + h.sum()), d_u, d_W, 1, 0)
+
+
+def estimate_gradient(
+    observed: Sequence[tuple[OrderedPartition, np.ndarray]],
+    model_samples: Sequence[tuple[OrderedPartition, np.ndarray]],
+    n_items: int,
+    n_hidden: int,
+) -> GradientEstimate:
+    """Stochastic log-likelihood gradient: mean data statistics (hidden
+    posteriors) minus mean model statistics (sampled hidden states)."""
+    if not observed or not model_samples:
+        raise ValueError("need at least one observed and one model sample")
+
+    def accumulate(entries):
+        d_nu = 0.0
+        d_u = np.zeros(n_items)
+        d_W = np.zeros((n_items, n_hidden))
+        for X, h in entries:
+            h = np.asarray(h, dtype=float)
+            pairs, coef = worth_features(X)
+            items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
+            c = np.fromiter(coef.values(), dtype=float, count=len(coef))
+            d_nu += pairs * (1.0 + h.sum())
+            d_u[items] += c
+            d_W[items] += np.outer(c, h)
+        return d_nu, d_u, d_W
+
+    obs_nu, obs_u, obs_W = accumulate(observed)
+    mod_nu, mod_u, mod_W = accumulate(model_samples)
+    n_obs, n_mod = len(observed), len(model_samples)
+    return GradientEstimate(
+        obs_nu / n_obs - mod_nu / n_mod,
+        obs_u / n_obs - mod_u / n_mod,
+        obs_W / n_obs - mod_W / n_mod,
+        n_obs,
+        n_mod,
+    )
+
+
+_FEATURE_CACHE: dict[int, np.ndarray] = {}
+
+
+def state_features(n: int, cap: int = 8) -> np.ndarray:
+    """Per-state structural coefficients over all ordered partitions of n.
+
+    Row s is [pairs, c_0, ..., c_{n-1}] for state s in enumeration order,
+    so any worth model's log Omega over all states is one matrix-vector
+    product.  Cached per n.
+    """
+    if n not in _FEATURE_CACHE:
+        F = np.zeros((fubini(n), n + 1))
+        for s, X in enumerate(enumerate_ordered_partitions(n, cap)):
+            pairs, coef = worth_features(X)
+            F[s, 0] = pairs
+            for i, ci in coef.items():
+                F[s, 1 + i] = ci
+        _FEATURE_CACHE[n] = F
+    return _FEATURE_CACHE[n]
+
+
+def _cf_state_table(p: CFParams, cap: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """(marginal log weights, per-unit log omegas) over the full state space."""
+    F = state_features(p.n_items, cap)
+    log_base = F @ np.concatenate([[p.nu], p.u])
+    log_omegas = F @ np.vstack([np.full(p.n_hidden, p.nu), p.W])
+    marginal = log_base + np.logaddexp(0.0, log_omegas).sum(axis=1)
+    return marginal, log_omegas
+
+
+def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: str) -> None:
+    for X in data:
+        if X.n_objects != n_items or not X.covers_universe():
+            raise ValueError(f"{what} requires partitions covering all {n_items} items")
+
+
+def exact_log_likelihood(p: CFParams, data: Sequence[OrderedPartition], cap: int = 8) -> np.ndarray:
+    """Per-datum exact log P(X) over partitions of the full item set."""
+    _require_dense_cover(data, p.n_items, "exact_log_likelihood")
+    marginal, _ = _cf_state_table(p, cap)
+    log_z = logsumexp(marginal)
+    out = np.empty(len(data))
+    nu_u = np.concatenate([[p.nu], p.u])
+    nu_W = np.vstack([np.full(p.n_hidden, p.nu), p.W])
+    for d, X in enumerate(data):
+        pairs, coef = worth_features(X)
+        feat = np.zeros(p.n_items + 1)
+        feat[0] = pairs
+        for i, ci in coef.items():
+            feat[1 + i] = ci
+        out[d] = feat @ nu_u + np.logaddexp(0.0, feat @ nu_W).sum() - log_z
+    return out
+
+
+def exact_gradient(
+    p: CFParams, data: Sequence[OrderedPartition], n_cap: int = 6, k_cap: int = 4
+) -> GradientEstimate:
+    """Oracle gradient of the mean log-likelihood: data statistics (exact
+    posteriors) minus the exact model expectation by enumeration."""
+    if p.n_items > n_cap:
+        raise EnumerationCapError(f"exact_gradient capped at {n_cap} items")
+    if p.n_hidden > k_cap:
+        raise EnumerationCapError(f"exact_gradient capped at {k_cap} hidden units")
+    if not data:
+        raise ValueError("need at least one observation")
+    _require_dense_cover(data, p.n_items, "exact_gradient")
+
+    marginal, log_omegas = _cf_state_table(p)
+    probs = np.exp(marginal - logsumexp(marginal))
+    post = expit(log_omegas)  # (S, K)
+    F = state_features(p.n_items)
+    pair_counts = F[:, 0]
+    C = F[:, 1:]
+
+    model_nu = probs @ (pair_counts * (1.0 + post.sum(axis=1)))
+    model_u = C.T @ probs
+    model_W = C.T @ (probs[:, None] * post)
+
+    model = cf_latent_model(p)
+    data_nu = 0.0
+    data_u = np.zeros(p.n_items)
+    data_W = np.zeros((p.n_items, p.n_hidden))
+    for X in data:
+        h_post = hidden_posterior(X, model)
+        pairs, coef = worth_features(X)
+        items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
+        c = np.fromiter(coef.values(), dtype=float, count=len(coef))
+        data_nu += pairs * (1.0 + h_post.sum())
+        data_u[items] += c
+        data_W[items] += np.outer(c, h_post)
+    n = len(data)
+    return GradientEstimate(
+        data_nu / n - model_nu,
+        data_u / n - model_u,
+        data_W / n - model_W,
+        n,
+        len(probs),
+    )
+
+
+def sample_partitions_exact(
+    p: CFParams, count: int, rng: np.random.Generator, cap: int = 8
+) -> list[OrderedPartition]:
+    """i.i.d. exact draws of X from the model (hidden units marginalized),
+    via a categorical over the fully enumerated state space."""
+    marginal, _ = _cf_state_table(p, cap)
+    probs = np.exp(marginal - logsumexp(marginal))
+    probs /= probs.sum()
+    chosen = rng.choice(len(probs), size=count, p=probs)
+    wanted: dict[int, list[int]] = {}
+    for pos, s in enumerate(chosen):
+        wanted.setdefault(int(s), []).append(pos)
+    out: list[Optional[OrderedPartition]] = [None] * count
+    remaining = len(wanted)
+    for s, X in enumerate(enumerate_ordered_partitions(p.n_items, cap)):
+        if s in wanted:
+            for pos in wanted[s]:
+                out[pos] = X
+            remaining -= 1
+            if remaining == 0:
+                break
+    return out  # type: ignore[return-value]
+
+
+def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) -> float:
+    """Portion of object pairs whose relation (tie / above / below) differs."""
+    ra = sample.block_of()
+    rb = observed.block_of()
+    if set(ra) != set(rb):
+        raise ValueError("partitions must cover the same objects")
+    objs = sorted(ra)
+    if len(objs) < 2:
+        return 0.0
+    mismatches = 0
+    total = 0
+    for a_idx, i in enumerate(objs):
+        for j in objs[a_idx + 1 :]:
+            total += 1
+            rel_a = (ra[i] > ra[j]) - (ra[i] < ra[j])
+            rel_b = (rb[i] > rb[j]) - (rb[i] < rb[j])
+            mismatches += rel_a != rel_b
+    return mismatches / total
+
+
+def train(
+    data: Sequence[OrderedPartition],
+    cfg: TrainConfig,
+    rng: Optional[random.Random] = None,
+    callback: Optional[Callable[[dict], None]] = None,
+    init: Optional[CFParams] = None,
+) -> CFParams:
+    """Stochastic-gradient ascent with one persistent chain per user.
+
+    Parameters are updated after every block of ``block_size`` users: each
+    user's chain is advanced ``chain_steps_per_update`` alternating sweeps
+    against the current parameter snapshot, then the block gradient (data
+    statistics with exact posteriors minus chain statistics) is applied.
+    ``callback``, when given, receives one record per block with the
+    pairwise-disagreement diagnostic and a parameter snapshot.
+    """
+    if rng is None:
+        rng = random.Random(cfg.seed)
+    usable: list[OrderedPartition] = []
+    skipped = 0
+    for X in data:
+        if sum(len(b) for b in X.blocks) >= 2:
+            usable.append(X)
+        else:
+            skipped += 1
+    if skipped:
+        warnings.warn(f"skipped {skipped} degenerate users with fewer than 2 items")
+    if not usable:
+        raise ValueError("no trainable users")
+    n_items = usable[0].n_objects
+    if any(X.n_objects != n_items for X in usable):
+        raise ValueError("all user partitions must index the same item catalog")
+
+    if init is not None:
+        params = init.copy()
+        if params.n_items != n_items or params.n_hidden != cfg.n_hidden:
+            raise ValueError("init shape does not match data/config")
+    else:
+        np_rng = np.random.default_rng(rng.randrange(2**63))
+        params = CFParams.random_init(n_items, cfg.n_hidden, np_rng, cfg.init_scale)
+
+    chains: list[tuple[OrderedPartition, np.ndarray]] = [
+        (X, np.zeros(cfg.n_hidden, dtype=np.int8)) for X in usable
+    ]
+
+    n_users = len(usable)
+    block_counter = 0
+    for epoch in range(cfg.epochs):
+        order = list(range(n_users))
+        rng.shuffle(order)
+        for start in range(0, n_users, cfg.block_size):
+            block = order[start : start + cfg.block_size]
+            model = cf_latent_model(params)
+            observed = []
+            samples = []
+            disagreement = 0.0
+            for ui in block:
+                X_obs = usable[ui]
+                observed.append((X_obs, hidden_posterior(X_obs, model)))
+                X_c, h_c = chains[ui]
+                for _ in range(cfg.chain_steps_per_update):
+                    X_c, h_c = gibbs_mh_step(X_c, h_c, model, rng)
+                chains[ui] = (X_c, h_c)
+                samples.append((X_c, h_c))
+                disagreement += pairwise_disagreement(X_c, X_obs)
+            grad = estimate_gradient(observed, samples, n_items, cfg.n_hidden)
+            if cfg.l2:
+                grad.d_u -= cfg.l2 * params.u
+                grad.d_W -= cfg.l2 * params.W
+            params = CFParams(
+                params.nu + cfg.learning_rate * grad.d_nu,
+                params.u + cfg.learning_rate * grad.d_u,
+                params.W + cfg.learning_rate * grad.d_W,
+            )
+            block_counter += 1
+            if callback is not None:
+                callback(
+                    {
+                        "epoch": epoch,
+                        "block": block_counter,
+                        "n_users": len(block),
+                        "disagreement": disagreement / len(block),
+                        "params": params.copy(),
+                    }
+                )
+    return params
+
+
+def save_checkpoint(path: str, p: CFParams) -> None:
+    """Versioned text checkpoint; floats via repr, so round-trips are exact."""
+    lines = [
+        f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
+        f"n_items {p.n_items}",
+        f"K {p.n_hidden}",
+        f"nu {p.nu!r}",
+        "u " + " ".join(repr(v) for v in p.u.tolist()),
+    ]
+    for row in p.W.tolist():
+        lines.append("W " + " ".join(repr(v) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_checkpoint(path: str) -> CFParams:
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not an osmrank checkpoint")
+    version = int(lines[0].split()[1])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
+    n_items = int(header["n_items"])
+    n_hidden = int(header["K"])
+    nu = float(lines[3].split(maxsplit=1)[1])
+    u = np.array([float(v) for v in lines[4].split()[1:]])
+    w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
+    W = np.array(w_rows) if w_rows else np.zeros((n_items, 0))
+    if u.shape != (n_items,) or W.shape != (n_items, n_hidden):
+        raise ValueError(f"{path}: checkpoint shapes do not match header")
+    return CFParams(nu, u, W)
