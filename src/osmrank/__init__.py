@@ -31,10 +31,10 @@ from .core import (
 )
 from .latent import (
     LatentModel,
+    WorthLatentModel,
     effective_pair_model,
     gibbs_mh_step,
     hidden_posterior,
-    latent_representation,
     log_joint_weight,
     log_omega_k,
 )

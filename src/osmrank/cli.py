@@ -22,7 +22,7 @@ from .combinatorics import (
     fubini,
 )
 from .core import uniform_pair_model
-from .latent import LatentModel, gibbs_mh_step
+from .latent import gibbs_mh_step
 from .learning import TrainConfig, cf_latent_model, load_checkpoint, save_checkpoint, train
 from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
 from .pipeline import (
@@ -53,8 +53,18 @@ class _Parser(argparse.ArgumentParser):
 def _default_threads() -> int:
     env = os.environ.get("OSM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"OSM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _open_out(path: Optional[str]):
@@ -125,7 +135,7 @@ def cmd_eval(args) -> int:
     _, train_ds, test_ds = _prepped_split(args)
     out = _open_out(args.out)
     print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
-    sweep_rows = []
+    sweep_rows, per_user_lines = [], []
     for model_path in args.model:
         params = load_checkpoint(model_path)
         if params.n_items != train_ds.n_items:
@@ -146,14 +156,17 @@ def cmd_eval(args) -> int:
                 (params.n_hidden, name, stats["mean"], stats["stderr"], report["n_users"])
             )
         if args.per_user:
-            with open(args.per_user, "w") as fh:
-                print(f"# per-user metrics model={model_path} seed={args.seed}", file=fh)
-                for row in range(report["n_users"]):
-                    vals = " ".join(
-                        f"{name}={report['metrics'][name]['per_user'][row]:.6f}"
-                        for name in metric_names
-                    )
-                    print(f"user_row={row} {vals}", file=fh)
+            per_user_lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
+            for row in range(report["n_users"]):
+                vals = " ".join(
+                    f"{name}={report['metrics'][name]['per_user'][row]:.6f}"
+                    for name in metric_names
+                )
+                per_user_lines.append(f"user_row={row} {vals}")
+    if args.per_user:
+        # one header per model, each followed by that model's rows
+        with open(args.per_user, "w") as fh:
+            fh.write("\n".join(per_user_lines) + "\n")
     if args.sweep_out:
         # plot-ready metric-vs-hidden-size table
         with open(args.sweep_out, "w") as fh:
@@ -164,23 +177,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _model_from_flags(args) -> tuple[object, int]:
-    """(model, n_objects) from --model checkpoint or --uniform --n N."""
+def _model_from_flags(args):
+    """The --model checkpoint's latent model, or uniform potentials over --n objects."""
     if args.model:
-        params = load_checkpoint(args.model)
-        return cf_latent_model(params), params.n_items
+        return cf_latent_model(load_checkpoint(args.model))
     if args.n is None:
         raise ValueError("--uniform requires --n")
-    return uniform_pair_model(args.n), args.n
+    return uniform_pair_model(args.n)
 
 
 def cmd_sample(args) -> int:
-    model, n = _model_from_flags(args)
+    model = _model_from_flags(args)
+    n = model.n_objects
     burn = args.burn_in if args.burn_in is not None else args.steps // 10
     out = _open_out(args.out)
     print(f"# osmrank sample seed={args.seed} steps={args.steps} "
           f"burn_in={burn} thin={args.thin}", file=out)
-    if isinstance(model, LatentModel):
+    # --model steps are Gibbs sweeps, --uniform steps single MH moves; seeded
+    # dumps of both depend on it
+    if args.model:
         rng = random.Random(args.seed)
         X = OrderedPartition.singletons(n)
         h = np.zeros(model.n_hidden, dtype=np.int8)
@@ -198,7 +213,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate_z(args) -> int:
-    model, _ = _model_from_flags(args)
+    model = _model_from_flags(args)
     cfg = AISConfig(
         n_temperatures=args.n_temps,
         n_runs=args.n_runs,
@@ -229,10 +244,7 @@ def cmd_oracle(args) -> int:
             for X in enumerate_ordered_partitions(args.n, cap=args.cap):
                 print(format_partition(X), file=out)
         if args.exact_z or args.marginals:
-            if args.model:
-                model = cf_latent_model(load_checkpoint(args.model))
-            else:
-                model = uniform_pair_model(args.n)
+            model = _model_from_flags(args)
             if model.n_objects != args.n:
                 raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
             if args.exact_z:
@@ -295,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_sample.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", default=None, help="checkpoint path")
     src.add_argument("--uniform", action="store_true", help="uniform potentials")
-    p_sample.add_argument("--n", type=int, default=None, help="object count for --uniform")
+    p_sample.add_argument("--n", type=_positive_int, default=None,
+                          help="object count for --uniform")
     p_sample.add_argument("--steps", type=int, required=True)
     p_sample.add_argument("--burn-in", type=int, default=None)
     p_sample.add_argument("--thin", type=int, default=10)
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_z.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", default=None)
     src.add_argument("--uniform", action="store_true")
-    p_z.add_argument("--n", type=int, default=None)
+    p_z.add_argument("--n", type=_positive_int, default=None)
     p_z.add_argument("--n-temps", type=int, default=1000)
     p_z.add_argument("--n-runs", type=int, default=10)
     p_z.add_argument("--schedule", default="linear", choices=["linear", "geometric"])
@@ -331,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed default from the environment
+        print(f"osmrank: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
         return args.func(args)

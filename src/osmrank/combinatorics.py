@@ -95,19 +95,27 @@ def stirling2(n: int, t: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into t blocks."""
     if n < 0 or t < 0:
         raise ValueError("stirling2 arguments must be non-negative")
-    if n == 0 and t == 0:
-        return 1
-    if n == 0 or t == 0 or t > n:
-        return 0
-    return t * stirling2(n - 1, t) + stirling2(n - 1, t - 1)
+    row = [1]  # S(m, 0..m), filled row by row from m = 0
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return row[t] if t <= n else 0
 
 
-@lru_cache(maxsize=None)
+_FUBINI = [1]  # ordered Bell numbers a(0), a(1), ... computed so far
+_SURJECTIONS = [1]  # t! S(m, t) for t = 0..m, with m = len(_FUBINI) - 1
+
+
 def fubini(n: int) -> int:
-    """Number of ordered set partitions of an n-set (the ordered Bell number)."""
+    """Number of ordered set partitions of an n-set (the ordered Bell number):
+    row sums of the surjection triangle T(m, t) = t (T(m-1, t) + T(m-1, t-1))."""
     if n < 0:
         raise ValueError("fubini argument must be non-negative")
-    return sum(stirling2(n, t) * math.factorial(t) for t in range(n + 1)) if n else 1
+    row = _SURJECTIONS
+    while len(_FUBINI) <= n:
+        m = len(row)
+        row[:] = [0] + [t * (row[t] + row[t - 1]) for t in range(1, m)] + [m * row[m - 1]]
+        _FUBINI.append(sum(row))
+    return _FUBINI[n]
 
 
 def log_fubini_asymptotic(n: int) -> float:

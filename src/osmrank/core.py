@@ -4,8 +4,9 @@ The unnormalized weight of a partition X factorizes over object pairs:
 a symmetric tie potential phi(x_i ~ x_j) for objects sharing a block and
 an order potential psi(x_i > x_j) for objects in distinct blocks, with
 i's block ranked above j's.  Everything lives in the log domain; a model
-is any object exposing ``n_objects``, ``log_tie(i, j)`` and
-``log_order(i, j)``.
+is a ``PairPotentialModel`` subclass exposing ``n_objects``,
+``log_tie(i, j)`` and ``log_order(i, j)``.  Subclasses with closed forms
+override ``log_weight`` and ``tables``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "log_ratio_merge",
     "from_graded_ratings",
     "worth_features",
+    "logsumexp",
 ]
 
 
@@ -45,6 +47,19 @@ class PairPotentialModel:
 
     def scaled(self, factor: float) -> "PairPotentialModel":
         """Model with every log-potential multiplied by ``factor`` (tempering)."""
+        raise NotImplementedError
+
+    def log_weight(self, X: OrderedPartition) -> float:
+        """log Omega(X) as the pair sum; ``log_weight(X, m)`` checks sizes first."""
+        total = 0.0
+        for i, j in within_block_pairs(X):
+            total += self.log_tie(i, j)
+        for i, j in cross_block_pairs(X):
+            total += self.log_order(i, j)
+        return total
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (tie, order) log-potential tables; diagonals are ignored."""
         raise NotImplementedError
 
 
@@ -78,6 +93,9 @@ class MatrixPairModel(PairPotentialModel):
         # scaling preserves symmetry/finiteness; skip re-validation
         return _unchecked_matrix_model(self.tie * factor, self.order * factor)
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.tie, self.order
+
 
 class WorthPairModel(PairPotentialModel):
     """Per-item worth parameterization used by the collaborative-ranking model.
@@ -103,6 +121,17 @@ class WorthPairModel(PairPotentialModel):
 
     def scaled(self, factor: float) -> "WorthPairModel":
         return WorthPairModel(self.nu * factor, self.worth * factor)
+
+    def log_weight(self, X: OrderedPartition) -> float:
+        pairs, items, coef = worth_features(X)
+        # a running sum in block order; seeded AIS outputs depend on its rounding
+        return self.nu * pairs + sum((self.worth[items] * coef).tolist())
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        half = 0.5 * self.worth
+        tie = self.nu + half[:, None] + half[None, :]
+        order = np.broadcast_to(self.worth[:, None], (self.n_objects, self.n_objects)).copy()
+        return tie, order
 
 
 def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairModel:
@@ -177,23 +206,25 @@ def cross_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
                     yield i, j
 
 
-def worth_features(X: OrderedPartition) -> tuple[int, dict[int, float]]:
+def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
     """Structural coefficients of log Omega under a worth model.
 
-    Returns (m, c) with m = number of within-block pairs and
-    c[i] = 0.5 * (within-block pairs touching i) + (objects ranked below i),
-    so that log Omega(X) = nu * m + sum_i c[i] * w_i.
+    Returns (m, items, c): m = number of within-block pairs, ``items`` the
+    partition's objects in block order and ``c`` their coefficients,
+    c = 0.5 * (within-block pairs touching the item) + (objects ranked
+    below it), so that log Omega(X) = nu * m + sum(c * w[items]).
     """
     m = 0
-    c: dict[int, float] = {}
+    items: list[int] = []
+    c: list[float] = []
     below = sum(len(b) for b in X.blocks)
     for block in X.blocks:
         size = len(block)
         below -= size
         m += size * (size - 1) // 2
-        for i in block:
-            c[i] = 0.5 * (size - 1) + below
-    return m, c
+        items.extend(block)
+        c.extend([0.5 * (size - 1) + below] * size)
+    return m, np.array(items, dtype=int), np.array(c, dtype=float)
 
 
 def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:
@@ -201,15 +232,20 @@ def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:
     all cross-block pairs (higher-ranked object first)."""
     if X.n_objects != m.n_objects:
         raise ValueError(f"partition indexes {X.n_objects} objects, model has {m.n_objects}")
-    if isinstance(m, WorthPairModel):
-        pairs, coef = worth_features(X)
-        return m.nu * pairs + sum(m.worth[i] * ci for i, ci in coef.items())
-    total = 0.0
-    for i, j in within_block_pairs(X):
-        total += m.log_tie(i, j)
-    for i, j in cross_block_pairs(X):
-        total += m.log_order(i, j)
-    return total
+    return m.log_weight(X)
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-d array, shifted by the maximum; the maximal
+    entries are taken out of the shifted sum and counted (log1p for precision)."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    is_max = a == a_max
+    ties = np.count_nonzero(is_max)
+    with np.errstate(invalid="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max)) / ties
+    out = np.log1p(s) + np.log(ties) + a_max
+    return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))  # infinite or nan entries
 
 
 def log_ratio_split(

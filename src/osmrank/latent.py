@@ -15,25 +15,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import (
-    MatrixPairModel,
-    PairPotentialModel,
-    WorthPairModel,
-    _unchecked_matrix_model,
-    log_weight,
-    worth_features,
-)
+from .core import PairPotentialModel, WorthPairModel, _unchecked_matrix_model, log_weight, worth_features
 from .sampler import advance_partition
 
 __all__ = [
     "LatentModel",
+    "WorthLatentModel",
     "log_omega_k",
-    "latent_log_omegas",
     "hidden_posterior",
     "log_joint_weight",
     "effective_pair_model",
     "gibbs_mh_step",
-    "latent_representation",
     "sigmoid",
 ]
 
@@ -46,7 +38,13 @@ def sigmoid(x: float) -> float:
 
 
 class LatentModel:
-    """A base pair-potential model plus one pair-potential model per hidden unit."""
+    """A base pair-potential model plus one pair-potential model per hidden unit.
+
+    A plain pair model is the latent model with no hidden units.  This class
+    works with any pair-model family: unit weights are pair sums and
+    effective models are potential tables.  ``WorthLatentModel`` replaces
+    them with the worth-form closed forms.
+    """
 
     def __init__(self, base: PairPotentialModel, hidden: Sequence[PairPotentialModel]):
         hidden = tuple(hidden)
@@ -61,29 +59,73 @@ class LatentModel:
     def n_hidden(self) -> int:
         return len(self.hidden)
 
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        """Vector of log Omega_k(X) over all hidden units."""
+        return np.array([log_weight(X, hm) for hm in self.hidden], dtype=float)
+
+    def effective(self, active: Sequence[PairPotentialModel]) -> PairPotentialModel:
+        """The base potentials plus those of the ``active`` hidden units."""
+        tie, order = (table.copy() for table in self.base.tables())
+        for hm in active:
+            ht, ho = hm.tables()
+            tie += ht
+            order += ho
+        return _unchecked_matrix_model(tie, order)
+
+    def completion_scores(
+        self, seen: Sequence[int], unseen: Sequence[int], p: np.ndarray
+    ) -> dict[int, float]:
+        """score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)]."""
+        order = self.base.tables()[1] + sum(pk * hm.tables()[1] for pk, hm in zip(p, self.hidden))
+        return {j: float(order[j, list(seen)].sum()) for j in unseen}
+
+    def mean_worth(self, p: np.ndarray) -> np.ndarray:
+        raise ValueError("per-item worths need a worth-parameterized model")
+
+
+class WorthLatentModel(LatentModel):
+    """Latent model whose base and hidden units are all ``WorthPairModel``s.
+
+    The worth family is closed under masking, so effective models stay in
+    worth form, and unit weights come from one set of structural features.
+    """
+
+    def __init__(self, base: WorthPairModel, hidden: Sequence[WorthPairModel]):
+        super().__init__(base, hidden)
+        self.nus = np.array([hm.nu for hm in self.hidden])
+        worths = [hm.worth for hm in self.hidden]
+        self.worths = np.stack(worths, axis=1) if worths else np.zeros((self.n_objects, 0))
+
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        pairs, items, coef = worth_features(X)
+        return self.nus * pairs + coef @ self.worths[items]
+
+    def effective(self, active: Sequence[WorthPairModel]) -> WorthPairModel:
+        nu = self.base.nu + sum(hm.nu for hm in active)
+        worth = self.base.worth + sum(hm.worth for hm in active)
+        return WorthPairModel(nu, worth)
+
+    def completion_scores(
+        self, seen: Sequence[int], unseen: Sequence[int], p: np.ndarray
+    ) -> dict[int, float]:
+        # psi depends on the winner only, so the sum over seen items is a
+        # constant factor |seen|
+        w = self.mean_worth(p)
+        return {j: len(seen) * float(w[j]) for j in unseen}
+
+    def mean_worth(self, p: np.ndarray) -> np.ndarray:
+        """u + W p: each item's order worth averaged over hidden activations ``p``."""
+        return self.base.worth + self.worths @ p
+
 
 def log_omega_k(X: OrderedPartition, m: LatentModel, k: int) -> float:
     """log Omega_k(X): the k-th hidden unit's weight, same pair-sum as the base."""
     return log_weight(X, m.hidden[k])
 
 
-def latent_log_omegas(X: OrderedPartition, m: LatentModel) -> np.ndarray:
-    """Vector of log Omega_k(X) over all hidden units."""
-    if m.n_hidden == 0:
-        return np.zeros(0)
-    if all(isinstance(hm, WorthPairModel) for hm in m.hidden):
-        pairs, coef = worth_features(X)
-        items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
-        c = np.fromiter(coef.values(), dtype=float, count=len(coef))
-        nus = np.array([hm.nu for hm in m.hidden])
-        worths = np.stack([hm.worth[items] for hm in m.hidden], axis=1)
-        return nus * pairs + c @ worths
-    return np.array([log_weight(X, hm) for hm in m.hidden])
-
-
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
-    return np.array([sigmoid(lo) for lo in latent_log_omegas(X, m)])
+    return np.array([sigmoid(lo) for lo in m.log_omegas(X)])
 
 
 def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
@@ -98,46 +140,11 @@ def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> floa
     return total
 
 
-def _materialize(m: PairPotentialModel) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(m, MatrixPairModel):
-        return m.tie, m.order
-    if isinstance(m, WorthPairModel):
-        half = 0.5 * m.worth
-        tie = m.nu + half[:, None] + half[None, :]
-        order = np.broadcast_to(m.worth[:, None], (m.n_objects, m.n_objects)).copy()
-        return tie, order
-    n = m.n_objects
-    tie = np.zeros((n, n))
-    order = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                tie[i, j] = m.log_tie(i, j)
-                order[i, j] = m.log_order(i, j)
-    return tie, order
-
-
 def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
-    """The pair model whose log_weight equals log_joint_weight(., h, m).
-
-    Worth-parameterized models stay in worth form (the family is closed
-    under masking); anything else is combined into potential tables.
-    """
+    """The pair model whose log_weight equals log_joint_weight(., h, m)."""
     h = np.asarray(h)
     active = [m.hidden[k] for k in range(m.n_hidden) if h[k]]
-    if not active:
-        return m.base
-    if isinstance(m.base, WorthPairModel) and all(isinstance(hm, WorthPairModel) for hm in active):
-        nu = m.base.nu + sum(hm.nu for hm in active)
-        worth = m.base.worth + sum(hm.worth for hm in active)
-        return WorthPairModel(nu, worth)
-    tie, order = _materialize(m.base)
-    tie, order = tie.copy(), order.copy()
-    for hm in active:
-        ht, ho = _materialize(hm)
-        tie += ht
-        order += ho
-    return _unchecked_matrix_model(tie, order)
+    return m.effective(active) if active else m.base
 
 
 def sample_hidden(
@@ -145,7 +152,7 @@ def sample_hidden(
 ) -> np.ndarray:
     """Exact draw of h | X; at temperature tau the conditional is
     Bernoulli(sigmoid(tau * log Omega_k(X)))."""
-    logom = latent_log_omegas(X, m)
+    logom = m.log_omegas(X)
     return np.array(
         [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom], dtype=np.int8
     )
@@ -171,7 +178,3 @@ def gibbs_mh_step(
     X = advance_partition(X, eff, rng, inner_steps)
     return X, h
 
-
-def latent_representation(X: OrderedPartition, m: LatentModel) -> np.ndarray:
-    """The posterior activation vector (P(h_1=1|X), ..., P(h_K=1|X))."""
-    return hidden_posterior(X, m)

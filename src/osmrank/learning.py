@@ -13,14 +13,14 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
-from .core import WorthPairModel, worth_features
-from .latent import LatentModel, gibbs_mh_step, hidden_posterior
+from .core import WorthPairModel, logsumexp, worth_features
+from .latent import WorthLatentModel, gibbs_mh_step, hidden_posterior
 
 __all__ = [
     "CFParams",
@@ -114,7 +114,7 @@ class TrainConfig:
             raise ValueError("block_size must be >= 1")
 
 
-def cf_latent_model(p: CFParams) -> LatentModel:
+def cf_latent_model(p: CFParams) -> WorthLatentModel:
     """Latent pair-potential model for the worth parameterization.
 
     Base: log phi(i~j) = nu + (u_i + u_j)/2, log psi(i>j) = u_i.
@@ -122,7 +122,23 @@ def cf_latent_model(p: CFParams) -> LatentModel:
     """
     base = WorthPairModel(p.nu, p.u)
     hidden = [WorthPairModel(p.nu, p.W[:, k]) for k in range(p.n_hidden)]
-    return LatentModel(base, hidden)
+    return WorthLatentModel(base, hidden)
+
+
+def _accumulate(
+    entries: Iterable[tuple[OrderedPartition, np.ndarray]], n_items: int, n_hidden: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed partials of log joint weight w.r.t. (nu, u, W) over (X, h) pairs."""
+    d_nu = 0.0
+    d_u = np.zeros(n_items)
+    d_W = np.zeros((n_items, n_hidden))
+    for X, h in entries:
+        h = np.asarray(h, dtype=float)
+        pairs, items, coef = worth_features(X)
+        d_nu += pairs * (1.0 + h.sum())
+        d_u[items] += coef
+        d_W[items] += np.outer(coef, h)
+    return d_nu, d_u, d_W
 
 
 def sufficient_stats(
@@ -133,17 +149,9 @@ def sufficient_stats(
     ``h`` may be a binary hidden state or a posterior vector; the statistics
     are linear in h, so posteriors give the exact conditional expectation.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (n_hidden,):
+    if np.shape(h) != (n_hidden,):
         raise ValueError(f"h must have shape ({n_hidden},)")
-    pairs, coef = worth_features(X)
-    items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
-    c = np.fromiter(coef.values(), dtype=float, count=len(coef))
-    d_u = np.zeros(n_items)
-    d_u[items] = c
-    d_W = np.zeros((n_items, n_hidden))
-    d_W[items] = np.outer(c, h)
-    return GradientEstimate(pairs * (1.0 + h.sum()), d_u, d_W, 1, 0)
+    return GradientEstimate(*_accumulate([(X, h)], n_items, n_hidden), 1, 0)
 
 
 def estimate_gradient(
@@ -156,23 +164,8 @@ def estimate_gradient(
     posteriors) minus mean model statistics (sampled hidden states)."""
     if not observed or not model_samples:
         raise ValueError("need at least one observed and one model sample")
-
-    def accumulate(entries):
-        d_nu = 0.0
-        d_u = np.zeros(n_items)
-        d_W = np.zeros((n_items, n_hidden))
-        for X, h in entries:
-            h = np.asarray(h, dtype=float)
-            pairs, coef = worth_features(X)
-            items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
-            c = np.fromiter(coef.values(), dtype=float, count=len(coef))
-            d_nu += pairs * (1.0 + h.sum())
-            d_u[items] += c
-            d_W[items] += np.outer(c, h)
-        return d_nu, d_u, d_W
-
-    obs_nu, obs_u, obs_W = accumulate(observed)
-    mod_nu, mod_u, mod_W = accumulate(model_samples)
+    obs_nu, obs_u, obs_W = _accumulate(observed, n_items, n_hidden)
+    mod_nu, mod_u, mod_W = _accumulate(model_samples, n_items, n_hidden)
     n_obs, n_mod = len(observed), len(model_samples)
     return GradientEstimate(
         obs_nu / n_obs - mod_nu / n_mod,
@@ -183,34 +176,40 @@ def estimate_gradient(
     )
 
 
-_FEATURE_CACHE: dict[int, np.ndarray] = {}
-
-
 def state_features(n: int, cap: int = 8) -> np.ndarray:
     """Per-state structural coefficients over all ordered partitions of n.
 
     Row s is [pairs, c_0, ..., c_{n-1}] for state s in enumeration order,
     so any worth model's log Omega over all states is one matrix-vector
-    product.  Cached per n.
+    product.  Cached per n; the cap is checked on every call.
     """
-    if n not in _FEATURE_CACHE:
-        F = np.zeros((fubini(n), n + 1))
-        for s, X in enumerate(enumerate_ordered_partitions(n, cap)):
-            pairs, coef = worth_features(X)
-            F[s, 0] = pairs
-            for i, ci in coef.items():
-                F[s, 1 + i] = ci
-        _FEATURE_CACHE[n] = F
-    return _FEATURE_CACHE[n]
+    if n > cap:
+        raise EnumerationCapError(
+            f"state table of n={n} refused: fubini({n}) = {fubini(n)} states exceeds cap {cap}"
+        )
+    return _state_features(n)
 
 
-def _cf_state_table(p: CFParams, cap: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """(marginal log weights, per-unit log omegas) over the full state space."""
-    F = state_features(p.n_items, cap)
+@lru_cache(maxsize=None)
+def _state_features(n: int) -> np.ndarray:
+    return _feature_rows(enumerate_ordered_partitions(n, cap=n), fubini(n), n)
+
+
+def _feature_rows(partitions: Iterable[OrderedPartition], count: int, n: int) -> np.ndarray:
+    """Rows [pairs, c_0, ..., c_{n-1}] for ``count`` partitions over n items."""
+    F = np.zeros((count, n + 1))
+    for s, X in enumerate(partitions):
+        pairs, items, coef = worth_features(X)
+        F[s, 0] = pairs
+        F[s, 1 + items] = coef
+    return F
+
+
+def _cf_log_weights(p: CFParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(marginal log weights, per-unit log omegas) of the feature rows F."""
     log_base = F @ np.concatenate([[p.nu], p.u])
     log_omegas = F @ np.vstack([np.full(p.n_hidden, p.nu), p.W])
-    marginal = log_base + np.logaddexp(0.0, log_omegas).sum(axis=1)
-    return marginal, log_omegas
+    return log_base + np.logaddexp(0.0, log_omegas).sum(axis=1), log_omegas
 
 
 def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: str) -> None:
@@ -222,19 +221,9 @@ def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: s
 def exact_log_likelihood(p: CFParams, data: Sequence[OrderedPartition], cap: int = 8) -> np.ndarray:
     """Per-datum exact log P(X) over partitions of the full item set."""
     _require_dense_cover(data, p.n_items, "exact_log_likelihood")
-    marginal, _ = _cf_state_table(p, cap)
-    log_z = logsumexp(marginal)
-    out = np.empty(len(data))
-    nu_u = np.concatenate([[p.nu], p.u])
-    nu_W = np.vstack([np.full(p.n_hidden, p.nu), p.W])
-    for d, X in enumerate(data):
-        pairs, coef = worth_features(X)
-        feat = np.zeros(p.n_items + 1)
-        feat[0] = pairs
-        for i, ci in coef.items():
-            feat[1 + i] = ci
-        out[d] = feat @ nu_u + np.logaddexp(0.0, feat @ nu_W).sum() - log_z
-    return out
+    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
+    observed, _ = _cf_log_weights(p, _feature_rows(data, len(data), p.n_items))
+    return observed - logsumexp(marginal)
 
 
 def exact_gradient(
@@ -250,10 +239,10 @@ def exact_gradient(
         raise ValueError("need at least one observation")
     _require_dense_cover(data, p.n_items, "exact_gradient")
 
-    marginal, log_omegas = _cf_state_table(p)
-    probs = np.exp(marginal - logsumexp(marginal))
-    post = expit(log_omegas)  # (S, K)
     F = state_features(p.n_items)
+    marginal, log_omegas = _cf_log_weights(p, F)
+    probs = np.exp(marginal - logsumexp(marginal))
+    post = np.exp(-np.logaddexp(0.0, -log_omegas))  # sigmoid, (S, K)
     pair_counts = F[:, 0]
     C = F[:, 1:]
 
@@ -262,17 +251,9 @@ def exact_gradient(
     model_W = C.T @ (probs[:, None] * post)
 
     model = cf_latent_model(p)
-    data_nu = 0.0
-    data_u = np.zeros(p.n_items)
-    data_W = np.zeros((p.n_items, p.n_hidden))
-    for X in data:
-        h_post = hidden_posterior(X, model)
-        pairs, coef = worth_features(X)
-        items = np.fromiter(coef.keys(), dtype=int, count=len(coef))
-        c = np.fromiter(coef.values(), dtype=float, count=len(coef))
-        data_nu += pairs * (1.0 + h_post.sum())
-        data_u[items] += c
-        data_W[items] += np.outer(c, h_post)
+    data_nu, data_u, data_W = _accumulate(
+        ((X, hidden_posterior(X, model)) for X in data), p.n_items, p.n_hidden
+    )
     n = len(data)
     return GradientEstimate(
         data_nu / n - model_nu,
@@ -288,7 +269,7 @@ def sample_partitions_exact(
 ) -> list[OrderedPartition]:
     """i.i.d. exact draws of X from the model (hidden units marginalized),
     via a categorical over the fully enumerated state space."""
-    marginal, _ = _cf_state_table(p, cap)
+    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
     probs = np.exp(marginal - logsumexp(marginal))
     probs /= probs.sum()
     chosen = rng.choice(len(probs), size=count, p=probs)
@@ -435,15 +416,18 @@ def load_checkpoint(path: str) -> CFParams:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path}: not an osmrank checkpoint")
-    version = int(lines[0].split()[1])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
-    n_items = int(header["n_items"])
-    n_hidden = int(header["K"])
-    nu = float(lines[3].split(maxsplit=1)[1])
-    u = np.array([float(v) for v in lines[4].split()[1:]])
-    w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
+    try:
+        version = int(lines[0].split()[1])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
+        n_items = int(header["n_items"])
+        n_hidden = int(header["K"])
+        nu = float(lines[3].split(maxsplit=1)[1])
+        u = np.array([float(v) for v in lines[4].split()[1:]])
+        w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
+    except (IndexError, KeyError):
+        raise ValueError(f"{path}: truncated checkpoint") from None
     W = np.array(w_rows) if w_rows else np.zeros((n_items, 0))
     if u.shape != (n_items,) or W.shape != (n_items, n_hidden):
         raise ValueError(f"{path}: checkpoint shapes do not match header")

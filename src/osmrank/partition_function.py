@@ -1,9 +1,10 @@
 """Normalization constants: exact enumeration oracle and annealed importance sampling.
 
-AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N), times
-2^K with hidden units) to the target (tau = 1) along an inverse-temperature
-ladder, accumulating importance weights in the log domain across R
-independent runs.
+AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N) * 2^K)
+to the target (tau = 1) along an inverse-temperature ladder, accumulating
+importance weights in the log domain across R independent runs.  Every
+routine works on a ``LatentModel``; a plain pair model is taken as the
+latent model with no hidden units (K = 0).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .combinatorics import (
     EnumerationCapError,
@@ -23,8 +23,8 @@ from .combinatorics import (
     fubini,
     sample_uniform_ordered_partition,
 )
-from .core import PairPotentialModel, log_weight
-from .latent import LatentModel, latent_log_omegas, sample_hidden, effective_pair_model
+from .core import PairPotentialModel, log_weight, logsumexp
+from .latent import LatentModel, effective_pair_model, sample_hidden
 from .sampler import advance_partition
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
-
-AnyModel = Union[PairPotentialModel, LatentModel]
 
 
 @dataclass
@@ -74,58 +72,52 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _marginal_log_weight(X: OrderedPartition, m: LatentModel) -> float:
-    """log sum_h joint weight = log Omega(X) + sum_k log(1 + Omega_k(X))."""
-    total = log_weight(X, m.base)
-    for lo in latent_log_omegas(X, m):
-        total += _softplus(lo)
-    return total
+def _as_latent(m: PairPotentialModel | LatentModel) -> LatentModel:
+    """The one model shape used below: a pair model becomes K = 0 latent."""
+    return m if isinstance(m, LatentModel) else LatentModel(m, ())
 
 
-def exact_log_z(m: AnyModel, cap: int = 8) -> float:
+def exact_log_z(m: PairPotentialModel | LatentModel, cap: int = 8) -> float:
     """log Z by full enumeration (oracle).
 
-    For latent models the hidden units are summed out analytically via the
-    prod_k (1 + Omega_k) identity, so only partitions are enumerated.
+    The hidden units are summed out analytically via the prod_k (1 + Omega_k)
+    identity (the tau = 1 case of ``annealed_unnorm_log_prob``), so only
+    partitions are enumerated.
     """
+    m = _as_latent(m)
     n = m.n_objects
     if n > cap:
         raise EnumerationCapError(
             f"exact_log_z over n={n} objects refused: fubini({n}) = {fubini(n)} exceeds cap {cap}"
         )
-    if isinstance(m, LatentModel):
-        logs = [_marginal_log_weight(X, m) for X in enumerate_ordered_partitions(n, cap)]
-    else:
-        logs = [log_weight(X, m) for X in enumerate_ordered_partitions(n, cap)]
+    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(n, cap)]
     return float(logsumexp(logs))
 
 
 def exact_distribution(
-    m: AnyModel, cap: int = 8
+    m: PairPotentialModel | LatentModel, cap: int = 8
 ) -> tuple[list[OrderedPartition], np.ndarray]:
     """All states with their exact probabilities (latent: X-marginal)."""
-    n = m.n_objects
-    states = list(enumerate_ordered_partitions(n, cap))
-    if isinstance(m, LatentModel):
-        logs = np.array([_marginal_log_weight(X, m) for X in states])
-    else:
-        logs = np.array([log_weight(X, m) for X in states])
+    m = _as_latent(m)
+    states = list(enumerate_ordered_partitions(m.n_objects, cap))
+    logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])
     probs = np.exp(logs - logsumexp(logs))
     probs /= probs.sum()
     return states, probs
 
 
-def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: AnyModel) -> float:
-    """log P*(X | tau): tau * log Omega(X), plus, for latent models, the
-    marginalized hidden terms sum_k log(1 + Omega_k(X)^tau)."""
+def annealed_unnorm_log_prob(
+    X: OrderedPartition, tau: float, m: PairPotentialModel | LatentModel
+) -> float:
+    """log P*(X | tau): tau * log Omega(X) plus the marginalized hidden
+    terms sum_k log(1 + Omega_k(X)^tau)."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    if isinstance(m, LatentModel):
-        total = tau * log_weight(X, m.base)
-        for lo in latent_log_omegas(X, m):
-            total += _softplus(tau * lo)
-        return total
-    return tau * log_weight(X, m)
+    m = _as_latent(m)
+    total = tau * log_weight(X, m.base)
+    for lo in m.log_omegas(X):
+        total += _softplus(tau * lo)
+    return total
 
 
 def temperature_ladder(cfg: AISConfig) -> np.ndarray:
@@ -140,27 +132,29 @@ def temperature_ladder(cfg: AISConfig) -> np.ndarray:
 
 
 def _transition(
-    X: OrderedPartition, tau: float, m: AnyModel, rng: random.Random, steps: int
+    X: OrderedPartition, tau: float, m: LatentModel, rng: random.Random, steps: int
 ) -> OrderedPartition:
-    """One block of MH moves leaving P(X | tau) invariant."""
+    """A tempered hidden draw, then a block of MH moves on the effective
+    potentials; leaves P(X | tau) invariant."""
     if tau == 0.0:
         # uniform-target kernel; cheapest exact option is an independent draw
         return sample_uniform_ordered_partition(X.n_objects, rng)
-    if isinstance(m, LatentModel):
-        h = sample_hidden(X, m, rng, temperature=tau)
-        eff = effective_pair_model(h, m).scaled(tau)
-        return advance_partition(X, eff, rng, steps)
-    return advance_partition(X, m.scaled(tau), rng, steps)
+    h = sample_hidden(X, m, rng, temperature=tau)
+    eff = effective_pair_model(h, m).scaled(tau)
+    return advance_partition(X, eff, rng, steps)
 
 
-def ais_log_z(m: AnyModel, cfg: AISConfig, rng: Optional[random.Random] = None) -> AISResult:
+def ais_log_z(
+    m: PairPotentialModel | LatentModel, cfg: AISConfig, rng: Optional[random.Random] = None
+) -> AISResult:
     """Annealed importance sampling estimate of log Z.
 
     Each of the R runs starts from an exact uniform draw and climbs the
-    ladder, advancing with the split-merge kernel (latent models alternate
-    a tempered hidden draw with moves on the effective potentials).  The
-    estimate is log Z(0) + log-mean-exp of the run weights.
+    ladder, alternating a tempered hidden draw with split-merge moves on
+    the effective potentials.  The estimate is log Z(0) + log-mean-exp of
+    the run weights.
     """
+    m = _as_latent(m)
     seed_src = rng if rng is not None else random.Random(cfg.seed)
     run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
     n = m.n_objects
@@ -168,12 +162,8 @@ def ais_log_z(m: AnyModel, cfg: AISConfig, rng: Optional[random.Random] = None) 
     taus = temperature_ladder(cfg)
     S = cfg.n_temperatures
 
-    if isinstance(m, LatentModel):
-        log_z0 = math.log(fubini(n)) + m.n_hidden * LOG2
-    else:
-        log_z0 = math.log(fubini(n))
+    log_z0 = math.log(fubini(n)) + m.n_hidden * LOG2
 
-    latent = isinstance(m, LatentModel)
     log_weights = np.empty(cfg.n_runs)
     for r, run_seed in enumerate(run_seeds):
         run_rng = random.Random(run_seed)
@@ -183,12 +173,9 @@ def ais_log_z(m: AnyModel, cfg: AISConfig, rng: Optional[random.Random] = None) 
             t_hi, t_lo = taus[s], taus[s - 1]
             if s > 1:
                 X = _transition(X, t_lo, m, run_rng, steps)
-            if latent:
-                logw += (t_hi - t_lo) * log_weight(X, m.base)
-                for lo in latent_log_omegas(X, m):
-                    logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
-            else:
-                logw += (t_hi - t_lo) * log_weight(X, m)
+            logw += (t_hi - t_lo) * log_weight(X, m.base)
+            for lo in m.log_omegas(X):
+                logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
         log_weights[r] = logw
 
     log_sum = logsumexp(log_weights)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import WorthPairModel, from_graded_ratings
+from .core import from_graded_ratings
 from .latent import LatentModel, hidden_posterior
 from .learning import CFParams, cf_latent_model
 from .metrics import err, ndcg_at
@@ -340,28 +340,7 @@ def complete_rank(
     unseen = list(unseen)
     if set(unseen) & set(seen_items):
         raise ValueError("unseen items overlap the seen partition")
-    p = hidden_posterior(seen, m)
-    worth_form = isinstance(m.base, WorthPairModel) and all(
-        isinstance(hm, WorthPairModel) for hm in m.hidden
-    )
-    scores: dict[int, float] = {}
-    if worth_form:
-        # psi depends on the winner only, so the sum over seen items is a
-        # constant factor |seen|
-        w = m.base.worth + (
-            np.stack([hm.worth for hm in m.hidden], axis=1) @ p if m.n_hidden else 0.0
-        )
-        for j in unseen:
-            scores[j] = len(seen_items) * float(w[j])
-    else:
-        for j in unseen:
-            s = 0.0
-            for i in seen_items:
-                s += m.base.log_order(j, i)
-                for k, hm in enumerate(m.hidden):
-                    s += p[k] * hm.log_order(j, i)
-            scores[j] = s
-    return _rank(scores)
+    return _rank(m.completion_scores(seen_items, unseen, hidden_posterior(seen, m)))
 
 
 def reconstruct_rank(
@@ -372,15 +351,8 @@ def reconstruct_rank(
     posterior = np.asarray(posterior, dtype=float)
     if posterior.shape != (m.n_hidden,):
         raise ValueError(f"posterior must have shape ({m.n_hidden},)")
-    if not isinstance(m.base, WorthPairModel) or not all(
-        isinstance(hm, WorthPairModel) for hm in m.hidden
-    ):
-        raise ValueError("reconstruct_rank needs a worth-parameterized model")
-    w = m.base.worth + (
-        np.stack([hm.worth for hm in m.hidden], axis=1) @ posterior if m.n_hidden else 0.0
-    )
-    scores = {j: float(w[j]) for j in items}
-    return _rank(scores)
+    w = m.mean_worth(posterior)
+    return _rank({j: float(w[j]) for j in items})
 
 
 def parse_metric(name: str):

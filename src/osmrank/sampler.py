@@ -183,17 +183,6 @@ def _can_split(X: OrderedPartition) -> bool:
     return any(len(b) > 1 for b in X.blocks)
 
 
-def _move_kind_log_probs(can_split: bool, can_merge: bool) -> tuple[float, float]:
-    """(log P(pick split), log P(pick merge)); -inf marks an infeasible kind."""
-    if can_split and can_merge:
-        return LOG_HALF, LOG_HALF
-    if can_split:
-        return 0.0, -math.inf
-    if can_merge:
-        return -math.inf, 0.0
-    return -math.inf, -math.inf
-
-
 def _single_move(
     X: OrderedPartition, m: PairPotentialModel, rng: random.Random
 ) -> tuple[OrderedPartition, Optional[str], bool]:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,22 @@ class TestThreadsDefault:
         assert _default_threads() == 3
         monkeypatch.delenv("OSM_THREADS")
         assert _default_threads() >= 1
+
+    def test_malformed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("OSM_THREADS", "abc")
+        assert main(["oracle", "--n", "3", "--count"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "OSM_THREADS" in err
+
+
+class TestImportHygiene:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, osmrank.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestOracleCommand:
@@ -90,6 +109,18 @@ class TestSampleCommand:
         for ln in lines:
             X = parse_partition(ln, 4)
             assert X.covers_universe()
+
+    def test_uniform_needs_positive_n(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--uniform", "--n", "0", "--steps", "5"])
+        assert exc.value.code == 1
+
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "magic_only.ck"
+        ck.write_text("osmrank-checkpoint 1\n")
+        assert main(["sample", "--model", str(ck), "--steps", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truncated" in err
 
     def test_header_records_seed(self, tmp_path):
         out = tmp_path / "s.txt"
@@ -223,6 +254,32 @@ class TestTrainEvalRoundTrip:
         lines = [ln for ln in report.read_text().splitlines() if ln.startswith("model=")]
         ks = {dict(kv.split("=", 1) for kv in ln.split())["K"] for ln in lines}
         assert ks == {"1", "2"}
+
+    def test_per_user_file_keeps_every_model(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        cks = []
+        for k in (1, 2):
+            ck = tmp_path / f"k{k}.ck"
+            main(["train", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                  "--hidden", str(k), "--epochs", "0", "--seed", "4",
+                  "--out", str(ck), "--log", str(tmp_path / "t.log")])
+            cks.append(str(ck))
+        capsys.readouterr()
+        common = ["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                  "--seed", "4", "--metrics", "ndcg@5", "--threads", "1",
+                  "--out", str(tmp_path / "rep.txt")]
+        singles = []
+        for ck in cks:
+            single = tmp_path / "single.txt"
+            assert main(common + ["--model", ck, "--per-user", str(single)]) == 0
+            singles.append(single.read_text())
+        both = tmp_path / "both.txt"
+        assert main(common + ["--model", *cks, "--per-user", str(both)]) == 0
+        text = both.read_text()
+        assert text == singles[0] + singles[1]
+        assert [ln for ln in text.splitlines() if ln.startswith("#")] == [
+            f"# per-user metrics model={ck} seed=4" for ck in cks
+        ]
 
     def test_sweep_table_output(self, tmp_path, capsys):
         data = make_ratings_file(tmp_path / "r.dat")

@@ -72,6 +72,17 @@ class TestStirling2:
         assert stirling2(0, 3) == 0
         assert stirling2(0, 0) == 1
 
+    def test_against_explicit_formula(self):
+        # S(n, t) = (1/t!) sum_j (-1)^j C(t, j) (t - j)^n
+        for n in range(31):
+            for t in range(n + 2):
+                explicit = sum((-1) ** j * math.comb(t, j) * (t - j) ** n for j in range(t + 1))
+                assert stirling2(n, t) == explicit // math.factorial(t)
+
+    def test_large_n_needs_no_recursion(self):
+        # S(n, 2) = 2^(n-1) - 1
+        assert stirling2(1100, 2) == 2**1099 - 1
+
 
 class TestFubini:
     def test_single_object(self):
@@ -86,11 +97,15 @@ class TestFubini:
             assert fubini(n) == len(brute_force_ordered_partitions(n))
 
     def test_against_binomial_recurrence(self):
-        # a(n) = sum_k C(n,k) a(n-k), independent of the Stirling-sum route
+        # a(n) = sum_k C(n,k) a(n-k), independent of the surjection-triangle route
         a = {0: 1}
-        for n in range(1, 13):
+        for n in range(1, 31):
             a[n] = sum(math.comb(n, k) * a[n - k] for k in range(1, n + 1))
             assert fubini(n) == a[n]
+
+    def test_large_n_needs_no_recursion(self):
+        # a catalog of ~1500 items: the count itself, compared in the log domain
+        assert math.log(fubini(1500)) == pytest.approx(log_fubini_asymptotic(1500), rel=1e-12)
 
     def test_against_infinite_series(self):
         # third independent route: a(n) = sum_{k>=1} k^n / 2^(k+1)

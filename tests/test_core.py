@@ -82,13 +82,12 @@ class TestLogWeight:
 class TestWorthFeatures:
     def test_matches_definition(self):
         X = P([0, 2], [1], [3, 4])
-        pairs, c = worth_features(X)
+        pairs, items, c = worth_features(X)
         assert pairs == 2  # (0,2) and (3,4)
+        assert items.tolist() == [0, 2, 1, 3, 4]  # block order
         # 0 and 2: half a pair each, 3 objects below
-        assert c[0] == c[2] == 0.5 + 3
         # 1: no tie pairs, 2 objects below
-        assert c[1] == 2
-        assert c[3] == c[4] == 0.5
+        assert c.tolist() == [0.5 + 3, 0.5 + 3, 2, 0.5, 0.5]
 
 
 class TestLogRatioSplit:

@@ -10,10 +10,10 @@ from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
 from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, uniform_pair_model
 from osmrank.latent import (
     LatentModel,
+    WorthLatentModel,
     effective_pair_model,
     gibbs_mh_step,
     hidden_posterior,
-    latent_representation,
     log_joint_weight,
     log_omega_k,
     sample_hidden,
@@ -66,18 +66,16 @@ class TestLogOmegaK:
             log_omega_k(P([0, 1]), random_latent_model(2, 1, seed=0), 5)
 
     def test_worth_fast_path_matches_generic(self):
-        from osmrank.latent import latent_log_omegas
-
         rng = np.random.default_rng(5)
         base = WorthPairModel(0.2, rng.normal(size=6))
         hidden = [WorthPairModel(0.2, rng.normal(size=6)) for _ in range(3)]
-        m = LatentModel(base, hidden)
+        m = WorthLatentModel(base, hidden)
         r = random.Random(0)
         from osmrank.combinatorics import sample_uniform_ordered_partition
 
         for _ in range(20):
             X = sample_uniform_ordered_partition(6, r)
-            fast = latent_log_omegas(X, m)
+            fast = m.log_omegas(X)
             slow = np.array([log_weight(X, hm) for hm in hidden])
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -189,7 +187,7 @@ class TestEffectivePairModel:
 
     def test_log_weight_identity_worth_models(self):
         rng = np.random.default_rng(9)
-        m = LatentModel(
+        m = WorthLatentModel(
             WorthPairModel(0.5, rng.normal(size=5)),
             [WorthPairModel(0.5, rng.normal(size=5)) for _ in range(2)],
         )
@@ -275,20 +273,24 @@ class TestGibbsMhStep:
 
 
 class TestLatentRepresentation:
+    """The posterior activation vector hidden_posterior(X, m) is a user's
+    latent representation."""
+
     def test_zero_weights_all_half(self):
         m = uniform_latent(4, 3)
-        np.testing.assert_allclose(latent_representation(P([0, 1, 2, 3]), m), 0.5)
+        np.testing.assert_allclose(hidden_posterior(P([0, 1, 2, 3]), m), 0.5)
 
     def test_equals_hidden_posterior(self):
         m = random_latent_model(3, 2, seed=12)
         X = P([0, 2], [1])
-        np.testing.assert_array_equal(latent_representation(X, m), hidden_posterior(X, m))
+        expected = [sigmoid(log_omega_k(X, m, k)) for k in range(2)]
+        np.testing.assert_array_equal(hidden_posterior(X, m), expected)
 
     def test_within_block_listing_invariance(self):
         m = random_latent_model(4, 2, seed=13)
         a = OrderedPartition.from_blocks([[3, 0], [2, 1]], 4)
         b = OrderedPartition.from_blocks([[0, 3], [1, 2]], 4)
-        np.testing.assert_array_equal(latent_representation(a, m), latent_representation(b, m))
+        np.testing.assert_array_equal(hidden_posterior(a, m), hidden_posterior(b, m))
 
 
 class TestSigmoid:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from osmrank.combinatorics import OrderedPartition
+from osmrank.combinatorics import EnumerationCapError, OrderedPartition
 from osmrank.core import log_weight
 from osmrank.latent import gibbs_mh_step, hidden_posterior, log_joint_weight
 from osmrank.learning import (
@@ -19,6 +19,7 @@ from osmrank.learning import (
     pairwise_disagreement,
     sample_partitions_exact,
     save_checkpoint,
+    state_features,
     sufficient_stats,
     train,
 )
@@ -238,6 +239,13 @@ class TestExactGradient:
             exact_gradient(CFParams.zeros(7, 1), [OrderedPartition.singletons(7)])
         with pytest.raises(EnumerationCapError):
             exact_gradient(CFParams.zeros(3, 5), [P([0, 1, 2])])
+
+
+class TestStateFeatures:
+    def test_cap_checked_before_cache(self):
+        state_features(5, cap=8)
+        with pytest.raises(EnumerationCapError):
+            state_features(5, cap=4)
 
 
 class TestExactLogLikelihood:

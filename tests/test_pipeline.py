@@ -374,12 +374,12 @@ class TestCompleteRank:
         seen = OrderedPartition(((0, 1), (2,)), 5)
         fast = complete_rank(seen, [3, 4], m)
         # generic path via tabulated potentials
-        from osmrank.latent import LatentModel, _materialize
+        from osmrank.latent import LatentModel
         from osmrank.core import MatrixPairModel
 
         mats = LatentModel(
-            MatrixPairModel(*_materialize(m.base)),
-            [MatrixPairModel(*_materialize(hm)) for hm in m.hidden],
+            MatrixPairModel(*m.base.tables()),
+            [MatrixPairModel(*hm.tables()) for hm in m.hidden],
         )
         slow = complete_rank(seen, [3, 4], mats)
         assert fast.items == slow.items
