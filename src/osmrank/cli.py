@@ -60,11 +60,21 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _open_out(path: Optional[str]):
@@ -181,8 +191,6 @@ def _model_from_flags(args):
     """The --model checkpoint's latent model, or uniform potentials over --n objects."""
     if args.model:
         return cf_latent_model(load_checkpoint(args.model))
-    if args.n is None:
-        raise ValueError("--uniform requires --n")
     return uniform_pair_model(args.n)
 
 
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_train)
     p_train.add_argument("--hidden", type=int, default=10, help="number of hidden units K")
     p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--block", type=int, default=100, help="users per parameter update")
+    p_train.add_argument("--block", type=_positive_int, default=100, help="users per parameter update")
     p_train.add_argument("--chain-steps", type=int, default=1, help="sweeps per chain per block")
     p_train.add_argument("--epochs", type=int, default=1)
     p_train.add_argument("--l2", type=float, default=0.0)
@@ -309,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--uniform", action="store_true", help="uniform potentials")
     p_sample.add_argument("--n", type=_positive_int, default=None,
                           help="object count for --uniform")
-    p_sample.add_argument("--steps", type=int, required=True)
-    p_sample.add_argument("--burn-in", type=int, default=None)
-    p_sample.add_argument("--thin", type=int, default=10)
+    p_sample.add_argument("--steps", type=_non_negative_int, required=True)
+    p_sample.add_argument("--burn-in", type=_non_negative_int, default=None)
+    p_sample.add_argument("--thin", type=_positive_int, default=10)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=cmd_sample)
@@ -321,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", default=None)
     src.add_argument("--uniform", action="store_true")
     p_z.add_argument("--n", type=_positive_int, default=None)
-    p_z.add_argument("--n-temps", type=int, default=1000)
-    p_z.add_argument("--n-runs", type=int, default=10)
+    p_z.add_argument("--n-temps", type=_int_at_least(2), default=1000)
+    p_z.add_argument("--n-runs", type=_positive_int, default=10)
     p_z.add_argument("--schedule", default="linear", choices=["linear", "geometric"])
-    p_z.add_argument("--inner-steps", type=int, default=None)
+    p_z.add_argument("--inner-steps", type=_non_negative_int, default=None)
     p_z.add_argument("--seed", type=int, default=0)
     p_z.add_argument("--out", default=None)
     p_z.set_defaults(func=cmd_estimate_z)
@@ -350,6 +358,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"osmrank: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
+    if getattr(args, "uniform", False) and args.n is None:
+        parser.error(f"{args.command} --uniform requires --n")
     try:
         return args.func(args)
     except EnumerationCapError as exc:

@@ -62,6 +62,23 @@ class PairPotentialModel:
         """Dense (tie, order) log-potential tables; diagonals are ignored."""
         raise NotImplementedError
 
+    def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
+        """The local log weight ratio for partitions of ``objects``: a function
+        of (A, B) giving log Omega(X') / Omega(X) for splitting a block into A
+        ranked just above B.  Merging A and B back has the negated ratio.
+
+        This is the pair sum of ``log_ratio_split`` without its checks."""
+        log_order, log_tie = self.log_order, self.log_tie
+
+        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
+            total = 0.0
+            for i in A:
+                for j in B:
+                    total += log_order(i, j) - log_tie(i, j)
+            return total
+
+        return ratio
+
 
 class MatrixPairModel(PairPotentialModel):
     """Potentials tabulated as dense n x n matrices.
@@ -126,6 +143,20 @@ class WorthPairModel(PairPotentialModel):
         pairs, items, coef = worth_features(X)
         # a running sum in block order; seeded AIS outputs depend on its rounding
         return self.nu * pairs + sum((self.worth[items] * coef).tolist())
+
+    def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
+        """Closed form of the pair sum: each (a, b) in A x B contributes
+        (w_a - w_b) / 2 - nu, so the ratio is (|B| sum_A w - |A| sum_B w) / 2
+        - nu |A||B|.  The worths of ``objects`` are gathered once, here."""
+        objects = list(objects)
+        w = dict(zip(objects, self.worth[objects].tolist())).__getitem__
+        nu = self.nu
+
+        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
+            na, nb = len(A), len(B)
+            return 0.5 * (nb * sum(map(w, A)) - na * sum(map(w, B))) - nu * na * nb
+
+        return ratio
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * self.worth

@@ -53,6 +53,8 @@ class AISConfig:
             raise ValueError("need at least 2 temperatures")
         if self.n_runs < 1:
             raise ValueError("need at least 1 run")
+        if self.inner_steps is not None and self.inner_steps < 0:
+            raise ValueError("inner_steps must be non-negative")
         if self.schedule not in ("linear", "geometric"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 

@@ -17,6 +17,11 @@ proposal probability
 with q_kind the move-type probability (1/2 when both kinds are feasible,
 1 when only one is).  Exact detailed balance of the induced kernel is
 verified against full enumeration in the tests.
+
+``advance_partition`` is the kernel every chain runs.  The proposal
+objects (``propose_split``, ``propose_merge``, ``_single_move``) build a
+validated partition per move and stay as the reference it is tested
+against: same draws, same trajectory.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ class SamplerConfig:
             raise ValueError("steps must be non-negative")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
 
     def resolved_burn_in(self) -> int:
         return self.steps // 10 if self.burn_in is None else self.burn_in
@@ -186,7 +193,9 @@ def _can_split(X: OrderedPartition) -> bool:
 def _single_move(
     X: OrderedPartition, m: PairPotentialModel, rng: random.Random
 ) -> tuple[OrderedPartition, Optional[str], bool]:
-    """One MH transition.  Returns (next partition, proposed kind or None, accepted)."""
+    """One MH transition built from the validated proposals; the reference
+    kernel ``advance_partition`` is tested against.  Returns (next
+    partition, proposed kind or None, accepted)."""
     can_split = _can_split(X)
     can_merge = X.n_blocks > 1
     if not can_split and not can_merge:
@@ -219,28 +228,100 @@ def _single_move(
 
 def mh_step(state: ChainState, m: PairPotentialModel) -> ChainState:
     """Advance the chain by one split-or-merge MH step, updating stats in place."""
-    new_partition, kind, accepted = _single_move(state.partition, m, state.rng)
+    state.partition = advance_partition(state.partition, m, state.rng, 1, state.stats)
     state.step += 1
-    stats = state.stats
-    if kind is None:
-        stats.no_move_steps += 1
-    elif kind == "split":
-        stats.split_proposed += 1
-        stats.split_accepted += accepted
-    else:
-        stats.merge_proposed += 1
-        stats.merge_accepted += accepted
-    state.partition = new_partition
     return state
 
 
 def advance_partition(
-    X: OrderedPartition, m: PairPotentialModel, rng: random.Random, steps: int
+    X: OrderedPartition,
+    m: PairPotentialModel,
+    rng: random.Random,
+    steps: int,
+    stats: Optional[MoveStats] = None,
 ) -> OrderedPartition:
-    """Apply ``steps`` MH transitions without chain bookkeeping."""
+    """Apply ``steps`` MH transitions, counting them into ``stats`` if given.
+
+    The chain is held as a mutable list of sorted blocks plus the count of
+    splittable (non-singleton) blocks, so a move touches only the blocks it
+    splits or merges.  ``rng`` is drawn in exactly the order of
+    ``_single_move``; the local weight ratio comes from
+    ``m.split_ratio``, and a merge's is the negated split ratio of the two
+    blocks.  One ``OrderedPartition`` is built on return, and none when no
+    move was accepted.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    blocks = [list(b) for b in X.blocks]
+    n_split = sum(1 for b in blocks if len(b) > 1)
+    ratio = m.split_ratio([x for b in blocks for x in b])
+    uniform, randrange, sample, exp = rng.random, rng.randrange, rng.sample, math.exp
+    split_proposed = split_accepted = merge_proposed = merge_accepted = no_move = 0
     for _ in range(steps):
-        X = _single_move(X, m, rng)[0]
-    return X
+        T = len(blocks)
+        if n_split and T > 1:
+            split = uniform() < 0.5
+            log_q_kind_fwd = LOG_HALF
+        elif n_split or T > 1:
+            split = n_split > 0
+            log_q_kind_fwd = 0.0
+        else:
+            no_move += 1
+            continue
+
+        if split:
+            split_proposed += 1
+            r = randrange(n_split)
+            for t, block in enumerate(blocks):
+                if len(block) > 1:
+                    if not r:
+                        break
+                    r -= 1
+            nt = len(block)
+            first, second = sample(block, 2)
+            upper, lower = [first], [second]
+            for x in block:
+                if x != first and x != second:
+                    (upper if uniform() < 0.5 else lower).append(x)
+            upper.sort()
+            lower.sort()
+            na, nb = len(upper), len(lower)
+            log_accept = (
+                ratio(upper, lower)
+                + _split_log_q_ratio(n_split, nt, T, na * nb)
+                + (LOG_HALF if nt > 2 or n_split > 1 else 0.0)
+                - log_q_kind_fwd
+            )
+            if log_accept >= 0.0 or uniform() < exp(log_accept):
+                blocks[t : t + 1] = [upper, lower]
+                n_split += (na > 1) + (nb > 1) - 1
+                split_accepted += 1
+        else:
+            merge_proposed += 1
+            t = randrange(T - 1)
+            b1, b2 = blocks[t], blocks[t + 1]
+            n1, n2 = len(b1), len(b2)
+            n_split_after = n_split + 1 - (n1 > 1) - (n2 > 1)
+            log_accept = (
+                -ratio(b1, b2)
+                + _merge_log_q_ratio(T, n_split_after, n1, n2)
+                + (LOG_HALF if T - 1 >= 2 else 0.0)
+                - log_q_kind_fwd
+            )
+            if log_accept >= 0.0 or uniform() < exp(log_accept):
+                blocks[t : t + 2] = [sorted(b1 + b2)]
+                n_split = n_split_after
+                merge_accepted += 1
+
+    if stats is not None:
+        stats.split_proposed += split_proposed
+        stats.split_accepted += split_accepted
+        stats.merge_proposed += merge_proposed
+        stats.merge_accepted += merge_accepted
+        stats.no_move_steps += no_move
+    if not (split_accepted or merge_accepted):
+        return X
+    return OrderedPartition(tuple(map(tuple, blocks)), X.n_objects)
 
 
 def run_chain(
@@ -250,14 +331,17 @@ def run_chain(
 
     Deterministic given cfg.seed.
     """
-    state = ChainState(partition=init, rng=random.Random(cfg.seed))
-    burn = cfg.resolved_burn_in()
+    rng = random.Random(cfg.seed)
+    stats = MoveStats()
+    burn = min(cfg.resolved_burn_in(), cfg.steps)
+    X = advance_partition(init, m, rng, burn, stats)
     samples: list[OrderedPartition] = []
-    for step in range(1, cfg.steps + 1):
-        mh_step(state, m)
-        if step > burn and (step - burn) % cfg.thin == 0:
-            samples.append(state.partition)
-    return samples, state.stats
+    for _ in range((cfg.steps - burn) // cfg.thin):
+        X = advance_partition(X, m, rng, cfg.thin, stats)
+        samples.append(X)
+    # moves after the last sample still count in stats
+    advance_partition(X, m, rng, (cfg.steps - burn) % cfg.thin, stats)
+    return samples, stats
 
 
 def transition_matrix(

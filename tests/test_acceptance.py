@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Heavy Monte-Carlo runs use fixed seeds, so every check is reproducible.
+Every test here carries the ``acceptance`` marker, so `pytest -m "not
+acceptance"` is the fast loop; plain `pytest` still runs them.
 """
 
 import itertools
@@ -58,6 +60,8 @@ from osmrank.pipeline import (
 from osmrank.sampler import ChainState, mh_step, transition_matrix
 
 from helpers import random_latent_model, random_matrix_model
+
+pytestmark = pytest.mark.acceptance
 
 
 @contextmanager

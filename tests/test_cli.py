@@ -52,6 +52,32 @@ class TestImportHygiene:
         assert out.strip() == "False"
 
 
+class TestNumericFlags:
+    """A missing or out-of-range numeric flag is a usage error (exit 1)."""
+
+    CASES = {
+        "sample-uniform-without-n": ["sample", "--uniform", "--steps", "3"],
+        "estimate-z-one-temperature": ["estimate-z", "--uniform", "--n", "3", "--n-temps", "1"],
+        "estimate-z-zero-runs": ["estimate-z", "--uniform", "--n", "3", "--n-runs", "0"],
+        "estimate-z-negative-inner-steps": ["estimate-z", "--uniform", "--n", "3",
+                                            "--n-temps", "2", "--inner-steps", "-3"],
+        "sample-zero-thin": ["sample", "--uniform", "--n", "3", "--steps", "5", "--thin", "0"],
+        "sample-negative-steps": ["sample", "--uniform", "--n", "3", "--steps", "-1"],
+        "train-zero-block": ["train", "--data", "{data}", "--out", "{out}", "--block", "0"],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_is_usage_error(self, case, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        argv = [a.format(data=data, out=tmp_path / "m.ck") for a in self.CASES[case]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "error:" in err[-1]
+        assert not (tmp_path / "m.ck").exists()
+
+
 class TestOracleCommand:
     def test_count_n4(self, capsys):
         assert main(["oracle", "--n", "4", "--count"]) == 0

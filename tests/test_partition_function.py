@@ -135,6 +135,11 @@ class TestTemperatureLadder:
         with pytest.raises(ValueError):
             AISConfig(n_temperatures=10, n_runs=1, schedule="cosine")
 
+    def test_rejects_negative_inner_steps(self):
+        with pytest.raises(ValueError):
+            AISConfig(n_temperatures=10, n_runs=1, inner_steps=-3)
+        assert AISConfig(n_temperatures=10, n_runs=1, inner_steps=0).inner_steps == 0
+
 
 class TestAisLogZ:
     def test_degenerate_uniform_anneal_is_exact(self):

@@ -5,14 +5,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, fubini
-from osmrank.core import log_weight, uniform_pair_model
+from osmrank.combinatorics import (
+    OrderedPartition,
+    enumerate_ordered_partitions,
+    fubini,
+    sample_uniform_ordered_partition,
+)
+from osmrank.core import (
+    WorthPairModel,
+    log_ratio_merge,
+    log_ratio_split,
+    log_weight,
+    uniform_pair_model,
+)
 from osmrank.sampler import (
     ChainState,
     InfeasibleMoveError,
     MoveStats,
     SamplerConfig,
+    _single_move,
     _split_log_q_ratio,
+    advance_partition,
     mh_step,
     propose_merge,
     propose_split,
@@ -278,3 +291,119 @@ class TestSamplerConfig:
     def test_default_burn_in(self):
         assert SamplerConfig(steps=1000).resolved_burn_in() == 100
         assert SamplerConfig(steps=1000, burn_in=5).resolved_burn_in() == 5
+
+    def test_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError):
+            SamplerConfig(steps=10, burn_in=-1)
+
+
+def worth_model(n, seed):
+    """Worths and nu on the scale of a trained collaborative-ranking model."""
+    rng = np.random.default_rng(seed)
+    return WorthPairModel(-0.5, rng.normal(0.0, 0.5, n))
+
+
+def bipartitions(block):
+    """Every ordered split (A, B) of ``block`` into non-empty halves."""
+    nt = len(block)
+    for mask in range(1, (1 << nt) - 1):
+        yield (
+            tuple(x for i, x in enumerate(block) if mask >> i & 1),
+            tuple(x for i, x in enumerate(block) if not mask >> i & 1),
+        )
+
+
+class TestModelRatios:
+    """``split_ratio`` against the validated pair sums of ``core``, over every
+    split and merge of every state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["worth", "matrix"])
+    def test_matches_core_pair_sums(self, family, n):
+        m = worth_model(n, seed=n) if family == "worth" else random_matrix_model(n, seed=n, scale=1.5)
+        checked = 0
+        for X in enumerate_ordered_partitions(n):
+            ratio = m.split_ratio([x for b in X.blocks for x in b])
+            for t, block in enumerate(X.blocks):
+                for A, B in bipartitions(block):
+                    assert ratio(A, B) == pytest.approx(log_ratio_split(X, t, (A, B), m), abs=1e-12)
+                    checked += 1
+                if t + 1 < X.n_blocks:
+                    merged = -ratio(block, X.blocks[t + 1])
+                    assert merged == pytest.approx(log_ratio_merge(X, t, m), abs=1e-12)
+                    checked += 1
+        assert checked or n == 1
+
+    def test_worth_ratio_over_catalog_subset(self):
+        # per-user chains hold a few items of a larger catalog
+        m = worth_model(40, seed=9)
+        X = OrderedPartition.from_blocks([[3, 17, 30], [8], [12, 39]], n_objects=40)
+        ratio = m.split_ratio([3, 17, 30, 8, 12, 39])
+        for A, B in bipartitions((3, 17, 30)):
+            assert ratio(A, B) == pytest.approx(log_ratio_split(X, 0, (A, B), m), abs=1e-12)
+        assert -ratio((8,), (12, 39)) == pytest.approx(log_ratio_merge(X, 1, m), abs=1e-12)
+
+
+def reference_run(X, m, rng, moves, stats):
+    """The ``_single_move`` loop, counting kinds and acceptances into ``stats``."""
+    for _ in range(moves):
+        X, kind, accepted = _single_move(X, m, rng)
+        if kind is None:
+            stats.no_move_steps += 1
+        else:
+            setattr(stats, f"{kind}_proposed", getattr(stats, f"{kind}_proposed") + 1)
+            setattr(stats, f"{kind}_accepted", getattr(stats, f"{kind}_accepted") + accepted)
+    return X
+
+
+KERNEL_MODELS = {  # name -> (model, objects in the chain)
+    "worth-n5": (lambda: worth_model(5, seed=1), 5),
+    "worth-n50": (lambda: worth_model(50, seed=2), 50),
+    "worth-n200": (lambda: worth_model(200, seed=3), 200),
+    "worth-catalog": (lambda: worth_model(30, seed=4), 8),
+    "matrix-n5": (lambda: random_matrix_model(5, seed=5, scale=1.5), 5),
+    "uniform-n6": (lambda: uniform_pair_model(6), 6),
+}
+
+
+class TestArrayKernel:
+    """``advance_partition`` against the reference ``_single_move`` loop."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_MODELS))
+    def test_trajectory_matches_reference(self, name):
+        make, n = KERNEL_MODELS[name]
+        m = make()
+        objects = random.Random(0).sample(range(m.n_objects), n)
+        start = sample_uniform_ordered_partition(n, random.Random(1))
+        X = OrderedPartition.from_blocks(
+            [[objects[x] for x in b] for b in start.blocks], m.n_objects
+        )
+        moves, chunk = 100_000, max(n, 10)
+        ref_rng, rng = random.Random(2), random.Random(2)
+        ref_X, ref_stats, stats = X, MoveStats(), MoveStats()
+        for _ in range(moves // chunk):
+            ref_X = reference_run(ref_X, m, ref_rng, chunk, ref_stats)
+            X = advance_partition(X, m, rng, chunk, stats)
+            assert X == ref_X
+        assert rng.getstate() == ref_rng.getstate()
+        assert stats.as_dict() == ref_stats.as_dict()
+        assert stats.split_accepted and stats.merge_accepted
+
+    @pytest.mark.parametrize("name", ["matrix-n5", "uniform-n6"])
+    @pytest.mark.parametrize("steps,burn_in,thin", [(20_000, 137, 7), (50, 80, 3)])
+    def test_run_chain_matches_reference(self, name, steps, burn_in, thin):
+        m = KERNEL_MODELS[name][0]()
+        cfg = SamplerConfig(steps=steps, burn_in=burn_in, thin=thin, seed=3)
+        samples, stats = run_chain(OrderedPartition.singletons(m.n_objects), m, cfg)
+        X, ref_rng = OrderedPartition.singletons(m.n_objects), random.Random(cfg.seed)
+        ref_samples, ref_stats = [], MoveStats()
+        for step in range(1, steps + 1):
+            X = reference_run(X, m, ref_rng, 1, ref_stats)
+            if step > burn_in and (step - burn_in) % thin == 0:
+                ref_samples.append(X)
+        assert samples == ref_samples
+        assert stats.as_dict() == ref_stats.as_dict()
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError):
+            advance_partition(P([0, 1]), uniform_pair_model(2), random.Random(0), -1)
