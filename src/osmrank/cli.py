@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from typing import Optional
@@ -48,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("OSM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"OSM_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _int_at_least(low: int):
@@ -101,9 +90,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="ratings file")
     p.add_argument("--format", default="movielens_dcolon", choices=["movielens_dcolon", "csv"])
     p.add_argument("--scale", type=float, nargs=2, default=[0.5, 5.0], metavar=("LO", "HI"))
-    p.add_argument("--grades", type=int, default=5)
-    p.add_argument("--n-train", type=int, default=10, help="training items per user")
-    p.add_argument("--min-ratings", type=int, default=0, help="default: n_train + 10")
+    p.add_argument("--grades", type=_positive_int, default=5)
+    p.add_argument("--n-train", type=_positive_int, default=10, help="training items per user")
+    p.add_argument("--min-ratings", type=_non_negative_int, default=0,
+                   help="default: n_train + 10")
     p.add_argument("--keep-all-items", action="store_true", help="skip the entropy filter")
     p.add_argument("--seed", type=int, default=0)
 
@@ -152,7 +142,7 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"{model_path}: checkpoint has {params.n_items} items, data has {train_ds.n_items}"
             )
-        report = evaluate_ranking(params, train_ds, test_ds, metric_names, threads=args.threads)
+        report = evaluate_ranking(params, train_ds, test_ds, metric_names)
         for name in metric_names:
             stats = report["metrics"][name]
             t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
@@ -289,11 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit the latent ranking model", parents=[])
     _add_data_flags(p_train)
-    p_train.add_argument("--hidden", type=int, default=10, help="number of hidden units K")
+    p_train.add_argument("--hidden", type=_non_negative_int, default=10,
+                         help="number of hidden units K")
     p_train.add_argument("--lr", type=float, default=0.01)
     p_train.add_argument("--block", type=_positive_int, default=100, help="users per parameter update")
-    p_train.add_argument("--chain-steps", type=int, default=1, help="sweeps per chain per block")
-    p_train.add_argument("--epochs", type=int, default=1)
+    p_train.add_argument("--chain-steps", type=_positive_int, default=1,
+                         help="sweeps per chain per block")
+    p_train.add_argument("--epochs", type=_non_negative_int, default=1)
     p_train.add_argument("--l2", type=float, default=0.0)
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--log", default=None, help="training log path (default stdout)")
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True, nargs="+", help="checkpoint path(s)")
     p_eval.add_argument("--metrics", default="ndcg@5,err",
                         help="comma list: ndcg@T and/or err")
-    p_eval.add_argument("--threads", type=int, default=_default_threads())
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--per-user", default=None, help="per-user detail file")
     p_eval.add_argument("--sweep-out", default=None,
@@ -338,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.set_defaults(func=cmd_estimate_z)
 
     p_oracle = sub.add_parser("oracle", help="exact counting/enumeration/Z utilities")
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--cap", type=int, default=8)
+    p_oracle.add_argument("--n", type=_non_negative_int, required=True)
+    p_oracle.add_argument("--cap", type=_non_negative_int, default=8)
     p_oracle.add_argument("--count", action="store_true", help="print fubini(n)")
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.add_argument("--exact-z", action="store_true")
@@ -352,11 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:  # a malformed default from the environment
-        print(f"osmrank: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "uniform", False) and args.n is None:
         parser.error(f"{args.command} --uniform requires --n")

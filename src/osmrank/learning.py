@@ -112,6 +112,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.chain_steps_per_update < 1:
+            raise ValueError("chain_steps_per_update must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.n_hidden < 0:
+            raise ValueError("n_hidden must be >= 0")
 
 
 def cf_latent_model(p: CFParams) -> WorthLatentModel:

@@ -171,6 +171,8 @@ def load_ratings(
 def grade_ratings(ds: RatingsDataset, n_grades: int = 5) -> RatingsDataset:
     """Map ratings to grades 1..n_grades by equal-length segments of the
     declared scale; out-of-scale ratings are an error."""
+    if n_grades < 1:
+        raise ValueError(f"n_grades must be >= 1, got {n_grades}")
     lo, hi = ds.scale
     if hi <= lo:
         raise ValueError("invalid rating scale")
@@ -366,59 +368,36 @@ def parse_metric(name: str):
     raise ValueError(f"unknown metric {name!r}")
 
 
-def _eval_one_user(args):
-    params, seen_blocks, n_items, test_items, test_grades, metric_names = args
-    model = cf_latent_model(params)
-    seen = OrderedPartition(seen_blocks, n_items)
-    ranking = complete_rank(seen, test_items, model)
-    grade_by_item = dict(zip(test_items, test_grades))
-    ordered_grades = [grade_by_item[j] for j in ranking.items]
-    return [parse_metric(name)(ordered_grades) for name in metric_names]
-
-
 def evaluate_ranking(
     params: CFParams,
     train_ds: RatingsDataset,
     test_ds: RatingsDataset,
     metric_names: Sequence[str],
-    threads: int = 1,
 ) -> dict:
     """Rank each user's test items given their training partition and average
     the requested metrics over users.
 
-    Deterministic; with threads > 1 users are scored by a process pool and
-    the report is identical to the sequential one.
+    Deterministic: every user is scored against one model built from
+    ``params``.
     """
-    for name in metric_names:
-        parse_metric(name)  # validate upfront
+    if not metric_names:
+        raise ValueError("no metrics requested")
+    metrics = [parse_metric(name) for name in metric_names]  # validate upfront
     train_parts = user_partitions(train_ds)
-    jobs = []
+    model = cf_latent_model(params)
+    rows = []
     for u, rec_idx in enumerate(test_ds.by_user()):
         if len(rec_idx) == 0 or u not in train_parts:
             continue
         test_items = [int(test_ds.items[r]) for r in rec_idx]
-        test_grades = [int(test_ds.grades[r]) for r in rec_idx]
-        jobs.append(
-            (
-                params,
-                train_parts[u].blocks,
-                train_ds.n_items,
-                test_items,
-                test_grades,
-                tuple(metric_names),
-            )
-        )
-    if not jobs:
+        grade_by_item = {j: int(test_ds.grades[r]) for j, r in zip(test_items, rec_idx)}
+        ranking = complete_rank(train_parts[u], test_items, model)
+        ordered_grades = [grade_by_item[j] for j in ranking.items]
+        rows.append([metric(ordered_grades) for metric in metrics])
+    if not rows:
         raise ValueError("no users with both training and test records")
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            rows = pool.map(_eval_one_user, jobs, chunksize=max(1, len(jobs) // (4 * threads)))
-    else:
-        rows = [_eval_one_user(job) for job in jobs]
     values = np.asarray(rows)  # (n_users, n_metrics)
-    report = {"n_users": len(jobs), "metrics": {}}
+    report = {"n_users": len(rows), "metrics": {}}
     for col, name in enumerate(metric_names):
         vals = values[:, col]
         report["metrics"][name] = {

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import random
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from osmrank.cli import main
+from osmrank.cli import build_parser, main
 from osmrank.combinatorics import fubini, parse_partition
 from osmrank.learning import load_checkpoint
 
@@ -24,22 +25,6 @@ def make_ratings_file(path, n_users=60, n_items=40, seed=0):
                 r = scale[min(9, (it + shift * 3) % 10)] if it % 2 else rng.choice(scale)
                 fh.write(f"{u}::{it}::{r}::{1000 + u}\n")
     return str(path)
-
-
-class TestThreadsDefault:
-    def test_env_var_fallback(self, monkeypatch):
-        from osmrank.cli import _default_threads
-
-        monkeypatch.setenv("OSM_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.delenv("OSM_THREADS")
-        assert _default_threads() >= 1
-
-    def test_malformed_env_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("OSM_THREADS", "abc")
-        assert main(["oracle", "--n", "3", "--count"]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "OSM_THREADS" in err
 
 
 class TestImportHygiene:
@@ -64,6 +49,18 @@ class TestNumericFlags:
         "sample-zero-thin": ["sample", "--uniform", "--n", "3", "--steps", "5", "--thin", "0"],
         "sample-negative-steps": ["sample", "--uniform", "--n", "3", "--steps", "-1"],
         "train-zero-block": ["train", "--data", "{data}", "--out", "{out}", "--block", "0"],
+        "train-zero-grades": ["train", "--data", "{data}", "--out", "{out}", "--grades", "0"],
+        "eval-zero-grades": ["eval", "--data", "{data}", "--model", "{out}", "--grades", "0"],
+        "train-negative-epochs": ["train", "--data", "{data}", "--out", "{out}", "--epochs", "-1"],
+        "train-zero-chain-steps": ["train", "--data", "{data}", "--out", "{out}",
+                                   "--chain-steps", "0"],
+        "train-negative-hidden": ["train", "--data", "{data}", "--out", "{out}", "--hidden", "-1"],
+        "train-zero-n-train": ["train", "--data", "{data}", "--out", "{out}", "--n-train", "0"],
+        "eval-zero-n-train": ["eval", "--data", "{data}", "--model", "{out}", "--n-train", "0"],
+        "train-negative-min-ratings": ["train", "--data", "{data}", "--out", "{out}",
+                                       "--min-ratings", "-1"],
+        "oracle-negative-n": ["oracle", "--n", "-1", "--count"],
+        "oracle-negative-cap": ["oracle", "--n", "3", "--enumerate", "--cap", "-1"],
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -76,6 +73,15 @@ class TestNumericFlags:
         err = capsys.readouterr().err.splitlines()
         assert "error:" in err[-1]
         assert not (tmp_path / "m.ck").exists()
+
+    def test_only_seeds_take_plain_int(self):
+        plain = []
+        for action in build_parser()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for command, sub in action.choices.items():
+                    plain += [f"{command} {opt.option_strings[0]}" for opt in sub._actions
+                              if opt.type is int and opt.dest != "seed"]
+        assert plain == []
 
 
 class TestOracleCommand:
@@ -227,8 +233,7 @@ class TestTrainEvalRoundTrip:
         report = tmp_path / "report.txt"
         assert main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
                      "--seed", "3", "--model", str(ck),
-                     "--metrics", "ndcg@5,err", "--threads", "1",
-                     "--out", str(report)]) == 0
+                     "--metrics", "ndcg@5,err", "--out", str(report)]) == 0
         text = report.read_text()
         lines = [ln for ln in text.splitlines() if ln.startswith("model=")]
         assert len(lines) == 2
@@ -249,19 +254,19 @@ class TestTrainEvalRoundTrip:
                      "--model", str(ck), "--metrics", "map@7"])
         assert code == 2
 
-    def test_eval_parallel_matches_sequential(self, tmp_path, capsys):
-        data = make_ratings_file(tmp_path / "r.dat", seed=5)
+    def test_eval_empty_metric_list_is_data_error(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
         ck = tmp_path / "m.ck"
         main(["train", "--data", data, "--n-train", "5", "--min-ratings", "15",
-              "--hidden", "2", "--epochs", "1", "--seed", "2",
+              "--hidden", "1", "--epochs", "0", "--seed", "0",
               "--out", str(ck), "--log", str(tmp_path / "t.log")])
         capsys.readouterr()
-        rep1, rep2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-        common = ["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
-                  "--seed", "2", "--model", str(ck), "--metrics", "ndcg@5,err"]
-        assert main(common + ["--threads", "1", "--out", str(rep1)]) == 0
-        assert main(common + ["--threads", "2", "--out", str(rep2)]) == 0
-        assert rep1.read_text() == rep2.read_text()
+        report = tmp_path / "rep.txt"
+        code = main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                     "--model", str(ck), "--metrics", ",", "--out", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no metrics" in err
 
     def test_checkpoint_sweep_multiple_models(self, tmp_path, capsys):
         data = make_ratings_file(tmp_path / "r.dat")
@@ -276,7 +281,7 @@ class TestTrainEvalRoundTrip:
         report = tmp_path / "sweep.txt"
         assert main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
                      "--seed", "4", "--model", *cks, "--metrics", "ndcg@5",
-                     "--threads", "1", "--out", str(report)]) == 0
+                     "--out", str(report)]) == 0
         lines = [ln for ln in report.read_text().splitlines() if ln.startswith("model=")]
         ks = {dict(kv.split("=", 1) for kv in ln.split())["K"] for ln in lines}
         assert ks == {"1", "2"}
@@ -292,8 +297,7 @@ class TestTrainEvalRoundTrip:
             cks.append(str(ck))
         capsys.readouterr()
         common = ["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
-                  "--seed", "4", "--metrics", "ndcg@5", "--threads", "1",
-                  "--out", str(tmp_path / "rep.txt")]
+                  "--seed", "4", "--metrics", "ndcg@5", "--out", str(tmp_path / "rep.txt")]
         singles = []
         for ck in cks:
             single = tmp_path / "single.txt"
@@ -320,7 +324,7 @@ class TestTrainEvalRoundTrip:
         sweep = tmp_path / "sweep.tsv"
         assert main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
                      "--seed", "4", "--model", *cks, "--metrics", "ndcg@5,err",
-                     "--threads", "1", "--out", str(tmp_path / "rep.txt"),
+                     "--out", str(tmp_path / "rep.txt"),
                      "--sweep-out", str(sweep)]) == 0
         rows = sweep.read_text().strip().splitlines()
         assert rows[0] == "K\tmetric\tmean\tstderr\tn_users"

@@ -315,6 +315,13 @@ class TestPairwiseDisagreement:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("n_hidden", -1), ("chain_steps_per_update", 0),
+    ])
+    def test_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_zero_epochs_returns_init(self):
         init = random_params(4, 2, seed=10, scale=0.01)
         data = [P([0, 1], [2, 3]), P([0], [1], [2, 3])]

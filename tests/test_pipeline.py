@@ -180,6 +180,12 @@ class TestGradeRatings:
         grades = ds.grades[order]
         assert np.all(np.diff(grades) >= 0)
 
+    def test_zero_grades_rejected(self, tmp_path):
+        path = tmp_path / "r.dat"
+        write_ratings(path, [(1, 0, 2.5, 0)])
+        with pytest.raises(ValueError, match="n_grades"):
+            grade_ratings(load_ratings(str(path)), n_grades=0)
+
     def test_out_of_scale_rejected(self, tmp_path):
         path = tmp_path / "r.dat"
         write_ratings(path, [(1, 0, 7.5, 0)])
@@ -441,17 +447,21 @@ class TestEvaluateRanking:
         assert report["metrics"]["ndcg@5"]["mean"] == pytest.approx(np.mean(nd_vals))
         assert report["metrics"]["err"]["mean"] == pytest.approx(np.mean(er_vals))
 
-    def test_parallel_equals_sequential(self, tmp_path):
-        train_ds, test_ds = self.build(tmp_path, seed=4)
-        rng = np.random.default_rng(5)
-        params = CFParams(0.1, rng.normal(size=train_ds.n_items),
-                          rng.normal(size=(train_ds.n_items, 2)))
-        seq = evaluate_ranking(params, train_ds, test_ds, ["ndcg@5", "ndcg@1", "err"], threads=1)
-        par = evaluate_ranking(params, train_ds, test_ds, ["ndcg@5", "ndcg@1", "err"], threads=2)
-        for name in ["ndcg@5", "ndcg@1", "err"]:
-            np.testing.assert_array_equal(
-                seq["metrics"][name]["per_user"], par["metrics"][name]["per_user"]
-            )
+    def test_one_model_per_call(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(params):
+            built.append(params)
+            return cf_latent_model(params)
+
+        monkeypatch.setattr("osmrank.pipeline.cf_latent_model", counting)
+        for n_users in (3, 30):
+            built.clear()
+            train_ds, test_ds = self.build(tmp_path, n_users=n_users, seed=4)
+            report = evaluate_ranking(CFParams.zeros(train_ds.n_items, 2), train_ds, test_ds,
+                                      ["ndcg@5"])
+            assert report["n_users"] == n_users
+            assert len(built) == 1
 
     def test_unknown_metric_rejected(self, tmp_path):
         train_ds, test_ds = self.build(tmp_path)
