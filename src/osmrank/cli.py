@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 from typing import Optional
@@ -30,6 +31,7 @@ from .pipeline import (
     evaluate_ranking,
     grade_ratings,
     load_ratings,
+    parse_metrics,
     train_test_split,
     user_partitions,
 )
@@ -66,13 +68,14 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _open_out(path: Optional[str]):
-    return open(path, "w") if path else sys.stdout
-
-
-def _close_out(fh) -> None:
-    if fh is not sys.stdout:
-        fh.close()
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file at ``path``, opened for writing and closed on exit, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _prepped_split(args):
@@ -112,19 +115,18 @@ def cmd_train(args) -> int:
         seed=args.seed,
         l2=args.l2,
     )
-    log_fh = _open_out(args.log)
-    print(f"# osmrank train seed={args.seed} users={len(parts)} "
-          f"items={train_ds.n_items} hidden={args.hidden}", file=log_fh)
+    with _output(args.log) as log_fh:
+        print(f"# osmrank train seed={args.seed} users={len(parts)} "
+              f"items={train_ds.n_items} hidden={args.hidden}", file=log_fh)
 
-    def log_block(rec):
-        print(
-            f"epoch={rec['epoch']} block={rec['block']} n_users={rec['n_users']} "
-            f"disagreement={rec['disagreement']:.6f}",
-            file=log_fh,
-        )
+        def log_block(rec):
+            print(
+                f"epoch={rec['epoch']} block={rec['block']} n_users={rec['n_users']} "
+                f"disagreement={rec['disagreement']:.6f}",
+                file=log_fh,
+            )
 
-    params = train(list(parts.values()), cfg, callback=log_block)
-    _close_out(log_fh)
+        params = train(list(parts.values()), cfg, callback=log_block)
     save_checkpoint(args.out, params)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
@@ -132,48 +134,49 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    parse_metrics(metric_names)  # fail before reading the ratings
     _, train_ds, test_ds = _prepped_split(args)
-    out = _open_out(args.out)
-    print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
-    sweep_rows, per_user_lines = [], []
+    # score every model before writing anything
+    reports = []
     for model_path in args.model:
         params = load_checkpoint(model_path)
         if params.n_items != train_ds.n_items:
             raise ValueError(
                 f"{model_path}: checkpoint has {params.n_items} items, data has {train_ds.n_items}"
             )
-        report = evaluate_ranking(params, train_ds, test_ds, metric_names)
-        for name in metric_names:
-            stats = report["metrics"][name]
-            t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
-            print(
-                f"model={model_path} K={params.n_hidden} metric={name}{t_part} "
-                f"mean={stats['mean']:.6f} stderr={stats['stderr']:.6f} "
-                f"n_users={report['n_users']}",
-                file=out,
-            )
-            sweep_rows.append(
-                (params.n_hidden, name, stats["mean"], stats["stderr"], report["n_users"])
-            )
-        if args.per_user:
-            per_user_lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
-            for row in range(report["n_users"]):
-                vals = " ".join(
-                    f"{name}={report['metrics'][name]['per_user'][row]:.6f}"
-                    for name in metric_names
+        reports.append((model_path, params.n_hidden,
+                        evaluate_ranking(params, train_ds, test_ds, metric_names)))
+    sweep_rows = []
+    with _output(args.out) as out:
+        print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
+        for model_path, k, report in reports:
+            for name in metric_names:
+                stats = report["metrics"][name]
+                t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
+                print(
+                    f"model={model_path} K={k} metric={name}{t_part} "
+                    f"mean={stats['mean']:.6f} stderr={stats['stderr']:.6f} "
+                    f"n_users={report['n_users']}",
+                    file=out,
                 )
-                per_user_lines.append(f"user_row={row} {vals}")
+                sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
     if args.per_user:
         # one header per model, each followed by that model's rows
         with open(args.per_user, "w") as fh:
-            fh.write("\n".join(per_user_lines) + "\n")
+            for model_path, _, report in reports:
+                print(f"# per-user metrics model={model_path} seed={args.seed}", file=fh)
+                for row in range(report["n_users"]):
+                    vals = " ".join(
+                        f"{name}={report['metrics'][name]['per_user'][row]:.6f}"
+                        for name in metric_names
+                    )
+                    print(f"user_row={row} {vals}", file=fh)
     if args.sweep_out:
         # plot-ready metric-vs-hidden-size table
         with open(args.sweep_out, "w") as fh:
             print("K\tmetric\tmean\tstderr\tn_users", file=fh)
             for k, name, mean, stderr, n_users in sorted(sweep_rows):
                 print(f"{k}\t{name}\t{mean:.6f}\t{stderr:.6f}\t{n_users}", file=fh)
-    _close_out(out)
     return EXIT_OK
 
 
@@ -188,25 +191,24 @@ def cmd_sample(args) -> int:
     model = _model_from_flags(args)
     n = model.n_objects
     burn = args.burn_in if args.burn_in is not None else args.steps // 10
-    out = _open_out(args.out)
-    print(f"# osmrank sample seed={args.seed} steps={args.steps} "
-          f"burn_in={burn} thin={args.thin}", file=out)
-    # --model steps are Gibbs sweeps, --uniform steps single MH moves; seeded
-    # dumps of both depend on it
-    if args.model:
-        rng = random.Random(args.seed)
-        X = OrderedPartition.singletons(n)
-        h = np.zeros(model.n_hidden, dtype=np.int8)
-        for sweep in range(1, args.steps + 1):
-            X, h = gibbs_mh_step(X, h, model, rng)
-            if sweep > burn and (sweep - burn) % args.thin == 0:
+    with _output(args.out) as out:
+        print(f"# osmrank sample seed={args.seed} steps={args.steps} "
+              f"burn_in={burn} thin={args.thin}", file=out)
+        # --model steps are Gibbs sweeps, --uniform steps single MH moves;
+        # seeded dumps of both depend on it
+        if args.model:
+            rng = random.Random(args.seed)
+            X = OrderedPartition.singletons(n)
+            h = np.zeros(model.n_hidden, dtype=np.int8)
+            for sweep in range(1, args.steps + 1):
+                X, h = gibbs_mh_step(X, h, model, rng)
+                if sweep > burn and (sweep - burn) % args.thin == 0:
+                    print(format_partition(X), file=out)
+        else:
+            cfg = SamplerConfig(steps=args.steps, burn_in=burn, thin=args.thin, seed=args.seed)
+            samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
+            for X in samples:
                 print(format_partition(X), file=out)
-    else:
-        cfg = SamplerConfig(steps=args.steps, burn_in=burn, thin=args.thin, seed=args.seed)
-        samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
-        for X in samples:
-            print(format_partition(X), file=out)
-    _close_out(out)
     return EXIT_OK
 
 
@@ -220,22 +222,20 @@ def cmd_estimate_z(args) -> int:
         seed=args.seed,
     )
     result = ais_log_z(model, cfg)
-    out = _open_out(args.out)
-    print(f"# osmrank estimate-z seed={args.seed}", file=out)
-    print(f"log_z={result.log_z_estimate!r}", file=out)
-    print(f"log_z0={result.log_z0!r}", file=out)
-    print(f"ess={result.effective_sample_size!r}", file=out)
-    print(f"n_runs={cfg.n_runs} n_temperatures={cfg.n_temperatures} schedule={cfg.schedule}",
-          file=out)
-    for r, lw in enumerate(result.log_weights.tolist()):
-        print(f"run={r} log_weight={lw!r}", file=out)
-    _close_out(out)
+    with _output(args.out) as out:
+        print(f"# osmrank estimate-z seed={args.seed}", file=out)
+        print(f"log_z={result.log_z_estimate!r}", file=out)
+        print(f"log_z0={result.log_z0!r}", file=out)
+        print(f"ess={result.effective_sample_size!r}", file=out)
+        print(f"n_runs={cfg.n_runs} n_temperatures={cfg.n_temperatures} schedule={cfg.schedule}",
+              file=out)
+        for r, lw in enumerate(result.log_weights.tolist()):
+            print(f"run={r} log_weight={lw!r}", file=out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.count:
             print(fubini(args.n), file=out)
         if args.enumerate:
@@ -268,8 +268,6 @@ def cmd_oracle(args) -> int:
                 for i in range(args.n):
                     for j in range(i + 1, args.n):
                         print(f"tie i={i} j={j} p={float(tie_marg[i, j])!r}", file=out)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 

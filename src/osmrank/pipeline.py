@@ -1,6 +1,6 @@
 """Collaborative-ranking data pipeline: ingestion, the preprocessing
 protocol (grading, entropy filtering, per-user splits), rank completion
-and reconstruction, and per-user evaluation.
+and reconstruction, and batched per-user evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .combinatorics import OrderedPartition
 from .core import from_graded_ratings
 from .latent import LatentModel, hidden_posterior
 from .learning import CFParams, cf_latent_model
-from .metrics import err, ndcg_at
+from .metrics import err_rows, ndcg_rows
 
 __all__ = [
     "RatingsDataset",
@@ -32,6 +32,7 @@ __all__ = [
     "reconstruct_rank",
     "evaluate_ranking",
     "parse_metric",
+    "parse_metrics",
 ]
 
 DEFAULT_SCALE = (0.5, 5.0)
@@ -54,7 +55,6 @@ class RatingsDataset:
     scale: tuple[float, float] = DEFAULT_SCALE
     n_grades: int = 0
     grades: Optional[np.ndarray] = None
-    timestamps: Optional[np.ndarray] = None
 
     @property
     def n_users(self) -> int:
@@ -81,44 +81,94 @@ def _dense_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_dataset(
-    raw_users: list[int],
-    raw_items: list[int],
-    ratings: list[float],
-    timestamps: list[float],
-    scale: tuple[float, float],
+    users: np.ndarray, items: np.ndarray, rates: np.ndarray, scale: tuple[float, float]
 ) -> RatingsDataset:
-    users = np.asarray(raw_users, dtype=np.int64)
-    items = np.asarray(raw_items, dtype=np.int64)
-    rates = np.asarray(ratings, dtype=float)
-    times = np.asarray(timestamps, dtype=float) if timestamps else None
-
-    if len(users):
-        # duplicate (user, item) pairs: keep the last occurrence
-        combined = np.stack([users, items], axis=1)
-        _, first_pos, inverse = np.unique(
-            combined, axis=0, return_index=True, return_inverse=True
-        )
-        n_unique = len(first_pos)
-        if n_unique != len(users):
-            warnings.warn(f"{len(users) - n_unique} duplicate (user, item) ratings; last wins")
-            last_pos = np.full(n_unique, -1, dtype=np.int64)
-            for pos, group in enumerate(inverse):
-                last_pos[group] = pos
-            keep = np.sort(last_pos)
-            users, items, rates = users[keep], items[keep], rates[keep]
-            times = times[keep] if times is not None else None
-
     user_ids, dense_users = _dense_index(users)
     item_ids, dense_items = _dense_index(items)
+    # duplicate (user, item) pairs: keep the last occurrence.  The sort is
+    # stable, so the last record of each run of equal pairs in sorted order
+    # is the pair's last record in file order.  Dropping the others leaves
+    # every user and item in the data, so the dense indices stay valid.
+    pair = dense_users * len(item_ids) + dense_items
+    order = np.argsort(pair, kind="stable")
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = pair[order[1:]] != pair[order[:-1]]
+    if not last.all():
+        warnings.warn(f"{len(last) - np.count_nonzero(last)} duplicate (user, item) ratings; last wins")
+        keep = np.sort(order[last])
+        dense_users, dense_items, rates = dense_users[keep], dense_items[keep], rates[keep]
     return RatingsDataset(
         users=dense_users.astype(np.int64),
         items=dense_items.astype(np.int64),
-        ratings=rates,
+        ratings=np.ascontiguousarray(rates, dtype=float),
         user_ids=user_ids,
         item_ids=item_ids,
         scale=scale,
-        timestamps=times,
     )
+
+
+_RECORD = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64)])
+# format -> (field separator, loadtxt delimiter, loadtxt usecols, header lines)
+_FORMATS = {
+    "movielens_dcolon": ("::", ":", (0, 2, 4), 0),
+    "csv": (",", ",", (0, 1, 2), 1),
+}
+
+
+def _parse_records(lines, fmt: str, skiprows: int = 0) -> np.ndarray:
+    """One ``np.loadtxt`` call over an open file or a list of lines."""
+    _, delimiter, usecols, _ = _FORMATS[fmt]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(
+            lines, dtype=_RECORD, comments=None, delimiter=delimiter,
+            usecols=usecols, skiprows=skiprows, ndmin=1,
+        )
+
+
+def _odd_colon_run(path: str) -> bool:
+    """True if some run of colons has odd length (``1:2:3``, ``1:::2``).
+
+    Splitting on ``:`` then disagrees with splitting on ``::``; with only
+    even runs, column 2k of the ``:`` split is field k of the ``::`` split.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.count(b":") != 2 * data.count(b"::")
+
+
+def _is_record(parts: list[str]) -> bool:
+    if len(parts) < 3 or any("_" in p for p in parts[:3]):  # loadtxt takes no 1_000
+        return False
+    try:
+        int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError:
+        return False
+    return True
+
+
+def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
+    """Per-line check of a file ``np.loadtxt`` refused: names the first
+    malformed line (an error in strict mode, a warning otherwise) and
+    returns the well-formed lines.  Blank lines are skipped."""
+    sep, _, _, header = _FORMATS[fmt]
+    good: list[str] = []
+    bad: list[int] = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or lineno <= header:
+                continue
+            if _is_record(line.split(sep)):
+                good.append(line)
+            else:
+                bad.append(lineno)
+    if bad:
+        message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
+        if strict:
+            raise ValueError(message)
+        warnings.warn(message)
+    return good
 
 
 def load_ratings(
@@ -127,56 +177,36 @@ def load_ratings(
     scale: tuple[float, float] = DEFAULT_SCALE,
     strict: bool = True,
 ) -> RatingsDataset:
-    """Parse ``user::item::rating::timestamp`` or headed CSV rating files.
+    """Parse ``user::item::rating[::...]`` or headed ``user,item,rating[,...]``
+    rating files; fields after the rating (a timestamp, say) are ignored.
 
-    Malformed lines are reported with their line numbers; in strict mode
-    any malformed line is an error.
+    A well-formed file is read by one ``np.loadtxt`` call.  Otherwise a
+    per-line scan reports malformed lines with their line numbers; in strict
+    mode any malformed line is an error, else those lines are dropped.
     """
-    if fmt not in ("movielens_dcolon", "csv"):
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    raw_users: list[int] = []
-    raw_items: list[int] = []
-    ratings: list[float] = []
-    timestamps: list[float] = []
-    bad: list[int] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if fmt == "csv" and lineno == 1:
-                continue  # header
-            parts = line.split("::") if fmt == "movielens_dcolon" else line.split(",")
-            try:
-                if len(parts) < 3:
-                    raise ValueError
-                raw_users.append(int(parts[0]))
-                raw_items.append(int(parts[1]))
-                ratings.append(float(parts[2]))
-                if len(parts) > 3:
-                    timestamps.append(float(parts[3]))
-            except ValueError:
-                bad.append(lineno)
-                continue
-    if bad:
-        message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message)
-    if timestamps and len(timestamps) != len(ratings):
-        timestamps = []
-    return _build_dataset(raw_users, raw_items, ratings, timestamps, scale)
+    try:
+        if fmt == "movielens_dcolon" and _odd_colon_run(path):
+            raise ValueError("single colons")
+        with open(path) as fh:
+            records = _parse_records(fh, fmt, skiprows=_FORMATS[fmt][3])
+    except ValueError:
+        records = _parse_records(_scan_lines(path, fmt, strict), fmt)
+    return _build_dataset(records["user"], records["item"], records["rating"], scale)
 
 
 def grade_ratings(ds: RatingsDataset, n_grades: int = 5) -> RatingsDataset:
     """Map ratings to grades 1..n_grades by equal-length segments of the
-    declared scale; out-of-scale ratings are an error."""
+    declared scale; out-of-scale or non-finite ratings are an error."""
     if n_grades < 1:
         raise ValueError(f"n_grades must be >= 1, got {n_grades}")
     lo, hi = ds.scale
-    if hi <= lo:
-        raise ValueError("invalid rating scale")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise ValueError(f"invalid rating scale [{lo}, {hi}]")
     r = ds.ratings
+    if not np.isfinite(r).all():
+        raise ValueError(f"non-finite rating {r[~np.isfinite(r)][0]}")
     if len(r) and (r.min() < lo or r.max() > hi):
         raise ValueError(f"rating outside declared scale [{lo}, {hi}]")
     seg = (hi - lo) / n_grades
@@ -190,7 +220,6 @@ def grade_ratings(ds: RatingsDataset, n_grades: int = 5) -> RatingsDataset:
         scale=ds.scale,
         n_grades=n_grades,
         grades=grades,
-        timestamps=ds.timestamps,
     )
     return out
 
@@ -212,8 +241,8 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     entropy = -plogp.sum(axis=1)
     n_remove = n_items // 2
     order = np.argsort(entropy, kind="stable")
-    removed = set(order[:n_remove].tolist())
-    keep_mask = np.array([it not in removed for it in range(n_items)])
+    keep_mask = np.ones(n_items, dtype=bool)
+    keep_mask[order[:n_remove]] = False
     keep_records = keep_mask[ds.items]
 
     kept_item_ids = ds.item_ids[keep_mask]
@@ -230,7 +259,6 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
         scale=ds.scale,
         n_grades=ds.n_grades,
         grades=ds.grades[keep_records],
-        timestamps=ds.timestamps[keep_records] if ds.timestamps is not None else None,
     )
 
 
@@ -264,7 +292,6 @@ def _subset(ds: RatingsDataset, keep: np.ndarray) -> RatingsDataset:
         scale=ds.scale,
         n_grades=ds.n_grades,
         grades=ds.grades[keep] if ds.grades is not None else None,
-        timestamps=ds.timestamps[keep] if ds.timestamps is not None else None,
     )
 
 
@@ -358,14 +385,80 @@ def reconstruct_rank(
 
 
 def parse_metric(name: str):
-    """'ndcg@T' or 'err' -> callable(grades_in_predicted_order) -> float."""
+    """'ndcg@T' or 'err' -> callable(grades, lengths=None) -> one value per
+    row of grades in predicted order (see ``metrics.ndcg_rows``)."""
     name = name.strip().lower()
     if name == "err":
-        return lambda grades: err(grades)
+        return err_rows
     if name.startswith("ndcg@"):
         t = int(name.split("@", 1)[1])
-        return lambda grades: ndcg_at(grades, t)
+        if t < 1:
+            raise ValueError(f"metric {name!r}: truncation must be >= 1")
+        return lambda grades, lengths=None: ndcg_rows(grades, t, lengths)
     raise ValueError(f"unknown metric {name!r}")
+
+
+def parse_metrics(names: Sequence[str]) -> list:
+    """``parse_metric`` over a list of names, which must not be empty."""
+    if not names:
+        raise ValueError("no metrics requested")
+    return [parse_metric(name) for name in names]
+
+
+def _worth_coefficients(ds: RatingsDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``worth_features`` of every user's graded partition at once.
+
+    Returns the within-grade pair count per user and the coefficient per
+    record: 0.5 * (n_g - 1) + (the user's records graded below g), where g
+    is the record's grade and n_g the number of the user's records of
+    grade g.
+    """
+    order = np.lexsort((ds.grades, ds.users))  # by user, then ascending grade
+    users, grades = ds.users[order], ds.grades[order]
+    n = len(order)
+    user_start = np.ones(n, dtype=bool)
+    user_start[1:] = users[1:] != users[:-1]
+    group_start = user_start.copy()
+    group_start[1:] |= grades[1:] != grades[:-1]
+    starts = np.flatnonzero(group_start)
+    sizes = np.diff(np.append(starts, n))
+    group = np.cumsum(group_start) - 1
+    first_of_user = np.maximum.accumulate(np.where(user_start, np.arange(n), 0))
+    coef = np.empty(n)
+    coef[order] = 0.5 * (sizes[group] - 1) + (starts[group] - first_of_user)
+    pairs = np.bincount(users[starts], weights=sizes * (sizes - 1) // 2, minlength=ds.n_users)
+    return pairs, coef
+
+
+def _ranked_test_records(
+    params: CFParams, train_ds: RatingsDataset, test_ds: RatingsDataset
+) -> np.ndarray:
+    """``complete_rank`` for every user with training and test records at once.
+
+    Returns those users' test-record indices, grouped by ascending user and,
+    within a user, ranked by descending score, ties by ascending item.
+    Scores are |seen| * (u_j + W_j . p) with p the hidden posterior given
+    the user's training partition, as ``WorthLatentModel.completion_scores``
+    computes them.
+    """
+    model = cf_latent_model(params)
+    pairs, coef = _worth_coefficients(train_ds)
+    x = model.nus * pairs[:, None]  # log Omega_k per user and hidden unit
+    np.add.at(x, train_ds.users, coef[:, None] * model.worths[train_ds.items])
+    e = np.exp(-np.abs(x))
+    posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.sigmoid, both branches
+
+    n_seen = np.bincount(train_ds.users, minlength=train_ds.n_users)
+    keep = np.flatnonzero(n_seen[test_ds.users] > 0)
+    users, items = test_ds.users[keep], test_ds.items[keep]
+    n = test_ds.n_items
+    if np.isin(users * n + items, train_ds.users * n + train_ds.items).any():
+        raise ValueError("unseen items overlap the seen partition")
+    hidden_worth = np.zeros(len(keep))
+    for k in range(model.n_hidden):
+        hidden_worth += model.worths[items, k] * posterior[users, k]
+    scores = n_seen[users] * (model.base.worth[items] + hidden_worth)
+    return keep[np.lexsort((items, -scores, users))]
 
 
 def evaluate_ranking(
@@ -377,27 +470,25 @@ def evaluate_ranking(
     """Rank each user's test items given their training partition and average
     the requested metrics over users.
 
-    Deterministic: every user is scored against one model built from
-    ``params``.
+    Deterministic: all users are scored in one batch against one model
+    built from ``params``; rankings equal ``complete_rank`` on
+    ``user_partitions(train_ds)``.
     """
-    if not metric_names:
-        raise ValueError("no metrics requested")
-    metrics = [parse_metric(name) for name in metric_names]  # validate upfront
-    train_parts = user_partitions(train_ds)
-    model = cf_latent_model(params)
-    rows = []
-    for u, rec_idx in enumerate(test_ds.by_user()):
-        if len(rec_idx) == 0 or u not in train_parts:
-            continue
-        test_items = [int(test_ds.items[r]) for r in rec_idx]
-        grade_by_item = {j: int(test_ds.grades[r]) for j, r in zip(test_items, rec_idx)}
-        ranking = complete_rank(train_parts[u], test_items, model)
-        ordered_grades = [grade_by_item[j] for j in ranking.items]
-        rows.append([metric(ordered_grades) for metric in metrics])
-    if not rows:
+    metrics = parse_metrics(metric_names)  # validate upfront
+    if train_ds.grades is None or test_ds.grades is None:
+        raise ValueError("evaluate_ranking needs graded datasets")
+    ranked = _ranked_test_records(params, train_ds, test_ds)
+    if not len(ranked):
         raise ValueError("no users with both training and test records")
-    values = np.asarray(rows)  # (n_users, n_metrics)
-    report = {"n_users": len(rows), "metrics": {}}
+    # one padded row of grades in predicted order per user
+    users = test_ds.users[ranked]
+    first = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
+    lengths = np.diff(np.r_[first, len(users)])
+    row = np.repeat(np.arange(len(first)), lengths)
+    grades = np.zeros((len(first), lengths.max()))
+    grades[row, np.arange(len(users)) - first[row]] = test_ds.grades[ranked]
+    values = np.column_stack([metric(grades, lengths) for metric in metrics])
+    report = {"n_users": len(first), "metrics": {}}
     for col, name in enumerate(metric_names):
         vals = values[:, col]
         report["metrics"][name] = {

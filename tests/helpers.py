@@ -75,3 +75,34 @@ class FakeRng:
 
     def random(self):
         return self._random.pop(0)
+
+
+def reference_load_ratings(path: str, fmt: str = "movielens_dcolon", fourth_field: bool = True):
+    """The per-line rating parser ``load_ratings`` replaced, kept as an oracle.
+
+    Returns the parsed (user, item, rating) records keyed by line number, in
+    file order, and the numbers of the malformed lines.  With
+    ``fourth_field`` (the old behaviour) a fourth field that is not a number
+    makes its line malformed; ``load_ratings`` ignores fields after the
+    rating.
+    """
+    records, bad = {}, []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if fmt == "csv" and lineno == 1:
+                continue  # header
+            parts = line.split("::") if fmt == "movielens_dcolon" else line.split(",")
+            try:
+                if len(parts) < 3:
+                    raise ValueError
+                record = (int(parts[0]), int(parts[1]), float(parts[2]))
+                if fourth_field and len(parts) > 3:
+                    float(parts[3])
+            except ValueError:
+                bad.append(lineno)
+                continue
+            records[lineno] = record
+    return records, bad

@@ -334,3 +334,75 @@ class TestTrainEvalRoundTrip:
             assert int(k) in (1, 2)
             assert metric in ("ndcg@5", "err")
             assert 0.0 <= float(mean) <= 1.0
+
+
+class TestEvalOutput:
+    """eval checks its metric names first and writes nothing until every
+    model is scored."""
+
+    def checkpoint(self, tmp_path, data, name="m.ck", extra=()):
+        ck = tmp_path / name
+        assert main(["train", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                     "--hidden", "1", "--epochs", "0", "--seed", "0", *extra,
+                     "--out", str(ck), "--log", str(tmp_path / "t.log")]) == 0
+        return str(ck)
+
+    def test_unknown_metric_writes_no_report(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        ck = self.checkpoint(tmp_path, data)
+        capsys.readouterr()
+        report = tmp_path / "r.txt"
+        code = main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                     "--model", ck, "--metrics", "map@5", "--out", str(report)])
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_metrics_checked_before_reading_ratings(self, tmp_path, capsys):
+        code = main(["eval", "--data", str(tmp_path / "missing.dat"), "--model", "m.ck",
+                     "--metrics", "ndcg@5,map@5"])
+        assert code == 2
+        assert "unknown metric 'map@5'" in capsys.readouterr().err
+
+    def test_failing_second_model_writes_nothing(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        good = self.checkpoint(tmp_path, data)
+        other = self.checkpoint(tmp_path, data, "all.ck", ["--keep-all-items"])
+        capsys.readouterr()
+        outs = {flag: tmp_path / f"{flag[2:]}.txt" for flag in ("--out", "--per-user",
+                                                                "--sweep-out")}
+        argv = ["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                "--model", good, other]
+        for flag, path in outs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 2
+        assert "checkpoint has 40 items, data has 20" in capsys.readouterr().err
+        assert not any(path.exists() for path in outs.values())
+
+
+class TestNonFiniteRatings:
+    """A NaN rating or a non-finite scale bound is a data error (exit 2) with
+    one line, not an IndexError traceback from the entropy filter."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", ["nan-rating", "nan-scale", "infinite-scale"])
+    def test_is_data_error(self, tmp_path, capsys, command, case):
+        data = make_ratings_file(tmp_path / "r.dat")
+        argv = ["--data", data, "--n-train", "5", "--min-ratings", "15"]
+        ck = tmp_path / "m.ck"
+        assert main(["train", *argv, "--hidden", "1", "--epochs", "0",
+                     "--out", str(ck), "--log", str(tmp_path / "t.log")]) == 0
+        if case == "nan-rating":
+            with open(data, "a") as fh:
+                fh.write("1::999::nan::0\n")
+        else:
+            argv += ["--scale", *{"nan-scale": ["nan", "5"], "infinite-scale": ["0.5", "inf"]}[case]]
+        capsys.readouterr()
+        if command == "train":
+            argv += ["--out", str(tmp_path / "new.ck"), "--log", str(tmp_path / "new.log")]
+        else:
+            argv += ["--model", str(ck)]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("non-finite rating" if case == "nan-rating" else "invalid rating scale") in err

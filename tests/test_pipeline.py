@@ -1,15 +1,21 @@
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from helpers import reference_load_ratings
 from osmrank.combinatorics import OrderedPartition
+from osmrank.core import from_graded_ratings, worth_features
 from osmrank.learning import CFParams, cf_latent_model
-from osmrank.metrics import err, ndcg_at
+from osmrank.metrics import err, err_rows, ndcg_at, ndcg_rows
 from osmrank.pipeline import (
     RankedList,
     SplitSpec,
+    _ranked_test_records,
+    _worth_coefficients,
     complete_rank,
     entropy_filter,
     evaluate_ranking,
@@ -104,6 +110,42 @@ class TestErr:
             assert 0.0 <= err(grades) < 1.0
 
 
+class TestMetricRows:
+    """The row-wise metrics are the one implementation; a padded row scores
+    exactly as the one-row call on its valid prefix."""
+
+    def rows(self, seed, low):
+        rng = random.Random(seed)
+        lists = [[rng.randrange(low, 6) for _ in range(rng.randrange(1, 12))] for _ in range(40)]
+        lengths = np.array([len(g) for g in lists])
+        grades = np.full((len(lists), lengths.max()), 99.0)  # padding is ignored
+        for r, g in enumerate(lists):
+            grades[r, : len(g)] = g
+        return lists, grades, lengths
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_ndcg_rows_equal_one_row_calls(self, t):
+        lists, grades, lengths = self.rows(0, 0)
+        got = ndcg_rows(grades, t, lengths)
+        assert got.tolist() == [ndcg_at(g, t) for g in lists]
+
+    def test_err_rows_equal_one_row_calls(self):
+        lists, grades, lengths = self.rows(1, 1)
+        assert err_rows(grades, lengths).tolist() == [err(g) for g in lists]
+
+    def test_checks_cover_valid_entries_only(self):
+        grades = np.array([[3.0, -1.0], [0.0, 6.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            ndcg_rows(grades, 2)
+        with pytest.raises(ValueError, match="1..5"):
+            err_rows(grades)
+        assert ndcg_rows(grades, 2, np.array([1, 1])).tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="1..5, got 0"):
+            err_rows(grades, np.array([1, 1]))
+        with pytest.raises(ValueError, match="empty"):
+            err_rows(grades, np.array([1, 0]))
+
+
 class TestLoadRatings:
     def test_movielens_line(self, tmp_path):
         path = tmp_path / "r.dat"
@@ -154,6 +196,120 @@ class TestLoadRatings:
             load_ratings("whatever", fmt="parquet")
 
 
+# (line, how load_ratings' verdict differs from the reference parser's)
+DCOLON_CORPUS = [
+    ("1::10::4.5::978300760", None),
+    ("", None),
+    ("   \t", None),
+    (" 2 :: 11 :: 3.0 :: 5 ", None),
+    ("3::12::2.5::7\r", None),  # CRLF
+    ("# comment", None),
+    ("4::13::1.0", None),
+    ("5::14::5.0::1::extra", None),
+    ("6:15:2.0:1", None),
+    ("7::16::3.5:1", None),
+    ("8::17::3.5:", None),
+    ("-8::-17::4.0::2", None),
+    ("1.5::18::3.0::1", None),
+    ("1e3::19::3.0::1", None),
+    ("9::1e3::3.0::1", None),
+    ("10::20::1e0::1", None),
+    ("11::21::4.0::bad", "accepted"),  # only the fourth field is bad
+    ("12::22", None),
+    ("13:::23::3.0", None),
+    ("14::24::", None),
+    ("15::::25::3.0", None),
+    ("16::25::nan::1", None),
+    ("1_7::26::3.0::1", "rejected"),  # numpy takes no digit separators
+    ("18::27::+2.0::1", None),
+]
+
+CSV_CORPUS = [
+    ("user,item,rating,timestamp", None),
+    ("1,10,4.5,99", None),
+    ("", None),
+    (" 2 , 11 , 3.0 ", None),
+    ("3,12,2.5,7\r", None),
+    ("a,b,c", None),
+    ("4,13", None),
+    ("5,14,1.0,,x", "accepted"),
+    ("6,15,2.0,bad", "accepted"),
+    ("7;16;2.0", None),
+]
+
+
+class TestLoadRatingsAgainstReference:
+    """Records and malformed-line verdicts match the per-line parser, but
+    for the documented differences."""
+
+    def check(self, path, fmt, differs):
+        """differs: line number -> 'accepted' or 'rejected' by load_ratings
+        against the reference's verdict."""
+        _, old_bad = reference_load_ratings(str(path), fmt)
+        records, bad = reference_load_ratings(str(path), fmt, fourth_field=False)
+        # ignoring fields after the rating is the only fourth-field change
+        accepted = sorted(n for n, d in differs.items() if d == "accepted")
+        assert sorted(set(old_bad) - set(bad)) == accepted
+        rejected = {n for n, d in differs.items() if d == "rejected"}
+        bad = sorted(set(bad) | rejected)
+        expected = [rec for n, rec in records.items() if n not in rejected]
+        if bad:
+            message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_ratings(str(path), fmt=fmt)
+            with pytest.warns(UserWarning, match=re.escape(message)):
+                ds = load_ratings(str(path), fmt=fmt, strict=False)
+        else:
+            ds = load_ratings(str(path), fmt=fmt)
+        got = list(zip(ds.user_ids[ds.users].tolist(), ds.item_ids[ds.items].tolist(),
+                       ds.ratings.tolist()))
+        assert repr(got) == repr(expected)  # repr: nan == nan
+
+    def write(self, path, corpus, newline="\n"):
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join(line for line, _ in corpus) + newline)
+        return {n: d for n, (_, d) in enumerate(corpus, start=1) if d}
+
+    def test_dcolon_corpus(self, tmp_path):
+        path = tmp_path / "r.dat"
+        self.check(path, "movielens_dcolon", self.write(path, DCOLON_CORPUS))
+
+    def test_csv_corpus(self, tmp_path):
+        path = tmp_path / "r.csv"
+        self.check(path, "csv", self.write(path, CSV_CORPUS))
+
+    def test_csv_with_blank_first_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        differs = self.write(path, [("", None)] + CSV_CORPUS)  # the header is now malformed
+        self.check(path, "csv", differs)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_each_line_alone(self, tmp_path, newline):
+        for n, (line, differ) in enumerate(DCOLON_CORPUS):
+            path = tmp_path / f"line{n}.dat"
+            self.write(path, [(line, differ)], newline)
+            self.check(path, "movielens_dcolon", {1: differ} if differ else {})
+
+    def test_well_formed_file(self, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "r.dat"
+        corpus = [(f"{rng.randrange(-5, 50)}::{rng.randrange(100)}::{rng.randrange(1, 11) / 2}"
+                   f"::{rng.randrange(10**9)}", None) for _ in range(300)]
+        self.write(path, corpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicates: last wins on both sides
+            ds = load_ratings(str(path))
+        records, bad = reference_load_ratings(str(path))
+        assert bad == []
+        last = {}
+        for position, (u, i, r) in enumerate(records.values()):
+            last[(u, i)] = (position, r)
+        expected = [(u, i, r) for (u, i), (_, r) in sorted(last.items(), key=lambda kv: kv[1][0])]
+        got = list(zip(ds.user_ids[ds.users].tolist(), ds.item_ids[ds.items].tolist(),
+                       ds.ratings.tolist()))
+        assert got == expected
+
+
 class TestGradeRatings:
     def test_segment_table_half_star_scale(self, tmp_path):
         path = tmp_path / "r.dat"
@@ -191,6 +347,21 @@ class TestGradeRatings:
         write_ratings(path, [(1, 0, 7.5, 0)])
         with pytest.raises(ValueError, match="scale"):
             grade_ratings(load_ratings(str(path)))
+
+    @pytest.mark.parametrize("rating", ["nan", "-nan", "inf", "-inf"])
+    def test_non_finite_rating_rejected(self, tmp_path, rating):
+        path = tmp_path / "r.dat"
+        write_ratings(path, [(1, 0, 2.5, 0), (1, 1, rating, 0)])
+        with pytest.raises(ValueError, match="non-finite rating"):
+            grade_ratings(load_ratings(str(path)))
+
+    @pytest.mark.parametrize("scale", [(math.nan, 5.0), (0.5, math.nan), (0.5, math.inf),
+                                       (-math.inf, 5.0)])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "r.dat"
+        write_ratings(path, [(1, 0, 2.5, 0)])
+        with pytest.raises(ValueError, match="invalid rating scale"):
+            grade_ratings(load_ratings(str(path), scale=scale))
 
 
 class TestEntropyFilter:
@@ -471,7 +642,80 @@ class TestEvaluateRanking:
 
 class TestParseMetric:
     def test_parses(self):
-        assert parse_metric("ndcg@10")([5, 0] * 5) > 0
-        assert parse_metric("err")([5, 1]) > 0
+        assert parse_metric("ndcg@10")([[5, 0] * 5])[0] > 0
+        assert parse_metric("err")([[5, 1]])[0] > 0
         with pytest.raises(ValueError):
             parse_metric("precision")
+
+
+class TestBatchedEvaluation:
+    """evaluate_ranking scores all users in one batch; the per-user oracle is
+    complete_rank on user_partitions."""
+
+    def split(self, tmp_path, n_grades, seed=0):
+        rng = random.Random(seed)
+        rows = []
+        for u in range(40):
+            for it in rng.sample(range(30), rng.randrange(10, 26)):  # varied test counts
+                rows.append((u, it, rng.choice([0.5 * k for k in range(1, 11)]), 0))
+        path = tmp_path / "r.dat"
+        write_ratings(path, rows)
+        ds = grade_ratings(load_ratings(str(path)), n_grades=n_grades)
+        return ds, train_test_split(ds, SplitSpec(n_train=3, min_ratings=13, seed=seed))
+
+    def params(self, kind, n_items, k, seed):
+        if kind == "zero":
+            return CFParams.zeros(n_items, k)
+        rng = np.random.default_rng(seed)
+        return CFParams(0.3, rng.uniform(-1, 1, n_items), rng.uniform(-1, 1, (n_items, k)))
+
+    @pytest.mark.parametrize("n_grades", [3, 5])
+    def test_coefficients_match_worth_features(self, tmp_path, n_grades):
+        ds, (train_ds, _) = self.split(tmp_path, n_grades)
+        for d in (ds, train_ds):
+            pairs, coef = _worth_coefficients(d)
+            for u, recs in enumerate(d.by_user()):
+                if len(recs) == 0:
+                    assert pairs[u] == 0
+                    continue
+                grades = {int(d.items[r]): int(d.grades[r]) for r in recs}
+                m, items, c = worth_features(from_graded_ratings(grades, n_objects=d.n_items))
+                assert pairs[u] == m
+                assert dict(zip(d.items[recs].tolist(), coef[recs].tolist())) == dict(
+                    zip(items.tolist(), c.tolist())
+                )
+
+    @pytest.mark.parametrize(
+        "kind, k, n_grades, seed",
+        [("random", 0, 5, 0), ("random", 2, 5, 1), ("random", 2, 3, 2), ("random", 0, 3, 3),
+         ("zero", 0, 5, 4), ("zero", 2, 3, 5)],
+    )
+    def test_matches_per_user_oracle(self, tmp_path, kind, k, n_grades, seed):
+        _, (train_ds, test_ds) = self.split(tmp_path, n_grades, seed)
+        params = self.params(kind, train_ds.n_items, k, seed)
+        model = cf_latent_model(params)
+        parts = user_partitions(train_ds)
+        ranked = _ranked_test_records(params, train_ds, test_ds)
+        ranked_users = test_ds.users[ranked]
+        expected = []
+        for u, recs in enumerate(test_ds.by_user()):
+            if len(recs) == 0 or u not in parts:
+                assert u not in ranked_users
+                continue
+            oracle = complete_rank(parts[u], test_ds.items[recs].tolist(), model)
+            got = ranked[ranked_users == u]
+            assert tuple(test_ds.items[got].tolist()) == oracle.items
+            grade_of = dict(zip(test_ds.items[recs].tolist(), test_ds.grades[recs].tolist()))
+            ordered = [grade_of[j] for j in oracle.items]
+            expected.append([ndcg_at(ordered, 1), ndcg_at(ordered, 5), err(ordered)])
+        assert len({len(r) for r in test_ds.by_user() if len(r)}) > 1
+        report = evaluate_ranking(params, train_ds, test_ds, ["ndcg@1", "ndcg@5", "err"])
+        assert report["n_users"] == len(expected)
+        for col, name in enumerate(["ndcg@1", "ndcg@5", "err"]):
+            want = np.array(expected)[:, col]
+            np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
+
+    def test_overlap_rejected(self, tmp_path):
+        ds, (train_ds, _) = self.split(tmp_path, 5)
+        with pytest.raises(ValueError, match="overlap"):
+            evaluate_ranking(CFParams.zeros(ds.n_items, 1), train_ds, ds, ["err"])
