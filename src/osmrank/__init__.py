@@ -36,7 +36,6 @@ from .latent import (
     gibbs_mh_step,
     hidden_posterior,
     log_joint_weight,
-    log_omega_k,
 )
 from .learning import (
     CFParams,
@@ -74,12 +73,10 @@ from .pipeline import (
     user_partitions,
 )
 from .sampler import (
-    ChainState,
     InfeasibleMoveError,
     MoveProposal,
     MoveStats,
     SamplerConfig,
-    mh_step,
     propose_merge,
     propose_split,
     run_chain,

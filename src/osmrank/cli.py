@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import random
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -51,21 +53,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _number(kind, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` (int or float) no smaller than
+    ``low``, and above it if ``strict``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low) or value == math.inf:  # nan fails too
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {low}, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _number(int, 1)
+_non_negative_int = _number(int, 0)
 
 
 @contextlib.contextmanager
@@ -190,22 +194,21 @@ def _model_from_flags(args):
 def cmd_sample(args) -> int:
     model = _model_from_flags(args)
     n = model.n_objects
-    burn = args.burn_in if args.burn_in is not None else args.steps // 10
+    cfg = SamplerConfig(steps=args.steps, burn_in=args.burn_in, thin=args.thin, seed=args.seed)
+    burn = cfg.resolved_burn_in()
     with _output(args.out) as out:
-        print(f"# osmrank sample seed={args.seed} steps={args.steps} "
-              f"burn_in={burn} thin={args.thin}", file=out)
+        print(f"# osmrank sample seed={cfg.seed} steps={cfg.steps} "
+              f"burn_in={burn} thin={cfg.thin}", file=out)
         # --model steps are Gibbs sweeps, --uniform steps single MH moves;
         # seeded dumps of both depend on it
         if args.model:
-            rng = random.Random(args.seed)
+            rng = random.Random(cfg.seed)
             X = OrderedPartition.singletons(n)
-            h = np.zeros(model.n_hidden, dtype=np.int8)
-            for sweep in range(1, args.steps + 1):
-                X, h = gibbs_mh_step(X, h, model, rng)
-                if sweep > burn and (sweep - burn) % args.thin == 0:
+            for sweep in range(1, cfg.steps + 1):
+                X, _ = gibbs_mh_step(X, model, rng)
+                if sweep > burn and (sweep - burn) % cfg.thin == 0:
                     print(format_partition(X), file=out)
         else:
-            cfg = SamplerConfig(steps=args.steps, burn_in=burn, thin=args.thin, seed=args.seed)
             samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
             for X in samples:
                 print(format_partition(X), file=out)
@@ -279,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_train)
     p_train.add_argument("--hidden", type=_non_negative_int, default=10,
                          help="number of hidden units K")
-    p_train.add_argument("--lr", type=float, default=0.01)
+    p_train.add_argument("--lr", type=_number(float, 0.0, strict=True), default=0.01)
     p_train.add_argument("--block", type=_positive_int, default=100, help="users per parameter update")
     p_train.add_argument("--chain-steps", type=_positive_int, default=1,
                          help="sweeps per chain per block")
     p_train.add_argument("--epochs", type=_non_negative_int, default=1)
-    p_train.add_argument("--l2", type=float, default=0.0)
+    p_train.add_argument("--l2", type=_number(float, 0.0), default=0.0)
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--log", default=None, help="training log path (default stdout)")
     p_train.set_defaults(func=cmd_train)
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", default=None)
     src.add_argument("--uniform", action="store_true")
     p_z.add_argument("--n", type=_positive_int, default=None)
-    p_z.add_argument("--n-temps", type=_int_at_least(2), default=1000)
+    p_z.add_argument("--n-temps", type=_number(int, 2), default=1000)
     p_z.add_argument("--n-runs", type=_positive_int, default=10)
     p_z.add_argument("--schedule", default="linear", choices=["linear", "geometric"])
     p_z.add_argument("--inner-steps", type=_non_negative_int, default=None)
@@ -345,6 +348,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "uniform", False) and args.n is None:
         parser.error(f"{args.command} --uniform requires --n")
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"osmrank: warning: {message}\n"
     try:
         return args.func(args)
     except EnumerationCapError as exc:
@@ -353,6 +358,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"osmrank: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -90,7 +89,6 @@ class OrderedPartition:
         return {x: t for t, block in enumerate(self.blocks) for x in block}
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, t: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into t blocks."""
     if n < 0 or t < 0:

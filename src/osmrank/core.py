@@ -174,10 +174,11 @@ def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairMod
     return mdl
 
 
-def uniform_pair_model(n: int) -> MatrixPairModel:
-    """All potentials 1 (log 0): every ordered partition equally weighted."""
-    z = np.zeros((n, n))
-    return MatrixPairModel(z, z.copy())
+def uniform_pair_model(n: int) -> WorthPairModel:
+    """All potentials 1 (log 0): every ordered partition equally weighted.
+    This is the worth model with nu = 0 and every worth 0, so it takes O(n)
+    memory and every split ratio and log weight is exactly 0.0."""
+    return WorthPairModel(0.0, np.zeros(n))
 
 
 @dataclass

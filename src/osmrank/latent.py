@@ -21,7 +21,6 @@ from .sampler import advance_partition
 __all__ = [
     "LatentModel",
     "WorthLatentModel",
-    "log_omega_k",
     "hidden_posterior",
     "log_joint_weight",
     "effective_pair_model",
@@ -118,11 +117,6 @@ class WorthLatentModel(LatentModel):
         return self.base.worth + self.worths @ p
 
 
-def log_omega_k(X: OrderedPartition, m: LatentModel, k: int) -> float:
-    """log Omega_k(X): the k-th hidden unit's weight, same pair-sum as the base."""
-    return log_weight(X, m.hidden[k])
-
-
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
     return np.array([sigmoid(lo) for lo in m.log_omegas(X)])
@@ -160,16 +154,15 @@ def sample_hidden(
 
 def gibbs_mh_step(
     X: OrderedPartition,
-    h: np.ndarray,
     m: LatentModel,
     rng: random.Random,
     inner_steps: Optional[int] = None,
 ) -> tuple[OrderedPartition, np.ndarray]:
-    """One sweep of the alternating sampler: resample h | X exactly, then
+    """One sweep of the alternating sampler: draw h | X exactly, then
     advance X | h with split-merge moves on the effective potentials.
+    Returns the new partition and the drawn h.
 
     inner_steps defaults to the object count (one expected touch per object).
-    The incoming h is not read: its conditional given X is exact.
     """
     h = sample_hidden(X, m, rng)
     eff = effective_pair_model(h, m)

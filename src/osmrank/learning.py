@@ -92,8 +92,6 @@ class GradientEstimate:
     d_nu: float
     d_u: np.ndarray
     d_W: np.ndarray
-    n_data_terms: int
-    n_model_samples: int
 
 
 @dataclass
@@ -157,7 +155,7 @@ def sufficient_stats(
     """
     if np.shape(h) != (n_hidden,):
         raise ValueError(f"h must have shape ({n_hidden},)")
-    return GradientEstimate(*_accumulate([(X, h)], n_items, n_hidden), 1, 0)
+    return GradientEstimate(*_accumulate([(X, h)], n_items, n_hidden))
 
 
 def estimate_gradient(
@@ -177,8 +175,6 @@ def estimate_gradient(
         obs_nu / n_obs - mod_nu / n_mod,
         obs_u / n_obs - mod_u / n_mod,
         obs_W / n_obs - mod_W / n_mod,
-        n_obs,
-        n_mod,
     )
 
 
@@ -261,13 +257,7 @@ def exact_gradient(
         ((X, hidden_posterior(X, model)) for X in data), p.n_items, p.n_hidden
     )
     n = len(data)
-    return GradientEstimate(
-        data_nu / n - model_nu,
-        data_u / n - model_u,
-        data_W / n - model_W,
-        n,
-        len(probs),
-    )
+    return GradientEstimate(data_nu / n - model_nu, data_u / n - model_u, data_W / n - model_W)
 
 
 def sample_partitions_exact(
@@ -332,13 +322,8 @@ def train(
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    usable: list[OrderedPartition] = []
-    skipped = 0
-    for X in data:
-        if sum(len(b) for b in X.blocks) >= 2:
-            usable.append(X)
-        else:
-            skipped += 1
+    usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
+    skipped = len(data) - len(usable)
     if skipped:
         warnings.warn(f"skipped {skipped} degenerate users with fewer than 2 items")
     if not usable:
@@ -355,9 +340,7 @@ def train(
         np_rng = np.random.default_rng(rng.randrange(2**63))
         params = CFParams.random_init(n_items, cfg.n_hidden, np_rng, cfg.init_scale)
 
-    chains: list[tuple[OrderedPartition, np.ndarray]] = [
-        (X, np.zeros(cfg.n_hidden, dtype=np.int8)) for X in usable
-    ]
+    chains = list(usable)
 
     n_users = len(usable)
     block_counter = 0
@@ -373,10 +356,10 @@ def train(
             for ui in block:
                 X_obs = usable[ui]
                 observed.append((X_obs, hidden_posterior(X_obs, model)))
-                X_c, h_c = chains[ui]
+                X_c = chains[ui]
                 for _ in range(cfg.chain_steps_per_update):
-                    X_c, h_c = gibbs_mh_step(X_c, h_c, model, rng)
-                chains[ui] = (X_c, h_c)
+                    X_c, h_c = gibbs_mh_step(X_c, model, rng)
+                chains[ui] = X_c
                 samples.append((X_c, h_c))
                 disagreement += pairwise_disagreement(X_c, X_obs)
             grad = estimate_gradient(observed, samples, n_items, cfg.n_hidden)
@@ -434,6 +417,8 @@ def load_checkpoint(path: str) -> CFParams:
         w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
     except (IndexError, KeyError):
         raise ValueError(f"{path}: truncated checkpoint") from None
+    if n_items < 1:
+        raise ValueError(f"{path}: checkpoint has {n_items} items")
     W = np.array(w_rows) if w_rows else np.zeros((n_items, 0))
     if u.shape != (n_items,) or W.shape != (n_items, n_hidden):
         raise ValueError(f"{path}: checkpoint shapes do not match header")

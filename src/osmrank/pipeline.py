@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,16 +75,11 @@ class RatingsDataset:
         return [order[bounds[u] : bounds[u + 1]] for u in range(self.n_users)]
 
 
-def _dense_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ids, dense = np.unique(values, return_inverse=True)
-    return ids, dense
-
-
 def _build_dataset(
     users: np.ndarray, items: np.ndarray, rates: np.ndarray, scale: tuple[float, float]
 ) -> RatingsDataset:
-    user_ids, dense_users = _dense_index(users)
-    item_ids, dense_items = _dense_index(items)
+    user_ids, dense_users = np.unique(users, return_inverse=True)
+    item_ids, dense_items = np.unique(items, return_inverse=True)
     # duplicate (user, item) pairs: keep the last occurrence.  The sort is
     # stable, so the last record of each run of equal pairs in sorted order
     # is the pair's last record in file order.  Dropping the others leaves
@@ -131,10 +126,13 @@ def _odd_colon_run(path: str) -> bool:
 
     Splitting on ``:`` then disagrees with splitting on ``::``; with only
     even runs, column 2k of the ``:`` split is field k of the ``::`` split.
+    Chunks end at line ends, which no run spans, so the file is never held whole.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return data.count(b":") != 2 * data.count(b"::")
+        for chunk in iter(lambda: fh.read(1 << 16) + fh.readline(), b""):
+            if chunk.count(b":") != 2 * chunk.count(b"::"):
+                return True
+    return False
 
 
 def _is_record(parts: list[str]) -> bool:
@@ -211,17 +209,7 @@ def grade_ratings(ds: RatingsDataset, n_grades: int = 5) -> RatingsDataset:
         raise ValueError(f"rating outside declared scale [{lo}, {hi}]")
     seg = (hi - lo) / n_grades
     grades = np.minimum(n_grades, 1 + np.floor((r - lo) / seg).astype(np.int64))
-    out = RatingsDataset(
-        users=ds.users,
-        items=ds.items,
-        ratings=ds.ratings,
-        user_ids=ds.user_ids,
-        item_ids=ds.item_ids,
-        scale=ds.scale,
-        n_grades=n_grades,
-        grades=grades,
-    )
-    return out
+    return replace(ds, n_grades=n_grades, grades=grades)
 
 
 def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
@@ -249,17 +237,10 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     remap = np.full(n_items, -1, dtype=np.int64)
     remap[np.flatnonzero(keep_mask)] = np.arange(keep_mask.sum())
     users = ds.users[keep_records]
-    user_ids, dense_users = _dense_index(ds.user_ids[users])
-    return RatingsDataset(
-        users=dense_users,
-        items=remap[ds.items[keep_records]],
-        ratings=ds.ratings[keep_records],
-        user_ids=user_ids,
-        item_ids=kept_item_ids,
-        scale=ds.scale,
-        n_grades=ds.n_grades,
-        grades=ds.grades[keep_records],
-    )
+    user_ids, dense_users = np.unique(ds.user_ids[users], return_inverse=True)
+    return replace(ds, users=dense_users, items=remap[ds.items[keep_records]],
+                   ratings=ds.ratings[keep_records], user_ids=user_ids,
+                   item_ids=kept_item_ids, grades=ds.grades[keep_records])
 
 
 @dataclass
@@ -283,16 +264,9 @@ class SplitSpec:
 
 def _subset(ds: RatingsDataset, keep: np.ndarray) -> RatingsDataset:
     """Records subset sharing the parent's dense user/item indexing."""
-    return RatingsDataset(
-        users=ds.users[keep],
-        items=ds.items[keep],
-        ratings=ds.ratings[keep],
-        user_ids=ds.user_ids,
-        item_ids=ds.item_ids,
-        scale=ds.scale,
-        n_grades=ds.n_grades,
-        grades=ds.grades[keep] if ds.grades is not None else None,
-    )
+    grades = ds.grades[keep] if ds.grades is not None else None
+    return replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep],
+                   grades=grades)
 
 
 def train_test_split(

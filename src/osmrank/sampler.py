@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,11 +40,9 @@ __all__ = [
     "InfeasibleMoveError",
     "MoveProposal",
     "MoveStats",
-    "ChainState",
     "SamplerConfig",
     "propose_split",
     "propose_merge",
-    "mh_step",
     "advance_partition",
     "run_chain",
     "transition_matrix",
@@ -75,28 +73,6 @@ class MoveStats:
     merge_proposed: int = 0
     merge_accepted: int = 0
     no_move_steps: int = 0
-
-    def acceptance_rate(self, kind: str) -> float:
-        proposed = getattr(self, f"{kind}_proposed")
-        accepted = getattr(self, f"{kind}_accepted")
-        return accepted / proposed if proposed else float("nan")
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "split_proposed": self.split_proposed,
-            "split_accepted": self.split_accepted,
-            "merge_proposed": self.merge_proposed,
-            "merge_accepted": self.merge_accepted,
-            "no_move_steps": self.no_move_steps,
-        }
-
-
-@dataclass
-class ChainState:
-    partition: OrderedPartition
-    rng: random.Random
-    stats: MoveStats = field(default_factory=MoveStats)
-    step: int = 0
 
 
 @dataclass
@@ -186,17 +162,13 @@ def propose_merge(
     return MoveProposal("merge", t, None, log_q, log_l, proposed)
 
 
-def _can_split(X: OrderedPartition) -> bool:
-    return any(len(b) > 1 for b in X.blocks)
-
-
 def _single_move(
     X: OrderedPartition, m: PairPotentialModel, rng: random.Random
 ) -> tuple[OrderedPartition, Optional[str], bool]:
     """One MH transition built from the validated proposals; the reference
     kernel ``advance_partition`` is tested against.  Returns (next
     partition, proposed kind or None, accepted)."""
-    can_split = _can_split(X)
+    can_split = any(len(b) > 1 for b in X.blocks)
     can_merge = X.n_blocks > 1
     if not can_split and not can_merge:
         return X, None, False
@@ -224,13 +196,6 @@ def _single_move(
     if log_accept >= 0.0 or rng.random() < math.exp(log_accept):
         return prop.proposed, kind, True
     return X, kind, False
-
-
-def mh_step(state: ChainState, m: PairPotentialModel) -> ChainState:
-    """Advance the chain by one split-or-merge MH step, updating stats in place."""
-    state.partition = advance_partition(state.partition, m, state.rng, 1, state.stats)
-    state.step += 1
-    return state
 
 
 def advance_partition(
@@ -347,7 +312,8 @@ def run_chain(
 def transition_matrix(
     m: PairPotentialModel, states: Optional[list[OrderedPartition]] = None
 ) -> tuple[list[OrderedPartition], np.ndarray]:
-    """Exact one-step kernel of ``mh_step`` over the full state space.
+    """Exact one-step kernel of ``advance_partition`` with ``steps=1`` over
+    the full state space.
 
     Enumerates every proposal outcome with its analytic probability and the
     same acceptance rule the sampler applies.  Only viable for small

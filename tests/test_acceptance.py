@@ -57,7 +57,7 @@ from osmrank.pipeline import (
     reconstruct_rank,
     train_test_split,
 )
-from osmrank.sampler import ChainState, mh_step, transition_matrix
+from osmrank.sampler import advance_partition, transition_matrix
 
 from helpers import random_latent_model, random_matrix_model
 
@@ -160,11 +160,11 @@ def test_criterion_03_kernel_sampled():
         states, probs = exact_distribution(m)
         idx = {X.blocks: i for i, X in enumerate(states)}
         counts = np.zeros(len(states))
-        chain = ChainState(partition=OrderedPartition.singletons(5), rng=random.Random(0))
+        X, rng = OrderedPartition.singletons(5), random.Random(0)
         steps = 1_000_000
         for _ in range(steps):
-            mh_step(chain, m)
-            counts[idx[chain.partition.blocks]] += 1
+            X = advance_partition(X, m, rng, 1)
+            counts[idx[X.blocks]] += 1
         tv = 0.5 * np.abs(counts / steps - probs).sum()
         assert tv < 0.02, f"n=5 TV {tv}"
 
@@ -172,10 +172,10 @@ def test_criterion_03_kernel_sampled():
         states4, probs4 = exact_distribution(m4)
         idx4 = {X.blocks: i for i, X in enumerate(states4)}
         counts4 = np.zeros(len(states4))
-        chain = ChainState(partition=OrderedPartition.singletons(4), rng=random.Random(1))
+        X, rng = OrderedPartition.singletons(4), random.Random(1)
         for _ in range(steps):
-            mh_step(chain, m4)
-            counts4[idx4[chain.partition.blocks]] += 1
+            X = advance_partition(X, m4, rng, 1)
+            counts4[idx4[X.blocks]] += 1
         tv4 = 0.5 * np.abs(counts4 / steps - probs4).sum()
         assert tv4 < 0.01, f"n=4 uniform TV {tv4}"
 
@@ -207,11 +207,10 @@ def test_criterion_04_latent_joint_sampler():
         }
         rng = random.Random(2)
         X = OrderedPartition.singletons(3)
-        h = np.zeros(2, dtype=np.int8)
         counts = np.zeros_like(probs)
         sweeps = 1_000_000
         for _ in range(sweeps):
-            X, h = gibbs_mh_step(X, h, m, rng)
+            X, h = gibbs_mh_step(X, m, rng)
             si, ci = idx[(X.blocks, tuple(h.tolist()))]
             counts[si, ci] += 1
         tv = 0.5 * np.abs(counts / sweeps - probs).sum()
@@ -286,10 +285,9 @@ def test_criterion_06_gradients():
         observed = [(X, hidden_posterior(X, model)) for X in data]
         crng = random.Random(0)
         Xc = OrderedPartition.singletons(3)
-        hc = np.zeros(1, dtype=np.int8)
         samples = []
         for sweep in range(150_000):
-            Xc, hc = gibbs_mh_step(Xc, hc, model, crng)
+            Xc, hc = gibbs_mh_step(Xc, model, crng)
             if sweep >= 5_000:
                 samples.append((Xc, hc))
         est = estimate_gradient(observed, samples, 3, 1)

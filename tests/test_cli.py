@@ -61,6 +61,13 @@ class TestNumericFlags:
                                        "--min-ratings", "-1"],
         "oracle-negative-n": ["oracle", "--n", "-1", "--count"],
         "oracle-negative-cap": ["oracle", "--n", "3", "--enumerate", "--cap", "-1"],
+        "train-negative-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "-1"],
+        "train-zero-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "0"],
+        "train-nan-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "nan"],
+        "train-infinite-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "inf"],
+        "train-negative-l2": ["train", "--data", "{data}", "--out", "{out}", "--l2", "-5"],
+        "train-nan-l2": ["train", "--data", "{data}", "--out", "{out}", "--l2", "nan"],
+        "train-infinite-l2": ["train", "--data", "{data}", "--out", "{out}", "--l2", "inf"],
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -82,6 +89,22 @@ class TestNumericFlags:
                     plain += [f"{command} {opt.option_strings[0]}" for opt in sub._actions
                               if opt.type is int and opt.dest != "seed"]
         assert plain == []
+
+    def test_only_scale_takes_plain_float(self):
+        # --scale stays a data error: TestNonFiniteRatings pins its exit code
+        plain = []
+        for action in build_parser()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for command, sub in action.choices.items():
+                    plain += [f"{command} {opt.option_strings[0]}" for opt in sub._actions
+                              if opt.type is float and opt.dest != "scale"]
+        assert plain == []
+
+    @pytest.mark.parametrize("flag,value", [("--lr", "0.5"), ("--l2", "0"), ("--l2", "0.1")])
+    def test_float_flag_in_range_is_accepted(self, flag, value):
+        args = build_parser().parse_args(["train", "--data", "r.dat", "--out", "m.ck",
+                                          flag, value])
+        assert getattr(args, flag[2:]) == float(value)
 
 
 class TestOracleCommand:
@@ -154,6 +177,15 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated" in err
 
+    def test_zero_item_checkpoint_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "empty.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 0\nK 0\nnu 0.0\nu\n")
+        out = tmp_path / "dump.txt"
+        assert main(["sample", "--model", str(ck), "--steps", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ck) in err
+        assert not out.exists()
+
     def test_header_records_seed(self, tmp_path):
         out = tmp_path / "s.txt"
         main(["sample", "--uniform", "--n", "3", "--steps", "100", "--seed", "5",
@@ -185,6 +217,13 @@ class TestEstimateZCommand:
         assert log_z == pytest.approx(math.log(fubini(5)), abs=1e-12)
         assert "ess=" in text
         assert "seed=0" in text
+
+    def test_zero_item_checkpoint_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "empty.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 0\nK 0\nnu 0.0\nu\n")
+        assert main(["estimate-z", "--model", str(ck), "--n-temps", "2", "--n-runs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ck) in err
 
     def test_reports_runs(self, tmp_path):
         out = tmp_path / "z.txt"
@@ -406,3 +445,40 @@ class TestNonFiniteRatings:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert ("non-finite rating" if case == "nan-rating" else "invalid rating scale") in err
+
+
+class TestWarnings:
+    """Warnings reach stderr as one ``osmrank: warning: ...`` line each, with
+    no source path and no echoed source line."""
+
+    def run_cli(self, *argv):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run([sys.executable, "-m", "osmrank.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_degenerate_users(self, tmp_path):
+        data = make_ratings_file(tmp_path / "r.dat")
+        proc = self.run_cli("train", "--data", data, "--n-train", "1", "--min-ratings", "11",
+                            "--out", str(tmp_path / "m.ck"), "--log", str(tmp_path / "t.log"))
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("osmrank: warning: skipped ")
+        assert "degenerate users" in err[0]
+        assert err[1] == "osmrank: no trainable users"
+
+    def test_duplicate_ratings(self, tmp_path):
+        data = make_ratings_file(tmp_path / "r.dat")
+        with open(data) as fh:
+            first = fh.readline()
+        with open(data, "a") as fh:
+            fh.write(first)
+        proc = self.run_cli("train", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                            "--hidden", "1", "--epochs", "0",
+                            "--out", str(tmp_path / "m.ck"), "--log", str(tmp_path / "t.log"))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "osmrank: warning: 1 duplicate (user, item) ratings; last wins"
+        ]

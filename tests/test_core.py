@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,3 +242,30 @@ class TestMatrixPairModel:
         s = w.scaled(0.5)
         assert s.nu == 1.0
         assert np.allclose(s.worth, [0.5, -0.5])
+
+
+class TestUniformPairModel:
+    """The uniform model is the zero worth model: O(n) memory, exact zeros."""
+
+    def test_peak_allocation_is_linear(self):
+        # two dense n x n float tables would be 64 MB at n = 2000
+        tracemalloc.start()
+        try:
+            m = uniform_pair_model(2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.n_objects == 2000
+        assert peak < 1 << 20
+
+    def test_every_ratio_and_weight_is_exactly_zero(self):
+        m = uniform_pair_model(5)
+        ratio = m.split_ratio(range(5))
+        for X in enumerate_ordered_partitions(5):
+            assert log_weight(X, m) == 0.0
+            for t, block in enumerate(X.blocks):
+                for mask in range(1, (1 << len(block)) - 1):
+                    A = [x for i, x in enumerate(block) if mask >> i & 1]
+                    B = [x for i, x in enumerate(block) if not mask >> i & 1]
+                    assert ratio(A, B) == 0.0
+                    assert log_ratio_split(X, t, (A, B), m) == 0.0

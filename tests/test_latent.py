@@ -15,7 +15,6 @@ from osmrank.latent import (
     gibbs_mh_step,
     hidden_posterior,
     log_joint_weight,
-    log_omega_k,
     sample_hidden,
     sigmoid,
 )
@@ -47,23 +46,19 @@ class TestLogOmegaK:
     def test_zero_weights(self):
         m = uniform_latent(3, 2)
         for X in enumerate_ordered_partitions(3):
-            assert log_omega_k(X, m, 0) == 0.0
+            assert m.log_omegas(X)[0] == 0.0
 
     def test_single_pair_state(self):
         m = random_latent_model(2, 1, seed=0)
-        assert log_omega_k(P([0, 1]), m, 0) == pytest.approx(m.hidden[0].tie[0, 1])
+        assert m.log_omegas(P([0, 1]))[0] == pytest.approx(m.hidden[0].tie[0, 1])
 
     def test_matches_log_weight(self):
         m = random_latent_model(4, 3, seed=1)
         for X in enumerate_ordered_partitions(4):
             for k in range(3):
-                assert log_omega_k(X, m, k) == pytest.approx(
+                assert m.log_omegas(X)[k] == pytest.approx(
                     log_weight(X, m.hidden[k]), abs=1e-12
                 )
-
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            log_omega_k(P([0, 1]), random_latent_model(2, 1, seed=0), 5)
 
     def test_worth_fast_path_matches_generic(self):
         rng = np.random.default_rng(5)
@@ -127,7 +122,7 @@ class TestLogJointWeight:
     def test_single_unit_active(self):
         m = random_latent_model(3, 2, seed=3)
         X = P([0], [1, 2])
-        expected = log_weight(X, m.base) + log_omega_k(X, m, 0)
+        expected = log_weight(X, m.base) + m.log_omegas(X)[0]
         assert log_joint_weight(X, np.array([1, 0]), m) == pytest.approx(expected)
 
     def test_shape_mismatch(self):
@@ -153,7 +148,7 @@ class TestLogJointWeight:
             lhs = sum(math.exp(log_joint_weight(X, np.array(h), m)) for h in configs)
             rhs = math.exp(log_weight(X, m.base))
             for k in range(3):
-                rhs *= 1.0 + math.exp(log_omega_k(X, m, k))
+                rhs *= 1.0 + math.exp(m.log_omegas(X)[k])
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -223,10 +218,9 @@ class TestGibbsMhStep:
         for _ in range(2):
             rng = random.Random(99)
             X = OrderedPartition.singletons(3)
-            h = np.zeros(2, dtype=np.int8)
             seq = []
             for _ in range(200):
-                X, h = gibbs_mh_step(X, h, m, rng)
+                X, h = gibbs_mh_step(X, m, rng)
                 seq.append((X.blocks, tuple(h.tolist())))
             out.append(seq)
         assert out[0] == out[1]
@@ -238,11 +232,10 @@ class TestGibbsMhStep:
         idx = {(X.blocks, h): (si, ci) for si, X in enumerate(states) for ci, h in enumerate(configs)}
         rng = random.Random(1)
         X = OrderedPartition.singletons(3)
-        h = np.zeros(2, dtype=np.int8)
         counts = np.zeros_like(probs)
         sweeps = 200_000
         for _ in range(sweeps):
-            X, h = gibbs_mh_step(X, h, m, rng)
+            X, h = gibbs_mh_step(X, m, rng)
             si, ci = idx[(X.blocks, tuple(h.tolist()))]
             counts[si, ci] += 1
         tv = 0.5 * np.abs(counts / sweeps - probs).sum()
@@ -283,7 +276,7 @@ class TestLatentRepresentation:
     def test_equals_hidden_posterior(self):
         m = random_latent_model(3, 2, seed=12)
         X = P([0, 2], [1])
-        expected = [sigmoid(log_omega_k(X, m, k)) for k in range(2)]
+        expected = [sigmoid(m.log_omegas(X)[k]) for k in range(2)]
         np.testing.assert_array_equal(hidden_posterior(X, m), expected)
 
     def test_within_block_listing_invariance(self):

@@ -163,11 +163,10 @@ class TestEstimateGradient:
         m = cf_latent_model(p)
         rng = random.Random(0)
         X = OrderedPartition.singletons(n)
-        h = np.zeros(k, dtype=np.int8)
         observed = [(X_d, hidden_posterior(X_d, m)) for X_d in data]
         samples = []
         for sweep in range(60_000):
-            X, h = gibbs_mh_step(X, h, m, rng)
+            X, h = gibbs_mh_step(X, m, rng)
             if sweep >= 2_000:
                 samples.append((X, h))
         est = estimate_gradient(observed, samples, n, k)
@@ -186,10 +185,9 @@ class TestEstimateGradient:
         def err_at(count, seed):
             rng = random.Random(seed)
             X = OrderedPartition.singletons(n)
-            h = np.zeros(k, dtype=np.int8)
             samples = []
             for _ in range(count):
-                X, h = gibbs_mh_step(X, h, m, rng)
+                X, h = gibbs_mh_step(X, m, rng)
                 samples.append((X, h))
             g = estimate_gradient(observed, samples, n, k)
             return np.linalg.norm(flatten(CFParams(g.d_nu - exact.d_nu,

@@ -290,6 +290,15 @@ class TestLoadRatingsAgainstReference:
             self.write(path, [(line, differ)], newline)
             self.check(path, "movielens_dcolon", {1: differ} if differ else {})
 
+    def test_single_colon_line_deep_in_a_large_file(self, tmp_path):
+        # the odd-colon check reads the file in 64 KiB chunks: a line far
+        # past the first chunk must still send the file to the per-line scan
+        path = tmp_path / "r.dat"
+        corpus = [(f"{n % 97}::{n}::{n % 10 / 2 + 0.5}::{n}", None) for n in range(8000)]
+        corpus.insert(7000, ("7::16::3.5:1", None))
+        assert sum(len(line) + 1 for line, _ in corpus[:7000]) > 2 << 16
+        self.check(path, "movielens_dcolon", self.write(path, corpus))
+
     def test_well_formed_file(self, tmp_path):
         rng = random.Random(5)
         path = tmp_path / "r.dat"

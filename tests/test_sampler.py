@@ -19,14 +19,12 @@ from osmrank.core import (
     uniform_pair_model,
 )
 from osmrank.sampler import (
-    ChainState,
     InfeasibleMoveError,
     MoveStats,
     SamplerConfig,
     _single_move,
     _split_log_q_ratio,
     advance_partition,
-    mh_step,
     propose_merge,
     propose_split,
     run_chain,
@@ -166,20 +164,19 @@ class TestMhStep:
 
     def test_single_object_never_moves(self):
         m = uniform_pair_model(1)
-        state = ChainState(partition=P([0]), rng=random.Random(0))
+        X, rng, stats = P([0]), random.Random(0), MoveStats()
         for _ in range(100):
-            mh_step(state, m)
-        assert state.partition.blocks == ((0,),)
-        assert state.stats.no_move_steps == 100
-        assert state.stats.split_proposed == 0
-        assert state.stats.merge_proposed == 0
+            X = advance_partition(X, m, rng, 1, stats)
+        assert X.blocks == ((0,),)
+        assert stats.no_move_steps == 100
+        assert stats.split_proposed == 0
+        assert stats.merge_proposed == 0
 
     def test_stats_accumulate(self):
         m = uniform_pair_model(3)
-        state = ChainState(partition=P([0, 1, 2]), rng=random.Random(1))
+        X, rng, s = P([0, 1, 2]), random.Random(1), MoveStats()
         for _ in range(500):
-            mh_step(state, m)
-        s = state.stats
+            X = advance_partition(X, m, rng, 1, s)
         assert s.split_proposed + s.merge_proposed == 500
         assert 0 < s.split_accepted <= s.split_proposed
         assert 0 < s.merge_accepted <= s.merge_proposed
@@ -218,7 +215,7 @@ class TestRunChain:
     def test_zero_steps(self):
         samples, stats = run_chain(P([0, 1]), uniform_pair_model(2), SamplerConfig(steps=0))
         assert samples == []
-        assert stats.as_dict() == MoveStats().as_dict()
+        assert stats == MoveStats()
 
     def test_deterministic_under_seed(self):
         m = random_matrix_model(4, seed=8)
@@ -226,7 +223,7 @@ class TestRunChain:
         a, stats_a = run_chain(OrderedPartition.singletons(4), m, cfg)
         b, stats_b = run_chain(OrderedPartition.singletons(4), m, cfg)
         assert a == b
-        assert stats_a.as_dict() == stats_b.as_dict()
+        assert stats_a == stats_b
 
     def test_thinning_and_burn_in_counts(self):
         cfg = SamplerConfig(steps=1000, burn_in=200, thin=10, seed=0)
@@ -252,11 +249,11 @@ class TestRunChain:
         m = uniform_pair_model(4)
         targets = {X.blocks for X in enumerate_ordered_partitions(4)}
         for start in (OrderedPartition.singletons(4), P([0, 1, 2, 3])):
-            state = ChainState(partition=start, rng=random.Random(11))
-            visited = {state.partition.blocks}
+            X, rng = start, random.Random(11)
+            visited = {X.blocks}
             for _ in range(100_000):
-                mh_step(state, m)
-                visited.add(state.partition.blocks)
+                X = advance_partition(X, m, rng, 1)
+                visited.add(X.blocks)
                 if visited == targets:
                     break
             assert visited == targets
@@ -271,12 +268,12 @@ class TestRunChain:
         prior = np.array(
             [stirling2(n, t) * math.factorial(t) / fubini(n) for t in range(1, n + 1)]
         )
-        state = ChainState(partition=OrderedPartition.singletons(n), rng=random.Random(12))
+        X, rng = OrderedPartition.singletons(n), random.Random(12)
         counts = np.zeros(n)
         steps = 200_000
         for _ in range(steps):
-            mh_step(state, m)
-            counts[state.partition.n_blocks - 1] += 1
+            X = advance_partition(X, m, rng, 1)
+            counts[X.n_blocks - 1] += 1
         emp = counts / steps
         assert 0.5 * np.abs(emp - prior).sum() < 0.02
 
@@ -386,7 +383,7 @@ class TestArrayKernel:
             X = advance_partition(X, m, rng, chunk, stats)
             assert X == ref_X
         assert rng.getstate() == ref_rng.getstate()
-        assert stats.as_dict() == ref_stats.as_dict()
+        assert stats == ref_stats
         assert stats.split_accepted and stats.merge_accepted
 
     @pytest.mark.parametrize("name", ["matrix-n5", "uniform-n6"])
@@ -402,7 +399,7 @@ class TestArrayKernel:
             if step > burn_in and (step - burn_in) % thin == 0:
                 ref_samples.append(X)
         assert samples == ref_samples
-        assert stats.as_dict() == ref_stats.as_dict()
+        assert stats == ref_stats
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
