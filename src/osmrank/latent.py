@@ -62,59 +62,50 @@ class LatentModel:
         """Vector of log Omega_k(X) over all hidden units."""
         return np.array([log_weight(X, hm) for hm in self.hidden], dtype=float)
 
-    def effective(self, active: Sequence[PairPotentialModel]) -> PairPotentialModel:
-        """The base potentials plus those of the ``active`` hidden units."""
+    def effective(self, active: Sequence[int]) -> PairPotentialModel:
+        """The base potentials plus those of the hidden units indexed by ``active``."""
         tie, order = (table.copy() for table in self.base.tables())
-        for hm in active:
-            ht, ho = hm.tables()
+        for k in active:
+            ht, ho = self.hidden[k].tables()
             tie += ht
             order += ho
         return _unchecked_matrix_model(tie, order)
 
-    def completion_scores(
-        self, seen: Sequence[int], unseen: Sequence[int], p: np.ndarray
-    ) -> dict[int, float]:
-        """score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)]."""
-        order = self.base.tables()[1] + sum(pk * hm.tables()[1] for pk, hm in zip(p, self.hidden))
-        return {j: float(order[j, list(seen)].sum()) for j in unseen}
-
-    def mean_worth(self, p: np.ndarray) -> np.ndarray:
-        raise ValueError("per-item worths need a worth-parameterized model")
-
 
 class WorthLatentModel(LatentModel):
-    """Latent model whose base and hidden units are all ``WorthPairModel``s.
+    """The collaborative-ranking latent model, held as its parameters.
 
-    The worth family is closed under masking, so effective models stay in
-    worth form, and unit weights come from one set of structural features.
+    The base is ``WorthPairModel(nu, u)`` and hidden unit k is
+    ``WorthPairModel(nu, W[:, k])``, sharing nu.  The worth family is closed
+    under masking, so effective models stay in worth form, and unit weights
+    come from one set of structural features.
     """
 
-    def __init__(self, base: WorthPairModel, hidden: Sequence[WorthPairModel]):
-        super().__init__(base, hidden)
-        self.nus = np.array([hm.nu for hm in self.hidden])
-        worths = [hm.worth for hm in self.hidden]
-        self.worths = np.stack(worths, axis=1) if worths else np.zeros((self.n_objects, 0))
+    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray):
+        self.base = WorthPairModel(nu, u)
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[0] != self.base.n_objects or not np.isfinite(W).all():
+            raise ValueError("W must be a finite (n_objects, K) matrix")
+        self.nu, self.u, self.W = self.base.nu, self.base.worth, W
+        self.n_objects = self.base.n_objects
+
+    @property
+    def n_hidden(self) -> int:
+        return self.W.shape[1]
+
+    @property
+    def hidden(self) -> tuple[WorthPairModel, ...]:
+        """Each unit as its own pair model, built on each access."""
+        return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
 
     def log_omegas(self, X: OrderedPartition) -> np.ndarray:
         pairs, items, coef = worth_features(X)
-        return self.nus * pairs + coef @ self.worths[items]
+        return self.nu * pairs + coef @ self.W[items]
 
-    def effective(self, active: Sequence[WorthPairModel]) -> WorthPairModel:
-        nu = self.base.nu + sum(hm.nu for hm in active)
-        worth = self.base.worth + sum(hm.worth for hm in active)
+    def effective(self, active: Sequence[int]) -> WorthPairModel:
+        nu = self.nu + sum(self.nu for _ in active)
+        worth = self.u + sum(self.W[:, k] for k in active)
         return WorthPairModel(nu, worth)
-
-    def completion_scores(
-        self, seen: Sequence[int], unseen: Sequence[int], p: np.ndarray
-    ) -> dict[int, float]:
-        # psi depends on the winner only, so the sum over seen items is a
-        # constant factor |seen|
-        w = self.mean_worth(p)
-        return {j: len(seen) * float(w[j]) for j in unseen}
-
-    def mean_worth(self, p: np.ndarray) -> np.ndarray:
-        """u + W p: each item's order worth averaged over hidden activations ``p``."""
-        return self.base.worth + self.worths @ p
 
 
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
@@ -128,25 +119,21 @@ def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> floa
     if h.shape != (m.n_hidden,):
         raise ValueError(f"hidden state must have shape ({m.n_hidden},)")
     total = log_weight(X, m.base)
-    for k in range(m.n_hidden):
-        if h[k]:
-            total += log_weight(X, m.hidden[k])
+    for hk, hm in zip(h, m.hidden):
+        if hk:
+            total += log_weight(X, hm)
     return total
 
 
 def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
     """The pair model whose log_weight equals log_joint_weight(., h, m)."""
-    h = np.asarray(h)
-    active = [m.hidden[k] for k in range(m.n_hidden) if h[k]]
+    active = [k for k, hk in enumerate(np.asarray(h).tolist()) if hk]
     return m.effective(active) if active else m.base
 
 
-def sample_hidden(
-    X: OrderedPartition, m: LatentModel, rng: random.Random, temperature: float = 1.0
-) -> np.ndarray:
-    """Exact draw of h | X; at temperature tau the conditional is
-    Bernoulli(sigmoid(tau * log Omega_k(X)))."""
-    logom = m.log_omegas(X)
+def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.0) -> np.ndarray:
+    """Exact draw of h | X from the unit weights ``logom = m.log_omegas(X)``;
+    at temperature tau the conditional is Bernoulli(sigmoid(tau * log Omega_k(X)))."""
     return np.array(
         [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom], dtype=np.int8
     )
@@ -164,7 +151,7 @@ def gibbs_mh_step(
 
     inner_steps defaults to the object count (one expected touch per object).
     """
-    h = sample_hidden(X, m, rng)
+    h = sample_hidden(m.log_omegas(X), rng)
     eff = effective_pair_model(h, m)
     if inner_steps is None:
         inner_steps = sum(len(b) for b in X.blocks)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
-from .core import WorthPairModel, logsumexp, worth_features
+from .core import logsumexp, worth_features
 from .latent import WorthLatentModel, gibbs_mh_step, hidden_posterior
 
 __all__ = [
@@ -124,9 +124,7 @@ def cf_latent_model(p: CFParams) -> WorthLatentModel:
     Base: log phi(i~j) = nu + (u_i + u_j)/2, log psi(i>j) = u_i.
     Hidden unit k: same forms with W_:k in place of u, sharing nu.
     """
-    base = WorthPairModel(p.nu, p.u)
-    hidden = [WorthPairModel(p.nu, p.W[:, k]) for k in range(p.n_hidden)]
-    return WorthLatentModel(base, hidden)
+    return WorthLatentModel(p.nu, p.u, p.W)
 
 
 def _accumulate(
@@ -307,9 +305,7 @@ def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) 
 def train(
     data: Sequence[OrderedPartition],
     cfg: TrainConfig,
-    rng: Optional[random.Random] = None,
     callback: Optional[Callable[[dict], None]] = None,
-    init: Optional[CFParams] = None,
 ) -> CFParams:
     """Stochastic-gradient ascent with one persistent chain per user.
 
@@ -320,8 +316,7 @@ def train(
     ``callback``, when given, receives one record per block with the
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
+    rng = random.Random(cfg.seed)
     usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
     skipped = len(data) - len(usable)
     if skipped:
@@ -332,13 +327,8 @@ def train(
     if any(X.n_objects != n_items for X in usable):
         raise ValueError("all user partitions must index the same item catalog")
 
-    if init is not None:
-        params = init.copy()
-        if params.n_items != n_items or params.n_hidden != cfg.n_hidden:
-            raise ValueError("init shape does not match data/config")
-    else:
-        np_rng = np.random.default_rng(rng.randrange(2**63))
-        params = CFParams.random_init(n_items, cfg.n_hidden, np_rng, cfg.init_scale)
+    np_rng = np.random.default_rng(rng.randrange(2**63))
+    params = CFParams.random_init(n_items, cfg.n_hidden, np_rng, cfg.init_scale)
 
     chains = list(usable)
 
@@ -401,25 +391,35 @@ def save_checkpoint(path: str, p: CFParams) -> None:
 
 
 def load_checkpoint(path: str) -> CFParams:
+    """Read a ``save_checkpoint`` file; every error is a ``ValueError``
+    naming ``path``."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
-        raise ValueError(f"{path}: not an osmrank checkpoint")
-    try:
-        version = int(lines[0].split()[1])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
-        n_items = int(header["n_items"])
-        n_hidden = int(header["K"])
-        nu = float(lines[3].split(maxsplit=1)[1])
-        u = np.array([float(v) for v in lines[4].split()[1:]])
-        w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
-    except (IndexError, KeyError):
-        raise ValueError(f"{path}: truncated checkpoint") from None
+        try:
+            return _parse_checkpoint([ln.rstrip("\n") for ln in fh if ln.strip()])
+        except (IndexError, KeyError):
+            raise ValueError(f"{path}: truncated checkpoint") from None
+        except ValueError as exc:  # a bad number, non-UTF-8 bytes, non-finite parameters
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(lines: list[str]) -> CFParams:
+    head = lines[0].split() if lines else []
+    if head[:1] != [CHECKPOINT_MAGIC]:
+        raise ValueError("not an osmrank checkpoint")
+    version = int(head[1])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    fields = [ln.split() for ln in lines[1:3]]
+    if any(len(f) != 2 for f in fields):
+        raise ValueError("malformed header line")
+    header = {key: int(value) for key, value in fields}
+    n_items, n_hidden = header["n_items"], header["K"]
+    nu = float(lines[3].split(maxsplit=1)[1])
+    u = np.array([float(v) for v in lines[4].split()[1:]])
+    w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
     if n_items < 1:
-        raise ValueError(f"{path}: checkpoint has {n_items} items")
+        raise ValueError(f"checkpoint has {n_items} items")
     W = np.array(w_rows) if w_rows else np.zeros((n_items, 0))
     if u.shape != (n_items,) or W.shape != (n_items, n_hidden):
-        raise ValueError(f"{path}: checkpoint shapes do not match header")
+        raise ValueError("checkpoint shapes do not match header")
     return CFParams(nu, u, W)

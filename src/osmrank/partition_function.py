@@ -133,31 +133,17 @@ def temperature_ladder(cfg: AISConfig) -> np.ndarray:
     return taus
 
 
-def _transition(
-    X: OrderedPartition, tau: float, m: LatentModel, rng: random.Random, steps: int
-) -> OrderedPartition:
-    """A tempered hidden draw, then a block of MH moves on the effective
-    potentials; leaves P(X | tau) invariant."""
-    if tau == 0.0:
-        # uniform-target kernel; cheapest exact option is an independent draw
-        return sample_uniform_ordered_partition(X.n_objects, rng)
-    h = sample_hidden(X, m, rng, temperature=tau)
-    eff = effective_pair_model(h, m).scaled(tau)
-    return advance_partition(X, eff, rng, steps)
-
-
-def ais_log_z(
-    m: PairPotentialModel | LatentModel, cfg: AISConfig, rng: Optional[random.Random] = None
-) -> AISResult:
+def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
     """Annealed importance sampling estimate of log Z.
 
     Each of the R runs starts from an exact uniform draw and climbs the
-    ladder, alternating a tempered hidden draw with split-merge moves on
-    the effective potentials.  The estimate is log Z(0) + log-mean-exp of
-    the run weights.
+    ladder.  The transition at tau = taus[s - 1] > 0 is a tempered hidden
+    draw, then split-merge moves on the effective potentials scaled by tau;
+    it leaves P(X | tau) invariant.  The estimate is log Z(0) +
+    log-mean-exp of the run weights.
     """
     m = _as_latent(m)
-    seed_src = rng if rng is not None else random.Random(cfg.seed)
+    seed_src = random.Random(cfg.seed)
     run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
     n = m.n_objects
     steps = cfg.inner_steps if cfg.inner_steps is not None else n
@@ -174,9 +160,11 @@ def ais_log_z(
         for s in range(1, S + 1):
             t_hi, t_lo = taus[s], taus[s - 1]
             if s > 1:
-                X = _transition(X, t_lo, m, run_rng, steps)
+                h = sample_hidden(logom, run_rng, temperature=t_lo)
+                X = advance_partition(X, effective_pair_model(h, m).scaled(t_lo), run_rng, steps)
+            logom = m.log_omegas(X)  # the next transition's hidden draw reuses it
             logw += (t_hi - t_lo) * log_weight(X, m.base)
-            for lo in m.log_omegas(X):
+            for lo in logom:
                 logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
         log_weights[r] = logw
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .combinatorics import OrderedPartition
 from .core import from_graded_ratings
-from .latent import LatentModel, hidden_posterior
+from .latent import LatentModel, WorthLatentModel, hidden_posterior
 from .learning import CFParams, cf_latent_model
 from .metrics import err_rows, ndcg_rows
 
@@ -135,14 +135,18 @@ def _odd_colon_run(path: str) -> bool:
     return False
 
 
+_INT64 = range(-(2**63), 2**63)  # the ids np.loadtxt can read
+
+
 def _is_record(parts: list[str]) -> bool:
     if len(parts) < 3 or any("_" in p for p in parts[:3]):  # loadtxt takes no 1_000
         return False
     try:
-        int(parts[0]), int(parts[1]), float(parts[2])
+        user, item = int(parts[0]), int(parts[1])
+        float(parts[2])
     except ValueError:
         return False
-    return True
+    return user in _INT64 and item in _INT64
 
 
 def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
@@ -269,17 +273,14 @@ def _subset(ds: RatingsDataset, keep: np.ndarray) -> RatingsDataset:
                    grades=grades)
 
 
-def train_test_split(
-    ds: RatingsDataset, spec: SplitSpec, rng: Optional[random.Random] = None
-) -> tuple[RatingsDataset, RatingsDataset]:
+def train_test_split(ds: RatingsDataset, spec: SplitSpec) -> tuple[RatingsDataset, RatingsDataset]:
     """Apply the split protocol; deterministic under spec.seed.
 
     The returned datasets share the parent's dense indexing (items keep
     their positions in the catalog; users below min_ratings disappear from
     the records but not from the index).
     """
-    if rng is None:
-        rng = random.Random(spec.seed)
+    rng = random.Random(spec.seed)
     train_keep = np.zeros(ds.n_records, dtype=bool)
     test_keep = np.zeros(ds.n_records, dtype=bool)
     for u, rec_idx in enumerate(ds.by_user()):
@@ -328,14 +329,23 @@ def _rank(scores: dict[int, float]) -> RankedList:
     return RankedList(tuple(ordered), tuple(scores[j] for j in ordered))
 
 
+def _mean_worth(m: LatentModel, p: np.ndarray) -> np.ndarray:
+    """u + W p: each item's order worth averaged over hidden activations ``p``."""
+    if not isinstance(m, WorthLatentModel):
+        raise ValueError("per-item worths need a worth-parameterized model")
+    return m.u + m.W @ p
+
+
 def complete_rank(
     seen: OrderedPartition, unseen: Iterable[int], m: LatentModel
 ) -> RankedList:
     """Score unseen items against a user's observed partition.
 
     Mean-field completion: with p the hidden posterior given ``seen``,
-    score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)];
-    descending scores, ties broken by ascending item index.
+    score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)].
+    psi depends on the winner only, so this is |seen| * (u_j + W_j . p);
+    descending scores, ties broken by ascending item index.  ``m`` must be a
+    ``WorthLatentModel``.
     """
     seen_items = seen.objects
     if not seen_items:
@@ -343,7 +353,8 @@ def complete_rank(
     unseen = list(unseen)
     if set(unseen) & set(seen_items):
         raise ValueError("unseen items overlap the seen partition")
-    return _rank(m.completion_scores(seen_items, unseen, hidden_posterior(seen, m)))
+    w = _mean_worth(m, hidden_posterior(seen, m))
+    return _rank({j: len(seen_items) * float(w[j]) for j in unseen})
 
 
 def reconstruct_rank(
@@ -354,7 +365,7 @@ def reconstruct_rank(
     posterior = np.asarray(posterior, dtype=float)
     if posterior.shape != (m.n_hidden,):
         raise ValueError(f"posterior must have shape ({m.n_hidden},)")
-    w = m.mean_worth(posterior)
+    w = _mean_worth(m, posterior)
     return _rank({j: float(w[j]) for j in items})
 
 
@@ -365,7 +376,10 @@ def parse_metric(name: str):
     if name == "err":
         return err_rows
     if name.startswith("ndcg@"):
-        t = int(name.split("@", 1)[1])
+        try:
+            t = int(name.split("@", 1)[1])
+        except ValueError:
+            raise ValueError(f"metric {name!r}: truncation must be an integer") from None
         if t < 1:
             raise ValueError(f"metric {name!r}: truncation must be >= 1")
         return lambda grades, lengths=None: ndcg_rows(grades, t, lengths)
@@ -412,13 +426,13 @@ def _ranked_test_records(
     Returns those users' test-record indices, grouped by ascending user and,
     within a user, ranked by descending score, ties by ascending item.
     Scores are |seen| * (u_j + W_j . p) with p the hidden posterior given
-    the user's training partition, as ``WorthLatentModel.completion_scores``
-    computes them.
+    the user's training partition, as ``complete_rank`` computes them.
     """
     model = cf_latent_model(params)
     pairs, coef = _worth_coefficients(train_ds)
-    x = model.nus * pairs[:, None]  # log Omega_k per user and hidden unit
-    np.add.at(x, train_ds.users, coef[:, None] * model.worths[train_ds.items])
+    # log Omega_k per user and hidden unit
+    x = np.repeat(model.nu * pairs[:, None], model.n_hidden, axis=1)
+    np.add.at(x, train_ds.users, coef[:, None] * model.W[train_ds.items])
     e = np.exp(-np.abs(x))
     posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.sigmoid, both branches
 
@@ -430,8 +444,8 @@ def _ranked_test_records(
         raise ValueError("unseen items overlap the seen partition")
     hidden_worth = np.zeros(len(keep))
     for k in range(model.n_hidden):
-        hidden_worth += model.worths[items, k] * posterior[users, k]
-    scores = n_seen[users] * (model.base.worth[items] + hidden_worth)
+        hidden_worth += model.W[items, k] * posterior[users, k]
+    scores = n_seen[users] * (model.u[items] + hidden_worth)
     return keep[np.lexsort((items, -scores, users))]
 
 

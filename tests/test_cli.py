@@ -207,6 +207,34 @@ class TestSampleCommand:
             assert parse_partition(ln, n_items).covers_universe()
 
 
+class TestBadCheckpoint:
+    """Every unreadable checkpoint is a one-line data error naming the file."""
+
+    GOOD = b"osmrank-checkpoint 1\nn_items 1\nK 0\nnu 0.0\nu 0.0\n"
+    CASES = {
+        "bad-version": GOOD.replace(b"checkpoint 1", b"checkpoint x"),
+        "one-token-header": GOOD.replace(b"n_items 1", b"n_items"),
+        "bad-nu": GOOD.replace(b"nu 0.0", b"nu abc"),
+        "nan-nu": GOOD.replace(b"nu 0.0", b"nu nan"),
+        "infinite-nu": GOOD.replace(b"nu 0.0", b"nu 1e999"),
+        "non-utf8": GOOD.replace(b"u 0.0", b"u \xff0.0"),
+        "magic-prefix": GOOD.replace(b"checkpoint 1", b"checkpointX 1"),
+    }
+
+    def test_good_file_loads(self, tmp_path):
+        ck = tmp_path / "good.ck"
+        ck.write_bytes(self.GOOD)
+        assert main(["sample", "--model", str(ck), "--steps", "5", "--out", str(tmp_path / "s")]) == 0
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_is_data_error_naming_the_file(self, case, tmp_path, capsys):
+        ck = tmp_path / f"{case}.ck"
+        ck.write_bytes(self.CASES[case])
+        assert main(["sample", "--model", str(ck), "--steps", "5", "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"osmrank: {ck}: ")
+
+
 class TestEstimateZCommand:
     def test_degenerate_uniform_equals_log_fubini(self, tmp_path):
         out = tmp_path / "z.txt"

@@ -62,9 +62,9 @@ class TestLogOmegaK:
 
     def test_worth_fast_path_matches_generic(self):
         rng = np.random.default_rng(5)
-        base = WorthPairModel(0.2, rng.normal(size=6))
+        u = rng.normal(size=6)
         hidden = [WorthPairModel(0.2, rng.normal(size=6)) for _ in range(3)]
-        m = WorthLatentModel(base, hidden)
+        m = WorthLatentModel(0.2, u, np.column_stack([hm.worth for hm in hidden]))
         r = random.Random(0)
         from osmrank.combinatorics import sample_uniform_ordered_partition
 
@@ -182,10 +182,8 @@ class TestEffectivePairModel:
 
     def test_log_weight_identity_worth_models(self):
         rng = np.random.default_rng(9)
-        m = WorthLatentModel(
-            WorthPairModel(0.5, rng.normal(size=5)),
-            [WorthPairModel(0.5, rng.normal(size=5)) for _ in range(2)],
-        )
+        u = rng.normal(size=5)
+        m = WorthLatentModel(0.5, u, np.column_stack([rng.normal(size=5) for _ in range(2)]))
         eff = effective_pair_model(np.array([1, 1]), m)
         assert isinstance(eff, WorthPairModel)
         r = random.Random(1)
@@ -207,7 +205,7 @@ class TestGibbsMhStep:
         ones = np.zeros(2)
         trials = 20_000
         for _ in range(trials):
-            h = sample_hidden(X, m, rng)
+            h = sample_hidden(m.log_omegas(X), rng)
             ones += h
         sigma = math.sqrt(trials * 0.25)
         assert np.all(np.abs(ones - trials / 2) < 4 * sigma)

@@ -320,14 +320,6 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
-    def test_zero_epochs_returns_init(self):
-        init = random_params(4, 2, seed=10, scale=0.01)
-        data = [P([0, 1], [2, 3]), P([0], [1], [2, 3])]
-        out = train(data, TrainConfig(epochs=0, n_hidden=2, seed=0), init=init)
-        assert out.nu == init.nu
-        np.testing.assert_array_equal(out.u, init.u)
-        np.testing.assert_array_equal(out.W, init.W)
-
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         p_true = CFParams(0.1, rng.normal(0, 1.0, 4), rng.normal(0, 0.5, (4, 1)))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import reference_load_ratings
+from helpers import random_latent_model, reference_load_ratings
 from osmrank.combinatorics import OrderedPartition
 from osmrank.core import from_graded_ratings, worth_features
 from osmrank.learning import CFParams, cf_latent_model
@@ -299,6 +299,16 @@ class TestLoadRatingsAgainstReference:
         assert sum(len(line) + 1 for line, _ in corpus[:7000]) > 2 << 16
         self.check(path, "movielens_dcolon", self.write(path, corpus))
 
+    def test_ids_outside_int64_are_malformed(self, tmp_path):
+        # Python's int takes any size, numpy's int64 does not: such a line is
+        # malformed and named by its line number in the file
+        path = tmp_path / "r.dat"
+        corpus = [(f"{n}::{n % 50}::3.0", None) for n in range(1, 1300)]
+        corpus[1199] = ("9223372036854775808::28::3.0::1", "rejected")
+        corpus += [("19::-9223372036854775809::3.0", "rejected"),
+                   ("9223372036854775807::-9223372036854775808::3.0", None)]
+        self.check(path, "movielens_dcolon", self.write(path, corpus))
+
     def test_well_formed_file(self, tmp_path):
         rng = random.Random(5)
         path = tmp_path / "r.dat"
@@ -559,17 +569,28 @@ class TestCompleteRank:
         m = cf_latent_model(p)
         seen = OrderedPartition(((0, 1), (2,)), 5)
         fast = complete_rank(seen, [3, 4], m)
-        # generic path via tabulated potentials
-        from osmrank.latent import LatentModel
+        # the pair-sum definition on tabulated potentials:
+        # score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)]
+        from osmrank.latent import LatentModel, hidden_posterior
         from osmrank.core import MatrixPairModel
 
         mats = LatentModel(
             MatrixPairModel(*m.base.tables()),
             [MatrixPairModel(*hm.tables()) for hm in m.hidden],
         )
-        slow = complete_rank(seen, [3, 4], mats)
-        assert fast.items == slow.items
-        np.testing.assert_allclose(fast.scores, slow.scores, atol=1e-10)
+        p_seen = hidden_posterior(seen, mats)
+        order = mats.base.order + sum(pk * hm.order for pk, hm in zip(p_seen, mats.hidden))
+        slow = {j: float(order[j, list(seen.objects)].sum()) for j in [3, 4]}
+        assert fast.items == tuple(sorted(slow, key=lambda j: (-slow[j], j)))
+        np.testing.assert_allclose(fast.scores, [slow[j] for j in fast.items], atol=1e-10)
+
+    def test_generic_model_rejected(self):
+        m = random_latent_model(4, 2, seed=3)
+        seen = OrderedPartition(((0,), (1,)), 4)
+        with pytest.raises(ValueError, match="worth-parameterized"):
+            complete_rank(seen, [2, 3], m)
+        with pytest.raises(ValueError, match="worth-parameterized"):
+            reconstruct_rank(np.zeros(2), [2, 3], m)
 
 
 class TestReconstructRank:
@@ -655,6 +676,11 @@ class TestParseMetric:
         assert parse_metric("err")([[5, 1]])[0] > 0
         with pytest.raises(ValueError):
             parse_metric("precision")
+
+    @pytest.mark.parametrize("name", ["ndcg@x", "ndcg@", "ndcg@0"])
+    def test_bad_truncation_names_the_metric(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"metric {name!r}: ")):
+            parse_metric(name)
 
 
 class TestBatchedEvaluation:
