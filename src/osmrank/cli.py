@@ -25,7 +25,7 @@ from .combinatorics import (
 )
 from .core import uniform_pair_model
 from .latent import gibbs_mh_step
-from .learning import TrainConfig, cf_latent_model, load_checkpoint, save_checkpoint, train
+from .learning import TrainConfig, cf_latent_model, load_checkpoint, save_checkpoint, train, trainable_users
 from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
 from .pipeline import (
     SplitSpec,
@@ -110,6 +110,7 @@ def cmd_train(args) -> int:
     parts = user_partitions(train_ds)
     if not parts:
         raise ValueError("no users left after filtering and splitting")
+    users = trainable_users(parts.values())  # fail before the log is opened
     cfg = TrainConfig(
         learning_rate=args.lr,
         block_size=args.block,
@@ -130,7 +131,7 @@ def cmd_train(args) -> int:
                 file=log_fh,
             )
 
-        params = train(list(parts.values()), cfg, callback=log_block)
+        params = train(users, cfg, callback=log_block)
     save_checkpoint(args.out, params)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Sequence
 
 __all__ = [
     "OrderedPartition",
@@ -36,7 +36,7 @@ class EnumerationCapError(ValueError):
     """Raised when an exact enumeration would exceed its configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedPartition:
     """An ordered sequence of disjoint non-empty blocks of object indices.
 
@@ -49,6 +49,11 @@ class OrderedPartition:
 
     blocks: tuple[tuple[int, ...], ...]
     n_objects: int
+    # ``core.worth_features(self)``, filled in on its first call; not part of
+    # the value.  Three slots, not one tuple: training keeps thousands alive.
+    _feature_pairs: int = field(default=0, init=False, repr=False, compare=False)
+    _feature_items: Any = field(default=None, init=False, repr=False, compare=False)
+    _feature_coef: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[int] = set()

@@ -144,12 +144,16 @@ class WorthPairModel(PairPotentialModel):
         # a running sum in block order; seeded AIS outputs depend on its rounding
         return self.nu * pairs + sum((self.worth[items] * coef).tolist())
 
+    def worths_at(self, objects: np.ndarray) -> np.ndarray:
+        """The worths at the index array ``objects``."""
+        return self.worth[objects]
+
     def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
         """Closed form of the pair sum: each (a, b) in A x B contributes
         (w_a - w_b) / 2 - nu, so the ratio is (|B| sum_A w - |A| sum_B w) / 2
         - nu |A||B|.  The worths of ``objects`` are gathered once, here."""
         objects = list(objects)
-        w = dict(zip(objects, self.worth[objects].tolist())).__getitem__
+        w = dict(zip(objects, self.worths_at(np.array(objects, dtype=np.intp)).tolist())).__getitem__
         nu = self.nu
 
         def ratio(A: Sequence[int], B: Sequence[int]) -> float:
@@ -245,7 +249,19 @@ def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
     partition's objects in block order and ``c`` their coefficients,
     c = 0.5 * (within-block pairs touching the item) + (objects ranked
     below it), so that log Omega(X) = nu * m + sum(c * w[items]).
+
+    Computed once per partition object and kept on it (partitions are
+    frozen); both arrays are read-only.
     """
+    if X._feature_items is None:
+        pairs, items, coef = _compute_worth_features(X)
+        object.__setattr__(X, "_feature_pairs", pairs)
+        object.__setattr__(X, "_feature_items", items)
+        object.__setattr__(X, "_feature_coef", coef)
+    return X._feature_pairs, X._feature_items, X._feature_coef
+
+
+def _compute_worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
     m = 0
     items: list[int] = []
     c: list[float] = []
@@ -256,7 +272,9 @@ def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
         m += size * (size - 1) // 2
         items.extend(block)
         c.extend([0.5 * (size - 1) + below] * size)
-    return m, np.array(items, dtype=int), np.array(c, dtype=float)
+    items_arr, c_arr = np.array(items, dtype=int), np.array(c, dtype=float)
+    items_arr.flags.writeable = c_arr.flags.writeable = False
+    return m, items_arr, c_arr
 
 
 def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:

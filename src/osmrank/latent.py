@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,9 +104,33 @@ class WorthLatentModel(LatentModel):
         return self.nu * pairs + coef @ self.W[items]
 
     def effective(self, active: Sequence[int]) -> WorthPairModel:
-        nu = self.nu + sum(self.nu for _ in active)
-        worth = self.u + sum(self.W[:, k] for k in active)
-        return WorthPairModel(nu, worth)
+        """``WorthPairModel(nu + nu |active|, u + sum_{k in active} W[:, k])``,
+        summed only at the objects a sweep touches (see ``_EffectiveWorthModel``)."""
+        return _EffectiveWorthModel(self.nu + sum(self.nu for _ in active), self.u, self.W, active)
+
+
+class _EffectiveWorthModel(WorthPairModel):
+    """A worth model whose worths are ``u + (W[:, k1] + W[:, k2] + ...)``
+    over the active units, in that grouping.
+
+    ``worths_at(objects)`` sums them at ``objects`` alone, so a split-merge
+    sweep over a user's objects costs O(|objects| * |active|) whatever the
+    catalog size; the catalog-length ``worth`` is built on first read
+    (``log_weight``, ``tables``, ``scaled``).  The parameters were checked
+    by ``WorthLatentModel``.
+    """
+
+    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray, active: Sequence[int]):
+        self.nu, self._u, self._W, self._active = nu, u, W, tuple(active)
+        self.n_objects = u.shape[0]
+
+    @cached_property
+    def worth(self) -> np.ndarray:
+        return self._u + sum(self._W[:, k] for k in self._active)
+
+    def worths_at(self, objects: np.ndarray) -> np.ndarray:
+        W = self._W[objects]
+        return self._u[objects] + sum(W[:, k] for k in self._active)
 
 
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:

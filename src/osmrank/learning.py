@@ -10,6 +10,7 @@ likelihoods at small sizes.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ __all__ = [
     "exact_log_likelihood",
     "sample_partitions_exact",
     "pairwise_disagreement",
+    "trainable_users",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -106,8 +108,13 @@ class TrainConfig:
     init_scale: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # the bounds of train's --lr and --l2 flags; inf and nan fail too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a finite number > 0")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be a finite number >= 0")
+        if not 0.0 <= self.init_scale < math.inf:
+            raise ValueError("init_scale must be a finite number >= 0")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.chain_steps_per_update < 1:
@@ -130,16 +137,27 @@ def cf_latent_model(p: CFParams) -> WorthLatentModel:
 def _accumulate(
     entries: Iterable[tuple[OrderedPartition, np.ndarray]], n_items: int, n_hidden: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed partials of log joint weight w.r.t. (nu, u, W) over (X, h) pairs."""
+    """Summed partials of log joint weight w.r.t. (nu, u, W) over (X, h) pairs.
+
+    One scatter-add each for u and W over the entries' concatenated items.
+    An entry's items are distinct, so every coordinate receives its
+    additions in entry order, as from a loop over the entries; d_nu is a
+    left fold in entry order.
+    """
+    entries = list(entries)
+    features = [worth_features(X) for X, _ in entries]
+    H = np.array([h for _, h in entries], dtype=float).reshape(len(entries), n_hidden)
     d_nu = 0.0
+    for (pairs, _, _), h_sum in zip(features, H.sum(axis=1).tolist()):
+        d_nu += pairs * (1.0 + h_sum)
     d_u = np.zeros(n_items)
     d_W = np.zeros((n_items, n_hidden))
-    for X, h in entries:
-        h = np.asarray(h, dtype=float)
-        pairs, items, coef = worth_features(X)
-        d_nu += pairs * (1.0 + h.sum())
-        d_u[items] += coef
-        d_W[items] += np.outer(coef, h)
+    if entries:
+        items = np.concatenate([f[1] for f in features])
+        coef = np.concatenate([f[2] for f in features])
+        rows = np.repeat(np.arange(len(entries)), [len(f[1]) for f in features])
+        np.add.at(d_u, items, coef)
+        np.add.at(d_W, items, coef[:, None] * H[rows])
     return d_nu, d_u, d_W
 
 
@@ -284,22 +302,68 @@ def sample_partitions_exact(
 
 def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) -> float:
     """Portion of object pairs whose relation (tie / above / below) differs."""
-    ra = sample.block_of()
-    rb = observed.block_of()
-    if set(ra) != set(rb):
+    objects = sample.objects
+    if objects != observed.objects:
         raise ValueError("partitions must cover the same objects")
-    objs = sorted(ra)
-    if len(objs) < 2:
-        return 0.0
-    mismatches = 0
-    total = 0
-    for a_idx, i in enumerate(objs):
-        for j in objs[a_idx + 1 :]:
-            total += 1
-            rel_a = (ra[i] > ra[j]) - (ra[i] < ra[j])
-            rel_b = (rb[i] > rb[j]) - (rb[i] < rb[j])
-            mismatches += rel_a != rel_b
-    return mismatches / total
+    width = len(objects)
+    return float(_disagreements(_rank_rows([sample], width), _rank_rows([observed], width))[0])
+
+
+def _rank_rows(partitions: Sequence[OrderedPartition], width: int) -> np.ndarray:
+    """One row per partition: the block rank of each of its objects, in
+    ascending object order, padded with -1 to ``width`` columns.
+
+    Ranks count blocks across all the partitions, so only comparisons
+    within a row are meaningful.
+    """
+    block_items = [worth_features(X)[1] for X in partitions]  # objects in block order
+    counts = [len(items) for items in block_items]
+    sizes = [len(b) for X in partitions for b in X.blocks]
+    items = np.concatenate(block_items)
+    ranks = np.repeat(np.arange(len(sizes)), sizes)
+    rows = np.repeat(np.arange(len(partitions)), counts)
+    starts = np.cumsum(counts) - counts
+    out = np.full((len(partitions), width), -1, dtype=np.int64)
+    out[rows, np.arange(len(items)) - starts[rows]] = ranks[np.lexsort((items, rows))]
+    return out
+
+
+_DISAGREEMENT_CELLS = 1 << 20  # bounds the (rows, width, width) sign arrays of one pass
+
+
+def _disagreements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pairwise_disagreement`` of each row pair of two ``_rank_rows`` arrays
+    over the same objects.
+
+    Padding ranks below every rank in both arrays, so padded pairs never
+    disagree.  Each value is one division of two integer counts, so it is
+    the correctly rounded fraction.
+    """
+    n_objects = (a >= 0).sum(axis=1)
+    pairs = n_objects * (n_objects - 1) // 2
+    mismatches = np.zeros(len(a), dtype=np.int64)
+    step = max(1, _DISAGREEMENT_CELLS // max(1, a.shape[1] ** 2))
+    for lo in range(0, len(a), step):
+        ra, rb = a[lo : lo + step], b[lo : lo + step]
+        differ = np.sign(ra[:, :, None] - ra[:, None, :]) != np.sign(rb[:, :, None] - rb[:, None, :])
+        mismatches[lo : lo + step] = differ.sum(axis=(1, 2)) // 2  # each pair counted twice
+    return np.divide(mismatches, pairs, out=np.zeros(len(a)), where=pairs > 0)
+
+
+def trainable_users(data: Iterable[OrderedPartition]) -> list[OrderedPartition]:
+    """The users ``train`` fits: those with at least 2 items, warning about
+    the others.  Raises ``ValueError`` when none is left or they index
+    different item catalogs, so a caller can check before writing anything."""
+    data = list(data)
+    usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
+    if len(usable) < len(data):
+        warnings.warn(f"skipped {len(data) - len(usable)} degenerate users with fewer than 2 items")
+    if not usable:
+        raise ValueError("no trainable users")
+    n_items = usable[0].n_objects
+    if any(X.n_objects != n_items for X in usable):
+        raise ValueError("all user partitions must index the same item catalog")
+    return usable
 
 
 def train(
@@ -317,20 +381,15 @@ def train(
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
     rng = random.Random(cfg.seed)
-    usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
-    skipped = len(data) - len(usable)
-    if skipped:
-        warnings.warn(f"skipped {skipped} degenerate users with fewer than 2 items")
-    if not usable:
-        raise ValueError("no trainable users")
+    usable = trainable_users(data)
     n_items = usable[0].n_objects
-    if any(X.n_objects != n_items for X in usable):
-        raise ValueError("all user partitions must index the same item catalog")
 
     np_rng = np.random.default_rng(rng.randrange(2**63))
     params = CFParams.random_init(n_items, cfg.n_hidden, np_rng, cfg.init_scale)
 
     chains = list(usable)
+    width = max(sum(map(len, X.blocks)) for X in usable)
+    observed_ranks = _rank_rows(usable, width)
 
     n_users = len(usable)
     block_counter = 0
@@ -342,7 +401,6 @@ def train(
             model = cf_latent_model(params)
             observed = []
             samples = []
-            disagreement = 0.0
             for ui in block:
                 X_obs = usable[ui]
                 observed.append((X_obs, hidden_posterior(X_obs, model)))
@@ -351,7 +409,10 @@ def train(
                     X_c, h_c = gibbs_mh_step(X_c, model, rng)
                 chains[ui] = X_c
                 samples.append((X_c, h_c))
-                disagreement += pairwise_disagreement(X_c, X_obs)
+            disagreement = 0.0
+            chain_ranks = _rank_rows([X for X, _ in samples], width)
+            for value in _disagreements(chain_ranks, observed_ranks[block]).tolist():
+                disagreement += value  # summed in block order; the log prints its rounding
             grad = estimate_gradient(observed, samples, n_items, cfg.n_hidden)
             if cfg.l2:
                 grad.d_u -= cfg.l2 * params.u

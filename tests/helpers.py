@@ -106,3 +106,124 @@ def reference_load_ratings(path: str, fmt: str = "movielens_dcolon", fourth_fiel
                 continue
             records[lineno] = record
     return records, bad
+
+
+def reference_worth_features(X):
+    """``worth_features`` from its definition, for a fresh computation: per
+    object in block order, half its within-block ties plus the objects
+    ranked below it."""
+    items, coef = [], []
+    below = sum(len(b) for b in X.blocks)
+    for block in X.blocks:
+        below -= len(block)
+        for x in block:
+            items.append(x)
+            coef.append(0.5 * (len(block) - 1) + below)
+    pairs = sum(len(b) * (len(b) - 1) // 2 for b in X.blocks)
+    return pairs, np.array(items, dtype=int), np.array(coef, dtype=float)
+
+
+def reference_accumulate(entries, n_items: int, n_hidden: int):
+    """The per-entry loop ``learning._accumulate`` replaced, kept as an
+    oracle: summed partials of the log joint weight over (X, h) pairs."""
+    d_nu = 0.0
+    d_u = np.zeros(n_items)
+    d_W = np.zeros((n_items, n_hidden))
+    for X, h in entries:
+        h = np.asarray(h, dtype=float)
+        pairs, items, coef = reference_worth_features(X)
+        d_nu += pairs * (1.0 + h.sum())
+        d_u[items] += coef
+        d_W[items] += np.outer(coef, h)
+    return d_nu, d_u, d_W
+
+
+def reference_disagreement(sample, observed) -> float:
+    """The pair loop ``pairwise_disagreement`` replaced, kept as an oracle."""
+    ra = sample.block_of()
+    rb = observed.block_of()
+    if set(ra) != set(rb):
+        raise ValueError("partitions must cover the same objects")
+    objs = sorted(ra)
+    if len(objs) < 2:
+        return 0.0
+    mismatches = 0
+    total = 0
+    for a_idx, i in enumerate(objs):
+        for j in objs[a_idx + 1 :]:
+            total += 1
+            rel_a = (ra[i] > ra[j]) - (ra[i] < ra[j])
+            rel_b = (rb[i] > rb[j]) - (rb[i] < rb[j])
+            mismatches += rel_a != rel_b
+    return mismatches / total
+
+
+def reference_effective_model(m, active):
+    """A worth latent model's effective model over the whole catalog:
+    ``WorthPairModel(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...))``."""
+    from osmrank.core import WorthPairModel
+
+    return WorthPairModel(m.nu + sum(m.nu for _ in active), m.u + sum(m.W[:, k] for k in active))
+
+
+def reference_gibbs_step(X, m, rng):
+    """``gibbs_mh_step`` on the full-catalog effective model."""
+    from osmrank.latent import sample_hidden
+    from osmrank.sampler import advance_partition
+
+    h = sample_hidden(m.log_omegas(X), rng)
+    active = [k for k, hk in enumerate(h.tolist()) if hk]
+    eff = reference_effective_model(m, active) if active else m.base
+    return advance_partition(X, eff, rng, sum(len(b) for b in X.blocks)), h
+
+
+def reference_train(data, cfg, callback=None):
+    """``train`` as a per-user loop: per-entry gradient statistics, the
+    pair-loop disagreement and full-catalog effective models, on the same
+    draws."""
+    import random
+
+    from osmrank.latent import hidden_posterior
+    from osmrank.learning import CFParams, cf_latent_model
+
+    rng = random.Random(cfg.seed)
+    usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
+    n_items, n_hidden = usable[0].n_objects, cfg.n_hidden
+    np_rng = np.random.default_rng(rng.randrange(2**63))
+    params = CFParams.random_init(n_items, n_hidden, np_rng, cfg.init_scale)
+    chains = list(usable)
+    block_counter = 0
+    for epoch in range(cfg.epochs):
+        order = list(range(len(usable)))
+        rng.shuffle(order)
+        for start in range(0, len(usable), cfg.block_size):
+            block = order[start : start + cfg.block_size]
+            model = cf_latent_model(params)
+            observed, samples = [], []
+            disagreement = 0.0
+            for ui in block:
+                X_obs = usable[ui]
+                observed.append((X_obs, hidden_posterior(X_obs, model)))
+                X_c = chains[ui]
+                for _ in range(cfg.chain_steps_per_update):
+                    X_c, h_c = reference_gibbs_step(X_c, model, rng)
+                chains[ui] = X_c
+                samples.append((X_c, h_c))
+                disagreement += reference_disagreement(X_c, X_obs)
+            obs_nu, obs_u, obs_W = reference_accumulate(observed, n_items, n_hidden)
+            mod_nu, mod_u, mod_W = reference_accumulate(samples, n_items, n_hidden)
+            n = len(block)
+            d_nu, d_u, d_W = obs_nu / n - mod_nu / n, obs_u / n - mod_u / n, obs_W / n - mod_W / n
+            if cfg.l2:
+                d_u -= cfg.l2 * params.u
+                d_W -= cfg.l2 * params.W
+            params = CFParams(
+                params.nu + cfg.learning_rate * d_nu,
+                params.u + cfg.learning_rate * d_u,
+                params.W + cfg.learning_rate * d_W,
+            )
+            block_counter += 1
+            if callback is not None:
+                callback({"epoch": epoch, "block": block_counter, "n_users": n,
+                          "disagreement": disagreement / n, "params": params.copy()})
+    return params

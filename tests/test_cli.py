@@ -447,6 +447,16 @@ class TestEvalOutput:
         assert not any(path.exists() for path in outs.values())
 
 
+class TestTrainOutput:
+    def test_no_trainable_users_writes_nothing(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        log, ck = tmp_path / "t.log", tmp_path / "m.ck"
+        assert main(["train", "--data", data, "--n-train", "1", "--min-ratings", "11",
+                     "--out", str(ck), "--log", str(log)]) == 2
+        assert "no trainable users" in capsys.readouterr().err
+        assert not log.exists() and not ck.exists()
+
+
 class TestNonFiniteRatings:
     """A NaN rating or a non-finite scale bound is a data error (exit 2) with
     one line, not an IndexError traceback from the entropy filter."""

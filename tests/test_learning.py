@@ -315,6 +315,9 @@ class TestPairwiseDisagreement:
 class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("n_hidden", -1), ("chain_steps_per_update", 0),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
+        ("init_scale", -1.0), ("init_scale", math.inf),
     ])
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -360,6 +363,47 @@ class TestTrain:
         for rec in records:
             assert 0.0 <= rec["disagreement"] <= 1.0
             assert rec["n_users"] == 3
+
+
+def _bits(p: CFParams) -> bytes:
+    return np.float64(p.nu).tobytes() + p.u.tobytes() + p.W.tobytes()
+
+
+class TestTrainMatchesReference:
+    """``train`` batches each block's statistics, computes disagreement from
+    rank arrays and sums effective worths at the chain's objects only; the
+    per-user loop with the per-entry accumulator, the pair loop and
+    full-catalog effective models gives the same bits."""
+
+    @staticmethod
+    def users(n_items=12, n_users=14, seed=0):
+        rng = random.Random(seed)
+        data = []
+        for u in range(n_users):
+            size = 2 if u == 3 else rng.randint(2, 9)  # a 2-item user: its rank rows are padded
+            items = rng.sample(range(n_items), size)
+            labels = [rng.randrange(size) for _ in items]
+            blocks = [[x for x, b in zip(items, labels) if b == t] for t in sorted(set(labels))]
+            data.append(OrderedPartition.from_blocks(blocks, n_items))
+        return data
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    @pytest.mark.parametrize("chain_steps", [1, 2])
+    @pytest.mark.parametrize("block_size", [1, 7, 50])
+    @pytest.mark.parametrize("n_hidden", [0, 3])
+    def test_bitwise(self, n_hidden, block_size, chain_steps, l2):
+        from helpers import reference_train
+
+        cfg = TrainConfig(learning_rate=0.05, block_size=block_size, chain_steps_per_update=chain_steps,
+                          epochs=2, n_hidden=n_hidden, seed=11, l2=l2, init_scale=0.3)
+        got, want = [], []
+        params = train(self.users(), cfg, callback=got.append)
+        expected = reference_train(self.users(), cfg, callback=want.append)
+        assert _bits(params) == _bits(expected)
+        assert len(got) == len(want) == 2 * math.ceil(14 / block_size)
+        for a, b in zip(got, want):
+            assert {k: v for k, v in a.items() if k != "params"} == {k: v for k, v in b.items() if k != "params"}
+            assert _bits(a["params"]) == _bits(b["params"])
 
 
 class TestCheckpoint:

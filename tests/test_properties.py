@@ -1,4 +1,5 @@
-"""Property-based checks of the worth latent model against its definitions."""
+"""Property-based checks of the worth latent model and the training
+statistics against their definitions and the per-entry oracles."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import (
+    reference_accumulate,
+    reference_disagreement,
+    reference_effective_model,
+    reference_worth_features,
+)
 from osmrank.combinatorics import OrderedPartition
-from osmrank.core import MatrixPairModel, log_weight
+from osmrank.core import MatrixPairModel, log_weight, worth_features
 from osmrank.latent import (
     LatentModel,
     WorthLatentModel,
@@ -15,6 +22,7 @@ from osmrank.latent import (
     hidden_posterior,
     log_joint_weight,
 )
+from osmrank.learning import _accumulate, _disagreements, _rank_rows, pairwise_disagreement
 from osmrank.pipeline import complete_rank
 
 worths = st.floats(-3.0, 3.0, allow_nan=False)
@@ -57,3 +65,84 @@ def test_worth_latent_model_matches_its_definitions(case):
     assert sorted(ranking.items) == sorted(unseen)
     for j, score in zip(ranking.items, ranking.scores):
         assert score == pytest.approx(order[j, seen].sum(), **close)
+
+
+@st.composite
+def partitions(draw, n, objects=None):
+    """An ordered partition of ``objects`` (default: a drawn subset of
+    range(n), possibly empty) in a catalog of n objects."""
+    if objects is None:
+        objects = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    labels = draw(st.lists(st.integers(0, max(0, len(objects) - 1)), min_size=len(objects),
+                           max_size=len(objects)))
+    blocks = [[x for x, b in zip(objects, labels) if b == t] for t in sorted(set(labels))]
+    return OrderedPartition.from_blocks(blocks, n)
+
+
+@st.composite
+def accumulate_cases(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 12))  # past 8 units, h.sum() is numpy's pairwise sum
+    binary = draw(st.booleans())
+    h = st.integers(0, 1) if binary else st.floats(-2.0, 2.0, allow_nan=False)
+    entries = draw(st.lists(st.tuples(partitions(n), st.lists(h, min_size=k, max_size=k)), max_size=8))
+    return n, k, [(X, np.array(hs, dtype=np.int8 if binary else float)) for X, hs in entries]
+
+
+@given(accumulate_cases())
+def test_batched_accumulate_is_the_per_entry_loop(case):
+    n, k, entries = case
+    d_nu, d_u, d_W = _accumulate(entries, n, k)
+    r_nu, r_u, r_W = reference_accumulate(entries, n, k)
+    assert np.float64(d_nu).tobytes() == np.float64(r_nu).tobytes()
+    assert d_u.tobytes() == r_u.tobytes()
+    assert d_W.tobytes() == r_W.tobytes()
+
+
+@st.composite
+def partition_pairs(draw):
+    """Row pairs of partitions over the same objects, of mixed sizes."""
+    n = draw(st.integers(1, 12))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(partitions(n))
+        objects = draw(st.permutations(list(a.objects)))
+        pairs.append((a, draw(partitions(n, objects))))
+    return pairs
+
+
+@given(partition_pairs(), st.integers(0, 3))
+def test_batched_disagreement_is_the_pair_loop(pairs, extra_width):
+    width = max(len(a.objects) for a, _ in pairs) + extra_width
+    rows = _disagreements(_rank_rows([a for a, _ in pairs], width), _rank_rows([b for _, b in pairs], width))
+    assert rows.tolist() == [reference_disagreement(a, b) for a, b in pairs]
+    assert [pairwise_disagreement(a, b) for a, b in pairs] == rows.tolist()
+
+
+@given(st.integers(2, 12), st.integers(0, 8), st.integers(0, 2**32 - 1), st.data())
+def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
+    # normal draws use every bit, so a change of summation grouping shows
+    rng = np.random.default_rng(seed)
+    m = WorthLatentModel(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
+    active = sorted(data.draw(st.sets(st.integers(0, k - 1))) if k else [])
+    eff, full = m.effective(active), reference_effective_model(m, active)
+    objects = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))
+    cut = data.draw(st.integers(1, len(objects) - 1))
+    A, B = objects[:cut], objects[cut:]
+    index = np.array(objects)
+    assert eff.worths_at(index).tobytes() == full.worths_at(index).tobytes()
+    assert np.float64(eff.split_ratio(objects)(A, B)).tobytes() == np.float64(full.split_ratio(objects)(A, B)).tobytes()
+    assert eff.worth.tobytes() == full.worth.tobytes()
+
+
+@given(st.integers(1, 12).flatmap(partitions))
+def test_memoized_features_are_read_only_and_fresh(X):
+    pairs, items, coef = worth_features(X)
+    r_pairs, r_items, r_coef = reference_worth_features(X)
+    assert pairs == r_pairs
+    assert items.dtype == r_items.dtype and items.tolist() == r_items.tolist()
+    assert coef.dtype == r_coef.dtype and coef.tolist() == r_coef.tolist()
+    assert not items.flags.writeable and not coef.flags.writeable
+    assert worth_features(X)[1] is items  # computed once per partition
+    again = worth_features(OrderedPartition(X.blocks, X.n_objects))
+    assert again[1] is not items and again[1].tolist() == items.tolist()
