@@ -349,6 +349,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "uniform", False) and args.n is None:
         parser.error(f"{args.command} --uniform requires --n")
+    if args.command == "oracle" and not (args.count or args.enumerate or args.exact_z or args.marginals):
+        parser.error("oracle needs one of --count, --enumerate, --exact-z, --marginals")
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"osmrank: warning: {message}\n"
     try:

@@ -68,6 +68,21 @@ class OrderedPartition:
                 seen.add(x)
 
     @staticmethod
+    def _unchecked(blocks: tuple[tuple[int, ...], ...], n_objects: int) -> "OrderedPartition":
+        """``OrderedPartition(blocks, n_objects)`` without the checks of
+        ``__post_init__``, for blocks that are valid by construction (the
+        samplers' and the enumerator's); parsed and user input goes through
+        the checked constructor."""
+        X = object.__new__(OrderedPartition)
+        set_blocks, set_n_objects, set_pairs, set_items, set_coef = _PARTITION_SLOT_SETTERS
+        set_blocks(X, blocks)
+        set_n_objects(X, n_objects)
+        set_pairs(X, 0)
+        set_items(X, None)
+        set_coef(X, None)
+        return X
+
+    @staticmethod
     def from_blocks(blocks: Sequence[Sequence[int]], n_objects: int | None = None) -> "OrderedPartition":
         tup = tuple(tuple(sorted(b)) for b in blocks)
         if n_objects is None:
@@ -92,6 +107,14 @@ class OrderedPartition:
     def block_of(self) -> dict[int, int]:
         """Map object index -> block index."""
         return {x: t for t, block in enumerate(self.blocks) for x in block}
+
+
+# ``_unchecked`` writes the frozen class's slots through their descriptors,
+# as the generated ``__init__`` does through ``object.__setattr__``, but faster.
+_PARTITION_SLOT_SETTERS = tuple(
+    getattr(OrderedPartition, name).__set__
+    for name in ("blocks", "n_objects", "_feature_pairs", "_feature_items", "_feature_coef")
+)
 
 
 def stirling2(n: int, t: int) -> int:
@@ -166,7 +189,7 @@ def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
                 yield (top,) + tail
 
     for blocks in rec(tuple(range(n))):
-        yield OrderedPartition(blocks, n)
+        yield OrderedPartition._unchecked(blocks, n)
 
 
 def sample_uniform_ordered_partition(n: int, rng: random.Random) -> OrderedPartition:
@@ -194,7 +217,7 @@ def sample_uniform_ordered_partition(n: int, rng: random.Random) -> OrderedParti
         blocks.append(tuple(members))
         member_set = set(members)
         remaining = [x for x in remaining if x not in member_set]
-    return OrderedPartition(tuple(blocks), n)
+    return OrderedPartition._unchecked(tuple(blocks), n)
 
 
 def format_partition(X: OrderedPartition) -> str:

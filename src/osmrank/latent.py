@@ -135,7 +135,7 @@ class _EffectiveWorthModel(WorthPairModel):
 
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
-    return np.array([sigmoid(lo) for lo in m.log_omegas(X)])
+    return np.array([sigmoid(lo) for lo in m.log_omegas(X).tolist()])
 
 
 def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
@@ -159,8 +159,9 @@ def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
 def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.0) -> np.ndarray:
     """Exact draw of h | X from the unit weights ``logom = m.log_omegas(X)``;
     at temperature tau the conditional is Bernoulli(sigmoid(tau * log Omega_k(X)))."""
+    temperature = float(temperature)  # AIS passes a rung of its numpy ladder
     return np.array(
-        [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom], dtype=np.int8
+        [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom.tolist()], dtype=np.int8
     )
 
 

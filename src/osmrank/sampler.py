@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -198,6 +199,9 @@ def _single_move(
     return X, kind, False
 
 
+_LOG = [-math.inf]  # _LOG[i] == math.log(i); advance_partition grows it to its object count + 1
+
+
 def advance_partition(
     X: OrderedPartition,
     m: PairPotentialModel,
@@ -207,23 +211,40 @@ def advance_partition(
 ) -> OrderedPartition:
     """Apply ``steps`` MH transitions, counting them into ``stats`` if given.
 
-    The chain is held as a mutable list of sorted blocks plus the count of
-    splittable (non-singleton) blocks, so a move touches only the blocks it
-    splits or merges.  ``rng`` is drawn in exactly the order of
-    ``_single_move``; the local weight ratio comes from
-    ``m.split_ratio``, and a merge's is the negated split ratio of the two
-    blocks.  One ``OrderedPartition`` is built on return, and none when no
-    move was accepted.
+    The chain is held as a mutable list of sorted blocks plus ``big``, the
+    ascending positions of the splittable (non-singleton) blocks: a split
+    proposal picks ``big[r]`` directly, and an accepted move rewrites
+    ``big`` from the changed position on, so no move scans the blocks.
+
+    ``rng`` is a ``random.Random``, drawn in exactly the order of
+    ``_single_move``.  Its ``randrange(k)`` and ``sample(block, 2)`` are
+    inlined as CPython makes them (the ``getrandbits(k.bit_length())``
+    rejection loop of ``_randbelow_with_getrandbits``; ``sample``'s pool
+    path for blocks of at most 21 objects and its set path above), so the
+    trajectory and the RNG state equal the reference kernel's.  The
+    Hastings terms are those of ``_split_log_q_ratio`` and
+    ``_merge_log_q_ratio``, in the same order, read from a table of
+    ``math.log(i)``.  The local weight ratio comes from ``m.split_ratio``,
+    and a merge's is the negated split ratio of the two blocks.  One
+    ``OrderedPartition`` is built on return, unchecked since it is valid by
+    construction, and none when no move was accepted.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     blocks = [list(b) for b in X.blocks]
-    n_split = sum(1 for b in blocks if len(b) > 1)
-    ratio = m.split_ratio([x for b in blocks for x in b])
-    uniform, randrange, sample, exp = rng.random, rng.randrange, rng.sample, math.exp
+    big = [t for t, b in enumerate(blocks) if len(b) > 1]
+    objects = [x for b in blocks for x in b]
+    ratio = m.split_ratio(objects)
+    global _LOG
+    LOG = _LOG
+    if len(LOG) <= len(objects):  # a new list, not an extended one: a chain never sees a table change
+        LOG = _LOG = [-math.inf, *map(math.log, range(1, len(objects) + 1))]
+    log, exp = math.log, math.exp
+    uniform, getrandbits = rng.random, rng.getrandbits
     split_proposed = split_accepted = merge_proposed = merge_accepted = no_move = 0
     for _ in range(steps):
         T = len(blocks)
+        n_split = len(big)
         if n_split and T > 1:
             split = uniform() < 0.5
             log_q_kind_fwd = LOG_HALF
@@ -236,14 +257,32 @@ def advance_partition(
 
         if split:
             split_proposed += 1
-            r = randrange(n_split)
-            for t, block in enumerate(blocks):
-                if len(block) > 1:
-                    if not r:
-                        break
-                    r -= 1
+            k = n_split.bit_length()  # r = randrange(n_split)
+            r = getrandbits(k)
+            while r >= n_split:
+                r = getrandbits(k)
+            t = big[r]
+            block = blocks[t]
             nt = len(block)
-            first, second = sample(block, 2)
+            k = nt.bit_length()  # first, second = sample(block, 2)
+            i = getrandbits(k)
+            while i >= nt:
+                i = getrandbits(k)
+            if nt <= 21:  # pool path: the second draw is below nt - 1, and i's slot holds the last object
+                nt1 = nt - 1
+                k = nt1.bit_length()
+                j = getrandbits(k)
+                while j >= nt1:
+                    j = getrandbits(k)
+                if j == i:
+                    j = nt1
+            else:  # set path: redraw below nt until the index differs from i
+                j = i
+                while j == i:
+                    j = getrandbits(k)
+                    while j >= nt:
+                        j = getrandbits(k)
+            first, second = block[i], block[j]
             upper, lower = [first], [second]
             for x in block:
                 if x != first and x != second:
@@ -253,29 +292,37 @@ def advance_partition(
             na, nb = len(upper), len(lower)
             log_accept = (
                 ratio(upper, lower)
-                + _split_log_q_ratio(n_split, nt, T, na * nb)
+                + (LOG[n_split] + LOG[nt] + LOG[nt - 1] + (nt - 2) * LOG2 - LOG[T] - log(na * nb))
                 + (LOG_HALF if nt > 2 or n_split > 1 else 0.0)
                 - log_q_kind_fwd
             )
             if log_accept >= 0.0 or uniform() < exp(log_accept):
                 blocks[t : t + 1] = [upper, lower]
-                n_split += (na > 1) + (nb > 1) - 1
+                head = [t] if na > 1 else []
+                if nb > 1:
+                    head.append(t + 1)
+                big[r:] = head + [p + 1 for p in big[r + 1 :]]
                 split_accepted += 1
         else:
             merge_proposed += 1
-            t = randrange(T - 1)
+            k = (T - 1).bit_length()  # t = randrange(T - 1)
+            t = getrandbits(k)
+            while t >= T - 1:
+                t = getrandbits(k)
             b1, b2 = blocks[t], blocks[t + 1]
             n1, n2 = len(b1), len(b2)
+            ns = n1 + n2
             n_split_after = n_split + 1 - (n1 > 1) - (n2 > 1)
             log_accept = (
                 -ratio(b1, b2)
-                + _merge_log_q_ratio(T, n_split_after, n1, n2)
+                + (LOG[T - 1] + log(n1 * n2) - LOG[n_split_after] - LOG[ns] - LOG[ns - 1] - (ns - 2) * LOG2)
                 + (LOG_HALF if T - 1 >= 2 else 0.0)
                 - log_q_kind_fwd
             )
             if log_accept >= 0.0 or uniform() < exp(log_accept):
                 blocks[t : t + 2] = [sorted(b1 + b2)]
-                n_split = n_split_after
+                i = bisect_left(big, t)  # drop the entries for t and t + 1
+                big[i:] = [t] + [p - 1 for p in big[i + (n1 > 1) + (n2 > 1) :]]
                 merge_accepted += 1
 
     if stats is not None:
@@ -286,7 +333,7 @@ def advance_partition(
         stats.no_move_steps += no_move
     if not (split_accepted or merge_accepted):
         return X
-    return OrderedPartition(tuple(map(tuple, blocks)), X.n_objects)
+    return OrderedPartition._unchecked(tuple(map(tuple, blocks)), X.n_objects)
 
 
 def run_chain(

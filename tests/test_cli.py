@@ -119,6 +119,18 @@ class TestOracleCommand:
         seen = {parse_partition(ln, 3).blocks for ln in lines}
         assert len(seen) == 13
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_no_action_is_usage_error(self, with_out, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", "3"] + (["--out", str(out)] if with_out else []))
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 2 and err[0].startswith("usage:")
+        assert "oracle needs one of --count, --enumerate, --exact-z, --marginals" in err[1]
+        assert not out.exists()
+
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["oracle", "--n", "12", "--enumerate"]) == 3
         err = capsys.readouterr().err

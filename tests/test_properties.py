@@ -1,6 +1,9 @@
 """Property-based checks of the worth latent model and the training
 statistics against their definitions and the per-entry oracles."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,17 +16,21 @@ from helpers import (
     reference_effective_model,
     reference_worth_features,
 )
-from osmrank.combinatorics import OrderedPartition
-from osmrank.core import MatrixPairModel, log_weight, worth_features
+from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
+from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, worth_features
 from osmrank.latent import (
     LatentModel,
     WorthLatentModel,
     effective_pair_model,
     hidden_posterior,
     log_joint_weight,
+    sample_hidden,
+    sigmoid,
 )
 from osmrank.learning import _accumulate, _disagreements, _rank_rows, pairwise_disagreement
+from osmrank.partition_function import AISConfig, temperature_ladder
 from osmrank.pipeline import complete_rank
+from osmrank.sampler import advance_partition
 
 worths = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -146,3 +153,67 @@ def test_memoized_features_are_read_only_and_fresh(X):
     assert worth_features(X)[1] is items  # computed once per partition
     again = worth_features(OrderedPartition(X.blocks, X.n_objects))
     assert again[1] is not items and again[1].tolist() == items.tolist()
+
+
+class Replay(random.Random):
+    """A ``random.Random`` whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@given(worth_latent_cases(), st.sampled_from(["linear", "geometric"]), st.integers(2, 50), st.data())
+def test_hidden_unit_loops_are_the_float64_loops(case, schedule, n_temperatures, data):
+    # the loops these replaced ran over the array's np.float64 scalars, at a rung of AIS's numpy ladder
+    m, X, _, _ = case
+    logom = m.log_omegas(X)
+    ref = np.array([sigmoid(lo) for lo in logom])
+    got = hidden_posterior(X, m)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    ladder = temperature_ladder(AISConfig(n_temperatures, 1, schedule))
+    tau = ladder[data.draw(st.integers(0, n_temperatures))]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ref = np.array([1 if ref_rng.random() < sigmoid(tau * lo) else 0 for lo in logom], dtype=np.int8)
+    got = sample_hidden(logom, rng, temperature=tau)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert rng.getstate() == ref_rng.getstate()
+    # uniforms at each unit's old probability and one ulp below pin the new probability bitwise
+    probs = [sigmoid(tau * lo) for lo in logom]
+    assert sample_hidden(logom, Replay(probs), temperature=tau).tolist() == [0] * len(probs)
+    below = [math.nextafter(p, 0.0) for p in probs]
+    assert sample_hidden(logom, Replay(below), temperature=tau).tolist() == [int(p > 0.0) for p in probs]
+
+
+def assert_checked_build_equal(Y):
+    """``Y`` holds sorted tuple blocks, rebuilds through the checked
+    constructor to an equal partition, and has empty feature slots."""
+    assert type(Y.blocks) is tuple
+    assert all(type(b) is tuple and list(b) == sorted(b) for b in Y.blocks)
+    rebuilt = OrderedPartition(Y.blocks, Y.n_objects)
+    assert rebuilt == Y and hash(rebuilt) == hash(Y)
+    assert (Y._feature_pairs, Y._feature_items, Y._feature_coef) == (0, None, None)
+
+
+@given(st.integers(1, 12).flatmap(partitions), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_kernel_and_uniform_outputs_pass_the_checks(X, seed, steps):
+    m = WorthPairModel(-0.5, np.random.default_rng(seed).normal(size=X.n_objects))
+    rng, Y = random.Random(seed), X
+    for _ in range(steps):  # one move per call, so every state the chain visits is checked
+        Y = advance_partition(Y, m, rng, 1)
+        assert_checked_build_equal(Y)
+    assert Y.objects == X.objects
+    U = sample_uniform_ordered_partition(X.n_objects, random.Random(seed))
+    assert_checked_build_equal(U)
+    assert U.covers_universe()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerated_partitions_pass_the_checks(n):
+    for X in enumerate_ordered_partitions(n):
+        assert_checked_build_equal(X)
+        assert X.covers_universe()

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from osmrank import sampler
 from osmrank.combinatorics import (
     OrderedPartition,
     enumerate_ordered_partitions,
@@ -19,9 +20,11 @@ from osmrank.core import (
     uniform_pair_model,
 )
 from osmrank.sampler import (
+    LOG2,
     InfeasibleMoveError,
     MoveStats,
     SamplerConfig,
+    _merge_log_q_ratio,
     _single_move,
     _split_log_q_ratio,
     advance_partition,
@@ -353,13 +356,34 @@ def reference_run(X, m, rng, moves, stats):
     return X
 
 
-KERNEL_MODELS = {  # name -> (model, objects in the chain)
-    "worth-n5": (lambda: worth_model(5, seed=1), 5),
-    "worth-n50": (lambda: worth_model(50, seed=2), 50),
-    "worth-n200": (lambda: worth_model(200, seed=3), 200),
-    "worth-catalog": (lambda: worth_model(30, seed=4), 8),
-    "matrix-n5": (lambda: random_matrix_model(5, seed=5, scale=1.5), 5),
-    "uniform-n6": (lambda: uniform_pair_model(6), 6),
+def uniform_start(m, objects):
+    start = sample_uniform_ordered_partition(len(objects), random.Random(1))
+    return OrderedPartition.from_blocks([[objects[x] for x in b] for b in start.blocks], m.n_objects)
+
+
+def one_block_start(m, objects):
+    # every object tied: sample(block, 2) takes its set path while a block holds over 21 objects
+    return OrderedPartition.from_blocks([objects], m.n_objects)
+
+
+def tempered_start(m, objects):
+    # a uniform start after 20000 moves: like the AIS chains, T >> n_split (~180 blocks, ~20 splittable)
+    return advance_partition(uniform_start(m, objects), m, random.Random(3), 20_000)
+
+
+KERNEL_MODELS = {  # name -> (model, objects in the chain, start)
+    "worth-n5": (lambda: worth_model(5, seed=1), 5, uniform_start),
+    "worth-n50": (lambda: worth_model(50, seed=2), 50, uniform_start),
+    "worth-n200": (lambda: worth_model(200, seed=3), 200, uniform_start),
+    "worth-catalog": (lambda: worth_model(30, seed=4), 8, uniform_start),
+    "matrix-n5": (lambda: random_matrix_model(5, seed=5, scale=1.5), 5, uniform_start),
+    "uniform-n6": (lambda: uniform_pair_model(6), 6, uniform_start),
+    # ties pay nu = 0.33 per pair, so a block of over 21 objects persists through the run
+    "worth-n40-one-block": (
+        lambda: WorthPairModel(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40)), 40, one_block_start),
+    # nu and worths on the scale of the AIS benchmark's checkpoint
+    "worth-n200-tempered": (
+        lambda: WorthPairModel(-1.5, np.random.default_rng(3).normal(0.0, 1.0, 200)), 200, tempered_start),
 }
 
 
@@ -368,13 +392,9 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("name", list(KERNEL_MODELS))
     def test_trajectory_matches_reference(self, name):
-        make, n = KERNEL_MODELS[name]
+        make, n, start = KERNEL_MODELS[name]
         m = make()
-        objects = random.Random(0).sample(range(m.n_objects), n)
-        start = sample_uniform_ordered_partition(n, random.Random(1))
-        X = OrderedPartition.from_blocks(
-            [[objects[x] for x in b] for b in start.blocks], m.n_objects
-        )
+        X = start(m, random.Random(0).sample(range(m.n_objects), n))
         moves, chunk = 100_000, max(n, 10)
         ref_rng, rng = random.Random(2), random.Random(2)
         ref_X, ref_stats, stats = X, MoveStats(), MoveStats()
@@ -404,3 +424,43 @@ class TestArrayKernel:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             advance_partition(P([0, 1]), uniform_pair_model(2), random.Random(0), -1)
+
+    def test_tabulated_hastings_terms_are_bitwise_equal(self):
+        n = 12
+        advance_partition(OrderedPartition.singletons(n), uniform_pair_model(n), random.Random(0), 0)
+        LOG = sampler._LOG
+        assert all(LOG[i] == math.log(i) for i in range(1, len(LOG)))
+        checked = 0
+        # every (T, splittable count, block sizes) a state of at most n objects can have;
+        # the expressions are those of advance_partition
+        for T in range(1, n + 1):
+            for t_split in range(1, T + 1):
+                for nt in range(2, n + 1):
+                    if nt + 2 * (t_split - 1) + (T - t_split) > n:
+                        continue
+                    for a in range(1, nt):
+                        ab = a * (nt - a)
+                        inline = LOG[t_split] + LOG[nt] + LOG[nt - 1] + (nt - 2) * LOG2 - LOG[T] - math.log(ab)
+                        assert inline == _split_log_q_ratio(t_split, nt, T, ab)
+                        checked += 1
+        for T in range(2, n + 1):
+            for t_merge in range(1, T):
+                for n1 in range(1, n):
+                    for n2 in range(1, n - n1 + 1):
+                        ns = n1 + n2
+                        if ns + 2 * (t_merge - 1) + (T - 1 - t_merge) > n:
+                            continue
+                        inline = (LOG[T - 1] + math.log(n1 * n2) - LOG[t_merge] - LOG[ns]
+                                  - LOG[ns - 1] - (ns - 2) * LOG2)
+                        assert inline == _merge_log_q_ratio(T, t_merge, n1, n2)
+                        checked += 1
+        assert checked > 1000
+
+    def test_log_table_grows_to_the_chain_object_count(self):
+        sampler._LOG = sampler._LOG[:2]  # any prefix of the table is valid; the kernel grows it on demand
+        m = worth_model(100, seed=7)
+        X = OrderedPartition.from_blocks([range(30)], 100)  # a 30-object chain over 100 items
+        stats = MoveStats()
+        advance_partition(X, m, random.Random(0), 3000, stats)
+        assert stats.split_accepted and stats.merge_accepted
+        assert len(sampler._LOG) == 30 + 1
