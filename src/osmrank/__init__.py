@@ -31,7 +31,6 @@ from .core import (
 )
 from .latent import (
     LatentModel,
-    WorthLatentModel,
     effective_pair_model,
     gibbs_mh_step,
     hidden_posterior,

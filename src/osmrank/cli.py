@@ -25,7 +25,7 @@ from .combinatorics import (
 )
 from .core import uniform_pair_model
 from .latent import gibbs_mh_step
-from .learning import TrainConfig, cf_latent_model, load_checkpoint, save_checkpoint, train, trainable_users
+from .learning import TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
 from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
 from .pipeline import (
     SplitSpec,
@@ -83,14 +83,13 @@ def _output(path: Optional[str]):
 
 
 def _prepped_split(args):
-    ds = load_ratings(args.data, fmt=args.format, scale=tuple(args.scale))
-    ds = grade_ratings(ds, n_grades=args.grades)
+    ds = grade_ratings(load_ratings(args.data, fmt=args.format), n_grades=args.grades,
+                       scale=tuple(args.scale))
     if not args.keep_all_items:
         ds = entropy_filter(ds)
     min_ratings = args.min_ratings if args.min_ratings else args.n_train + 10
     spec = SplitSpec(n_train=args.n_train, min_ratings=min_ratings, seed=args.seed)
-    train_ds, test_ds = train_test_split(ds, spec)
-    return ds, train_ds, test_ds
+    return train_test_split(ds, spec)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -106,7 +105,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args) -> int:
-    _, train_ds, _ = _prepped_split(args)
+    train_ds, _ = _prepped_split(args)
     parts = user_partitions(train_ds)
     if not parts:
         raise ValueError("no users left after filtering and splitting")
@@ -140,7 +139,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     parse_metrics(metric_names)  # fail before reading the ratings
-    _, train_ds, test_ds = _prepped_split(args)
+    train_ds, test_ds = _prepped_split(args)
     # score every model before writing anything
     reports = []
     for model_path in args.model:
@@ -188,7 +187,7 @@ def cmd_eval(args) -> int:
 def _model_from_flags(args):
     """The --model checkpoint's latent model, or uniform potentials over --n objects."""
     if args.model:
-        return cf_latent_model(load_checkpoint(args.model))
+        return load_checkpoint(args.model)
     return uniform_pair_model(args.n)
 
 

@@ -141,8 +141,12 @@ class WorthPairModel(PairPotentialModel):
 
     def log_weight(self, X: OrderedPartition) -> float:
         pairs, items, coef = worth_features(X)
-        # a running sum in block order; seeded AIS outputs depend on its rounding
-        return self.nu * pairs + sum((self.worth[items] * coef).tolist())
+        # a left fold in block order: seeded AIS outputs depend on its rounding,
+        # and the builtin float sum is compensated from Python 3.12
+        total = 0.0
+        for term in (self.worth[items] * coef).tolist():
+            total += term
+        return self.nu * pairs + total
 
     def worths_at(self, objects: np.ndarray) -> np.ndarray:
         """The worths at the index array ``objects``."""
@@ -151,14 +155,20 @@ class WorthPairModel(PairPotentialModel):
     def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
         """Closed form of the pair sum: each (a, b) in A x B contributes
         (w_a - w_b) / 2 - nu, so the ratio is (|B| sum_A w - |A| sum_B w) / 2
-        - nu |A||B|.  The worths of ``objects`` are gathered once, here."""
+        - nu |A||B|.  The worths of ``objects`` are gathered once, here, and
+        each side is a left fold, as in ``log_weight``."""
         objects = list(objects)
-        w = dict(zip(objects, self.worths_at(np.array(objects, dtype=np.intp)).tolist())).__getitem__
+        w = dict(zip(objects, self.worths_at(np.array(objects, dtype=np.intp)).tolist()))
         nu = self.nu
 
         def ratio(A: Sequence[int], B: Sequence[int]) -> float:
+            sum_a = sum_b = 0.0
+            for a in A:
+                sum_a += w[a]
+            for b in B:
+                sum_b += w[b]
             na, nb = len(A), len(B)
-            return 0.5 * (nb * sum(map(w, A)) - na * sum(map(w, B))) - nu * na * nb
+            return 0.5 * (nb * sum_a - na * sum_b) - nu * na * nb
 
         return ratio
 

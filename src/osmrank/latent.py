@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import PairPotentialModel, WorthPairModel, _unchecked_matrix_model, log_weight, worth_features
+from .core import PairPotentialModel, _unchecked_matrix_model, log_weight
 from .sampler import advance_partition
 
 __all__ = [
     "LatentModel",
-    "WorthLatentModel",
     "hidden_posterior",
     "log_joint_weight",
     "effective_pair_model",
@@ -42,7 +40,7 @@ class LatentModel:
 
     A plain pair model is the latent model with no hidden units.  This class
     works with any pair-model family: unit weights are pair sums and
-    effective models are potential tables.  ``WorthLatentModel`` replaces
+    effective models are potential tables.  ``learning.CFParams`` replaces
     them with the worth-form closed forms.
     """
 
@@ -73,66 +71,6 @@ class LatentModel:
         return _unchecked_matrix_model(tie, order)
 
 
-class WorthLatentModel(LatentModel):
-    """The collaborative-ranking latent model, held as its parameters.
-
-    The base is ``WorthPairModel(nu, u)`` and hidden unit k is
-    ``WorthPairModel(nu, W[:, k])``, sharing nu.  The worth family is closed
-    under masking, so effective models stay in worth form, and unit weights
-    come from one set of structural features.
-    """
-
-    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray):
-        self.base = WorthPairModel(nu, u)
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != self.base.n_objects or not np.isfinite(W).all():
-            raise ValueError("W must be a finite (n_objects, K) matrix")
-        self.nu, self.u, self.W = self.base.nu, self.base.worth, W
-        self.n_objects = self.base.n_objects
-
-    @property
-    def n_hidden(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def hidden(self) -> tuple[WorthPairModel, ...]:
-        """Each unit as its own pair model, built on each access."""
-        return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
-
-    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
-        pairs, items, coef = worth_features(X)
-        return self.nu * pairs + coef @ self.W[items]
-
-    def effective(self, active: Sequence[int]) -> WorthPairModel:
-        """``WorthPairModel(nu + nu |active|, u + sum_{k in active} W[:, k])``,
-        summed only at the objects a sweep touches (see ``_EffectiveWorthModel``)."""
-        return _EffectiveWorthModel(self.nu + sum(self.nu for _ in active), self.u, self.W, active)
-
-
-class _EffectiveWorthModel(WorthPairModel):
-    """A worth model whose worths are ``u + (W[:, k1] + W[:, k2] + ...)``
-    over the active units, in that grouping.
-
-    ``worths_at(objects)`` sums them at ``objects`` alone, so a split-merge
-    sweep over a user's objects costs O(|objects| * |active|) whatever the
-    catalog size; the catalog-length ``worth`` is built on first read
-    (``log_weight``, ``tables``, ``scaled``).  The parameters were checked
-    by ``WorthLatentModel``.
-    """
-
-    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray, active: Sequence[int]):
-        self.nu, self._u, self._W, self._active = nu, u, W, tuple(active)
-        self.n_objects = u.shape[0]
-
-    @cached_property
-    def worth(self) -> np.ndarray:
-        return self._u + sum(self._W[:, k] for k in self._active)
-
-    def worths_at(self, objects: np.ndarray) -> np.ndarray:
-        W = self._W[objects]
-        return self._u[objects] + sum(W[:, k] for k in self._active)
-
-
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
     return np.array([sigmoid(lo) for lo in m.log_omegas(X).tolist()])
@@ -159,28 +97,18 @@ def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
 def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.0) -> np.ndarray:
     """Exact draw of h | X from the unit weights ``logom = m.log_omegas(X)``;
     at temperature tau the conditional is Bernoulli(sigmoid(tau * log Omega_k(X)))."""
-    temperature = float(temperature)  # AIS passes a rung of its numpy ladder
     return np.array(
         [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom.tolist()], dtype=np.int8
     )
 
 
 def gibbs_mh_step(
-    X: OrderedPartition,
-    m: LatentModel,
-    rng: random.Random,
-    inner_steps: Optional[int] = None,
+    X: OrderedPartition, m: LatentModel, rng: random.Random
 ) -> tuple[OrderedPartition, np.ndarray]:
     """One sweep of the alternating sampler: draw h | X exactly, then
-    advance X | h with split-merge moves on the effective potentials.
-    Returns the new partition and the drawn h.
-
-    inner_steps defaults to the object count (one expected touch per object).
-    """
+    advance X | h with one split-merge move per object of X on the
+    effective potentials.  Returns the new partition and the drawn h."""
     h = sample_hidden(m.log_omegas(X), rng)
-    eff = effective_pair_model(h, m)
-    if inner_steps is None:
-        inner_steps = sum(len(b) for b in X.blocks)
-    X = advance_partition(X, eff, rng, inner_steps)
+    X = advance_partition(X, effective_pair_model(h, m), rng, sum(len(b) for b in X.blocks))
     return X, h
 

@@ -14,14 +14,14 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
-from .core import logsumexp, worth_features
-from .latent import WorthLatentModel, gibbs_mh_step, hidden_posterior
+from .core import WorthPairModel, logsumexp, worth_features
+from .latent import LatentModel, gibbs_mh_step, hidden_posterior
 
 __all__ = [
     "CFParams",
@@ -46,8 +46,16 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass
-class CFParams:
-    """Free parameters: scalar nu, per-item worths u, per-item-per-unit worths W."""
+class CFParams(LatentModel):
+    """The collaborative-ranking latent model, held as its free parameters:
+    scalar nu, per-item worths u and per-item-per-unit worths W.
+
+    The base is ``WorthPairModel(nu, u)``: log phi(i~j) = nu + (u_i + u_j)/2,
+    log psi(i>j) = u_i.  Hidden unit k is ``WorthPairModel(nu, W[:, k])``,
+    sharing nu.  The worth family is closed under masking, so effective
+    models stay in worth form, and unit weights come from one set of
+    structural features.
+    """
 
     nu: float
     u: np.ndarray
@@ -61,6 +69,8 @@ class CFParams:
             raise ValueError("u must be (n_items,), W must be (n_items, K)")
         if not (np.isfinite(self.nu) and np.isfinite(self.u).all() and np.isfinite(self.W).all()):
             raise ValueError("parameters must be finite")
+        self.base = WorthPairModel(self.nu, self.u)
+        self.n_objects = self.u.shape[0]
 
     @property
     def n_items(self) -> int:
@@ -69,6 +79,23 @@ class CFParams:
     @property
     def n_hidden(self) -> int:
         return self.W.shape[1]
+
+    @property
+    def hidden(self) -> tuple[WorthPairModel, ...]:
+        """Each unit as its own pair model, built on each access."""
+        return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
+
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        pairs, items, coef = worth_features(X)
+        return self.nu * pairs + coef @ self.W[items]
+
+    def effective(self, active: Sequence[int]) -> WorthPairModel:
+        """``WorthPairModel(nu + nu |active|, u + sum_{k in active} W[:, k])``,
+        summed only at the objects a sweep touches (see ``_EffectiveWorthModel``)."""
+        extra = 0.0
+        for _ in active:  # a left fold, as in WorthPairModel.log_weight
+            extra += self.nu
+        return _EffectiveWorthModel(self.nu + extra, self.u, self.W, active)
 
     def copy(self) -> "CFParams":
         return CFParams(self.nu, self.u.copy(), self.W.copy())
@@ -87,6 +114,30 @@ class CFParams:
             rng.uniform(-scale, scale, size=n_items),
             rng.uniform(-scale, scale, size=(n_items, n_hidden)),
         )
+
+
+class _EffectiveWorthModel(WorthPairModel):
+    """A worth model whose worths are ``u + (W[:, k1] + W[:, k2] + ...)``
+    over the active units, in that grouping.
+
+    ``worths_at(objects)`` sums them at ``objects`` alone, so a split-merge
+    sweep over a user's objects costs O(|objects| * |active|) whatever the
+    catalog size; the catalog-length ``worth`` is built on first read
+    (``log_weight``, ``tables``, ``scaled``).  The parameters were checked
+    by ``CFParams``.
+    """
+
+    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray, active: Sequence[int]):
+        self.nu, self._u, self._W, self._active = nu, u, W, tuple(active)
+        self.n_objects = u.shape[0]
+
+    @cached_property
+    def worth(self) -> np.ndarray:
+        return self._u + sum(self._W[:, k] for k in self._active)
+
+    def worths_at(self, objects: np.ndarray) -> np.ndarray:
+        W = self._W[objects]
+        return self._u[objects] + sum(W[:, k] for k in self._active)
 
 
 @dataclass
@@ -125,13 +176,10 @@ class TrainConfig:
             raise ValueError("n_hidden must be >= 0")
 
 
-def cf_latent_model(p: CFParams) -> WorthLatentModel:
-    """Latent pair-potential model for the worth parameterization.
-
-    Base: log phi(i~j) = nu + (u_i + u_j)/2, log psi(i>j) = u_i.
-    Hidden unit k: same forms with W_:k in place of u, sharing nu.
-    """
-    return WorthLatentModel(p.nu, p.u, p.W)
+def cf_latent_model(p: CFParams) -> CFParams:
+    """``p`` itself: ``CFParams`` is the latent model.  Kept for the benchmark
+    harness, which traces this name and calls it from its set-up probe."""
+    return p
 
 
 def _accumulate(
@@ -268,9 +316,8 @@ def exact_gradient(
     model_u = C.T @ probs
     model_W = C.T @ (probs[:, None] * post)
 
-    model = cf_latent_model(p)
     data_nu, data_u, data_W = _accumulate(
-        ((X, hidden_posterior(X, model)) for X in data), p.n_items, p.n_hidden
+        ((X, hidden_posterior(X, p)) for X in data), p.n_items, p.n_hidden
     )
     n = len(data)
     return GradientEstimate(data_nu / n - model_nu, data_u / n - model_u, data_W / n - model_W)
@@ -398,15 +445,14 @@ def train(
         rng.shuffle(order)
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
-            model = cf_latent_model(params)
             observed = []
             samples = []
             for ui in block:
                 X_obs = usable[ui]
-                observed.append((X_obs, hidden_posterior(X_obs, model)))
+                observed.append((X_obs, hidden_posterior(X_obs, params)))
                 X_c = chains[ui]
                 for _ in range(cfg.chain_steps_per_update):
-                    X_c, h_c = gibbs_mh_step(X_c, model, rng)
+                    X_c, h_c = gibbs_mh_step(X_c, params, rng)
                 chains[ui] = X_c
                 samples.append((X_c, h_c))
             disagreement = 0.0

@@ -116,8 +116,9 @@ def annealed_unnorm_log_prob(
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     m = _as_latent(m)
+    tau = float(tau)
     total = tau * log_weight(X, m.base)
-    for lo in m.log_omegas(X):
+    for lo in m.log_omegas(X).tolist():
         total += _softplus(tau * lo)
     return total
 
@@ -147,7 +148,7 @@ def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
     run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
     n = m.n_objects
     steps = cfg.inner_steps if cfg.inner_steps is not None else n
-    taus = temperature_ladder(cfg)
+    taus = temperature_ladder(cfg).tolist()
     S = cfg.n_temperatures
 
     log_z0 = math.log(fubini(n)) + m.n_hidden * LOG2
@@ -164,7 +165,7 @@ def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
                 X = advance_partition(X, effective_pair_model(h, m).scaled(t_lo), run_rng, steps)
             logom = m.log_omegas(X)  # the next transition's hidden draw reuses it
             logw += (t_hi - t_lo) * log_weight(X, m.base)
-            for lo in logom:
+            for lo in logom.tolist():
                 logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
         log_weights[r] = logw
 

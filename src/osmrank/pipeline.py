@@ -15,8 +15,8 @@ import numpy as np
 
 from .combinatorics import OrderedPartition
 from .core import from_graded_ratings
-from .latent import LatentModel, WorthLatentModel, hidden_posterior
-from .learning import CFParams, cf_latent_model
+from .latent import LatentModel, hidden_posterior
+from .learning import CFParams
 from .metrics import err_rows, ndcg_rows
 
 __all__ = [
@@ -52,7 +52,6 @@ class RatingsDataset:
     ratings: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
-    scale: tuple[float, float] = DEFAULT_SCALE
     n_grades: int = 0
     grades: Optional[np.ndarray] = None
 
@@ -75,9 +74,7 @@ class RatingsDataset:
         return [order[bounds[u] : bounds[u + 1]] for u in range(self.n_users)]
 
 
-def _build_dataset(
-    users: np.ndarray, items: np.ndarray, rates: np.ndarray, scale: tuple[float, float]
-) -> RatingsDataset:
+def _build_dataset(users: np.ndarray, items: np.ndarray, rates: np.ndarray) -> RatingsDataset:
     user_ids, dense_users = np.unique(users, return_inverse=True)
     item_ids, dense_items = np.unique(items, return_inverse=True)
     # duplicate (user, item) pairs: keep the last occurrence.  The sort is
@@ -98,7 +95,6 @@ def _build_dataset(
         ratings=np.ascontiguousarray(rates, dtype=float),
         user_ids=user_ids,
         item_ids=item_ids,
-        scale=scale,
     )
 
 
@@ -176,7 +172,6 @@ def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
 def load_ratings(
     path: str,
     fmt: str = "movielens_dcolon",
-    scale: tuple[float, float] = DEFAULT_SCALE,
     strict: bool = True,
 ) -> RatingsDataset:
     """Parse ``user::item::rating[::...]`` or headed ``user,item,rating[,...]``
@@ -195,15 +190,17 @@ def load_ratings(
             records = _parse_records(fh, fmt, skiprows=_FORMATS[fmt][3])
     except ValueError:
         records = _parse_records(_scan_lines(path, fmt, strict), fmt)
-    return _build_dataset(records["user"], records["item"], records["rating"], scale)
+    return _build_dataset(records["user"], records["item"], records["rating"])
 
 
-def grade_ratings(ds: RatingsDataset, n_grades: int = 5) -> RatingsDataset:
+def grade_ratings(
+    ds: RatingsDataset, n_grades: int = 5, scale: tuple[float, float] = DEFAULT_SCALE
+) -> RatingsDataset:
     """Map ratings to grades 1..n_grades by equal-length segments of the
-    declared scale; out-of-scale or non-finite ratings are an error."""
+    rating ``scale`` (lo, hi); out-of-scale or non-finite ratings are an error."""
     if n_grades < 1:
         raise ValueError(f"n_grades must be >= 1, got {n_grades}")
-    lo, hi = ds.scale
+    lo, hi = scale
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid rating scale [{lo}, {hi}]")
     r = ds.ratings
@@ -331,7 +328,7 @@ def _rank(scores: dict[int, float]) -> RankedList:
 
 def _mean_worth(m: LatentModel, p: np.ndarray) -> np.ndarray:
     """u + W p: each item's order worth averaged over hidden activations ``p``."""
-    if not isinstance(m, WorthLatentModel):
+    if not isinstance(m, CFParams):
         raise ValueError("per-item worths need a worth-parameterized model")
     return m.u + m.W @ p
 
@@ -345,7 +342,7 @@ def complete_rank(
     score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)].
     psi depends on the winner only, so this is |seen| * (u_j + W_j . p);
     descending scores, ties broken by ascending item index.  ``m`` must be a
-    ``WorthLatentModel``.
+    ``CFParams``.
     """
     seen_items = seen.objects
     if not seen_items:
@@ -428,11 +425,10 @@ def _ranked_test_records(
     Scores are |seen| * (u_j + W_j . p) with p the hidden posterior given
     the user's training partition, as ``complete_rank`` computes them.
     """
-    model = cf_latent_model(params)
     pairs, coef = _worth_coefficients(train_ds)
     # log Omega_k per user and hidden unit
-    x = np.repeat(model.nu * pairs[:, None], model.n_hidden, axis=1)
-    np.add.at(x, train_ds.users, coef[:, None] * model.W[train_ds.items])
+    x = np.repeat(params.nu * pairs[:, None], params.n_hidden, axis=1)
+    np.add.at(x, train_ds.users, coef[:, None] * params.W[train_ds.items])
     e = np.exp(-np.abs(x))
     posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.sigmoid, both branches
 
@@ -443,9 +439,9 @@ def _ranked_test_records(
     if np.isin(users * n + items, train_ds.users * n + train_ds.items).any():
         raise ValueError("unseen items overlap the seen partition")
     hidden_worth = np.zeros(len(keep))
-    for k in range(model.n_hidden):
-        hidden_worth += model.W[items, k] * posterior[users, k]
-    scores = n_seen[users] * (model.u[items] + hidden_worth)
+    for k in range(params.n_hidden):
+        hidden_worth += params.W[items, k] * posterior[users, k]
+    scores = n_seen[users] * (params.u[items] + hidden_worth)
     return keep[np.lexsort((items, -scores, users))]
 
 
@@ -458,9 +454,8 @@ def evaluate_ranking(
     """Rank each user's test items given their training partition and average
     the requested metrics over users.
 
-    Deterministic: all users are scored in one batch against one model
-    built from ``params``; rankings equal ``complete_rank`` on
-    ``user_partitions(train_ds)``.
+    Deterministic: all users are scored in one batch against ``params``;
+    rankings equal ``complete_rank`` on ``user_partitions(train_ds)``.
     """
     metrics = parse_metrics(metric_names)  # validate upfront
     if train_ds.grades is None or test_ds.grades is None:

@@ -227,3 +227,36 @@ def reference_train(data, cfg, callback=None):
                 callback({"epoch": epoch, "block": block_counter, "n_users": n,
                           "disagreement": disagreement / n, "params": params.copy()})
     return params
+
+
+def reference_ais_log_weights(m, cfg):
+    """``ais_log_z``'s per-run log weights, with its unit loops over the
+    log-omegas' np.float64 scalars at the rungs of the numpy ladder."""
+    import random
+
+    from osmrank.combinatorics import sample_uniform_ordered_partition
+    from osmrank.core import log_weight
+    from osmrank.latent import effective_pair_model, sample_hidden
+    from osmrank.partition_function import _softplus, temperature_ladder
+    from osmrank.sampler import advance_partition
+
+    seed_src = random.Random(cfg.seed)
+    run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
+    steps = cfg.inner_steps if cfg.inner_steps is not None else m.n_objects
+    taus = temperature_ladder(cfg)
+    log_weights = np.empty(cfg.n_runs)
+    for r, run_seed in enumerate(run_seeds):
+        run_rng = random.Random(run_seed)
+        X = sample_uniform_ordered_partition(m.n_objects, run_rng)
+        logw = 0.0
+        for s in range(1, cfg.n_temperatures + 1):
+            t_hi, t_lo = taus[s], taus[s - 1]
+            if s > 1:
+                h = sample_hidden(logom, run_rng, temperature=t_lo)
+                X = advance_partition(X, effective_pair_model(h, m).scaled(t_lo), run_rng, steps)
+            logom = m.log_omegas(X)
+            logw += (t_hi - t_lo) * log_weight(X, m.base)
+            for lo in logom:
+                logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
+        log_weights[r] = logw
+    return log_weights

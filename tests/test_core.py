@@ -69,6 +69,19 @@ class TestLogWeight:
             X = sample_uniform_ordered_partition(5, r)
             assert log_weight(X, w) == pytest.approx(log_weight(X, mat), abs=1e-12)
 
+    def test_worth_sums_are_left_folds(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the left fold of these worths is 0.0;
+        # a compensated sum (the builtin float sum from Python 3.12) gives 1.0
+        worths = [1e16, 1.0, -1e16]
+        assert math.fsum(worths) == 1.0
+        ratio = WorthPairModel(0.0, np.array(worths + [0.0])).split_ratio(range(4))
+        assert ratio([0, 1, 2], [3]) == 0.0
+        assert ratio([3], [0, 1, 2]) == 0.0
+        # coefficients 3, 2, 1, 0 in block order: terms 3e16, 2.0, -3e16, 0.0
+        m = WorthPairModel(0.0, np.array([1e16, 1.0, -3e16, 0.0]))
+        assert math.fsum([3e16, 2.0, -3e16]) == 2.0
+        assert log_weight(P((0,), (1,), (2,), (3,)), m) == 0.0
+
     def test_probabilities_sum_to_one(self):
         from scipy.special import logsumexp
 

@@ -10,7 +10,6 @@ from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
 from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, uniform_pair_model
 from osmrank.latent import (
     LatentModel,
-    WorthLatentModel,
     effective_pair_model,
     gibbs_mh_step,
     hidden_posterior,
@@ -18,6 +17,7 @@ from osmrank.latent import (
     sample_hidden,
     sigmoid,
 )
+from osmrank.learning import CFParams
 from osmrank.sampler import transition_matrix
 
 from helpers import random_latent_model
@@ -64,7 +64,7 @@ class TestLogOmegaK:
         rng = np.random.default_rng(5)
         u = rng.normal(size=6)
         hidden = [WorthPairModel(0.2, rng.normal(size=6)) for _ in range(3)]
-        m = WorthLatentModel(0.2, u, np.column_stack([hm.worth for hm in hidden]))
+        m = CFParams(0.2, u, np.column_stack([hm.worth for hm in hidden]))
         r = random.Random(0)
         from osmrank.combinatorics import sample_uniform_ordered_partition
 
@@ -183,7 +183,7 @@ class TestEffectivePairModel:
     def test_log_weight_identity_worth_models(self):
         rng = np.random.default_rng(9)
         u = rng.normal(size=5)
-        m = WorthLatentModel(0.5, u, np.column_stack([rng.normal(size=5) for _ in range(2)]))
+        m = CFParams(0.5, u, np.column_stack([rng.normal(size=5) for _ in range(2)]))
         eff = effective_pair_model(np.array([1, 1]), m)
         assert isinstance(eff, WorthPairModel)
         r = random.Random(1)

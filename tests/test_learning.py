@@ -85,6 +85,13 @@ class TestCfLatentModel:
             assert hm.nu == p.nu
 
 
+    def test_effective_nu_is_a_left_fold(self):
+        # ten additions of 0.1 fold to 0.9999999999999999; a compensated sum gives 1.0
+        p = CFParams(0.1, np.zeros(2), np.zeros((2, 10)))
+        assert p.effective(range(10)).nu == 0.1 + 0.9999999999999999
+        assert 0.1 + math.fsum([0.1] * 10) != 0.1 + 0.9999999999999999
+
+
 class TestSufficientStats:
     def test_single_ordered_pair(self):
         s = sufficient_stats(P([0], [1]), np.zeros(0), 2, 0)

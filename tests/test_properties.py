@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (
     reference_accumulate,
+    reference_ais_log_weights,
     reference_disagreement,
     reference_effective_model,
     reference_worth_features,
@@ -20,15 +21,20 @@ from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
 from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, worth_features
 from osmrank.latent import (
     LatentModel,
-    WorthLatentModel,
     effective_pair_model,
     hidden_posterior,
     log_joint_weight,
     sample_hidden,
     sigmoid,
 )
-from osmrank.learning import _accumulate, _disagreements, _rank_rows, pairwise_disagreement
-from osmrank.partition_function import AISConfig, temperature_ladder
+from osmrank.learning import CFParams, _accumulate, _disagreements, _rank_rows, pairwise_disagreement
+from osmrank.partition_function import (
+    AISConfig,
+    _softplus,
+    ais_log_z,
+    annealed_unnorm_log_prob,
+    temperature_ladder,
+)
 from osmrank.pipeline import complete_rank
 from osmrank.sampler import advance_partition
 
@@ -41,8 +47,8 @@ def worth_latent_cases(draw):
     catalog (the seen items), the unseen rest and a hidden state."""
     n = draw(st.integers(2, 8))
     k = draw(st.integers(0, 4))
-    m = WorthLatentModel(draw(worths), draw(arrays(float, n, elements=worths)),
-                         draw(arrays(float, (n, k), elements=worths)))
+    m = CFParams(draw(worths), draw(arrays(float, n, elements=worths)),
+                 draw(arrays(float, (n, k), elements=worths)))
     items = draw(st.permutations(range(n)))
     n_seen = draw(st.integers(1, n - 1))
     labels = draw(st.lists(st.integers(0, n_seen - 1), min_size=n_seen, max_size=n_seen))
@@ -130,7 +136,7 @@ def test_batched_disagreement_is_the_pair_loop(pairs, extra_width):
 def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     # normal draws use every bit, so a change of summation grouping shows
     rng = np.random.default_rng(seed)
-    m = WorthLatentModel(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
+    m = CFParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
     active = sorted(data.draw(st.sets(st.integers(0, k - 1))) if k else [])
     eff, full = m.effective(active), reference_effective_model(m, active)
     objects = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))
@@ -187,6 +193,20 @@ def test_hidden_unit_loops_are_the_float64_loops(case, schedule, n_temperatures,
     assert sample_hidden(logom, Replay(probs), temperature=tau).tolist() == [0] * len(probs)
     below = [math.nextafter(p, 0.0) for p in probs]
     assert sample_hidden(logom, Replay(below), temperature=tau).tolist() == [int(p > 0.0) for p in probs]
+
+
+@given(worth_latent_cases(), st.sampled_from(["linear", "geometric"]), st.integers(2, 8), st.integers(1, 2),
+       st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
+def test_ais_loops_are_the_float64_loops(case, schedule, n_temperatures, n_runs, inner_steps, seed, data):
+    # the loops these replaced ran over the log-omegas' np.float64 scalars, at rungs of the numpy ladder
+    m, X, _, _ = case
+    cfg = AISConfig(n_temperatures, n_runs, schedule, inner_steps, seed)
+    assert ais_log_z(m, cfg).log_weights.tobytes() == reference_ais_log_weights(m, cfg).tobytes()
+    tau = temperature_ladder(cfg)[data.draw(st.integers(0, n_temperatures))]
+    ref = tau * log_weight(X, m.base)
+    for lo in m.log_omegas(X):
+        ref += _softplus(tau * lo)
+    assert np.float64(annealed_unnorm_log_prob(X, tau, m)).tobytes() == np.float64(ref).tobytes()
 
 
 def assert_checked_build_equal(Y):
