@@ -45,7 +45,7 @@ CHECKPOINT_MAGIC = "osmrank-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CFParams(LatentModel):
     """The collaborative-ranking latent model, held as its free parameters:
     scalar nu, per-item worths u and per-item-per-unit worths W.
@@ -54,7 +54,7 @@ class CFParams(LatentModel):
     log psi(i>j) = u_i.  Hidden unit k is ``WorthPairModel(nu, W[:, k])``,
     sharing nu.  The worth family is closed under masking, so effective
     models stay in worth form, and unit weights come from one set of
-    structural features.
+    structural features.  Frozen, so ``base`` always matches the fields.
     """
 
     nu: float
@@ -62,15 +62,14 @@ class CFParams(LatentModel):
     W: np.ndarray
 
     def __post_init__(self):
-        self.nu = float(self.nu)
-        self.u = np.asarray(self.u, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
-        if self.u.ndim != 1 or self.W.ndim != 2 or self.W.shape[0] != self.u.shape[0]:
+        nu, u, W = float(self.nu), np.asarray(self.u, dtype=float), np.asarray(self.W, dtype=float)
+        if u.ndim != 1 or W.ndim != 2 or W.shape[0] != u.shape[0]:
             raise ValueError("u must be (n_items,), W must be (n_items, K)")
-        if not (np.isfinite(self.nu) and np.isfinite(self.u).all() and np.isfinite(self.W).all()):
+        if not (np.isfinite(nu) and np.isfinite(u).all() and np.isfinite(W).all()):
             raise ValueError("parameters must be finite")
-        self.base = WorthPairModel(self.nu, self.u)
-        self.n_objects = self.u.shape[0]
+        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", WorthPairModel(nu, u)),
+                            ("n_objects", u.shape[0])):
+            object.__setattr__(self, name, value)
 
     @property
     def n_items(self) -> int:

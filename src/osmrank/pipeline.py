@@ -6,6 +6,7 @@ and reconstruction, and batched per-user evaluation.
 from __future__ import annotations
 
 import math
+import os
 import random
 import warnings
 from dataclasses import dataclass, replace
@@ -14,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import from_graded_ratings
 from .latent import LatentModel, hidden_posterior
 from .learning import CFParams
 from .metrics import err_rows, ndcg_rows
@@ -67,16 +67,29 @@ class RatingsDataset:
     def n_records(self) -> int:
         return len(self.ratings)
 
-    def by_user(self) -> list[np.ndarray]:
-        """Record indices per dense user id."""
-        order = np.argsort(self.users, kind="stable")
-        bounds = np.searchsorted(self.users[order], np.arange(self.n_users + 1))
-        return [order[bounds[u] : bounds[u + 1]] for u in range(self.n_users)]
+
+def _present(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark ``index`` in the bool ``table``; returns the marked positions and
+    each index's rank among them."""
+    table[index] = True
+    return np.flatnonzero(table), (np.cumsum(table) - 1)[index]
+
+
+def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)``, from a presence table when
+    the ids span at most four times their count."""
+    if len(ids):
+        lo = int(ids.min())
+        span = int(ids.max()) - lo
+        if span <= 4 * len(ids):
+            distinct, dense = _present(np.zeros(span + 1, dtype=bool), ids - lo)
+            return distinct + lo, dense
+    return np.unique(ids, return_inverse=True)
 
 
 def _build_dataset(users: np.ndarray, items: np.ndarray, rates: np.ndarray) -> RatingsDataset:
-    user_ids, dense_users = np.unique(users, return_inverse=True)
-    item_ids, dense_items = np.unique(items, return_inverse=True)
+    user_ids, dense_users = _dense_ids(users)
+    item_ids, dense_items = _dense_ids(items)
     # duplicate (user, item) pairs: keep the last occurrence.  The sort is
     # stable, so the last record of each run of equal pairs in sorted order
     # is the pair's last record in file order.  Dropping the others leaves
@@ -104,10 +117,11 @@ _FORMATS = {
     "movielens_dcolon": ("::", ":", (0, 2, 4), 0),
     "csv": (",", ",", (0, 1, 2), 1),
 }
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes np.loadtxt decompresses
 
 
 def _parse_records(lines, fmt: str, skiprows: int = 0) -> np.ndarray:
-    """One ``np.loadtxt`` call over an open file or a list of lines."""
+    """One ``np.loadtxt`` call over a path, an open file or a list of lines."""
     _, delimiter, usecols, _ = _FORMATS[fmt]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
@@ -177,17 +191,23 @@ def load_ratings(
     """Parse ``user::item::rating[::...]`` or headed ``user,item,rating[,...]``
     rating files; fields after the rating (a timestamp, say) are ignored.
 
-    A well-formed file is read by one ``np.loadtxt`` call.  Otherwise a
-    per-line scan reports malformed lines with their line numbers; in strict
-    mode any malformed line is an error, else those lines are dropped.
+    A well-formed file is read by one ``np.loadtxt`` call, in blocks from the
+    path unless the name has a compressed suffix or looks like a URL.
+    Otherwise a per-line scan reports malformed lines with their line
+    numbers; in strict mode any malformed line is an error, else those lines
+    are dropped.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    path = os.fspath(path)
     try:
         if fmt == "movielens_dcolon" and _odd_colon_run(path):
             raise ValueError("single colons")
-        with open(path) as fh:
-            records = _parse_records(fh, fmt, skiprows=_FORMATS[fmt][3])
+        with open(path) as fh:  # a missing file fails here, with the OS's message
+            # numpy reads a path in blocks, but through its DataSource, which
+            # decompresses by suffix and fetches URLs: those names keep the handle
+            source = fh if "://" in path or path.endswith(_COMPRESSED) else path
+            records = _parse_records(source, fmt, skiprows=_FORMATS[fmt][3])
     except ValueError:
         records = _parse_records(_scan_lines(path, fmt, strict), fmt)
     return _build_dataset(records["user"], records["item"], records["rating"])
@@ -219,9 +239,11 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     the items users agree on."""
     if ds.grades is None:
         raise ValueError("entropy_filter needs a graded dataset (run grade_ratings first)")
-    n_items = ds.n_items
-    counts = np.zeros((n_items, ds.n_grades))
-    np.add.at(counts, (ds.items, ds.grades - 1), 1.0)
+    n_items, n_grades = ds.n_items, ds.n_grades
+    if len(ds.grades) and not 1 <= ds.grades.min() <= ds.grades.max() <= n_grades:
+        raise ValueError(f"grades must lie in 1..{n_grades}")
+    counts = np.bincount(ds.items * n_grades + (ds.grades - 1), minlength=n_items * n_grades)
+    counts = counts.reshape(n_items, n_grades).astype(float)
     totals = counts.sum(axis=1)
     totals[totals == 0] = 1.0
     p = counts / totals[:, None]
@@ -233,15 +255,11 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     keep_mask = np.ones(n_items, dtype=bool)
     keep_mask[order[:n_remove]] = False
     keep_records = keep_mask[ds.items]
-
-    kept_item_ids = ds.item_ids[keep_mask]
-    remap = np.full(n_items, -1, dtype=np.int64)
-    remap[np.flatnonzero(keep_mask)] = np.arange(keep_mask.sum())
-    users = ds.users[keep_records]
-    user_ids, dense_users = np.unique(ds.user_ids[users], return_inverse=True)
-    return replace(ds, users=dense_users, items=remap[ds.items[keep_records]],
-                   ratings=ds.ratings[keep_records], user_ids=user_ids,
-                   item_ids=kept_item_ids, grades=ds.grades[keep_records])
+    items = (np.cumsum(keep_mask) - 1)[ds.items[keep_records]]
+    kept_users, users = _present(np.zeros(ds.n_users, dtype=bool), ds.users[keep_records])
+    return replace(ds, users=users, items=items, ratings=ds.ratings[keep_records],
+                   user_ids=ds.user_ids[kept_users], item_ids=ds.item_ids[keep_mask],
+                   grades=ds.grades[keep_records])
 
 
 @dataclass
@@ -278,16 +296,17 @@ def train_test_split(ds: RatingsDataset, spec: SplitSpec) -> tuple[RatingsDatase
     the records but not from the index).
     """
     rng = random.Random(spec.seed)
+    counts = np.bincount(ds.users, minlength=ds.n_users)
+    eligible = counts >= spec.min_ratings
+    # one draw of positions within each eligible user's records, in user order
+    users = np.flatnonzero(eligible)
+    picks = [rng.sample(range(count), spec.n_train) for count in counts[users].tolist()]
+    order = np.argsort(ds.users, kind="stable")  # records by user, then record index
+    first = np.cumsum(counts) - counts
+    chosen = np.repeat(first[users], spec.n_train) + np.array(picks, dtype=np.int64).ravel()
     train_keep = np.zeros(ds.n_records, dtype=bool)
-    test_keep = np.zeros(ds.n_records, dtype=bool)
-    for u, rec_idx in enumerate(ds.by_user()):
-        if len(rec_idx) < spec.min_ratings:
-            continue
-        chosen = rng.sample(range(len(rec_idx)), spec.n_train)
-        chosen_mask = np.zeros(len(rec_idx), dtype=bool)
-        chosen_mask[chosen] = True
-        train_keep[rec_idx[chosen_mask]] = True
-        test_keep[rec_idx[~chosen_mask]] = True
+    train_keep[order[chosen]] = True
+    test_keep = eligible[ds.users] & ~train_keep
     return _subset(ds, train_keep), _subset(ds, test_keep)
 
 
@@ -296,13 +315,21 @@ def user_partitions(ds: RatingsDataset) -> dict[int, OrderedPartition]:
     (block 0 = highest grade; item indices are catalog-wide)."""
     if ds.grades is None:
         raise ValueError("user_partitions needs a graded dataset")
-    out: dict[int, OrderedPartition] = {}
-    for u, rec_idx in enumerate(ds.by_user()):
-        if len(rec_idx) == 0:
-            continue
-        grades = {int(ds.items[r]): int(ds.grades[r]) for r in rec_idx}
-        out[u] = from_graded_ratings(grades, n_objects=ds.n_items)
-    return out
+    order = np.lexsort((ds.items, -ds.grades, ds.users))  # by user, grade down, item up
+    users, grades = ds.users[order], ds.grades[order]
+    user_start = np.ones(len(order), dtype=bool)
+    user_start[1:] = users[1:] != users[:-1]
+    block_start = user_start.copy()
+    block_start[1:] |= grades[1:] != grades[:-1]
+    bounds = np.flatnonzero(np.append(block_start, True)).tolist()
+    items = ds.items[order].tolist()
+    blocks = [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # the records are distinct (user, item) pairs of dense ids: valid partitions
+    spans = np.append(np.flatnonzero(user_start[block_start]), len(blocks)).tolist()
+    return {
+        u: OrderedPartition._unchecked(tuple(blocks[a:b]), ds.n_items)
+        for u, a, b in zip(users[user_start].tolist(), spans, spans[1:])
+    }
 
 
 @dataclass
@@ -442,7 +469,12 @@ def _ranked_test_records(
     for k in range(params.n_hidden):
         hidden_worth += params.W[items, k] * posterior[users, k]
     scores = n_seen[users] * (params.u[items] + hidden_worth)
-    return keep[np.lexsort((items, -scores, users))]
+    # np.lexsort((items, -scores, users)) as three stable passes; integer keys
+    # in their smallest dtype, so ids below 2**16 take numpy's radix sort
+    order = np.argsort(items.astype(np.min_scalar_type(n)), kind="stable")
+    order = order[np.argsort(-scores[order], kind="stable")]
+    order = order[np.argsort(users[order].astype(np.min_scalar_type(test_ds.n_users)), kind="stable")]
+    return keep[order]
 
 
 def evaluate_ranking(

@@ -108,6 +108,97 @@ def reference_load_ratings(path: str, fmt: str = "movielens_dcolon", fourth_fiel
     return records, bad
 
 
+def by_user(ds) -> list[np.ndarray]:
+    """Record indices per dense user id of a ``RatingsDataset``."""
+    order = np.argsort(ds.users, kind="stable")
+    bounds = np.searchsorted(ds.users[order], np.arange(ds.n_users + 1))
+    return [order[bounds[u] : bounds[u + 1]] for u in range(ds.n_users)]
+
+
+def reference_build_dataset(users, items, rates):
+    """``pipeline._build_dataset`` with ``np.unique`` dense ids, kept as an oracle."""
+    import warnings
+
+    from osmrank.pipeline import RatingsDataset
+
+    user_ids, dense_users = np.unique(users, return_inverse=True)
+    item_ids, dense_items = np.unique(items, return_inverse=True)
+    pair = dense_users * len(item_ids) + dense_items
+    order = np.argsort(pair, kind="stable")
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = pair[order[1:]] != pair[order[:-1]]
+    if not last.all():
+        warnings.warn(f"{len(last) - np.count_nonzero(last)} duplicate (user, item) ratings; last wins")
+        keep = np.sort(order[last])
+        dense_users, dense_items, rates = dense_users[keep], dense_items[keep], rates[keep]
+    return RatingsDataset(
+        users=dense_users.astype(np.int64),
+        items=dense_items.astype(np.int64),
+        ratings=np.ascontiguousarray(rates, dtype=float),
+        user_ids=user_ids,
+        item_ids=item_ids,
+    )
+
+
+def reference_entropy_filter(ds):
+    """``entropy_filter`` with ``np.add.at`` counts and ``np.unique`` user
+    ids, kept as an oracle."""
+    from dataclasses import replace
+
+    n_items = ds.n_items
+    counts = np.zeros((n_items, ds.n_grades))
+    np.add.at(counts, (ds.items, ds.grades - 1), 1.0)
+    totals = counts.sum(axis=1)
+    totals[totals == 0] = 1.0
+    p = counts / totals[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    entropy = -plogp.sum(axis=1)
+    order = np.argsort(entropy, kind="stable")
+    keep_mask = np.ones(n_items, dtype=bool)
+    keep_mask[order[: n_items // 2]] = False
+    keep_records = keep_mask[ds.items]
+    remap = np.full(n_items, -1, dtype=np.int64)
+    remap[np.flatnonzero(keep_mask)] = np.arange(keep_mask.sum())
+    user_ids, dense_users = np.unique(ds.user_ids[ds.users[keep_records]], return_inverse=True)
+    return replace(ds, users=dense_users, items=remap[ds.items[keep_records]],
+                   ratings=ds.ratings[keep_records], user_ids=user_ids,
+                   item_ids=ds.item_ids[keep_mask], grades=ds.grades[keep_records])
+
+
+def reference_train_test_split(ds, spec):
+    """``train_test_split`` as a per-user loop, kept as an oracle."""
+    import random
+
+    from osmrank.pipeline import _subset
+
+    rng = random.Random(spec.seed)
+    train_keep = np.zeros(ds.n_records, dtype=bool)
+    test_keep = np.zeros(ds.n_records, dtype=bool)
+    for rec_idx in by_user(ds):
+        if len(rec_idx) < spec.min_ratings:
+            continue
+        chosen = rng.sample(range(len(rec_idx)), spec.n_train)
+        chosen_mask = np.zeros(len(rec_idx), dtype=bool)
+        chosen_mask[chosen] = True
+        train_keep[rec_idx[chosen_mask]] = True
+        test_keep[rec_idx[~chosen_mask]] = True
+    return _subset(ds, train_keep), _subset(ds, test_keep)
+
+
+def reference_user_partitions(ds):
+    """``user_partitions`` as a per-user loop over checked partitions, kept
+    as an oracle."""
+    from osmrank.core import from_graded_ratings
+
+    out = {}
+    for u, rec_idx in enumerate(by_user(ds)):
+        if len(rec_idx):
+            grades = {int(ds.items[r]): int(ds.grades[r]) for r in rec_idx}
+            out[u] = from_graded_ratings(grades, n_objects=ds.n_items)
+    return out
+
+
 def reference_worth_features(X):
     """``worth_features`` from its definition, for a fresh computation: per
     object in block order, half its within-block ties plus the objects
@@ -163,7 +254,10 @@ def reference_effective_model(m, active):
     ``WorthPairModel(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...))``."""
     from osmrank.core import WorthPairModel
 
-    return WorthPairModel(m.nu + sum(m.nu for _ in active), m.u + sum(m.W[:, k] for k in active))
+    extra = 0.0
+    for _ in active:  # a left fold: the builtin float sum is compensated from Python 3.12
+        extra += m.nu
+    return WorthPairModel(m.nu + extra, m.u + sum(m.W[:, k] for k in active))
 
 
 def reference_gibbs_step(X, m, rng):

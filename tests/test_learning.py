@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -90,6 +91,14 @@ class TestCfLatentModel:
         p = CFParams(0.1, np.zeros(2), np.zeros((2, 10)))
         assert p.effective(range(10)).nu == 0.1 + 0.9999999999999999
         assert 0.1 + math.fsum([0.1] * 10) != 0.1 + 0.9999999999999999
+
+    @pytest.mark.parametrize("field", ["nu", "u", "W", "base", "n_objects"])
+    def test_fields_cannot_be_assigned(self, field):
+        # base is built from the fields once, so an assignment would leave it stale
+        p = CFParams.zeros(3, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field))
+        assert p.base.nu == p.nu == 0.0 and p.effective([0]).nu == 0.0
 
 
 class TestSufficientStats:

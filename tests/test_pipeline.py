@@ -2,11 +2,12 @@ import math
 import random
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import random_latent_model, reference_load_ratings
+from helpers import by_user, random_latent_model, reference_load_ratings
 from osmrank.combinatorics import OrderedPartition
 from osmrank.core import from_graded_ratings, worth_features
 from osmrank.learning import CFParams, cf_latent_model
@@ -195,6 +196,68 @@ class TestLoadRatings:
         with pytest.raises(ValueError):
             load_ratings("whatever", fmt="parquet")
 
+
+
+class TestPathRead:
+    """load_ratings hands numpy the path, except for names that numpy's
+    DataSource would decompress or fetch; the OS reports a missing file."""
+
+    ROWS = [(1, 10, 4.5, 1), (2, 11, 3.0, 2), (2, 10, 1.0, 3)]
+
+    @pytest.fixture
+    def no_loadtxt_on_names(self, monkeypatch):
+        real = np.loadtxt
+
+        def loadtxt(source, *args, **kwargs):
+            assert not isinstance(source, str), f"np.loadtxt got the name {source!r}"
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    def test_plain_text_with_a_compressed_suffix_loads(self, tmp_path, no_loadtxt_on_names, suffix, fmt):
+        plain, named = tmp_path / "r.dat", tmp_path / f"r.dat{suffix}"
+        write_ratings(plain, self.ROWS, fmt)
+        write_ratings(named, self.ROWS, fmt)
+        ds = load_ratings(str(named), fmt=fmt)
+        assert ds.ratings.tolist() == [4.5, 3.0, 1.0]
+        assert ds.users.tolist() == [0, 1, 1]
+
+    def test_existing_file_named_like_a_url_is_read_through_the_handle(
+        self, tmp_path, monkeypatch, no_loadtxt_on_names
+    ):
+        (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
+        write_ratings(tmp_path / "http:" / "example.invalid" / "r.dat", self.ROWS)
+        monkeypatch.chdir(tmp_path)
+        assert load_ratings("http://example.invalid/r.dat").n_records == 3
+
+    def test_plain_name_is_read_from_the_path(self, tmp_path, monkeypatch):
+        sources = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda source, *a, **k: sources.append(source) or real(source, *a, **k))
+        write_ratings(tmp_path / "r.dat", self.ROWS)
+        assert load_ratings(str(tmp_path / "r.dat")).n_records == 3
+        assert load_ratings(tmp_path / "r.dat").n_records == 3  # a path object
+        assert sources == [str(tmp_path / "r.dat")] * 2
+
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    def test_missing_path_is_a_data_error_naming_the_file(self, tmp_path, capsys, fmt):
+        from osmrank.cli import main
+
+        missing = str(tmp_path / "missing.dat")
+        code = main(["train", "--data", missing, "--format", fmt, "--out", str(tmp_path / "x.ck")])
+        assert code == 2
+        assert capsys.readouterr().err == f"osmrank: [Errno 2] No such file or directory: {missing!r}\n"
+
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    def test_missing_url_like_path_never_reaches_numpy(self, monkeypatch, fmt):
+        def loadtxt(*_args, **_kwargs):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(FileNotFoundError, match=r"\[Errno 2\]"):
+            load_ratings("http://example.invalid/ratings.dat", fmt=fmt)
 
 # (line, how load_ratings' verdict differs from the reference parser's)
 DCOLON_CORPUS = [
@@ -412,6 +475,16 @@ class TestEntropyFilter:
         write_ratings(path, [(1, 0, 3.0, 0)])
         with pytest.raises(ValueError):
             entropy_filter(load_ratings(str(path)))
+
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_grades_outside_n_grades_rejected(self, tmp_path, bad):
+        # the counts are one bincount over item * n_grades + grade - 1, where
+        # such a grade would be counted for a neighbouring item
+        ds = self.build(tmp_path)
+        grades = ds.grades.copy()
+        grades[0] = bad
+        with pytest.raises(ValueError, match="grades must lie in 1..5"):
+            entropy_filter(replace(ds, grades=grades))
 
     def test_removed_entropies_below_retained(self, tmp_path):
         rng = random.Random(3)
@@ -634,9 +707,8 @@ class TestEvaluateRanking:
         # zero model ranks test items by ascending item index; replicate
         from osmrank.metrics import ndcg_at as nd, err as er
 
-        by_user = test_ds.by_user()
         nd_vals, er_vals = [], []
-        for u, recs in enumerate(by_user):
+        for u, recs in enumerate(by_user(test_ds)):
             if len(recs) == 0:
                 continue
             items = [int(test_ds.items[r]) for r in recs]
@@ -693,7 +765,7 @@ class TestBatchedEvaluation:
         ds, (train_ds, _) = self.split(tmp_path, n_grades)
         for d in (ds, train_ds):
             pairs, coef = _worth_coefficients(d)
-            for u, recs in enumerate(d.by_user()):
+            for u, recs in enumerate(by_user(d)):
                 if len(recs) == 0:
                     assert pairs[u] == 0
                     continue
@@ -717,7 +789,7 @@ class TestBatchedEvaluation:
         ranked = _ranked_test_records(params, train_ds, test_ds)
         ranked_users = test_ds.users[ranked]
         expected = []
-        for u, recs in enumerate(test_ds.by_user()):
+        for u, recs in enumerate(by_user(test_ds)):
             if len(recs) == 0 or u not in parts:
                 assert u not in ranked_users
                 continue
@@ -727,7 +799,7 @@ class TestBatchedEvaluation:
             grade_of = dict(zip(test_ds.items[recs].tolist(), test_ds.grades[recs].tolist()))
             ordered = [grade_of[j] for j in oracle.items]
             expected.append([ndcg_at(ordered, 1), ndcg_at(ordered, 5), err(ordered)])
-        assert len({len(r) for r in test_ds.by_user() if len(r)}) > 1
+        assert len({len(r) for r in by_user(test_ds) if len(r)}) > 1
         report = evaluate_ranking(params, train_ds, test_ds, ["ndcg@1", "ndcg@5", "err"])
         assert report["n_users"] == len(expected)
         for col, name in enumerate(["ndcg@1", "ndcg@5", "err"]):

@@ -3,6 +3,7 @@ statistics against their definitions and the per-entry oracles."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    by_user,
     reference_accumulate,
     reference_ais_log_weights,
+    reference_build_dataset,
     reference_disagreement,
     reference_effective_model,
+    reference_entropy_filter,
+    reference_train_test_split,
+    reference_user_partitions,
     reference_worth_features,
 )
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
@@ -35,7 +41,18 @@ from osmrank.partition_function import (
     annealed_unnorm_log_prob,
     temperature_ladder,
 )
-from osmrank.pipeline import complete_rank
+from osmrank.pipeline import (
+    SplitSpec,
+    _build_dataset,
+    _ranked_test_records,
+    complete_rank,
+    entropy_filter,
+    evaluate_ranking,
+    grade_ratings,
+    parse_metric,
+    train_test_split,
+    user_partitions,
+)
 from osmrank.sampler import advance_partition
 
 worths = st.floats(-3.0, 3.0, allow_nan=False)
@@ -237,3 +254,106 @@ def test_enumerated_partitions_pass_the_checks(n):
     for X in enumerate_ordered_partitions(n):
         assert_checked_build_equal(X)
         assert X.covers_universe()
+
+
+HALF_STARS = [0.5 * s for s in range(1, 11)]
+ID_RANGES = [(0, 50), (-50, 5), (1, 1000), (-(2**63), 2**63 - 1)]  # the last two mostly span > 4x the records
+
+
+@st.composite
+def rating_records(draw):
+    """(user, item, rating) arrays in file order: repeated (user, item)
+    pairs, negative and int64-extreme ids, users below and above any
+    min_ratings, users with one rating value throughout."""
+    def ids(n):
+        lo, hi = draw(st.sampled_from(ID_RANGES))
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n, unique=True))
+
+    user_ids, item_ids = ids(draw(st.integers(1, 6))), ids(draw(st.integers(1, 40)))
+    records = []
+    for user in user_ids:
+        count = draw(st.integers(0, 36))
+        if draw(st.booleans()):  # repeated items
+            items = draw(st.lists(st.sampled_from(item_ids), min_size=count, max_size=count))
+        else:
+            items = draw(st.permutations(item_ids))[:count]
+        ratings = st.just(draw(st.sampled_from(HALF_STARS))) if draw(st.booleans()) else st.sampled_from(HALF_STARS)
+        records += [(user, item, draw(ratings)) for item in items]
+    records = draw(st.permutations(records))
+    users, items, rates = zip(*records) if records else ((), (), ())
+    return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64), np.array(rates, dtype=float)
+
+
+def graded_dataset(records, n_grades):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate pairs
+        return grade_ratings(_build_dataset(*records), n_grades=n_grades)
+
+
+def assert_same_dataset(a, b):
+    assert a.n_grades == b.n_grades
+    for name in ("users", "items", "ratings", "user_ids", "item_ids", "grades"):
+        x, y = getattr(a, name), getattr(b, name)
+        if y is None:
+            assert x is None
+        else:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@given(rating_records(), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_set_up_passes_are_the_per_user_loops(records, n_grades, n_train, extra, seed):
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        ds = _build_dataset(*records)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        assert_same_dataset(ds, reference_build_dataset(*records))
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+    ds = graded_dataset(records, n_grades)
+    filtered = entropy_filter(ds)
+    assert_same_dataset(filtered, reference_entropy_filter(ds))
+
+    spec = SplitSpec(n_train=n_train, min_ratings=n_train + 10 + extra, seed=seed)
+    splits = []
+    for d in (ds, filtered):
+        splits += train_test_split(d, spec)
+        for got, want in zip(splits[-2:], reference_train_test_split(d, spec)):
+            assert_same_dataset(got, want)
+
+    for d in (ds, filtered, *splits):
+        parts = user_partitions(d)
+        assert repr(list(parts.items())) == repr(list(reference_user_partitions(d).items()))
+        for X in parts.values():
+            assert_checked_build_equal(X)
+
+
+@given(rating_records(), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from(["zero", "tied", "random"]), st.integers(0, 3), st.data())
+def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind, k, data):
+    train_ds, test_ds = train_test_split(graded_dataset(records, n_grades),
+                                         SplitSpec(n_train=n_train, min_ratings=n_train + 10, seed=seed))
+    n = train_ds.n_items
+    values = {"zero": st.just(0.0), "tied": st.sampled_from([-1.0, 0.0, 1.0]), "random": worths}[kind]
+    params = CFParams(data.draw(values), data.draw(arrays(float, n, elements=values)),
+                      data.draw(arrays(float, (n, k), elements=values)))
+    parts = reference_user_partitions(train_ds)
+    ranked_items, rows = [], []
+    for u, recs in enumerate(by_user(test_ds)):
+        if len(recs) and u in parts:
+            oracle = complete_rank(parts[u], test_ds.items[recs].tolist(), params).items
+            grade_of = dict(zip(test_ds.items[recs].tolist(), test_ds.grades[recs].tolist()))
+            ranked_items += oracle
+            rows.append([grade_of[j] for j in oracle])
+    assert test_ds.items[_ranked_test_records(params, train_ds, test_ds)].tolist() == ranked_items
+
+    names = ["ndcg@1", "ndcg@5", "err"]
+    if not rows:
+        with pytest.raises(ValueError, match="no users"):
+            evaluate_ranking(params, train_ds, test_ds, names)
+        return
+    report = evaluate_ranking(params, train_ds, test_ds, names)
+    assert report["n_users"] == len(rows)
+    for name in names:
+        want = [parse_metric(name)(np.array([row]))[0] for row in rows]
+        np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
