@@ -10,26 +10,19 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 __all__ = [
     "OrderedPartition",
     "EnumerationCapError",
-    "stirling2",
     "fubini",
-    "fubini_asymptotic",
-    "log_fubini_asymptotic",
     "enumerate_ordered_partitions",
     "sample_uniform_ordered_partition",
     "format_partition",
-    "parse_partition",
 ]
 
 DEFAULT_ENUMERATION_CAP = 8
-
-LOG2 = math.log(2.0)
 
 
 class EnumerationCapError(ValueError):
@@ -117,16 +110,6 @@ _PARTITION_SLOT_SETTERS = tuple(
 )
 
 
-def stirling2(n: int, t: int) -> int:
-    """Stirling number of the second kind: partitions of an n-set into t blocks."""
-    if n < 0 or t < 0:
-        raise ValueError("stirling2 arguments must be non-negative")
-    row = [1]  # S(m, 0..m), filled row by row from m = 0
-    for m in range(1, n + 1):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
-    return row[t] if t <= n else 0
-
-
 _FUBINI = [1]  # ordered Bell numbers a(0), a(1), ... computed so far
 _SURJECTIONS = [1]  # t! S(m, t) for t = 0..m, with m = len(_FUBINI) - 1
 
@@ -142,24 +125,6 @@ def fubini(n: int) -> int:
         row[:] = [0] + [t * (row[t] + row[t - 1]) for t in range(1, m)] + [m * row[m - 1]]
         _FUBINI.append(sum(row))
     return _FUBINI[n]
-
-
-def log_fubini_asymptotic(n: int) -> float:
-    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
-    if n < 1:
-        raise ValueError("asymptotic formula needs n >= 1")
-    return math.lgamma(n + 1) - LOG2 - (n + 1) * math.log(LOG2)
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def fubini_asymptotic(n: int) -> float:
-    """Closed-form asymptotic ordered-Bell count; overflows raise OverflowError."""
-    log_value = log_fubini_asymptotic(n)
-    if log_value >= _LOG_FLOAT_MAX:
-        raise OverflowError(f"fubini_asymptotic({n}) exceeds float range; use log_fubini_asymptotic")
-    return math.exp(log_value)
 
 
 def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[OrderedPartition]:
@@ -223,9 +188,3 @@ def sample_uniform_ordered_partition(n: int, rng: random.Random) -> OrderedParti
 def format_partition(X: OrderedPartition) -> str:
     """Encode as text: items comma-separated inside blocks, blocks joined by '>'."""
     return ">".join(",".join(str(x) for x in block) for block in X.blocks)
-
-
-def parse_partition(text: str, n_objects: int | None = None) -> OrderedPartition:
-    """Decode the '>'/',' text form; item order inside a block is irrelevant."""
-    blocks = [[int(tok) for tok in part.split(",")] for part in text.strip().split(">")]
-    return OrderedPartition.from_blocks(blocks, n_objects)

@@ -28,7 +28,6 @@ __all__ = [
     "log_weight",
     "log_ratio_split",
     "log_ratio_merge",
-    "from_graded_ratings",
     "worth_features",
     "logsumexp",
 ]
@@ -345,16 +344,3 @@ def log_ratio_merge(X: OrderedPartition, t: int, m: PairPotentialModel) -> float
         for j in X.blocks[t + 1]:
             total += m.log_tie(i, j) - m.log_order(i, j)
     return total
-
-
-def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) -> OrderedPartition:
-    """Group objects by equal grade, blocks ordered by decreasing grade."""
-    if not grades:
-        raise ValueError("grades must be non-empty")
-    by_grade: dict[float, list[int]] = {}
-    for obj, g in grades.items():
-        by_grade.setdefault(g, []).append(obj)
-    blocks = [tuple(sorted(by_grade[g])) for g in sorted(by_grade, reverse=True)]
-    if n_objects is None:
-        n_objects = 1 + max(grades)
-    return OrderedPartition(tuple(blocks), n_objects)

@@ -3,7 +3,10 @@
 Each of the K hidden units gates a full extra set of pairwise potentials:
 the joint weight is Omega(X) * prod_k Omega_k(X)^{h_k}.  Posteriors over
 h factorize and are available in closed form, so inference alternates an
-exact Gibbs draw of h | X with split-merge MH moves on X | h.
+exact Gibbs draw of h | X with split-merge MH moves on X | h, which run on
+the one pair model ``effective_pair_model(h, m)`` whose weight is the joint
+weight.  The direct product, ``log_joint_weight``, is the tests' reference
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .sampler import advance_partition
 __all__ = [
     "LatentModel",
     "hidden_posterior",
-    "log_joint_weight",
     "effective_pair_model",
     "gibbs_mh_step",
     "sigmoid",
@@ -76,20 +78,9 @@ def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     return np.array([sigmoid(lo) for lo in m.log_omegas(X).tolist()])
 
 
-def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
-    """log of Omega(X) * prod_k Omega_k(X)^{h_k}."""
-    h = np.asarray(h)
-    if h.shape != (m.n_hidden,):
-        raise ValueError(f"hidden state must have shape ({m.n_hidden},)")
-    total = log_weight(X, m.base)
-    for hk, hm in zip(h, m.hidden):
-        if hk:
-            total += log_weight(X, hm)
-    return total
-
-
 def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
-    """The pair model whose log_weight equals log_joint_weight(., h, m)."""
+    """The pair model whose log_weight is the log joint weight
+    log Omega(X) + sum_k h_k log Omega_k(X)."""
     active = [k for k, hk in enumerate(np.asarray(h).tolist()) if hk]
     return m.effective(active) if active else m.base
 

@@ -4,8 +4,9 @@ Items carry log-worths: theta = e^nu, phi(x_i) = e^{u_i} and, per hidden
 unit k, phi_k(x_i) = e^{W_ik}.  Ties get theta * sqrt(phi phi), orderings
 the winner's worth.  Gradients are data statistics (with exact hidden
 posteriors) minus model statistics estimated from short persistent
-per-user chains; an enumeration oracle provides exact gradients and
-likelihoods at small sizes.
+per-user chains.  The enumeration oracle the tests check this against
+(exact gradients, likelihoods and draws at small sizes) is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
-from .core import WorthPairModel, logsumexp, worth_features
+from .combinatorics import OrderedPartition
+from .core import WorthPairModel, worth_features
 from .latent import LatentModel, gibbs_mh_step, hidden_posterior
 
 __all__ = [
@@ -28,11 +29,7 @@ __all__ = [
     "GradientEstimate",
     "TrainConfig",
     "cf_latent_model",
-    "sufficient_stats",
     "estimate_gradient",
-    "exact_gradient",
-    "exact_log_likelihood",
-    "sample_partitions_exact",
     "pairwise_disagreement",
     "trainable_users",
     "train",
@@ -208,19 +205,6 @@ def _accumulate(
     return d_nu, d_u, d_W
 
 
-def sufficient_stats(
-    X: OrderedPartition, h: np.ndarray, n_items: int, n_hidden: int
-) -> GradientEstimate:
-    """Exact partials of log joint weight w.r.t. (nu, u, W) at (X, h).
-
-    ``h`` may be a binary hidden state or a posterior vector; the statistics
-    are linear in h, so posteriors give the exact conditional expectation.
-    """
-    if np.shape(h) != (n_hidden,):
-        raise ValueError(f"h must have shape ({n_hidden},)")
-    return GradientEstimate(*_accumulate([(X, h)], n_items, n_hidden))
-
-
 def estimate_gradient(
     observed: Sequence[tuple[OrderedPartition, np.ndarray]],
     model_samples: Sequence[tuple[OrderedPartition, np.ndarray]],
@@ -239,111 +223,6 @@ def estimate_gradient(
         obs_u / n_obs - mod_u / n_mod,
         obs_W / n_obs - mod_W / n_mod,
     )
-
-
-def state_features(n: int, cap: int = 8) -> np.ndarray:
-    """Per-state structural coefficients over all ordered partitions of n.
-
-    Row s is [pairs, c_0, ..., c_{n-1}] for state s in enumeration order,
-    so any worth model's log Omega over all states is one matrix-vector
-    product.  Cached per n; the cap is checked on every call.
-    """
-    if n > cap:
-        raise EnumerationCapError(
-            f"state table of n={n} refused: fubini({n}) = {fubini(n)} states exceeds cap {cap}"
-        )
-    return _state_features(n)
-
-
-@lru_cache(maxsize=None)
-def _state_features(n: int) -> np.ndarray:
-    return _feature_rows(enumerate_ordered_partitions(n, cap=n), fubini(n), n)
-
-
-def _feature_rows(partitions: Iterable[OrderedPartition], count: int, n: int) -> np.ndarray:
-    """Rows [pairs, c_0, ..., c_{n-1}] for ``count`` partitions over n items."""
-    F = np.zeros((count, n + 1))
-    for s, X in enumerate(partitions):
-        pairs, items, coef = worth_features(X)
-        F[s, 0] = pairs
-        F[s, 1 + items] = coef
-    return F
-
-
-def _cf_log_weights(p: CFParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(marginal log weights, per-unit log omegas) of the feature rows F."""
-    log_base = F @ np.concatenate([[p.nu], p.u])
-    log_omegas = F @ np.vstack([np.full(p.n_hidden, p.nu), p.W])
-    return log_base + np.logaddexp(0.0, log_omegas).sum(axis=1), log_omegas
-
-
-def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: str) -> None:
-    for X in data:
-        if X.n_objects != n_items or not X.covers_universe():
-            raise ValueError(f"{what} requires partitions covering all {n_items} items")
-
-
-def exact_log_likelihood(p: CFParams, data: Sequence[OrderedPartition], cap: int = 8) -> np.ndarray:
-    """Per-datum exact log P(X) over partitions of the full item set."""
-    _require_dense_cover(data, p.n_items, "exact_log_likelihood")
-    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
-    observed, _ = _cf_log_weights(p, _feature_rows(data, len(data), p.n_items))
-    return observed - logsumexp(marginal)
-
-
-def exact_gradient(
-    p: CFParams, data: Sequence[OrderedPartition], n_cap: int = 6, k_cap: int = 4
-) -> GradientEstimate:
-    """Oracle gradient of the mean log-likelihood: data statistics (exact
-    posteriors) minus the exact model expectation by enumeration."""
-    if p.n_items > n_cap:
-        raise EnumerationCapError(f"exact_gradient capped at {n_cap} items")
-    if p.n_hidden > k_cap:
-        raise EnumerationCapError(f"exact_gradient capped at {k_cap} hidden units")
-    if not data:
-        raise ValueError("need at least one observation")
-    _require_dense_cover(data, p.n_items, "exact_gradient")
-
-    F = state_features(p.n_items)
-    marginal, log_omegas = _cf_log_weights(p, F)
-    probs = np.exp(marginal - logsumexp(marginal))
-    post = np.exp(-np.logaddexp(0.0, -log_omegas))  # sigmoid, (S, K)
-    pair_counts = F[:, 0]
-    C = F[:, 1:]
-
-    model_nu = probs @ (pair_counts * (1.0 + post.sum(axis=1)))
-    model_u = C.T @ probs
-    model_W = C.T @ (probs[:, None] * post)
-
-    data_nu, data_u, data_W = _accumulate(
-        ((X, hidden_posterior(X, p)) for X in data), p.n_items, p.n_hidden
-    )
-    n = len(data)
-    return GradientEstimate(data_nu / n - model_nu, data_u / n - model_u, data_W / n - model_W)
-
-
-def sample_partitions_exact(
-    p: CFParams, count: int, rng: np.random.Generator, cap: int = 8
-) -> list[OrderedPartition]:
-    """i.i.d. exact draws of X from the model (hidden units marginalized),
-    via a categorical over the fully enumerated state space."""
-    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
-    probs = np.exp(marginal - logsumexp(marginal))
-    probs /= probs.sum()
-    chosen = rng.choice(len(probs), size=count, p=probs)
-    wanted: dict[int, list[int]] = {}
-    for pos, s in enumerate(chosen):
-        wanted.setdefault(int(s), []).append(pos)
-    out: list[Optional[OrderedPartition]] = [None] * count
-    remaining = len(wanted)
-    for s, X in enumerate(enumerate_ordered_partitions(p.n_items, cap)):
-        if s in wanted:
-            for pos in wanted[s]:
-                out[pos] = X
-            remaining -= 1
-            if remaining == 0:
-                break
-    return out  # type: ignore[return-value]
 
 
 def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) -> float:

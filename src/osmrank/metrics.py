@@ -51,8 +51,11 @@ def ndcg_rows(grades, truncation: int, lengths: Optional[np.ndarray] = None) -> 
     g, _ = _masked(grades, lengths)
     if (g < 0).any():
         raise ValueError("grades must be non-negative")
-    ideal = _dcg_rows(np.sort(g, axis=1)[:, ::-1], truncation)  # padding sorts last
-    dcg = _dcg_rows(g, truncation)
+    with np.errstate(over="ignore"):  # an overflowing gain is reported below
+        ideal = _dcg_rows(np.sort(g, axis=1)[:, ::-1], truncation)  # padding sorts last
+        dcg = _dcg_rows(g, truncation)
+    if not np.isfinite(ideal).all():
+        raise ValueError(f"NDCG gains 2**grade overflow (largest grade {g.max():g})")
     zero = ideal == 0.0
     return np.where(zero, 1.0, dcg / np.where(zero, 1.0, ideal))
 

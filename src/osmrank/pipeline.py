@@ -29,7 +29,6 @@ __all__ = [
     "train_test_split",
     "user_partitions",
     "complete_rank",
-    "reconstruct_rank",
     "evaluate_ranking",
     "parse_metric",
     "parse_metrics",
@@ -218,8 +217,8 @@ def grade_ratings(
 ) -> RatingsDataset:
     """Map ratings to grades 1..n_grades by equal-length segments of the
     rating ``scale`` (lo, hi); out-of-scale or non-finite ratings are an error."""
-    if n_grades < 1:
-        raise ValueError(f"n_grades must be >= 1, got {n_grades}")
+    if not 1 <= n_grades <= 2**53:  # segment indices stay exact in float64 and fit int64
+        raise ValueError(f"n_grades must lie in 1..2**53, got {n_grades}")
     lo, hi = scale
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid rating scale [{lo}, {hi}]")
@@ -242,7 +241,11 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     n_items, n_grades = ds.n_items, ds.n_grades
     if len(ds.grades) and not 1 <= ds.grades.min() <= ds.grades.max() <= n_grades:
         raise ValueError(f"grades must lie in 1..{n_grades}")
-    counts = np.bincount(ds.items * n_grades + (ds.grades - 1), minlength=n_items * n_grades)
+    grades = ds.grades - 1
+    if n_grades > len(grades):  # count only the grades that occur
+        occurring, grades = np.unique(grades, return_inverse=True)
+        n_grades = len(occurring)
+    counts = np.bincount(ds.items * n_grades + grades, minlength=n_items * n_grades)
     counts = counts.reshape(n_items, n_grades).astype(float)
     totals = counts.sum(axis=1)
     totals[totals == 0] = 1.0
@@ -379,18 +382,6 @@ def complete_rank(
         raise ValueError("unseen items overlap the seen partition")
     w = _mean_worth(m, hidden_posterior(seen, m))
     return _rank({j: len(seen_items) * float(w[j]) for j in unseen})
-
-
-def reconstruct_rank(
-    posterior: np.ndarray, items: Iterable[int], m: LatentModel
-) -> RankedList:
-    """Complete ranking of ``items`` from a posterior activation vector:
-    score(j) = u_j + sum_k posterior_k W_jk (worth-parameterized models)."""
-    posterior = np.asarray(posterior, dtype=float)
-    if posterior.shape != (m.n_hidden,):
-        raise ValueError(f"posterior must have shape ({m.n_hidden},)")
-    w = _mean_worth(m, posterior)
-    return _rank({j: float(w[j]) for j in items})
 
 
 def parse_metric(name: str):

@@ -19,9 +19,10 @@ with q_kind the move-type probability (1/2 when both kinds are feasible,
 verified against full enumeration in the tests.
 
 ``advance_partition`` is the kernel every chain runs.  The proposal
-objects (``propose_split``, ``propose_merge``, ``_single_move``) build a
-validated partition per move and stay as the reference it is tested
-against: same draws, same trajectory.
+objects ``propose_split`` and ``propose_merge`` build a validated partition
+per move.  The tests step them as the reference kernel (``_single_move`` in
+``tests/oracles.py``, with the exact ``transition_matrix``) and require the
+same draws and the same trajectory.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .combinatorics import OrderedPartition, enumerate_ordered_partitions
+from .combinatorics import OrderedPartition
 from .core import PairPotentialModel, log_ratio_merge, log_ratio_split
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "propose_merge",
     "advance_partition",
     "run_chain",
-    "transition_matrix",
 ]
 
 LOG2 = math.log(2.0)
@@ -163,42 +161,6 @@ def propose_merge(
     return MoveProposal("merge", t, None, log_q, log_l, proposed)
 
 
-def _single_move(
-    X: OrderedPartition, m: PairPotentialModel, rng: random.Random
-) -> tuple[OrderedPartition, Optional[str], bool]:
-    """One MH transition built from the validated proposals; the reference
-    kernel ``advance_partition`` is tested against.  Returns (next
-    partition, proposed kind or None, accepted)."""
-    can_split = any(len(b) > 1 for b in X.blocks)
-    can_merge = X.n_blocks > 1
-    if not can_split and not can_merge:
-        return X, None, False
-    if can_split and can_merge:
-        kind = "split" if rng.random() < 0.5 else "merge"
-        log_q_kind_fwd = LOG_HALF
-    elif can_split:
-        kind, log_q_kind_fwd = "split", 0.0
-    else:
-        kind, log_q_kind_fwd = "merge", 0.0
-
-    if kind == "split":
-        prop = propose_split(X, rng, m)
-        # reverse kind (merge) competes with split at X' only if X' still has
-        # a non-singleton block
-        nt = len(X.blocks[prop.block_index])
-        splittable_after = nt > 2 or sum(1 for b in X.blocks if len(b) > 1) > 1
-        log_q_kind_rev = LOG_HALF if splittable_after else 0.0
-    else:
-        prop = propose_merge(X, rng, m)
-        # reverse kind (split) competes with merge at X' only if X' has >= 2 blocks
-        log_q_kind_rev = LOG_HALF if X.n_blocks - 1 >= 2 else 0.0
-
-    log_accept = prop.log_l_ratio + prop.log_q_ratio + log_q_kind_rev - log_q_kind_fwd
-    if log_accept >= 0.0 or rng.random() < math.exp(log_accept):
-        return prop.proposed, kind, True
-    return X, kind, False
-
-
 _LOG = [-math.inf]  # _LOG[i] == math.log(i); advance_partition grows it to its object count + 1
 
 
@@ -216,8 +178,9 @@ def advance_partition(
     proposal picks ``big[r]`` directly, and an accepted move rewrites
     ``big`` from the changed position on, so no move scans the blocks.
 
-    ``rng`` is a ``random.Random``, drawn in exactly the order of
-    ``_single_move``.  Its ``randrange(k)`` and ``sample(block, 2)`` are
+    ``rng`` is a ``random.Random``, drawn in exactly the order of the
+    reference step over ``propose_split`` and ``propose_merge``.  Its
+    ``randrange(k)`` and ``sample(block, 2)`` are
     inlined as CPython makes them (the ``getrandbits(k.bit_length())``
     rejection loop of ``_randbelow_with_getrandbits``; ``sample``'s pool
     path for blocks of at most 21 objects and its set path above), so the
@@ -354,70 +317,3 @@ def run_chain(
     # moves after the last sample still count in stats
     advance_partition(X, m, rng, (cfg.steps - burn) % cfg.thin, stats)
     return samples, stats
-
-
-def transition_matrix(
-    m: PairPotentialModel, states: Optional[list[OrderedPartition]] = None
-) -> tuple[list[OrderedPartition], np.ndarray]:
-    """Exact one-step kernel of ``advance_partition`` with ``steps=1`` over
-    the full state space.
-
-    Enumerates every proposal outcome with its analytic probability and the
-    same acceptance rule the sampler applies.  Only viable for small
-    n_objects; used to verify detailed balance and the stationary
-    distribution against exp(log_weight)/Z.
-    """
-    if states is None:
-        states = list(enumerate_ordered_partitions(m.n_objects))
-    index = {X.blocks: si for si, X in enumerate(states)}
-    K = np.zeros((len(states), len(states)))
-
-    for si, X in enumerate(states):
-        T = X.n_blocks
-        splittable = [t for t, b in enumerate(X.blocks) if len(b) > 1]
-        can_split = bool(splittable)
-        can_merge = T > 1
-        if not can_split and not can_merge:
-            K[si, si] = 1.0
-            continue
-        both = can_split and can_merge
-        q_split_kind = (0.5 if both else 1.0) if can_split else 0.0
-        q_merge_kind = (0.5 if both else 1.0) if can_merge else 0.0
-
-        if can_split:
-            log_q_kind_fwd = LOG_HALF if both else 0.0
-            for t in splittable:
-                block = X.blocks[t]
-                nt = len(block)
-                path_prob = q_split_kind / (len(splittable) * nt * (nt - 1) * 2 ** (nt - 2))
-                splittable_after_base = len(splittable) > 1 or nt > 2
-                for mask in range(1, (1 << nt) - 1):
-                    A = tuple(block[i] for i in range(nt) if mask >> i & 1)
-                    B = tuple(block[i] for i in range(nt) if not mask >> i & 1)
-                    proposed = X.blocks[:t] + (A, B) + X.blocks[t + 1 :]
-                    out_prob = path_prob * len(A) * len(B)
-                    log_q = _split_log_q_ratio(len(splittable), nt, T, len(A) * len(B))
-                    log_l = log_ratio_split(X, t, (A, B), m)
-                    log_q_kind_rev = LOG_HALF if splittable_after_base else 0.0
-                    alpha = min(1.0, math.exp(log_l + log_q + log_q_kind_rev - log_q_kind_fwd))
-                    sj = index[proposed]
-                    K[si, sj] += out_prob * alpha
-                    K[si, si] += out_prob * (1.0 - alpha)
-
-        if can_merge:
-            log_q_kind_fwd = LOG_HALF if both else 0.0
-            for t in range(T - 1):
-                b1, b2 = X.blocks[t], X.blocks[t + 1]
-                merged = tuple(sorted(b1 + b2))
-                proposed = X.blocks[:t] + (merged,) + X.blocks[t + 2 :]
-                t_merge = sum(1 for b in proposed if len(b) > 1)
-                out_prob = q_merge_kind / (T - 1)
-                log_q = _merge_log_q_ratio(T, t_merge, len(b1), len(b2))
-                log_l = log_ratio_merge(X, t, m)
-                log_q_kind_rev = LOG_HALF if T - 1 >= 2 else 0.0
-                alpha = min(1.0, math.exp(log_l + log_q + log_q_kind_rev - log_q_kind_fwd))
-                sj = index[proposed]
-                K[si, sj] += out_prob * alpha
-                K[si, si] += out_prob * (1.0 - alpha)
-
-    return states, K

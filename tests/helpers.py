@@ -189,7 +189,7 @@ def reference_train_test_split(ds, spec):
 def reference_user_partitions(ds):
     """``user_partitions`` as a per-user loop over checked partitions, kept
     as an oracle."""
-    from osmrank.core import from_graded_ratings
+    from oracles import from_graded_ratings
 
     out = {}
     for u, rec_idx in enumerate(by_user(ds)):

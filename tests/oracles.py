@@ -1,0 +1,339 @@
+"""Exact oracles that only the tests use, moved out of ``src/osmrank``.
+
+Each definition is the library's former code, unchanged: the ordered-Bell
+asymptotes and the Stirling numbers, the proposal-object MH step and the
+exact one-step kernel of the split-merge sampler, the enumeration oracles of
+training (exact sufficient statistics, gradients, likelihoods and draws), the
+log joint weight, partitions from graded ratings and text, and rank
+reconstruction from a posterior.  They are small-size references the fast
+paths are checked against.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import sys
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from osmrank.combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
+from osmrank.core import (
+    PairPotentialModel,
+    log_ratio_merge,
+    log_ratio_split,
+    log_weight,
+    logsumexp,
+    worth_features,
+)
+from osmrank.latent import LatentModel, hidden_posterior
+from osmrank.learning import CFParams, GradientEstimate, _accumulate
+from osmrank.pipeline import RankedList, _mean_worth, _rank
+from osmrank.sampler import (
+    LOG2,
+    LOG_HALF,
+    _merge_log_q_ratio,
+    _split_log_q_ratio,
+    propose_merge,
+    propose_split,
+)
+
+
+# osmrank.combinatorics: counts and the text form
+def stirling2(n: int, t: int) -> int:
+    """Stirling number of the second kind: partitions of an n-set into t blocks."""
+    if n < 0 or t < 0:
+        raise ValueError("stirling2 arguments must be non-negative")
+    row = [1]  # S(m, 0..m), filled row by row from m = 0
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return row[t] if t <= n else 0
+
+
+def log_fubini_asymptotic(n: int) -> float:
+    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
+    if n < 1:
+        raise ValueError("asymptotic formula needs n >= 1")
+    return math.lgamma(n + 1) - LOG2 - (n + 1) * math.log(LOG2)
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def fubini_asymptotic(n: int) -> float:
+    """Closed-form asymptotic ordered-Bell count; overflows raise OverflowError."""
+    log_value = log_fubini_asymptotic(n)
+    if log_value >= _LOG_FLOAT_MAX:
+        raise OverflowError(f"fubini_asymptotic({n}) exceeds float range; use log_fubini_asymptotic")
+    return math.exp(log_value)
+
+
+def parse_partition(text: str, n_objects: int | None = None) -> OrderedPartition:
+    """Decode the '>'/',' text form; item order inside a block is irrelevant."""
+    blocks = [[int(tok) for tok in part.split(",")] for part in text.strip().split(">")]
+    return OrderedPartition.from_blocks(blocks, n_objects)
+
+
+# osmrank.sampler: the proposal-object MH step and the exact kernel
+def _single_move(
+    X: OrderedPartition, m: PairPotentialModel, rng: random.Random
+) -> tuple[OrderedPartition, Optional[str], bool]:
+    """One MH transition built from the validated proposals; the reference
+    kernel ``advance_partition`` is tested against.  Returns (next
+    partition, proposed kind or None, accepted)."""
+    can_split = any(len(b) > 1 for b in X.blocks)
+    can_merge = X.n_blocks > 1
+    if not can_split and not can_merge:
+        return X, None, False
+    if can_split and can_merge:
+        kind = "split" if rng.random() < 0.5 else "merge"
+        log_q_kind_fwd = LOG_HALF
+    elif can_split:
+        kind, log_q_kind_fwd = "split", 0.0
+    else:
+        kind, log_q_kind_fwd = "merge", 0.0
+
+    if kind == "split":
+        prop = propose_split(X, rng, m)
+        # reverse kind (merge) competes with split at X' only if X' still has
+        # a non-singleton block
+        nt = len(X.blocks[prop.block_index])
+        splittable_after = nt > 2 or sum(1 for b in X.blocks if len(b) > 1) > 1
+        log_q_kind_rev = LOG_HALF if splittable_after else 0.0
+    else:
+        prop = propose_merge(X, rng, m)
+        # reverse kind (split) competes with merge at X' only if X' has >= 2 blocks
+        log_q_kind_rev = LOG_HALF if X.n_blocks - 1 >= 2 else 0.0
+
+    log_accept = prop.log_l_ratio + prop.log_q_ratio + log_q_kind_rev - log_q_kind_fwd
+    if log_accept >= 0.0 or rng.random() < math.exp(log_accept):
+        return prop.proposed, kind, True
+    return X, kind, False
+
+
+def transition_matrix(
+    m: PairPotentialModel, states: Optional[list[OrderedPartition]] = None
+) -> tuple[list[OrderedPartition], np.ndarray]:
+    """Exact one-step kernel of ``advance_partition`` with ``steps=1`` over
+    the full state space.
+
+    Enumerates every proposal outcome with its analytic probability and the
+    same acceptance rule the sampler applies.  Only viable for small
+    n_objects; used to verify detailed balance and the stationary
+    distribution against exp(log_weight)/Z.
+    """
+    if states is None:
+        states = list(enumerate_ordered_partitions(m.n_objects))
+    index = {X.blocks: si for si, X in enumerate(states)}
+    K = np.zeros((len(states), len(states)))
+
+    for si, X in enumerate(states):
+        T = X.n_blocks
+        splittable = [t for t, b in enumerate(X.blocks) if len(b) > 1]
+        can_split = bool(splittable)
+        can_merge = T > 1
+        if not can_split and not can_merge:
+            K[si, si] = 1.0
+            continue
+        both = can_split and can_merge
+        q_split_kind = (0.5 if both else 1.0) if can_split else 0.0
+        q_merge_kind = (0.5 if both else 1.0) if can_merge else 0.0
+
+        if can_split:
+            log_q_kind_fwd = LOG_HALF if both else 0.0
+            for t in splittable:
+                block = X.blocks[t]
+                nt = len(block)
+                path_prob = q_split_kind / (len(splittable) * nt * (nt - 1) * 2 ** (nt - 2))
+                splittable_after_base = len(splittable) > 1 or nt > 2
+                for mask in range(1, (1 << nt) - 1):
+                    A = tuple(block[i] for i in range(nt) if mask >> i & 1)
+                    B = tuple(block[i] for i in range(nt) if not mask >> i & 1)
+                    proposed = X.blocks[:t] + (A, B) + X.blocks[t + 1 :]
+                    out_prob = path_prob * len(A) * len(B)
+                    log_q = _split_log_q_ratio(len(splittable), nt, T, len(A) * len(B))
+                    log_l = log_ratio_split(X, t, (A, B), m)
+                    log_q_kind_rev = LOG_HALF if splittable_after_base else 0.0
+                    alpha = min(1.0, math.exp(log_l + log_q + log_q_kind_rev - log_q_kind_fwd))
+                    sj = index[proposed]
+                    K[si, sj] += out_prob * alpha
+                    K[si, si] += out_prob * (1.0 - alpha)
+
+        if can_merge:
+            log_q_kind_fwd = LOG_HALF if both else 0.0
+            for t in range(T - 1):
+                b1, b2 = X.blocks[t], X.blocks[t + 1]
+                merged = tuple(sorted(b1 + b2))
+                proposed = X.blocks[:t] + (merged,) + X.blocks[t + 2 :]
+                t_merge = sum(1 for b in proposed if len(b) > 1)
+                out_prob = q_merge_kind / (T - 1)
+                log_q = _merge_log_q_ratio(T, t_merge, len(b1), len(b2))
+                log_l = log_ratio_merge(X, t, m)
+                log_q_kind_rev = LOG_HALF if T - 1 >= 2 else 0.0
+                alpha = min(1.0, math.exp(log_l + log_q + log_q_kind_rev - log_q_kind_fwd))
+                sj = index[proposed]
+                K[si, sj] += out_prob * alpha
+                K[si, si] += out_prob * (1.0 - alpha)
+
+    return states, K
+
+
+# osmrank.core
+def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) -> OrderedPartition:
+    """Group objects by equal grade, blocks ordered by decreasing grade."""
+    if not grades:
+        raise ValueError("grades must be non-empty")
+    by_grade: dict[float, list[int]] = {}
+    for obj, g in grades.items():
+        by_grade.setdefault(g, []).append(obj)
+    blocks = [tuple(sorted(by_grade[g])) for g in sorted(by_grade, reverse=True)]
+    if n_objects is None:
+        n_objects = 1 + max(grades)
+    return OrderedPartition(tuple(blocks), n_objects)
+
+
+# osmrank.latent
+def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
+    """log of Omega(X) * prod_k Omega_k(X)^{h_k}."""
+    h = np.asarray(h)
+    if h.shape != (m.n_hidden,):
+        raise ValueError(f"hidden state must have shape ({m.n_hidden},)")
+    total = log_weight(X, m.base)
+    for hk, hm in zip(h, m.hidden):
+        if hk:
+            total += log_weight(X, hm)
+    return total
+
+
+# osmrank.learning: sufficient statistics and the enumeration oracles
+def sufficient_stats(
+    X: OrderedPartition, h: np.ndarray, n_items: int, n_hidden: int
+) -> GradientEstimate:
+    """Exact partials of log joint weight w.r.t. (nu, u, W) at (X, h).
+
+    ``h`` may be a binary hidden state or a posterior vector; the statistics
+    are linear in h, so posteriors give the exact conditional expectation.
+    """
+    if np.shape(h) != (n_hidden,):
+        raise ValueError(f"h must have shape ({n_hidden},)")
+    return GradientEstimate(*_accumulate([(X, h)], n_items, n_hidden))
+
+
+def state_features(n: int, cap: int = 8) -> np.ndarray:
+    """Per-state structural coefficients over all ordered partitions of n.
+
+    Row s is [pairs, c_0, ..., c_{n-1}] for state s in enumeration order,
+    so any worth model's log Omega over all states is one matrix-vector
+    product.  Cached per n; the cap is checked on every call.
+    """
+    if n > cap:
+        raise EnumerationCapError(
+            f"state table of n={n} refused: fubini({n}) = {fubini(n)} states exceeds cap {cap}"
+        )
+    return _state_features(n)
+
+
+@lru_cache(maxsize=None)
+def _state_features(n: int) -> np.ndarray:
+    return _feature_rows(enumerate_ordered_partitions(n, cap=n), fubini(n), n)
+
+
+def _feature_rows(partitions: Iterable[OrderedPartition], count: int, n: int) -> np.ndarray:
+    """Rows [pairs, c_0, ..., c_{n-1}] for ``count`` partitions over n items."""
+    F = np.zeros((count, n + 1))
+    for s, X in enumerate(partitions):
+        pairs, items, coef = worth_features(X)
+        F[s, 0] = pairs
+        F[s, 1 + items] = coef
+    return F
+
+
+def _cf_log_weights(p: CFParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(marginal log weights, per-unit log omegas) of the feature rows F."""
+    log_base = F @ np.concatenate([[p.nu], p.u])
+    log_omegas = F @ np.vstack([np.full(p.n_hidden, p.nu), p.W])
+    return log_base + np.logaddexp(0.0, log_omegas).sum(axis=1), log_omegas
+
+
+def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: str) -> None:
+    for X in data:
+        if X.n_objects != n_items or not X.covers_universe():
+            raise ValueError(f"{what} requires partitions covering all {n_items} items")
+
+
+def exact_log_likelihood(p: CFParams, data: Sequence[OrderedPartition], cap: int = 8) -> np.ndarray:
+    """Per-datum exact log P(X) over partitions of the full item set."""
+    _require_dense_cover(data, p.n_items, "exact_log_likelihood")
+    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
+    observed, _ = _cf_log_weights(p, _feature_rows(data, len(data), p.n_items))
+    return observed - logsumexp(marginal)
+
+
+def exact_gradient(
+    p: CFParams, data: Sequence[OrderedPartition], n_cap: int = 6, k_cap: int = 4
+) -> GradientEstimate:
+    """Oracle gradient of the mean log-likelihood: data statistics (exact
+    posteriors) minus the exact model expectation by enumeration."""
+    if p.n_items > n_cap:
+        raise EnumerationCapError(f"exact_gradient capped at {n_cap} items")
+    if p.n_hidden > k_cap:
+        raise EnumerationCapError(f"exact_gradient capped at {k_cap} hidden units")
+    if not data:
+        raise ValueError("need at least one observation")
+    _require_dense_cover(data, p.n_items, "exact_gradient")
+
+    F = state_features(p.n_items)
+    marginal, log_omegas = _cf_log_weights(p, F)
+    probs = np.exp(marginal - logsumexp(marginal))
+    post = np.exp(-np.logaddexp(0.0, -log_omegas))  # sigmoid, (S, K)
+    pair_counts = F[:, 0]
+    C = F[:, 1:]
+
+    model_nu = probs @ (pair_counts * (1.0 + post.sum(axis=1)))
+    model_u = C.T @ probs
+    model_W = C.T @ (probs[:, None] * post)
+
+    data_nu, data_u, data_W = _accumulate(
+        ((X, hidden_posterior(X, p)) for X in data), p.n_items, p.n_hidden
+    )
+    n = len(data)
+    return GradientEstimate(data_nu / n - model_nu, data_u / n - model_u, data_W / n - model_W)
+
+
+def sample_partitions_exact(
+    p: CFParams, count: int, rng: np.random.Generator, cap: int = 8
+) -> list[OrderedPartition]:
+    """i.i.d. exact draws of X from the model (hidden units marginalized),
+    via a categorical over the fully enumerated state space."""
+    marginal, _ = _cf_log_weights(p, state_features(p.n_items, cap))
+    probs = np.exp(marginal - logsumexp(marginal))
+    probs /= probs.sum()
+    chosen = rng.choice(len(probs), size=count, p=probs)
+    wanted: dict[int, list[int]] = {}
+    for pos, s in enumerate(chosen):
+        wanted.setdefault(int(s), []).append(pos)
+    out: list[Optional[OrderedPartition]] = [None] * count
+    remaining = len(wanted)
+    for s, X in enumerate(enumerate_ordered_partitions(p.n_items, cap)):
+        if s in wanted:
+            for pos in wanted[s]:
+                out[pos] = X
+            remaining -= 1
+            if remaining == 0:
+                break
+    return out  # type: ignore[return-value]
+
+
+# osmrank.pipeline
+def reconstruct_rank(
+    posterior: np.ndarray, items: Iterable[int], m: LatentModel
+) -> RankedList:
+    """Complete ranking of ``items`` from a posterior activation vector:
+    score(j) = u_j + sum_k posterior_k W_jk (worth-parameterized models)."""
+    posterior = np.asarray(posterior, dtype=float)
+    if posterior.shape != (m.n_hidden,):
+        raise ValueError(f"posterior must have shape ({m.n_hidden},)")
+    w = _mean_worth(m, posterior)
+    return _rank({j: float(w[j]) for j in items})

@@ -22,7 +22,6 @@ from osmrank.combinatorics import (
     OrderedPartition,
     enumerate_ordered_partitions,
     fubini,
-    fubini_asymptotic,
 )
 from osmrank.core import (
     LogLinearParams,
@@ -33,17 +32,12 @@ from osmrank.core import (
 from osmrank.latent import (
     gibbs_mh_step,
     hidden_posterior,
-    log_joint_weight,
 )
 from osmrank.learning import (
     CFParams,
     TrainConfig,
     cf_latent_model,
     estimate_gradient,
-    exact_gradient,
-    exact_log_likelihood,
-    sample_partitions_exact,
-    sufficient_stats,
     train,
 )
 from osmrank.metrics import err, ndcg_at
@@ -54,12 +48,21 @@ from osmrank.pipeline import (
     entropy_filter,
     grade_ratings,
     load_ratings,
-    reconstruct_rank,
     train_test_split,
 )
-from osmrank.sampler import advance_partition, transition_matrix
+from osmrank.sampler import advance_partition
 
 from helpers import random_latent_model, random_matrix_model
+from oracles import (
+    exact_gradient,
+    exact_log_likelihood,
+    fubini_asymptotic,
+    log_joint_weight,
+    reconstruct_rank,
+    sample_partitions_exact,
+    sufficient_stats,
+    transition_matrix,
+)
 
 pytestmark = pytest.mark.acceptance
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from osmrank.cli import build_parser, main
-from osmrank.combinatorics import fubini, parse_partition
+from osmrank.combinatorics import fubini
 from osmrank.learning import load_checkpoint
+
+from oracles import parse_partition
 
 
 def make_ratings_file(path, n_users=60, n_items=40, seed=0):
@@ -495,6 +497,43 @@ class TestNonFiniteRatings:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert ("non-finite rating" if case == "nan-rating" else "invalid rating scale") in err
+
+
+class TestManyGrades:
+    """A ``--grades`` count far above the number of distinct ratings grades
+    the data as a smaller count would; only NDCG's gains 2**grade overflow."""
+
+    ARGV = ["--n-train", "5", "--min-ratings", "15", "--hidden", "1", "--seed", "0"]
+
+    def test_train_counts_only_the_grades_that_occur(self, tmp_path):
+        # 40 items x 10**13 grades: a dense count table would exceed the address space
+        data = make_ratings_file(tmp_path / "r.dat")
+        for grades in ("10", str(10**13)):
+            assert main(["train", "--data", data, *self.ARGV, "--grades", grades,
+                         "--out", str(tmp_path / f"{grades}.ck"),
+                         "--log", str(tmp_path / f"{grades}.log")]) == 0
+        # both gradings give each of the 10 half-star ratings its own grade, in order
+        assert (tmp_path / "10.ck").read_bytes() == (tmp_path / f"{10**13}.ck").read_bytes()
+
+    def test_grades_beyond_int64_is_data_error(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        log, ck = tmp_path / "t.log", tmp_path / "m.ck"
+        assert main(["train", "--data", data, *self.ARGV, "--grades", str(10**19),
+                     "--out", str(ck), "--log", str(log)]) == 2
+        assert capsys.readouterr().err == f"osmrank: n_grades must lie in 1..2**53, got {10**19}\n"
+        assert not log.exists() and not ck.exists()
+
+    def test_overflowing_ndcg_gain_is_data_error(self, tmp_path, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        ck = tmp_path / "m.ck"
+        assert main(["train", "--data", data, *self.ARGV, "--epochs", "0", "--keep-all-items",
+                     "--out", str(ck), "--log", str(tmp_path / "t.log")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--data", data, *self.ARGV[:4], "--keep-all-items",
+                     "--grades", "1100", "--metrics", "ndcg@5", "--model", str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "osmrank: NDCG gains 2**grade overflow (largest grade 1100)\n"
 
 
 class TestWarnings:

@@ -12,14 +12,11 @@ from osmrank.combinatorics import (
     enumerate_ordered_partitions,
     format_partition,
     fubini,
-    fubini_asymptotic,
-    log_fubini_asymptotic,
-    parse_partition,
     sample_uniform_ordered_partition,
-    stirling2,
 )
 
 from helpers import brute_force_ordered_partitions, brute_force_set_partitions
+from oracles import fubini_asymptotic, log_fubini_asymptotic, parse_partition, stirling2
 
 
 class TestOrderedPartition:

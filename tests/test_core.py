@@ -10,7 +10,6 @@ from osmrank.core import (
     LogLinearParams,
     MatrixPairModel,
     WorthPairModel,
-    from_graded_ratings,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
@@ -20,6 +19,7 @@ from osmrank.core import (
 )
 
 from helpers import random_matrix_model
+from oracles import from_graded_ratings
 
 
 def P(*blocks):

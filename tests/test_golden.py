@@ -230,8 +230,10 @@ def run_case(name: str) -> dict:
 
 
 def split_floats(data: bytes) -> tuple[str, list[float]]:
+    """(sha256 of the text with each float masked as "#", the floats in order)."""
     text = data.decode()
-    return hashlib.sha256(FLOAT.sub("#", text).encode()).hexdigest(), [float(v) for v in FLOAT.findall(text)]
+    masked = FLOAT.sub("#", text).encode()
+    return hashlib.sha256(masked).hexdigest(), [float(v) for v in FLOAT.findall(text)]
 
 
 @pytest.fixture(scope="module")
@@ -270,13 +272,14 @@ def test_golden_outputs_under_another_blas_kernel():
 
 def print_table() -> None:
     """Print DIGESTS and VALUES for the current tree (a declared output change)."""
+    digests, values, cwd = [], [], os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         make_inputs(directory)
-        os.chdir(directory)
-        digests, values = [], []
         for name in sorted(CASES):
+            os.chdir(directory)
             with contextlib.redirect_stdout(io.StringIO()):
                 outputs = run_case(name)
+            os.chdir(cwd)
             for out, data in outputs.items():
                 if (name, out) in VALUES:
                     digest, floats = split_floats(data)

@@ -13,14 +13,13 @@ from osmrank.latent import (
     effective_pair_model,
     gibbs_mh_step,
     hidden_posterior,
-    log_joint_weight,
     sample_hidden,
     sigmoid,
 )
 from osmrank.learning import CFParams
-from osmrank.sampler import transition_matrix
 
 from helpers import random_latent_model
+from oracles import log_joint_weight, transition_matrix
 
 
 def P(*blocks):

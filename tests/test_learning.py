@@ -8,23 +8,27 @@ import pytest
 
 from osmrank.combinatorics import EnumerationCapError, OrderedPartition
 from osmrank.core import log_weight
-from osmrank.latent import gibbs_mh_step, hidden_posterior, log_joint_weight
+from osmrank.latent import gibbs_mh_step, hidden_posterior
 from osmrank.learning import (
     CFParams,
     TrainConfig,
     cf_latent_model,
     estimate_gradient,
-    exact_gradient,
-    exact_log_likelihood,
     load_checkpoint,
     pairwise_disagreement,
-    sample_partitions_exact,
     save_checkpoint,
-    state_features,
-    sufficient_stats,
     train,
 )
 from osmrank.partition_function import exact_distribution
+
+from oracles import (
+    exact_gradient,
+    exact_log_likelihood,
+    log_joint_weight,
+    sample_partitions_exact,
+    state_features,
+    sufficient_stats,
+)
 
 
 def P(*blocks):

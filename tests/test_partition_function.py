@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from osmrank.combinatorics import EnumerationCapError, OrderedPartition, fubini
 from osmrank.core import log_weight, uniform_pair_model
-from osmrank.latent import LatentModel, log_joint_weight
+from osmrank.latent import LatentModel
 from osmrank.partition_function import (
     AISConfig,
     ais_log_z,
@@ -18,6 +18,7 @@ from osmrank.partition_function import (
 )
 
 from helpers import random_latent_model, random_matrix_model
+from oracles import log_joint_weight
 
 
 def P(*blocks):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import by_user, random_latent_model, reference_load_ratings
+from oracles import from_graded_ratings, reconstruct_rank
 from osmrank.combinatorics import OrderedPartition
-from osmrank.core import from_graded_ratings, worth_features
+from osmrank.core import worth_features
 from osmrank.learning import CFParams, cf_latent_model
 from osmrank.metrics import err, err_rows, ndcg_at, ndcg_rows
 from osmrank.pipeline import (
@@ -23,7 +24,6 @@ from osmrank.pipeline import (
     grade_ratings,
     load_ratings,
     parse_metric,
-    reconstruct_rank,
     train_test_split,
     user_partitions,
 )
@@ -72,6 +72,12 @@ class TestNdcg:
                 swapped = grades.copy()
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 assert ndcg_at(swapped, t) <= base + 1e-12
+
+    @pytest.mark.parametrize("grades", [[1100.0, 1.0], [1023.0, 1023.0, 1023.0]])
+    def test_overflowing_gain_rejected(self, grades):
+        # an infinite gain, and finite gains whose discounted sum overflows
+        with pytest.raises(ValueError, match="overflow"):
+            ndcg_rows([grades], 5)
 
 
 class TestErr:

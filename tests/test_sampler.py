@@ -25,16 +25,15 @@ from osmrank.sampler import (
     MoveStats,
     SamplerConfig,
     _merge_log_q_ratio,
-    _single_move,
     _split_log_q_ratio,
     advance_partition,
     propose_merge,
     propose_split,
     run_chain,
-    transition_matrix,
 )
 
 from helpers import FakeRng, random_matrix_model
+from oracles import _single_move, stirling2, transition_matrix
 
 
 def P(*blocks):
@@ -266,8 +265,6 @@ class TestRunChain:
         # enumeration-derived prior s(n,T) T! / fubini(n)
         n = 4
         m = uniform_pair_model(n)
-        from osmrank.combinatorics import stirling2
-
         prior = np.array(
             [stirling2(n, t) * math.factorial(t) / fubini(n) for t in range(1, n + 1)]
         )
