@@ -357,6 +357,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EnumerationCapError as exc:
         print(f"osmrank: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError as exc:  # a size that no allocation can hold
+        print(f"osmrank: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"osmrank: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -454,7 +454,11 @@ def _ranked_test_records(
     keep = np.flatnonzero(n_seen[test_ds.users] > 0)
     users, items = test_ds.users[keep], test_ds.items[keep]
     n = test_ds.n_items
-    if np.isin(users * n + items, train_ds.users * n + train_ds.items).any():
+    # a test key among the sorted training keys; only the shorter array is sorted
+    seen_keys = np.sort(train_ds.users * n + train_ds.items)
+    keys = users * n + items
+    at = np.minimum(np.searchsorted(seen_keys, keys), len(seen_keys) - 1)
+    if (seen_keys[at] == keys).any():
         raise ValueError("unseen items overlap the seen partition")
     hidden_worth = np.zeros(len(keep))
     for k in range(params.n_hidden):

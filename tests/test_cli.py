@@ -274,6 +274,20 @@ class TestEstimateZCommand:
         runs = [ln for ln in out.read_text().splitlines() if ln.startswith("run=")]
         assert len(runs) == 7
 
+    @pytest.mark.parametrize("flag", ["--n-temps", "--n-runs"])
+    def test_size_past_memory_is_cap_error(self, flag, tmp_path, capsys):
+        # 10**17 doubles lie past a 47-bit address space: the ladder or the
+        # weight array fails at once, before any seed is drawn or worker forked
+        ck = tmp_path / "ais.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu -0.5\nu 0.1 0.2 0.3\nW 0.1\nW 0.2\nW 0.3\n")
+        out = tmp_path / "z.txt"
+        argv = ["estimate-z", "--model", str(ck), "--n-temps", "2", "--n-runs", "1", "--out", str(out)]
+        argv[argv.index(flag) + 1] = str(10**17)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("osmrank: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainEvalRoundTrip:
     def test_usage_error_missing_data(self):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import random
+import time
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from osmrank import partition_function
 from osmrank.combinatorics import EnumerationCapError, OrderedPartition, fubini
 from osmrank.core import log_weight, uniform_pair_model
 from osmrank.latent import LatentModel
@@ -17,7 +21,7 @@ from osmrank.partition_function import (
     temperature_ladder,
 )
 
-from helpers import random_latent_model, random_matrix_model
+from helpers import random_latent_model, random_matrix_model, reference_ais_log_weights
 from oracles import log_joint_weight
 
 
@@ -204,3 +208,67 @@ class TestAisLogZ:
             m, AISConfig(n_temperatures=1000, n_runs=20, schedule="geometric", seed=5)
         )
         assert abs(res.log_z_estimate - exact_log_z(m)) < 0.1
+
+
+def dies(*_):
+    os._exit(1)
+
+
+def sends_short(m, taus, steps, run_seeds, fd):
+    with open(fd, "wb") as pipe:
+        pipe.write(bytes(8 * (len(run_seeds) - 1)))
+
+
+class TestAisWorkers:
+    """The runs spread over forked workers: same bytes, no process left."""
+
+    cfg = AISConfig(n_temperatures=6, n_runs=5, seed=3)
+
+    @pytest.fixture
+    def model(self, monkeypatch):
+        monkeypatch.setattr(partition_function, "_cpu_count", lambda: 3)
+        return random_latent_model(4, 2, seed=13)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_outlives_the_call(self, model, monkeypatch):
+        ais_log_z(model, self.cfg)
+        self.assert_no_child_left()
+        parent, run = os.getpid(), partition_function._ais_run
+
+        def parent_fails(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("run failed in the parent")
+            time.sleep(60)  # the workers are still running when the parent raises
+            return run(*args)
+
+        monkeypatch.setattr(partition_function, "_ais_run", parent_fails)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="run failed in the parent"):
+            ais_log_z(model, self.cfg)
+        assert time.monotonic() - start < 30  # the workers were stopped, not waited for
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("worker", [dies, sends_short], ids=["dies", "sends-short"])
+    def test_failed_worker_runs_are_run_again(self, model, monkeypatch, worker):
+        want = reference_ais_log_weights(model, self.cfg).tobytes()
+        monkeypatch.setattr(partition_function, "_send_runs", worker)
+        assert ais_log_z(model, self.cfg).log_weights.tobytes() == want
+        self.assert_no_child_left()
+
+    def test_worker_errors_are_the_serial_errors(self, model, monkeypatch):
+        # the failing run is a worker's: its share, run again here, raises
+        def fails_on_run_1(m, taus, steps, run_seed):
+            if run_seed == run_seeds[1]:
+                raise ValueError("run 1 failed")
+            return run(m, taus, steps, run_seed)
+
+        seed_src, run = random.Random(self.cfg.seed), partition_function._ais_run
+        run_seeds = [seed_src.randrange(2**63) for _ in range(self.cfg.n_runs)]
+        monkeypatch.setattr(partition_function, "_ais_run", fails_on_run_1)
+        with pytest.raises(ValueError, match="run 1 failed"):
+            ais_log_z(model, self.cfg)
+        self.assert_no_child_left()

@@ -816,3 +816,16 @@ class TestBatchedEvaluation:
         ds, (train_ds, _) = self.split(tmp_path, 5)
         with pytest.raises(ValueError, match="overlap"):
             evaluate_ranking(CFParams.zeros(ds.n_items, 1), train_ds, ds, ["err"])
+
+    @pytest.mark.parametrize("end", [np.argmin, np.argmax])
+    def test_one_overlapping_record_rejected(self, tmp_path, end):
+        # the training record with the smallest or largest (user, item) key
+        ds, (train_ds, test_ds) = self.split(tmp_path, 5)
+        params = CFParams.zeros(ds.n_items, 1)
+        evaluate_ranking(params, train_ds, test_ds, ["err"])
+        r = int(end(train_ds.users * ds.n_items + train_ds.items))
+        fields = ("users", "items", "ratings", "grades")
+        overlapping = replace(test_ds, **{f: np.append(getattr(test_ds, f), getattr(train_ds, f)[r])
+                                          for f in fields})
+        with pytest.raises(ValueError, match="overlap"):
+            evaluate_ranking(params, train_ds, overlapping, ["err"])

@@ -4,6 +4,7 @@ statistics against their definitions and the per-entry oracles."""
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from helpers import (
     reference_worth_features,
 )
 from oracles import log_joint_weight
+from osmrank import partition_function
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
 from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, worth_features
 from osmrank.latent import (
@@ -212,13 +214,16 @@ def test_hidden_unit_loops_are_the_float64_loops(case, schedule, n_temperatures,
     assert sample_hidden(logom, Replay(below), temperature=tau).tolist() == [int(p > 0.0) for p in probs]
 
 
-@given(worth_latent_cases(), st.sampled_from(["linear", "geometric"]), st.integers(2, 8), st.integers(1, 2),
-       st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
-def test_ais_loops_are_the_float64_loops(case, schedule, n_temperatures, n_runs, inner_steps, seed, data):
-    # the loops these replaced ran over the log-omegas' np.float64 scalars, at rungs of the numpy ladder
+@given(worth_latent_cases(), st.sampled_from(["linear", "geometric"]), st.integers(2, 8), st.integers(1, 5),
+       st.integers(0, 6), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.data())
+def test_ais_loops_are_the_float64_loops(case, schedule, n_temperatures, n_runs, inner_steps, seed, workers, data):
+    # the loops these replaced ran over the log-omegas' np.float64 scalars, at rungs of the numpy ladder,
+    # in one process; the runs now spread over min(n_runs, workers) processes
     m, X, _, _ = case
     cfg = AISConfig(n_temperatures, n_runs, schedule, inner_steps, seed)
-    assert ais_log_z(m, cfg).log_weights.tobytes() == reference_ais_log_weights(m, cfg).tobytes()
+    with mock.patch.object(partition_function, "_cpu_count", return_value=workers):
+        got = ais_log_z(m, cfg).log_weights
+    assert got.tobytes() == reference_ais_log_weights(m, cfg).tobytes()
     tau = temperature_ladder(cfg)[data.draw(st.integers(0, n_temperatures))]
     ref = tau * log_weight(X, m.base)
     for lo in m.log_omegas(X):
