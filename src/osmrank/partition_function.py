@@ -3,26 +3,26 @@
 AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N) * 2^K)
 to the target (tau = 1) along an inverse-temperature ladder, accumulating
 importance weights in the log domain across R independent runs.  The runs
-are spread over min(R, CPUs in the process's affinity mask) processes; the
-weights do not depend on that number, and ``taskset -c 0`` keeps every run
-in one process.  Every routine works on a ``LatentModel``; a plain pair
+are spread over min(R, CPUs in the process's affinity mask) processes, which
+write their weights into one shared array and report only an exit status;
+the weights do not depend on that number, and ``taskset -c 0`` keeps every
+run in one process.  Every routine works on a ``LatentModel``; a plain pair
 model is taken as the latent model with no hidden units (K = 0).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import random
 import signal
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .combinatorics import (
-    EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
     fubini,
@@ -92,12 +92,7 @@ def exact_log_z(m: PairPotentialModel | LatentModel, cap: int = 8) -> float:
     partitions are enumerated.
     """
     m = _as_latent(m)
-    n = m.n_objects
-    if n > cap:
-        raise EnumerationCapError(
-            f"exact_log_z over n={n} objects refused: fubini({n}) = {fubini(n)} exceeds cap {cap}"
-        )
-    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(n, cap)]
+    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(m.n_objects, cap)]
     return float(logsumexp(logs))
 
 
@@ -164,68 +159,56 @@ def _ais_run(m: LatentModel, taus: list[float], steps: int, run_seed: int) -> fl
     return logw
 
 
-def _send_runs(m: LatentModel, taus: list[float], steps: int, run_seeds: list[int], fd: int) -> None:
-    """A forked worker's share: the log weights of ``run_seeds``, written to
-    the pipe ``fd`` as packed doubles."""
-    weights = [_ais_run(m, taus, steps, run_seed) for run_seed in run_seeds]
-    with open(fd, "wb") as pipe:
-        pipe.write(struct.pack(f"{len(weights)}d", *weights))
-
-
 def _fill_log_weights(
-    m: LatentModel, taus: list[float], steps: int, run_seeds: list[int], log_weights: np.ndarray
+    m: LatentModel, taus: list[float], steps: int, seed: int, log_weights: np.ndarray
 ) -> None:
     """``log_weights[r]`` = run r's log weight, for every r, over W processes.
 
-    Worker w of W = min(R, ``_cpu_count()``) takes runs w, w + W, ...;
-    workers 1..W-1 are forked children and worker 0 is this process.  Each
-    weight lands at its run index, so the bytes do not depend on W.  The
-    runs of a child that fails or sends short data are run here again, with
-    the same seeds, so they give the same weights or the serial run's error.
+    Run r's seed is the r-th ``randrange(2**63)`` of ``random.Random(seed)``;
+    each worker replays that stream, so no list of R seeds is built.  Worker w
+    of W = min(R, ``_cpu_count()``) takes runs w, w + W, ...; workers
+    1..W-1 are forked children and worker 0 is this process.  The children
+    write into ``log_weights``, a shared mapping, and report only their exit
+    status.  Each weight lands at its run index, so the bytes do not depend
+    on W.  The runs of a child that fails are run here again, with the same
+    seeds, so they give the same weights or the serial run's error.
     """
-    n_runs = len(run_seeds)
+    n_runs = len(log_weights)
     n_workers = min(n_runs, _cpu_count())
 
     def run_share(w: int) -> None:
-        for r in range(w, n_runs, n_workers):
-            log_weights[r] = _ais_run(m, taus, steps, run_seeds[r])
+        seed_src = random.Random(seed)
+        for r in range(n_runs):
+            run_seed = seed_src.randrange(2**63)
+            if r % n_workers == w:
+                log_weights[r] = _ais_run(m, taus, steps, run_seed)
 
-    children = {}  # worker -> (pid, read end of its pipe)
+    children = {}  # worker -> pid
     try:
         for w in range(1, n_workers):
-            read_fd, write_fd = os.pipe()
             try:
                 # numpy's OpenBLAS stops its thread pool before a fork, so the child has one thread
                 pid = os.fork()
             except OSError:  # no more processes: this one runs the share below
-                os.close(read_fd)
-                os.close(write_fd)
                 break
             if pid == 0:
                 code = 1
                 try:
-                    os.close(read_fd)
-                    _send_runs(m, taus, steps, run_seeds[w::n_workers], write_fd)
+                    run_share(w)
                     code = 0
                 finally:
                     os._exit(code)  # skips the inherited stdio buffers and atexit hooks
-            os.close(write_fd)
-            children[w] = (pid, open(read_fd, "rb"))
+            children[w] = pid
         for w in range(n_workers):
             if w not in children:
                 run_share(w)
-        for w, (pid, pipe) in list(children.items()):
-            data = pipe.read()
-            pipe.close()
+        for w, pid in list(children.items()):
             status = os.waitpid(pid, 0)[1]
             del children[w]
-            if status == 0 and len(data) == 8 * len(range(w, n_runs, n_workers)):
-                log_weights[w::n_workers] = struct.unpack(f"{len(data) // 8}d", data)
-            else:
+            if status != 0:
                 run_share(w)
     finally:
-        for pid, pipe in children.values():
-            pipe.close()
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -237,12 +220,16 @@ def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
     ladder.  The transition at tau = taus[s - 1] > 0 is a tempered hidden
     draw, then split-merge moves on the effective potentials scaled by tau;
     it leaves P(X | tau) invariant.  The estimate is log Z(0) +
-    log-mean-exp of the run weights.
+    log-mean-exp of the run weights, and the effective sample size
+    (sum w)^2 / sum w^2 is at most R.
 
     The runs are independent, each with its own seeded RNG, so they are
     spread over min(R, CPUs in the affinity mask) processes, forked here
-    and reaped before this returns.  The result does not depend on that
-    number, and ``taskset -c 0`` keeps every run in this process.
+    and reaped before this returns.  The workers write into one shared
+    weight array and report only an exit status; each replays the stream
+    of run seeds, so no list of R seeds is built.  The result does not
+    depend on the number of processes, and ``taskset -c 0`` keeps every
+    run in this process.
     """
     m = _as_latent(m)
     n = m.n_objects
@@ -250,12 +237,14 @@ def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
     taus = temperature_ladder(cfg).tolist()
     # fills the fubini cache that the forked workers share
     log_z0 = math.log(fubini(n)) + m.n_hidden * LOG2
-    log_weights = np.empty(cfg.n_runs)  # a size past memory fails here, before R seeds are drawn
-    seed_src = random.Random(cfg.seed)
-    run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
-    _fill_log_weights(m, taus, steps, run_seeds, log_weights)
+    try:  # shared with the forked workers; a size past memory fails here, before any fork
+        log_weights = np.frombuffer(mmap.mmap(-1, 8 * cfg.n_runs))
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"log weights of {cfg.n_runs} AIS runs: {exc}") from None
+    _fill_log_weights(m, taus, steps, cfg.seed, log_weights)
 
     log_sum = logsumexp(log_weights)
     log_z_estimate = log_z0 + log_sum - math.log(cfg.n_runs)
-    ess = float(np.exp(2.0 * log_sum - logsumexp(2.0 * log_weights)))
+    # equal weights round a hair above R
+    ess = min(float(np.exp(2.0 * log_sum - logsumexp(2.0 * log_weights))), float(cfg.n_runs))
     return AISResult(float(log_z_estimate), log_weights, float(log_z0), ess)

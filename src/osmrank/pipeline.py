@@ -130,16 +130,21 @@ def _parse_records(lines, fmt: str, skiprows: int = 0) -> np.ndarray:
         )
 
 
-def _odd_colon_run(path: str) -> bool:
-    """True if some run of colons has odd length (``1:2:3``, ``1:::2``).
+def _misread_by_loadtxt(path: str, fmt: str) -> bool:
+    """True if ``np.loadtxt`` may read the file otherwise than the per-line scan.
 
-    Splitting on ``:`` then disagrees with splitting on ``::``; with only
-    even runs, column 2k of the ``:`` split is field k of the ``::`` split.
-    Chunks end at line ends, which no run spans, so the file is never held whole.
+    numpy takes the bytes \\x1c-\\x1f as blanks and some non-ASCII letters
+    as digits (``3\\u01fe`` reads 492), where ``int`` and ``float`` refuse
+    them.  In a ``::`` file, an odd run of colons (``1:2:3``, ``1:::2``) makes
+    splitting on ``:`` disagree with splitting on ``::``; with only even runs,
+    column 2k of the ``:`` split is field k of the ``::`` split.  Chunks end
+    at line ends, which no run spans, so the file is never held whole.
     """
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16) + fh.readline(), b""):
-            if chunk.count(b":") != 2 * chunk.count(b"::"):
+            if not chunk.isascii() or any(c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return True
+            if fmt == "movielens_dcolon" and chunk.count(b":") != 2 * chunk.count(b"::"):
                 return True
     return False
 
@@ -148,7 +153,8 @@ _INT64 = range(-(2**63), 2**63)  # the ids np.loadtxt can read
 
 
 def _is_record(parts: list[str]) -> bool:
-    if len(parts) < 3 or any("_" in p for p in parts[:3]):  # loadtxt takes no 1_000
+    # np.loadtxt takes no digit separator (1_000) and no non-ASCII digit
+    if len(parts) < 3 or any("_" in p or not p.isascii() for p in parts[:3]):
         return False
     try:
         user, item = int(parts[0]), int(parts[1])
@@ -200,8 +206,8 @@ def load_ratings(
         raise ValueError(f"unknown format {fmt!r}")
     path = os.fspath(path)
     try:
-        if fmt == "movielens_dcolon" and _odd_colon_run(path):
-            raise ValueError("single colons")
+        if _misread_by_loadtxt(path, fmt):
+            raise ValueError("characters np.loadtxt misreads")
         with open(path) as fh:  # a missing file fails here, with the OS's message
             # numpy reads a path in blocks, but through its DataSource, which
             # decompresses by suffix and fetches URLs: those names keep the handle

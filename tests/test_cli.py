@@ -141,6 +141,15 @@ class TestOracleCommand:
     def test_cap_override(self, capsys):
         assert main(["oracle", "--n", "3", "--enumerate", "--cap", "2"]) == 3
 
+    def test_exact_z_and_marginals_share_the_cap_message(self, capsys):
+        errs = []
+        for flag in ["--exact-z", "--marginals"]:
+            assert main(["oracle", "--n", "9", flag]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("osmrank: ") and errs[0].count("\n") == 1
+        assert f"fubini(9) = {fubini(9)}" in errs[0]
+
     def test_exact_z_uniform(self, capsys):
         assert main(["oracle", "--n", "4", "--exact-z"]) == 0
         out = capsys.readouterr().out
@@ -267,6 +276,14 @@ class TestEstimateZCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(ck) in err
 
+    @pytest.mark.parametrize("n_runs", [3, 10])
+    def test_ess_of_equal_weights_is_the_run_count(self, n_runs, tmp_path):
+        # exp(2 logsumexp(w) - logsumexp(2 w)) rounds a hair above R here
+        out = tmp_path / "z.txt"
+        assert main(["estimate-z", "--uniform", "--n", "4", "--n-temps", "3",
+                     "--n-runs", str(n_runs), "--out", str(out)]) == 0
+        assert f"ess={float(n_runs)!r}" in out.read_text().splitlines()
+
     def test_reports_runs(self, tmp_path):
         out = tmp_path / "z.txt"
         main(["estimate-z", "--uniform", "--n", "3", "--n-temps", "50",
@@ -283,6 +300,16 @@ class TestEstimateZCommand:
         out = tmp_path / "z.txt"
         argv = ["estimate-z", "--model", str(ck), "--n-temps", "2", "--n-runs", "1", "--out", str(out)]
         argv[argv.index(flag) + 1] = str(10**17)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("osmrank: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_run_count_past_index_size_is_cap_error(self, tmp_path, capsys):
+        # 8 * 10**19 bytes do not fit a C ssize_t: refused like any size past memory
+        out = tmp_path / "z.txt"
+        argv = ["estimate-z", "--uniform", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19),
+                "--out", str(out)]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("osmrank: ") and err.count("\n") == 1

@@ -125,7 +125,7 @@ CASES = {
 }
 
 DIGESTS = {
-    ("estimate-z-uniform", "z_uniform.txt"): "a41994b62e0d7eb9a855625f689d6c68e172054d5069db08916f880b3d2c0c4f",
+    ("estimate-z-uniform", "z_uniform.txt"): "20b07bbba3d3ade8de75b7061b79d0daaee8d0c834c16b41648c7de33c2cc94c",
     ("eval", "eval.txt"): "522bb24dfdc19727b3ba6976f72382eef3c54bbfb83543dcceef01de41c915dd",
     ("eval", "per_user.txt"): "eedfa7e46bdd0d8e6a53f882ceb0c39495e05d929ca36236b4bf5606d8f2360c",
     ("eval", "sweep.tsv"): "8db4bdf826eb76d753f4d4b7210daf4c185e142b5a8d4b09d3153d3bf659d7a0",

@@ -2,7 +2,9 @@ import itertools
 import math
 import os
 import random
+import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,13 +212,12 @@ class TestAisLogZ:
         assert abs(res.log_z_estimate - exact_log_z(m)) < 0.1
 
 
-def dies(*_):
+def dies():
     os._exit(1)
 
 
-def sends_short(m, taus, steps, run_seeds, fd):
-    with open(fd, "wb") as pipe:
-        pipe.write(bytes(8 * (len(run_seeds) - 1)))
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestAisWorkers:
@@ -252,10 +253,18 @@ class TestAisWorkers:
         assert time.monotonic() - start < 30  # the workers were stopped, not waited for
         self.assert_no_child_left()
 
-    @pytest.mark.parametrize("worker", [dies, sends_short], ids=["dies", "sends-short"])
-    def test_failed_worker_runs_are_run_again(self, model, monkeypatch, worker):
+    @pytest.mark.parametrize("death", [dies, killed], ids=["dies", "killed"])
+    def test_failed_worker_runs_are_run_again(self, model, monkeypatch, death):
+        # each child ends inside its share, by a non-zero exit or a signal
         want = reference_ais_log_weights(model, self.cfg).tobytes()
-        monkeypatch.setattr(partition_function, "_send_runs", worker)
+        parent, run = os.getpid(), partition_function._ais_run
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                death()
+            return run(*args)
+
+        monkeypatch.setattr(partition_function, "_ais_run", child_dies)
         assert ais_log_z(model, self.cfg).log_weights.tobytes() == want
         self.assert_no_child_left()
 
@@ -272,3 +281,15 @@ class TestAisWorkers:
         with pytest.raises(ValueError, match="run 1 failed"):
             ais_log_z(model, self.cfg)
         self.assert_no_child_left()
+
+    def test_run_seeds_are_replayed_not_held(self, monkeypatch):
+        # a list of R run seeds holds ~44 bytes a run; the weights take 8, in a mapping
+        monkeypatch.setattr(partition_function, "_cpu_count", lambda: 1)
+        m, cfg = uniform_pair_model(1), AISConfig(n_temperatures=2, n_runs=5000)
+        tracemalloc.start()
+        try:
+            ais_log_z(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * cfg.n_runs

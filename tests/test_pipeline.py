@@ -1,11 +1,15 @@
 import math
+import os
 import random
 import re
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import by_user, random_latent_model, reference_load_ratings
 from oracles import from_graded_ratings, reconstruct_rank
@@ -306,6 +310,52 @@ CSV_CORPUS = [
     ("7;16;2.0", None),
 ]
 
+# Fragments of generated rating lines.  Ids stay inside int64 and no token
+# holds a digit separator or a non-ASCII digit: those differences have their
+# own tests.
+NUMBERS = st.sampled_from(["0", "7", "-3", "+2", "3.0", "4.5", "+2.0", ".5", "5.", "1e0", "-1e-3",
+                           "nan", "inf", "-inf"])
+NON_NUMBERS = st.sampled_from(["", "bad", "x1", "1.2.3", "--1", "0x10", "#", "1 2", "4;5", "e3"])
+MISREAD = st.sampled_from(["3\x1f", "3\u01fe"])  # np.loadtxt reads 3 and 492
+ODD_COLONS = st.sampled_from([":", ":", ":::", ":::::"])  # one colon, as in 3.5:1, half the time
+
+
+@st.composite
+def rating_lines(draw, fmt):
+    """The lines of a ``::`` or CSV ratings file (a CSV file starts with its
+    header) and the line end.  Each record line has its own user id, so no
+    (user, item) pair repeats.  Half the files hold mangled fields, and half
+    the ``::`` files one odd run of colons."""
+    sep = "::" if fmt == "movielens_dcolon" else ","
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    noisy = draw(st.booleans())
+    lines = ["user,item,rating,timestamp"] if fmt == "csv" else []
+    n_users = draw(st.integers(0, 12))
+    with_odd = fmt == "movielens_dcolon" and n_users > 0 and draw(st.booleans())
+    odd_user = draw(st.integers(1, n_users)) if with_odd else 0
+    for user in range(1, n_users + 1):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", " \t"])))
+            continue
+        fields = [str(user), str(draw(st.integers(0, 20))), draw(NUMBERS)]
+        odd = user == odd_user
+        fields += draw(st.lists(NUMBERS | NON_NUMBERS, min_size=int(odd), max_size=2))  # trailing fields
+        if noisy and draw(st.integers(0, 2)) == 0:
+            for k in draw(st.sets(st.integers(0, len(fields) - 1), max_size=2)):
+                fields[k] = draw(NON_NUMBERS | MISREAD)
+            fields = fields[:draw(st.integers(1, len(fields)))]
+        fields = [draw(st.sampled_from([field, f" {field} "])) for field in fields]
+        # the separator before field odd_at, most often the one after the rating,
+        # where np.loadtxt would read 3.5:1 as 3.5
+        odd_at = draw(st.sampled_from([3, 3, 2, 1])) if odd else 0
+        line = fields[0]
+        for k, field in enumerate(fields[1:], start=1):
+            line += (draw(ODD_COLONS) if k == odd_at else sep) + field
+        if newline == "\n" and draw(st.integers(0, 4)) == 0:
+            line += "\r"  # a CRLF line in an LF file
+        lines.append(line)
+    return lines, newline
+
 
 class TestLoadRatingsAgainstReference:
     """Records and malformed-line verdicts match the per-line parser, but
@@ -367,6 +417,32 @@ class TestLoadRatingsAgainstReference:
         corpus.insert(7000, ("7::16::3.5:1", None))
         assert sum(len(line) + 1 for line, _ in corpus[:7000]) > 2 << 16
         self.check(path, "movielens_dcolon", self.write(path, corpus))
+
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    @given(data=st.data())
+    def test_generated_files(self, fmt, data):
+        lines, newline = data.draw(rating_lines(fmt))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "r.dat")
+            self.write(path, [(line, None) for line in lines], newline)
+            # the only fourth-field change, read off the reference
+            _, old_bad = reference_load_ratings(path, fmt)
+            _, bad = reference_load_ratings(path, fmt, fourth_field=False)
+            self.check(path, fmt, dict.fromkeys(set(old_bad) - set(bad), "accepted"))
+
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    def test_characters_numpy_reads_differently(self, tmp_path, fmt):
+        # numpy takes \x1c-\x1f as blanks and reads 3\u01fe as 492, where Python's
+        # int and float refuse both; they take non-ASCII digits, numpy does not
+        sep = "::" if fmt == "movielens_dcolon" else ","
+        header = [("user,item,rating", None)] if fmt == "csv" else []
+        lines = [(["2\x1f", "11", "3.0"], None), (["3\u01fe", "12", "3.0"], None),
+                 (["4", "13", "3\x1c"], None), (["\u0663", "14", "3.0"], "rejected"),
+                 (["5", "\uff11", "3.0"], "rejected"), (["6", "15", "\u0661.5"], "rejected")]
+        for n, (fields, differ) in enumerate(lines):
+            path = tmp_path / f"line{n}.dat"
+            corpus = header + [(sep.join(["1", "10", "4.5"]), None), (sep.join(fields), differ)]
+            self.check(path, fmt, self.write(path, corpus))
 
     def test_ids_outside_int64_are_malformed(self, tmp_path):
         # Python's int takes any size, numpy's int64 does not: such a line is

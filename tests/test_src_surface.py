@@ -10,7 +10,8 @@ on.  Code that only tests use belongs in ``tests/oracles.py``.
 The walk is by name over the syntax tree: a definition reaches every
 top-level name of its own module and every imported ``osmrank`` name that
 appears in its body, annotations included.  Imports themselves reach
-nothing, so a re-export does not keep a name alive.
+nothing, so a re-export does not keep a name alive.  Every name a module
+imports must also be used in that module, annotations included.
 """
 
 from __future__ import annotations
@@ -122,3 +123,16 @@ def test_package_init_defines_only_the_version():
     docstring, *rest = tree.body
     assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
     assert [ast.unparse(stmt).split(" =")[0] for stmt in rest] == ["__version__"]
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in package_modules().items():
+        used = names_in(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound = [a.asname or a.name.split(".")[0] for a in stmt.names]
+                unused += [f"{module}: {name}" for name in bound if name not in used]
+    assert unused == [], f"unused imports: {', '.join(unused)}"
