@@ -237,10 +237,23 @@ def cmd_estimate_z(args) -> int:
     return EXIT_OK
 
 
+def _decimal(value: int) -> str:
+    """``str(value)`` past the interpreter's limit on the digits of an
+    int-to-str conversion (4300 by default since Python 3.11)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_oracle(args) -> int:
     with _output(args.out) as out:
         if args.count:
-            print(fubini(args.n), file=out)
+            print(_decimal(fubini(args.n)), file=out)
         if args.enumerate:
             for X in enumerate_ordered_partitions(args.n, cap=args.cap):
                 print(format_partition(X), file=out)

@@ -17,6 +17,7 @@ __all__ = [
     "OrderedPartition",
     "EnumerationCapError",
     "fubini",
+    "log_fubini_asymptotic",
     "enumerate_ordered_partitions",
     "sample_uniform_ordered_partition",
     "format_partition",
@@ -127,6 +128,21 @@ def fubini(n: int) -> int:
     return _FUBINI[n]
 
 
+def log_fubini_asymptotic(n: int) -> float:
+    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
+    if n < 1:
+        raise ValueError("asymptotic formula needs n >= 1")
+    log2 = math.log(2.0)
+    return math.lgamma(n + 1) - log2 - (n + 1) * math.log(log2)
+
+
+def _fubini_size(n: int) -> str:
+    """``= fubini(n)`` while that has at most 50 digits, else its order of
+    magnitude from ``log_fubini_asymptotic``, without the big integer."""
+    log10 = log_fubini_asymptotic(n) / math.log(10)
+    return f"= {fubini(n)}" if log10 < 50 else f"~ 10^{log10:.1f}"
+
+
 def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[OrderedPartition]:
     """Yield every ordered set partition of {0..n-1} exactly once.
 
@@ -138,7 +154,7 @@ def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
         raise ValueError("n must be non-negative")
     if n > cap:
         raise EnumerationCapError(
-            f"enumeration of n={n} refused: fubini({n}) = {fubini(n)} states exceeds cap {cap} "
+            f"enumeration of n={n} refused: fubini({n}) {_fubini_size(n)} states exceeds cap {cap} "
             f"(pass a larger cap to override)"
         )
 

@@ -12,6 +12,7 @@ override ``log_weight`` and ``tables``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
     "log_ratio_split",
     "log_ratio_merge",
     "worth_features",
+    "stack_worth_features",
+    "LocalWorths",
     "logsumexp",
 ]
 
@@ -147,35 +150,49 @@ class WorthPairModel(PairPotentialModel):
             total += term
         return self.nu * pairs + total
 
-    def worths_at(self, objects: np.ndarray) -> np.ndarray:
-        """The worths at the index array ``objects``."""
-        return self.worth[objects]
-
-    def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
-        """Closed form of the pair sum: each (a, b) in A x B contributes
-        (w_a - w_b) / 2 - nu, so the ratio is (|B| sum_A w - |A| sum_B w) / 2
-        - nu |A||B|.  The worths of ``objects`` are gathered once, here, and
-        each side is a left fold, as in ``log_weight``."""
+    def split_ratio(self, objects: Sequence[int]) -> "LocalWorths":
+        """The worths of ``objects``, gathered once, with nu: the closed form
+        of the pair sum (see ``LocalWorths``)."""
         objects = list(objects)
-        w = dict(zip(objects, self.worths_at(np.array(objects, dtype=np.intp)).tolist()))
-        nu = self.nu
-
-        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
-            sum_a = sum_b = 0.0
-            for a in A:
-                sum_a += w[a]
-            for b in B:
-                sum_b += w[b]
-            na, nb = len(A), len(B)
-            return 0.5 * (nb * sum_a - na * sum_b) - nu * na * nb
-
-        return ratio
+        return LocalWorths(self.nu, dict(zip(objects, self.worth[np.array(objects, dtype=np.intp)].tolist())))
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * self.worth
         tie = self.nu + half[:, None] + half[None, :]
         order = np.broadcast_to(self.worth[:, None], (self.n_objects, self.n_objects)).copy()
         return tie, order
+
+
+class LocalWorths:
+    """A worth model at a chain's objects: ``nu`` and ``worths``, a dict from
+    each object to its worth.
+
+    It is its own ``split_ratio``, so ``advance_partition`` takes it in place
+    of the model: the kernel reads the two fields, folds each block's worths
+    once and keeps the sums.  Called with (A, B), it gives the closed form of
+    the pair sum: each (a, b) in A x B contributes (w_a - w_b) / 2 - nu, so the
+    ratio is (|B| sum_A w - |A| sum_B w) / 2 - nu |A||B|, each sum a left fold
+    in the order given, as in ``WorthPairModel.log_weight``.
+    """
+
+    __slots__ = ("nu", "worths")
+
+    def __init__(self, nu: float, worths: dict[int, float]):
+        self.nu = nu
+        self.worths = worths
+
+    def split_ratio(self, objects: Sequence[int]) -> "LocalWorths":
+        return self
+
+    def __call__(self, A: Sequence[int], B: Sequence[int]) -> float:
+        w = self.worths
+        sum_a = sum_b = 0.0
+        for a in A:
+            sum_a += w[a]
+        for b in B:
+            sum_b += w[b]
+        na, nb = len(A), len(B)
+        return 0.5 * (nb * sum_a - na * sum_b) - self.nu * na * nb
 
 
 def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairModel:
@@ -263,27 +280,51 @@ def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
     frozen); both arrays are read-only.
     """
     if X._feature_items is None:
-        pairs, items, coef = _compute_worth_features(X)
-        object.__setattr__(X, "_feature_pairs", pairs)
-        object.__setattr__(X, "_feature_items", items)
-        object.__setattr__(X, "_feature_coef", coef)
+        _fill_worth_features([X])
     return X._feature_pairs, X._feature_items, X._feature_coef
 
 
-def _compute_worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
-    m = 0
-    items: list[int] = []
-    c: list[float] = []
-    below = sum(len(b) for b in X.blocks)
-    for block in X.blocks:
-        size = len(block)
-        below -= size
-        m += size * (size - 1) // 2
-        items.extend(block)
-        c.extend([0.5 * (size - 1) + below] * size)
-    items_arr, c_arr = np.array(items, dtype=int), np.array(c, dtype=float)
-    items_arr.flags.writeable = c_arr.flags.writeable = False
-    return m, items_arr, c_arr
+def stack_worth_features(
+    partitions: Sequence[OrderedPartition],
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """``worth_features`` of many partitions, stacked: each partition's
+    within-block pair count and object count, and the objects of all the
+    partitions one after another (each in block order) with their
+    coefficients."""
+    missing = [X for X in partitions if X._feature_items is None]
+    if missing:
+        _fill_worth_features(missing)
+    if not partitions:
+        return [], [], np.zeros(0, dtype=int), np.zeros(0)
+    items = [X._feature_items for X in partitions]
+    return (
+        [X._feature_pairs for X in partitions],
+        [len(a) for a in items],
+        np.concatenate(items),
+        np.concatenate([X._feature_coef for X in partitions]),
+    )
+
+
+def _fill_worth_features(partitions: Sequence[OrderedPartition]) -> None:
+    """Give each partition its ``worth_features`` from one numpy pass over
+    all their blocks, as read-only views of the pass's two arrays.  The
+    coefficients are half-integers, so every float is exact."""
+    blocks = [b for X in partitions for b in X.blocks]
+    n_blocks = [len(X.blocks) for X in partitions]
+    sizes = np.fromiter(map(len, blocks), dtype=int, count=len(blocks))
+    ends = sizes.cumsum()  # objects up to the end of each block
+    items = np.fromiter(chain.from_iterable(blocks), dtype=int, count=int(ends[-1]) if blocks else 0)
+    bounds = np.fromiter(accumulate(n_blocks, initial=0), dtype=int, count=len(n_blocks) + 1)  # of the blocks
+    stops = np.append(0, ends)[bounds]  # bounds of the partitions' objects
+    below = stops[1:].repeat(n_blocks) - ends  # objects of the partition ranked below the block
+    coef = (0.5 * (sizes - 1) + below).repeat(sizes)
+    pairs = np.append(0, (sizes * (sizes - 1) // 2).cumsum())[bounds]
+    items.flags.writeable = coef.flags.writeable = False
+    stops = stops.tolist()
+    for X, start, stop, m in zip(partitions, stops, stops[1:], (pairs[1:] - pairs[:-1]).tolist()):
+        object.__setattr__(X, "_feature_pairs", m)
+        object.__setattr__(X, "_feature_items", items[start:stop])
+        object.__setattr__(X, "_feature_coef", coef[start:stop])
 
 
 def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:

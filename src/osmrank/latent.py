@@ -4,9 +4,10 @@ Each of the K hidden units gates a full extra set of pairwise potentials:
 the joint weight is Omega(X) * prod_k Omega_k(X)^{h_k}.  Posteriors over
 h factorize and are available in closed form, so inference alternates an
 exact Gibbs draw of h | X with split-merge MH moves on X | h, which run on
-the one pair model ``effective_pair_model(h, m)`` whose weight is the joint
-weight.  The direct product, ``log_joint_weight``, is the tests' reference
-in ``tests/oracles.py``.
+the one pair model whose weight is the joint weight,
+``effective_pair_model(h, m)``; a sweep takes it at the chain's objects
+only, ``m.effective_at``.  The direct product, ``log_joint_weight``, is the
+tests' reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,10 @@ __all__ = [
     "hidden_posterior",
     "effective_pair_model",
     "gibbs_mh_step",
-    "sigmoid",
+    "draw_hidden",
+    "sample_hidden",
+    "unit_posteriors",
 ]
-
-
-def sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 class LatentModel:
@@ -72,10 +68,34 @@ class LatentModel:
             order += ho
         return _unchecked_matrix_model(tie, order)
 
+    def unit_weights(self, X: OrderedPartition) -> tuple[np.ndarray, None]:
+        """``log_omegas(X)``, and what ``effective_at`` takes from it: nothing here."""
+        return self.log_omegas(X), None
+
+    def effective_at(self, gathered: None, active: Sequence[int], scale: float = 1.0) -> PairPotentialModel:
+        """The model the kernel runs on with the hidden units ``active`` on:
+        the effective model (the base when none is active), its
+        log-potentials times ``scale``."""
+        m = self.effective(active) if active else self.base
+        return m if scale == 1.0 else m.scaled(scale)
+
+
+def unit_posteriors(logom: Sequence[float], temperature: float = 1.0) -> list[float]:
+    """sigmoid(temperature * lo) for each unit weight lo, in unit order."""
+    out = []
+    for lo in logom:
+        x = temperature * lo
+        if x >= 0.0:
+            out.append(1.0 / (1.0 + math.exp(-x)))
+        else:
+            e = math.exp(x)
+            out.append(e / (1.0 + e))
+    return out
+
 
 def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
-    return np.array([sigmoid(lo) for lo in m.log_omegas(X).tolist()])
+    return np.array(unit_posteriors(m.log_omegas(X).tolist()))
 
 
 def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
@@ -85,12 +105,27 @@ def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
     return m.effective(active) if active else m.base
 
 
+def draw_hidden(
+    logom: Sequence[float], rng: random.Random, temperature: float = 1.0
+) -> tuple[list[int], list[int]]:
+    """Exact draw of h | X from the unit weights ``logom`` (log Omega_k(X) for
+    each unit), one ``rng.random()`` per unit in unit order: at temperature tau
+    h_k ~ Bernoulli(sigmoid(tau * log Omega_k(X))).  Returns h and the indices
+    of its active units."""
+    uniform = rng.random
+    h, active = [], []
+    for k, p in enumerate(unit_posteriors(logom, temperature)):
+        if uniform() < p:
+            h.append(1)
+            active.append(k)
+        else:
+            h.append(0)
+    return h, active
+
+
 def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.0) -> np.ndarray:
-    """Exact draw of h | X from the unit weights ``logom = m.log_omegas(X)``;
-    at temperature tau the conditional is Bernoulli(sigmoid(tau * log Omega_k(X)))."""
-    return np.array(
-        [1 if rng.random() < sigmoid(temperature * lo) else 0 for lo in logom.tolist()], dtype=np.int8
-    )
+    """``draw_hidden``'s h as an int8 array."""
+    return np.array(draw_hidden(logom.tolist(), rng, temperature)[0], dtype=np.int8)
 
 
 def gibbs_mh_step(
@@ -98,8 +133,9 @@ def gibbs_mh_step(
 ) -> tuple[OrderedPartition, np.ndarray]:
     """One sweep of the alternating sampler: draw h | X exactly, then
     advance X | h with one split-merge move per object of X on the
-    effective potentials.  Returns the new partition and the drawn h."""
-    h = sample_hidden(m.log_omegas(X), rng)
-    X = advance_partition(X, effective_pair_model(h, m), rng, sum(len(b) for b in X.blocks))
-    return X, h
-
+    effective potentials.  The unit weights and the effective model come
+    from one ``m.unit_weights(X)``.  Returns the new partition and the drawn h."""
+    logom, gathered = m.unit_weights(X)
+    h, active = draw_hidden(logom.tolist(), rng)
+    X = advance_partition(X, m.effective_at(gathered, active), rng, sum(map(len, X.blocks)))
+    return X, np.array(h, dtype=np.int8)

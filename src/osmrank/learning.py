@@ -15,14 +15,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import WorthPairModel, worth_features
-from .latent import LatentModel, gibbs_mh_step, hidden_posterior
+from .core import LocalWorths, WorthPairModel, stack_worth_features, worth_features
+from .latent import LatentModel, gibbs_mh_step, unit_posteriors
 
 __all__ = [
     "CFParams",
@@ -81,17 +80,55 @@ class CFParams(LatentModel):
         """Each unit as its own pair model, built on each access."""
         return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
 
-    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+    def unit_weights(self, X: OrderedPartition) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """``log_omegas(X)``, and the objects of ``X`` in block order with
+        their rows of ``W``: one gather serves the unit weights and
+        ``effective_at``."""
         pairs, items, coef = worth_features(X)
-        return self.nu * pairs + coef @ self.W[items]
+        Wx = self.W[items]
+        logom = coef @ Wx
+        logom += self.nu * pairs
+        return logom, (items, Wx)
 
-    def effective(self, active: Sequence[int]) -> WorthPairModel:
-        """``WorthPairModel(nu + nu |active|, u + sum_{k in active} W[:, k])``,
-        summed only at the objects a sweep touches (see ``_EffectiveWorthModel``)."""
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        return self.unit_weights(X)[0]
+
+    def _effective_nu(self, active: Sequence[int]) -> float:
         extra = 0.0
         for _ in active:  # a left fold, as in WorthPairModel.log_weight
             extra += self.nu
-        return _EffectiveWorthModel(self.nu + extra, self.u, self.W, active)
+        return self.nu + extra
+
+    def effective(self, active: Sequence[int]) -> WorthPairModel:
+        """``WorthPairModel(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...))``
+        over the whole catalog."""
+        return WorthPairModel(self._effective_nu(active), self.u + sum(self.W[:, k] for k in active))
+
+    def effective_at(
+        self, gathered: tuple[np.ndarray, np.ndarray], active: Sequence[int], scale: float = 1.0
+    ) -> LocalWorths:
+        """``effective(active)`` (the base when ``active`` is empty), its
+        log-potentials times ``scale``, at the objects of ``X`` only, from
+        ``gathered`` of ``unit_weights(X)``: a sweep over a user's items costs
+        O(|items| |active|) whatever the catalog size.  The worths are those
+        of the catalog-wide model, summed in the same grouping, and are
+        checked as ``WorthPairModel`` checks them: finite parameters can
+        still sum past the float range."""
+        items, Wx = gathered
+        worths, nu = self.u[items], self.nu
+        if active:
+            first, *rest = active
+            hidden = Wx[:, first]
+            for k in rest:
+                hidden = hidden + Wx[:, k]
+            worths = worths + hidden
+            nu = self._effective_nu(active)
+        if scale != 1.0:
+            worths, nu = worths * scale, nu * scale
+        worths = worths.tolist()
+        if not (math.isfinite(nu) and all(map(math.isfinite, worths))):
+            raise ValueError("effective worths must be finite, nu finite")
+        return LocalWorths(nu, dict(zip(items.tolist(), worths)))
 
     def copy(self) -> "CFParams":
         return CFParams(self.nu, self.u.copy(), self.W.copy())
@@ -110,30 +147,6 @@ class CFParams(LatentModel):
             rng.uniform(-scale, scale, size=n_items),
             rng.uniform(-scale, scale, size=(n_items, n_hidden)),
         )
-
-
-class _EffectiveWorthModel(WorthPairModel):
-    """A worth model whose worths are ``u + (W[:, k1] + W[:, k2] + ...)``
-    over the active units, in that grouping.
-
-    ``worths_at(objects)`` sums them at ``objects`` alone, so a split-merge
-    sweep over a user's objects costs O(|objects| * |active|) whatever the
-    catalog size; the catalog-length ``worth`` is built on first read
-    (``log_weight``, ``tables``, ``scaled``).  The parameters were checked
-    by ``CFParams``.
-    """
-
-    def __init__(self, nu: float, u: np.ndarray, W: np.ndarray, active: Sequence[int]):
-        self.nu, self._u, self._W, self._active = nu, u, W, tuple(active)
-        self.n_objects = u.shape[0]
-
-    @cached_property
-    def worth(self) -> np.ndarray:
-        return self._u + sum(self._W[:, k] for k in self._active)
-
-    def worths_at(self, objects: np.ndarray) -> np.ndarray:
-        W = self._W[objects]
-        return self._u[objects] + sum(W[:, k] for k in self._active)
 
 
 @dataclass
@@ -183,26 +196,23 @@ def _accumulate(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed partials of log joint weight w.r.t. (nu, u, W) over (X, h) pairs.
 
-    One scatter-add each for u and W over the entries' concatenated items.
-    An entry's items are distinct, so every coordinate receives its
-    additions in entry order, as from a loop over the entries; d_nu is a
-    left fold in entry order.
+    The features of all the entries come from one ``stack_worth_features``
+    pass, then u and W take one weighted ``bincount`` each.  ``bincount``
+    adds its weights in input order, and an entry's items are distinct, so
+    every coordinate receives its additions in entry order, as from a loop
+    over the entries; d_nu is a left fold in entry order.
     """
     entries = list(entries)
-    features = [worth_features(X) for X, _ in entries]
+    pairs, counts, items, coef = stack_worth_features([X for X, _ in entries])
     H = np.array([h for _, h in entries], dtype=float).reshape(len(entries), n_hidden)
     d_nu = 0.0
-    for (pairs, _, _), h_sum in zip(features, H.sum(axis=1).tolist()):
-        d_nu += pairs * (1.0 + h_sum)
-    d_u = np.zeros(n_items)
-    d_W = np.zeros((n_items, n_hidden))
-    if entries:
-        items = np.concatenate([f[1] for f in features])
-        coef = np.concatenate([f[2] for f in features])
-        rows = np.repeat(np.arange(len(entries)), [len(f[1]) for f in features])
-        np.add.at(d_u, items, coef)
-        np.add.at(d_W, items, coef[:, None] * H[rows])
-    return d_nu, d_u, d_W
+    for m, h_sum in zip(pairs, H.sum(axis=1).tolist()):
+        d_nu += m * (1.0 + h_sum)
+    d_u = np.bincount(items, weights=coef, minlength=n_items)
+    cells = (items * n_hidden)[:, None] + np.arange(n_hidden)  # (item, unit) in row-major order
+    terms = coef[:, None] * H[np.repeat(np.arange(len(entries)), counts)]
+    d_W = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=n_items * n_hidden)
+    return d_nu, d_u, d_W.reshape(n_items, n_hidden)
 
 
 def estimate_gradient(
@@ -235,21 +245,22 @@ def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) 
 
 
 def _rank_rows(partitions: Sequence[OrderedPartition], width: int) -> np.ndarray:
-    """One row per partition: the block rank of each of its objects, in
+    """One row per partition: a rank key of each of its objects, in
     ascending object order, padded with -1 to ``width`` columns.
 
-    Ranks count blocks across all the partitions, so only comparisons
-    within a row are meaningful.
+    The key is twice the object's worth coefficient (``worth_features``),
+    an integer that is equal within a block and falls from each block to
+    the next, so comparing two keys of a row compares their blocks.  The
+    features come from ``stack_worth_features``, which leaves each new
+    partition its own.
     """
-    block_items = [worth_features(X)[1] for X in partitions]  # objects in block order
-    counts = [len(items) for items in block_items]
-    sizes = [len(b) for X in partitions for b in X.blocks]
-    items = np.concatenate(block_items)
-    ranks = np.repeat(np.arange(len(sizes)), sizes)
+    _, counts, items, coef = stack_worth_features(partitions)
     rows = np.repeat(np.arange(len(partitions)), counts)
     starts = np.cumsum(counts) - counts
-    out = np.full((len(partitions), width), -1, dtype=np.int64)
-    out[rows, np.arange(len(items)) - starts[rows]] = ranks[np.lexsort((items, rows))]
+    span = int(items.max()) + 1 if len(items) else 0
+    keys = (2 * coef).astype(np.min_scalar_type(2 * width))  # a coefficient is below width
+    out = np.full((len(partitions), width), -1, dtype=np.result_type(keys, np.int8))
+    out[rows, np.arange(len(items)) - starts[rows]] = keys[np.argsort(rows * span + items)]
     return out
 
 
@@ -302,7 +313,10 @@ def train(
     user's chain is advanced ``chain_steps_per_update`` alternating sweeps
     against the current parameter snapshot, then the block gradient (data
     statistics with exact posteriors minus chain statistics) is applied.
-    ``callback``, when given, receives one record per block with the
+    A block's statistics are whole-block passes: the new chain states get
+    their features from one ``stack_worth_features`` pass, which the rank
+    rows and the gradient read and the next sweeps reuse.  ``callback``,
+    when given, receives one record per block with the
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
     rng = random.Random(cfg.seed)
@@ -323,21 +337,23 @@ def train(
         rng.shuffle(order)
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
-            observed = []
-            samples = []
+            observed = [usable[ui] for ui in block]
+            posteriors = [unit_posteriors(params.log_omegas(X).tolist()) for X in observed]
+            states, hidden = [], []
             for ui in block:
-                X_obs = usable[ui]
-                observed.append((X_obs, hidden_posterior(X_obs, params)))
                 X_c = chains[ui]
                 for _ in range(cfg.chain_steps_per_update):
                     X_c, h_c = gibbs_mh_step(X_c, params, rng)
                 chains[ui] = X_c
-                samples.append((X_c, h_c))
+                states.append(X_c)
+                hidden.append(h_c)
             disagreement = 0.0
-            chain_ranks = _rank_rows([X for X, _ in samples], width)
+            chain_ranks = _rank_rows(states, width)  # also the features of the block's new states
             for value in _disagreements(chain_ranks, observed_ranks[block]).tolist():
                 disagreement += value  # summed in block order; the log prints its rounding
-            grad = estimate_gradient(observed, samples, n_items, cfg.n_hidden)
+            grad = estimate_gradient(
+                list(zip(observed, posteriors)), list(zip(states, hidden)), n_items, cfg.n_hidden
+            )
             if cfg.l2:
                 grad.d_u -= cfg.l2 * params.u
                 grad.d_W -= cfg.l2 * params.W

@@ -17,6 +17,7 @@ import mmap
 import os
 import random
 import signal
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,7 @@ from .combinatorics import (
     sample_uniform_ordered_partition,
 )
 from .core import PairPotentialModel, log_weight, logsumexp
-from .latent import LatentModel, effective_pair_model, sample_hidden
+from .latent import LatentModel, draw_hidden
 from .sampler import advance_partition
 
 __all__ = [
@@ -126,6 +127,8 @@ def annealed_unnorm_log_prob(
 def temperature_ladder(cfg: AISConfig) -> np.ndarray:
     """tau_0 = 0 < tau_1 < ... < tau_S = 1."""
     S = cfg.n_temperatures
+    if S >= sys.maxsize // 8:  # numpy refuses such a size with a ValueError, before any allocation
+        raise MemoryError(f"a ladder of {S} temperatures does not fit in memory")
     if cfg.schedule == "linear":
         return np.linspace(0.0, 1.0, S + 1)
     # geometric: log-spaced from a small floor up to 1, with tau_0 pinned at 0
@@ -150,11 +153,12 @@ def _ais_run(m: LatentModel, taus: list[float], steps: int, run_seed: int) -> fl
     for s in range(1, len(taus)):
         t_hi, t_lo = taus[s], taus[s - 1]
         if s > 1:
-            h = sample_hidden(logom, run_rng, temperature=t_lo)
-            X = advance_partition(X, effective_pair_model(h, m).scaled(t_lo), run_rng, steps)
-        logom = m.log_omegas(X)  # the next transition's hidden draw reuses it
+            _, active = draw_hidden(logom, run_rng, t_lo)
+            X = advance_partition(X, m.effective_at(gathered, active, t_lo), run_rng, steps)
+        logom, gathered = m.unit_weights(X)  # the next transition reuses both
+        logom = logom.tolist()
         logw += (t_hi - t_lo) * log_weight(X, m.base)
-        for lo in logom.tolist():
+        for lo in logom:
             logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
     return logw
 

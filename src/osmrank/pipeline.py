@@ -167,19 +167,32 @@ def _is_record(parts: list[str]) -> bool:
 def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
     """Per-line check of a file ``np.loadtxt`` refused: names the first
     malformed line (an error in strict mode, a warning otherwise) and
-    returns the well-formed lines.  Blank lines are skipped."""
+    returns the well-formed lines.  Blank lines are skipped.
+
+    The file is read as bytes and split at \\n, \\r\\n and \\r, as text mode
+    splits it; a line that is not UTF-8 is a malformed line.
+    """
     sep, _, _, header = _FORMATS[fmt]
     good: list[str] = []
     bad: list[int] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or lineno <= header:
-                continue
-            if _is_record(line.split(sep)):
-                good.append(line)
-            else:
-                bad.append(lineno)
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:  # ends at \n; a lone \r in it ends a line too
+            for raw in chunk.splitlines():
+                lineno += 1
+                if lineno <= header:
+                    continue
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    bad.append(lineno)
+                    continue
+                if not line:
+                    continue
+                if _is_record(line.split(sep)):
+                    good.append(line)
+                else:
+                    bad.append(lineno)
     if bad:
         message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
         if strict:
@@ -297,6 +310,40 @@ def _subset(ds: RatingsDataset, keep: np.ndarray) -> RatingsDataset:
                    grades=grades)
 
 
+def _sample_positions(rng: random.Random, counts: list[int], k: int) -> list[int]:
+    """``rng.sample(range(count), k)`` for each count in turn, concatenated.
+
+    The draws are CPython's, inlined as ``sampler.advance_partition`` inlines
+    them: ``randrange(m)`` is the ``getrandbits(m.bit_length())`` rejection
+    loop, and ``sample`` keeps a pool of the positions when the count is at
+    most its set size, 21 (plus 4 ** ceil(log4(3k)) when k > 5), and a set
+    of the picks above.  The picks and the RNG state are those of ``sample``.
+    """
+    getrandbits = rng.getrandbits
+    set_size = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    picks: list[int] = []
+    for n in counts:
+        if n <= set_size:  # pool path: swap each pick out of the first n - i positions
+            pool = list(range(n))
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                picks.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:  # set path: redraw below n until the position is new
+            selected: set[int] = set()
+            bits = n.bit_length()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                picks.append(j)
+    return picks
+
+
 def train_test_split(ds: RatingsDataset, spec: SplitSpec) -> tuple[RatingsDataset, RatingsDataset]:
     """Apply the split protocol; deterministic under spec.seed.
 
@@ -309,10 +356,10 @@ def train_test_split(ds: RatingsDataset, spec: SplitSpec) -> tuple[RatingsDatase
     eligible = counts >= spec.min_ratings
     # one draw of positions within each eligible user's records, in user order
     users = np.flatnonzero(eligible)
-    picks = [rng.sample(range(count), spec.n_train) for count in counts[users].tolist()]
+    picks = _sample_positions(rng, counts[users].tolist(), spec.n_train)
     order = np.argsort(ds.users, kind="stable")  # records by user, then record index
     first = np.cumsum(counts) - counts
-    chosen = np.repeat(first[users], spec.n_train) + np.array(picks, dtype=np.int64).ravel()
+    chosen = np.repeat(first[users], spec.n_train) + np.array(picks, dtype=np.int64)
     train_keep = np.zeros(ds.n_records, dtype=bool)
     train_keep[order[chosen]] = True
     test_keep = eligible[ds.users] & ~train_keep
@@ -454,7 +501,7 @@ def _ranked_test_records(
     x = np.repeat(params.nu * pairs[:, None], params.n_hidden, axis=1)
     np.add.at(x, train_ds.users, coef[:, None] * params.W[train_ds.items])
     e = np.exp(-np.abs(x))
-    posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.sigmoid, both branches
+    posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.unit_posteriors, both branches
 
     n_seen = np.bincount(train_ds.users, minlength=train_ds.n_users)
     keep = np.flatnonzero(n_seen[test_ds.users] > 0)
@@ -467,8 +514,10 @@ def _ranked_test_records(
     if (seen_keys[at] == keys).any():
         raise ValueError("unseen items overlap the seen partition")
     hidden_worth = np.zeros(len(keep))
-    for k in range(params.n_hidden):
-        hidden_worth += params.W[items, k] * posterior[users, k]
+    # a left fold over the units; each unit's column is made contiguous once,
+    # so its gathers are 1-d and no (records x units) array is built
+    for w, p in zip(params.W.T.copy(), posterior.T.copy()):
+        hidden_worth += w[items] * p[users]
     scores = n_seen[users] * (params.u[items] + hidden_worth)
     # np.lexsort((items, -scores, users)) as three stable passes; integer keys
     # in their smallest dtype, so ids below 2**16 take numpy's radix sort

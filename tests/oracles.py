@@ -1,11 +1,11 @@
 """Exact oracles that only the tests use, moved out of ``src/osmrank``.
 
 Each definition is the library's former code, unchanged: the ordered-Bell
-asymptotes and the Stirling numbers, the proposal-object MH step and the
+asymptote as a float and the Stirling numbers, the proposal-object MH step and the
 exact one-step kernel of the split-merge sampler, the enumeration oracles of
 training (exact sufficient statistics, gradients, likelihoods and draws), the
-log joint weight, partitions from graded ratings and text, and rank
-reconstruction from a posterior.  They are small-size references the fast
+log joint weight and the scalar sigmoid, partitions from graded ratings and
+text, and rank reconstruction from a posterior.  They are small-size references the fast
 paths are checked against.
 """
 
@@ -19,7 +19,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from osmrank.combinatorics import EnumerationCapError, OrderedPartition, enumerate_ordered_partitions, fubini
+from osmrank.combinatorics import (
+    EnumerationCapError,
+    OrderedPartition,
+    enumerate_ordered_partitions,
+    fubini,
+    log_fubini_asymptotic,
+)
 from osmrank.core import (
     PairPotentialModel,
     log_ratio_merge,
@@ -32,7 +38,6 @@ from osmrank.latent import LatentModel, hidden_posterior
 from osmrank.learning import CFParams, GradientEstimate, _accumulate
 from osmrank.pipeline import RankedList, _mean_worth, _rank
 from osmrank.sampler import (
-    LOG2,
     LOG_HALF,
     _merge_log_q_ratio,
     _split_log_q_ratio,
@@ -50,13 +55,6 @@ def stirling2(n: int, t: int) -> int:
     for m in range(1, n + 1):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
     return row[t] if t <= n else 0
-
-
-def log_fubini_asymptotic(n: int) -> float:
-    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
-    if n < 1:
-        raise ValueError("asymptotic formula needs n >= 1")
-    return math.lgamma(n + 1) - LOG2 - (n + 1) * math.log(LOG2)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -195,6 +193,13 @@ def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) 
 
 
 # osmrank.latent
+def sigmoid(x: float) -> float:
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
 def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
     """log of Omega(X) * prod_k Omega_k(X)^{h_k}."""
     h = np.asarray(h)

@@ -150,6 +150,28 @@ class TestOracleCommand:
         assert errs[0].startswith("osmrank: ") and errs[0].count("\n") == 1
         assert f"fubini(9) = {fubini(9)}" in errs[0]
 
+    @pytest.mark.parametrize("n", [1300, 1500])
+    def test_cap_message_does_not_write_out_the_count(self, n, capsys):
+        # fubini(1300) has 3693 digits, fubini(1500) more than int-to-str allows by default
+        for flag in ["--exact-z", "--marginals", "--enumerate"]:
+            assert main(["oracle", "--n", str(n), flag]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"osmrank: enumeration of n={n} refused: fubini({n}) ~ 10^")
+            assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_count_past_the_int_to_str_digit_limit(self, capsys):
+        # fubini(1485) has 4304 digits, past the interpreter's default limit of 4300
+        limit = sys.get_int_max_str_digits()
+        assert main(["oracle", "--n", "1485", "--count"]) == 0
+        out = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit  # left as it was
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{fubini(1485)}\n" and len(out) == 4305
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_exact_z_uniform(self, capsys):
         assert main(["oracle", "--n", "4", "--exact-z"]) == 0
         out = capsys.readouterr().out
@@ -276,6 +298,18 @@ class TestEstimateZCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(ck) in err
 
+    def test_effective_worths_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # every parameter is finite, but u + W[:, 0] + W[:, 1] overflows
+        ck = tmp_path / "huge.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 2\nnu 1e308\nu 1e308 1e308 1e308\n"
+                      + "W 1e308 1e308\n" * 3)
+        out = tmp_path / "z.txt"
+        assert main(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "osmrank: effective worths must be finite, nu finite"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_runs", [3, 10])
     def test_ess_of_equal_weights_is_the_run_count(self, n_runs, tmp_path):
         # exp(2 logsumexp(w) - logsumexp(2 w)) rounds a hair above R here
@@ -298,12 +332,14 @@ class TestEstimateZCommand:
         ck = tmp_path / "ais.ck"
         ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu -0.5\nu 0.1 0.2 0.3\nW 0.1\nW 0.2\nW 0.3\n")
         out = tmp_path / "z.txt"
-        argv = ["estimate-z", "--model", str(ck), "--n-temps", "2", "--n-runs", "1", "--out", str(out)]
-        argv[argv.index(flag) + 1] = str(10**17)
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("osmrank: ") and err.count("\n") == 1
-        assert not out.exists()
+        # 10**19 is past numpy's largest size as well, which it reports as a ValueError
+        for size in (10**17, 10**19):
+            argv = ["estimate-z", "--model", str(ck), "--n-temps", "2", "--n-runs", "1", "--out", str(out)]
+            argv[argv.index(flag) + 1] = str(size)
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("osmrank: ") and err.count("\n") == 1
+            assert not out.exists()
 
     def test_run_count_past_index_size_is_cap_error(self, tmp_path, capsys):
         # 8 * 10**19 bytes do not fit a C ssize_t: refused like any size past memory

@@ -12,11 +12,12 @@ from osmrank.combinatorics import (
     enumerate_ordered_partitions,
     format_partition,
     fubini,
+    log_fubini_asymptotic,
     sample_uniform_ordered_partition,
 )
 
 from helpers import brute_force_ordered_partitions, brute_force_set_partitions
-from oracles import fubini_asymptotic, log_fubini_asymptotic, parse_partition, stirling2
+from oracles import fubini_asymptotic, parse_partition, stirling2
 
 
 class TestOrderedPartition:
@@ -160,6 +161,19 @@ class TestEnumeration:
     def test_cap_refusal_mentions_size(self):
         with pytest.raises(EnumerationCapError, match=str(fubini(9))):
             list(enumerate_ordered_partitions(9))
+
+    @pytest.mark.parametrize("n", [37, 38, 100, 1300])
+    def test_cap_refusal_past_50_digits_gives_the_magnitude(self, n):
+        # fubini(37) has 49 digits, fubini(38) has 51
+        digits = len(str(fubini(n)))
+        with pytest.raises(EnumerationCapError) as info:
+            list(enumerate_ordered_partitions(n))
+        if digits <= 50:
+            assert f"fubini({n}) = {fubini(n)} states" in str(info.value)
+        else:
+            log10 = math.log10(fubini(n))
+            assert f"fubini({n}) ~ 10^{log10:.1f} states" in str(info.value)
+            assert int(log10) + 1 == digits
 
     def test_cap_override(self):
         with pytest.raises(EnumerationCapError):

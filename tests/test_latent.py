@@ -14,12 +14,11 @@ from osmrank.latent import (
     gibbs_mh_step,
     hidden_posterior,
     sample_hidden,
-    sigmoid,
 )
 from osmrank.learning import CFParams
 
 from helpers import random_latent_model
-from oracles import log_joint_weight, transition_matrix
+from oracles import log_joint_weight, sigmoid, transition_matrix
 
 
 def P(*blocks):

@@ -396,7 +396,7 @@ class TestTrainMatchesReference:
     full-catalog effective models gives the same bits."""
 
     @staticmethod
-    def users(n_items=12, n_users=14, seed=0):
+    def users(n_items=30, n_users=14, seed=0):
         rng = random.Random(seed)
         data = []
         for u in range(n_users):
@@ -405,6 +405,8 @@ class TestTrainMatchesReference:
             labels = [rng.randrange(size) for _ in items]
             blocks = [[x for x, b in zip(items, labels) if b == t] for t in sorted(set(labels))]
             data.append(OrderedPartition.from_blocks(blocks, n_items))
+        # 25 tied items: the kernel splits the block through sample's set path (over 21 objects)
+        data.insert(5, OrderedPartition.from_blocks([rng.sample(range(n_items), 25)], n_items))
         return data
 
     @pytest.mark.parametrize("l2", [0.0, 0.1])
@@ -420,10 +422,20 @@ class TestTrainMatchesReference:
         params = train(self.users(), cfg, callback=got.append)
         expected = reference_train(self.users(), cfg, callback=want.append)
         assert _bits(params) == _bits(expected)
-        assert len(got) == len(want) == 2 * math.ceil(14 / block_size)
+        assert len(got) == len(want) == 2 * math.ceil(15 / block_size)
         for a, b in zip(got, want):
             assert {k: v for k, v in a.items() if k != "params"} == {k: v for k, v in b.items() if k != "params"}
             assert _bits(a["params"]) == _bits(b["params"])
+
+
+    def test_bitwise_without_epochs(self):
+        from helpers import reference_train
+
+        cfg = TrainConfig(epochs=0, n_hidden=3, seed=11, init_scale=0.3)
+        got, want = [], []
+        assert _bits(train(self.users(), cfg, callback=got.append)) == _bits(
+            reference_train(self.users(), cfg, callback=want.append))
+        assert got == want == []
 
 
 class TestCheckpoint:

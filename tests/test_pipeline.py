@@ -196,6 +196,21 @@ class TestLoadRatings:
             ds = load_ratings(str(path), strict=False)
         assert ds.n_records == 1
 
+    @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
+    def test_non_utf8_line_is_a_malformed_line(self, tmp_path, fmt):
+        # the text-mode read used to fail on the byte, naming neither the file nor the line
+        sep = "::" if fmt == "movielens_dcolon" else ","
+        path = tmp_path / "r.dat"
+        head = b"user,item,rating\n" if fmt == "csv" else b""
+        lines = [sep.join(["1", "3", "4.0"]), sep.join(["2", "3", "\xff4.0"]), sep.join(["3", "4", "2.0"])]
+        path.write_bytes(head + b"\r\n".join(line.encode("latin-1") for line in lines) + b"\n")
+        first_bad = 3 if fmt == "csv" else 2
+        with pytest.raises(ValueError, match=f"^{path}: 1 malformed lines \\(first at line {first_bad}\\)$"):
+            load_ratings(str(path), fmt=fmt)
+        with pytest.warns(UserWarning, match=f"first at line {first_bad}"):
+            ds = load_ratings(str(path), fmt=fmt, strict=False)
+        assert ds.user_ids[ds.users].tolist() == [1, 3]
+
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
         write_ratings(path, [(1, 10, 4.0, 99), (2, 11, 2.0, 100)], fmt="csv")

@@ -24,7 +24,7 @@ from helpers import (
     reference_user_partitions,
     reference_worth_features,
 )
-from oracles import log_joint_weight
+from oracles import log_joint_weight, sigmoid
 from osmrank import partition_function
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
 from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, worth_features
@@ -33,7 +33,6 @@ from osmrank.latent import (
     effective_pair_model,
     hidden_posterior,
     sample_hidden,
-    sigmoid,
 )
 from osmrank.learning import CFParams, _accumulate, _disagreements, _rank_rows, pairwise_disagreement
 from osmrank.partition_function import (
@@ -157,14 +156,23 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     rng = np.random.default_rng(seed)
     m = CFParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
     active = sorted(data.draw(st.sets(st.integers(0, k - 1))) if k else [])
-    eff, full = m.effective(active), reference_effective_model(m, active)
-    objects = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))
+    full = reference_effective_model(m, active)
+    assert m.effective(active).worth.tobytes() == full.worth.tobytes()
+    # the sweep's model at a chain's objects, at tau = 1 and at an AIS temperature
+    X = data.draw(partitions(n, data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))))
+    scale = data.draw(st.sampled_from([1.0, *temperature_ladder(AISConfig(7, 1)).tolist()[1:-1]]))
+    want = full if active else m.base
+    want = want if scale == 1.0 else want.scaled(scale)
+    logom, gathered = m.unit_weights(X)
+    assert logom.tobytes() == m.log_omegas(X).tobytes()
+    local = m.effective_at(gathered, active, scale)
+    objects = worth_features(X)[1].tolist()
+    assert list(local.worths) == objects
+    assert np.array(list(local.worths.values())).tobytes() == want.worth[objects].tobytes()
+    assert np.float64(local.nu).tobytes() == np.float64(want.nu).tobytes()
     cut = data.draw(st.integers(1, len(objects) - 1))
     A, B = objects[:cut], objects[cut:]
-    index = np.array(objects)
-    assert eff.worths_at(index).tobytes() == full.worths_at(index).tobytes()
-    assert np.float64(eff.split_ratio(objects)(A, B)).tobytes() == np.float64(full.split_ratio(objects)(A, B)).tobytes()
-    assert eff.worth.tobytes() == full.worth.tobytes()
+    assert np.float64(local(A, B)).tobytes() == np.float64(want.split_ratio(objects)(A, B)).tobytes()
 
 
 @given(st.integers(1, 12).flatmap(partitions))
@@ -331,6 +339,19 @@ def test_set_up_passes_are_the_per_user_loops(records, n_grades, n_train, extra,
         assert repr(list(parts.items())) == repr(list(reference_user_partitions(d).items()))
         for X in parts.values():
             assert_checked_build_equal(X)
+
+
+@given(st.integers(1, 12), st.lists(st.one_of(st.integers(0, 30), st.integers(76, 100)), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_split_draws_are_sample_on_both_sides_of_its_set_size(n_train, counts, seed):
+    # rng.sample(range(count), k) keeps a pool of the count while it is at most 21, or
+    # 85 for 6 <= k <= 21, and a set of the picks above
+    users = np.repeat(np.arange(len(counts)), counts)
+    items = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+    ds = graded_dataset((users, items, np.full(len(users), 3.0)), 5)
+    spec = SplitSpec(n_train=n_train, min_ratings=n_train + 10, seed=seed)
+    for got, want in zip(train_test_split(ds, spec), reference_train_test_split(ds, spec)):
+        assert_same_dataset(got, want)
 
 
 @given(rating_records(), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1),
