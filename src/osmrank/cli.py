@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import random
 import sys
@@ -205,7 +206,8 @@ def cmd_sample(args) -> int:
             rng = random.Random(cfg.seed)
             X = OrderedPartition.singletons(n)
             for sweep in range(1, cfg.steps + 1):
-                X, _ = gibbs_mh_step(X, model, rng)
+                logom, gathered = model.unit_weights([X])
+                X, _ = gibbs_mh_step(X, model, logom[0].tolist(), gathered[0], rng)
                 if sweep > burn and (sweep - burn) % cfg.thin == 0:
                     print(format_partition(X), file=out)
         else:
@@ -380,5 +382,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def entry() -> None:
+    """The ``osmrank`` program (``python -m osmrank.cli`` too): ``main`` on
+    the command line, then exit with its code.  ``gc.freeze`` first moves
+    every object into the collector's permanent generation, so the
+    interpreter's final collections do not walk all that numpy and osmrank
+    made.  Nothing waits on them: every output file is already closed by its
+    ``with`` block."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class LatentModel:
 
     def log_omegas(self, X: OrderedPartition) -> np.ndarray:
         """Vector of log Omega_k(X) over all hidden units."""
-        return np.array([log_weight(X, hm) for hm in self.hidden], dtype=float)
+        return self.unit_weights([X])[0][0]
 
     def effective(self, active: Sequence[int]) -> PairPotentialModel:
         """The base potentials plus those of the hidden units indexed by ``active``."""
@@ -68,9 +68,11 @@ class LatentModel:
             order += ho
         return _unchecked_matrix_model(tie, order)
 
-    def unit_weights(self, X: OrderedPartition) -> tuple[np.ndarray, None]:
-        """``log_omegas(X)``, and what ``effective_at`` takes from it: nothing here."""
-        return self.log_omegas(X), None
+    def unit_weights(self, partitions: Sequence[OrderedPartition]) -> tuple[np.ndarray, list[None]]:
+        """``log_omegas`` of each partition, as the rows of a (B, K) array,
+        and what ``effective_at`` takes for each: nothing here."""
+        logom = [log_weight(X, hm) for X in partitions for hm in self.hidden]
+        return np.array(logom, dtype=float).reshape(len(partitions), self.n_hidden), [None] * len(partitions)
 
     def effective_at(self, gathered: None, active: Sequence[int], scale: float = 1.0) -> PairPotentialModel:
         """The model the kernel runs on with the hidden units ``active`` on:
@@ -129,13 +131,21 @@ def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.
 
 
 def gibbs_mh_step(
-    X: OrderedPartition, m: LatentModel, rng: random.Random
-) -> tuple[OrderedPartition, np.ndarray]:
-    """One sweep of the alternating sampler: draw h | X exactly, then
-    advance X | h with one split-merge move per object of X on the
-    effective potentials.  The unit weights and the effective model come
-    from one ``m.unit_weights(X)``.  Returns the new partition and the drawn h."""
-    logom, gathered = m.unit_weights(X)
-    h, active = draw_hidden(logom.tolist(), rng)
-    X = advance_partition(X, m.effective_at(gathered, active), rng, sum(map(len, X.blocks)))
-    return X, np.array(h, dtype=np.int8)
+    X: OrderedPartition,
+    m: LatentModel,
+    logom: Sequence[float],
+    gathered,
+    rng: random.Random,
+    temperature: float = 1.0,
+    steps: Optional[int] = None,
+) -> tuple[OrderedPartition, list[int]]:
+    """One sweep of the alternating sampler at inverse temperature tau: draw
+    h | X exactly, then advance X | h with ``steps`` split-merge moves (one
+    per object of X by default) on the effective potentials times tau.
+    ``logom`` and ``gathered`` are X's row and entry of ``m.unit_weights``,
+    so a caller computes them for many partitions at once.  Returns the new
+    partition and the drawn h."""
+    h, active = draw_hidden(logom, rng, temperature)
+    if steps is None:
+        steps = sum(map(len, X.blocks))
+    return advance_partition(X, m.effective_at(gathered, active, temperature), rng, steps), h

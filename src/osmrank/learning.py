@@ -15,12 +15,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import LocalWorths, WorthPairModel, stack_worth_features, worth_features
+from .core import LocalWorths, WorthPairModel, stack_worth_features
 from .latent import LatentModel, gibbs_mh_step, unit_posteriors
 
 __all__ = [
@@ -80,18 +81,48 @@ class CFParams(LatentModel):
         """Each unit as its own pair model, built on each access."""
         return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
 
-    def unit_weights(self, X: OrderedPartition) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """``log_omegas(X)``, and the objects of ``X`` in block order with
-        their rows of ``W``: one gather serves the unit weights and
-        ``effective_at``."""
-        pairs, items, coef = worth_features(X)
-        Wx = self.W[items]
-        logom = coef @ Wx
-        logom += self.nu * pairs
-        return logom, (items, Wx)
+    def unit_weights(
+        self, partitions: Sequence[OrderedPartition]
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """``log_omegas`` of each partition, as the rows of a (B, K) array,
+        and each partition's objects in block order with their rows of
+        ``W``, which ``effective_at`` takes.
 
-    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
-        return self.unit_weights(X)[0]
+        One ``stack_worth_features`` pass and one gather of ``W[items]``
+        serve the whole list.  The rows of the partitions with n objects
+        come from one ``np.matmul`` of (B_n, 1, n) by (B_n, n, K), which
+        runs the gemv ``coef @ W[items]`` of each partition, so a row has
+        the bits of that partition alone.  A row past the float range
+        raises ``ValueError`` and no numpy overflow warning: that of
+        ``effective_at`` when the worths with every unit on overflow too.
+        """
+        pairs, counts, items, coef = stack_worth_features(partitions)
+        B, K = len(counts), self.n_hidden
+        Wx = self.W.take(items, axis=0)  # the one gather of W[items]
+        rows_of = {}  # object count -> the rows with it
+        for row, n in enumerate(counts):
+            rows_of.setdefault(n, []).append(row)
+        logom = np.empty((B, K))
+        gathered = [None] * B
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for n, rows in rows_of.items():
+                if len(rows) == B:  # one object count: the stacked arrays as they are
+                    at = slice(None)
+                    group_items, group_Wx = items.reshape(B, n), Wx.reshape(B, n, K)
+                    group_coef = coef.reshape(B, 1, n)
+                else:
+                    at = rows
+                    positions = (np.cumsum(counts) - counts)[rows, None] + np.arange(n)  # in the stack
+                    group_items, group_Wx = items[positions], Wx[positions]
+                    group_coef = coef[positions][:, None]
+                logom[at] = np.matmul(group_coef, group_Wx)[:, 0]
+                for row, row_items, row_Wx in zip(rows, group_items, group_Wx):
+                    gathered[row] = (row_items, row_Wx)
+            logom += self.nu * np.array(pairs, dtype=float)[:, None]
+            if not np.isfinite(logom).all():
+                self.effective_at((items, Wx), range(K))  # every unit on
+                raise ValueError("unit weights must be finite")
+        return logom, gathered
 
     def _effective_nu(self, active: Sequence[int]) -> float:
         extra = 0.0
@@ -108,12 +139,12 @@ class CFParams(LatentModel):
         self, gathered: tuple[np.ndarray, np.ndarray], active: Sequence[int], scale: float = 1.0
     ) -> LocalWorths:
         """``effective(active)`` (the base when ``active`` is empty), its
-        log-potentials times ``scale``, at the objects of ``X`` only, from
-        ``gathered`` of ``unit_weights(X)``: a sweep over a user's items costs
-        O(|items| |active|) whatever the catalog size.  The worths are those
-        of the catalog-wide model, summed in the same grouping, and are
-        checked as ``WorthPairModel`` checks them: finite parameters can
-        still sum past the float range."""
+        log-potentials times ``scale``, at the objects of a partition X only,
+        from X's entry in the gathered rows of ``unit_weights``: a sweep over
+        a user's items costs O(|items| |active|) whatever the catalog size.
+        The worths are those of the catalog-wide model, summed in the same
+        grouping, and are checked as ``WorthPairModel`` checks them: finite
+        parameters can still sum past the float range."""
         items, Wx = gathered
         worths, nu = self.u[items], self.nu
         if active:
@@ -204,13 +235,13 @@ def _accumulate(
     """
     entries = list(entries)
     pairs, counts, items, coef = stack_worth_features([X for X, _ in entries])
-    H = np.array([h for _, h in entries], dtype=float).reshape(len(entries), n_hidden)
+    H = np.fromiter(chain.from_iterable(h for _, h in entries), dtype=float).reshape(len(entries), n_hidden)
     d_nu = 0.0
     for m, h_sum in zip(pairs, H.sum(axis=1).tolist()):
         d_nu += m * (1.0 + h_sum)
     d_u = np.bincount(items, weights=coef, minlength=n_items)
     cells = (items * n_hidden)[:, None] + np.arange(n_hidden)  # (item, unit) in row-major order
-    terms = coef[:, None] * H[np.repeat(np.arange(len(entries)), counts)]
+    terms = coef[:, None] * np.repeat(H, counts, axis=0)
     d_W = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=n_items * n_hidden)
     return d_nu, d_u, d_W.reshape(n_items, n_hidden)
 
@@ -313,7 +344,14 @@ def train(
     user's chain is advanced ``chain_steps_per_update`` alternating sweeps
     against the current parameter snapshot, then the block gradient (data
     statistics with exact posteriors minus chain statistics) is applied.
-    A block's statistics are whole-block passes: the new chain states get
+    The parameters are fixed within a block, so its unit weights are two
+    ``unit_weights`` passes over all its users: the observed partitions',
+    whose posteriors come from one ``unit_posteriors`` pass, and the chain
+    states', which each user's first sweep reads.  The per-user loop keeps
+    what depends on ``rng``: the hidden draw, the effective worths of the
+    drawn units and the moves (a later sweep of a user computes its new
+    state's weights as a one-partition block).  The statistics are
+    whole-block passes too: the new chain states get
     their features from one ``stack_worth_features`` pass, which the rank
     rows and the gradient read and the next sweeps reuse.  ``callback``,
     when given, receives one record per block with the
@@ -330,7 +368,7 @@ def train(
     width = max(sum(map(len, X.blocks)) for X in usable)
     observed_ranks = _rank_rows(usable, width)
 
-    n_users = len(usable)
+    n_users, K = len(usable), cfg.n_hidden
     block_counter = 0
     for epoch in range(cfg.epochs):
         order = list(range(n_users))
@@ -338,12 +376,17 @@ def train(
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
             observed = [usable[ui] for ui in block]
-            posteriors = [unit_posteriors(params.log_omegas(X).tolist()) for X in observed]
+            flat = unit_posteriors(params.unit_weights(observed)[0].ravel().tolist())
+            posteriors = [flat[i * K : i * K + K] for i in range(len(block))]
+            rows, gathered = params.unit_weights([chains[ui] for ui in block])
             states, hidden = [], []
-            for ui in block:
+            for ui, logom_c, gathered_c in zip(block, rows.tolist(), gathered):
                 X_c = chains[ui]
-                for _ in range(cfg.chain_steps_per_update):
-                    X_c, h_c = gibbs_mh_step(X_c, params, rng)
+                for step in range(cfg.chain_steps_per_update):
+                    if step:  # a later sweep starts from the state the last one left
+                        one, more = params.unit_weights([X_c])
+                        logom_c, gathered_c = one[0].tolist(), more[0]
+                    X_c, h_c = gibbs_mh_step(X_c, params, logom_c, gathered_c, rng)
                 chains[ui] = X_c
                 states.append(X_c)
                 hidden.append(h_c)

@@ -30,8 +30,7 @@ from .combinatorics import (
     sample_uniform_ordered_partition,
 )
 from .core import PairPotentialModel, log_weight, logsumexp
-from .latent import LatentModel, draw_hidden
-from .sampler import advance_partition
+from .latent import LatentModel, gibbs_mh_step
 
 __all__ = [
     "AISConfig",
@@ -153,10 +152,9 @@ def _ais_run(m: LatentModel, taus: list[float], steps: int, run_seed: int) -> fl
     for s in range(1, len(taus)):
         t_hi, t_lo = taus[s], taus[s - 1]
         if s > 1:
-            _, active = draw_hidden(logom, run_rng, t_lo)
-            X = advance_partition(X, m.effective_at(gathered, active, t_lo), run_rng, steps)
-        logom, gathered = m.unit_weights(X)  # the next transition reuses both
-        logom = logom.tolist()
+            X, _ = gibbs_mh_step(X, m, logom, gathered, run_rng, t_lo, steps)
+        rows, more = m.unit_weights([X])  # the next transition reuses both
+        logom, gathered = rows[0].tolist(), more[0]
         logw += (t_hi - t_lo) * log_weight(X, m.base)
         for lo in logom:
             logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)

@@ -260,24 +260,41 @@ def reference_effective_model(m, active):
     return WorthPairModel(m.nu + extra, m.u + sum(m.W[:, k] for k in active))
 
 
+def reference_unit_weights(m, X):
+    """A worth latent model's unit weights log Omega_k(X), one partition at a
+    time: the gemv ``coef @ W[items]``, then ``nu * pairs`` added."""
+    pairs, items, coef = reference_worth_features(X)
+    logom = coef @ m.W[items]
+    logom += m.nu * pairs
+    return logom
+
+
+def gibbs_sweep(X, m, rng):
+    """``gibbs_mh_step`` with X's unit weights from a one-partition block."""
+    from osmrank.latent import gibbs_mh_step
+
+    logom, gathered = m.unit_weights([X])
+    return gibbs_mh_step(X, m, logom[0].tolist(), gathered[0], rng)
+
+
 def reference_gibbs_step(X, m, rng):
     """``gibbs_mh_step`` on the full-catalog effective model."""
     from osmrank.latent import sample_hidden
     from osmrank.sampler import advance_partition
 
-    h = sample_hidden(m.log_omegas(X), rng)
+    h = sample_hidden(reference_unit_weights(m, X), rng)
     active = [k for k, hk in enumerate(h.tolist()) if hk]
     eff = reference_effective_model(m, active) if active else m.base
     return advance_partition(X, eff, rng, sum(len(b) for b in X.blocks)), h
 
 
 def reference_train(data, cfg, callback=None):
-    """``train`` as a per-user loop: per-entry gradient statistics, the
-    pair-loop disagreement and full-catalog effective models, on the same
-    draws."""
+    """``train`` as a per-user loop: unit weights one partition at a time,
+    per-entry gradient statistics, the pair-loop disagreement and
+    full-catalog effective models, on the same draws."""
     import random
 
-    from osmrank.latent import hidden_posterior
+    from osmrank.latent import unit_posteriors
     from osmrank.learning import CFParams, cf_latent_model
 
     rng = random.Random(cfg.seed)
@@ -297,7 +314,7 @@ def reference_train(data, cfg, callback=None):
             disagreement = 0.0
             for ui in block:
                 X_obs = usable[ui]
-                observed.append((X_obs, hidden_posterior(X_obs, model)))
+                observed.append((X_obs, np.array(unit_posteriors(reference_unit_weights(model, X_obs).tolist()))))
                 X_c = chains[ui]
                 for _ in range(cfg.chain_steps_per_update):
                     X_c, h_c = reference_gibbs_step(X_c, model, rng)

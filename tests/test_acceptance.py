@@ -29,10 +29,7 @@ from osmrank.core import (
     loglinear_pair_model,
     uniform_pair_model,
 )
-from osmrank.latent import (
-    gibbs_mh_step,
-    hidden_posterior,
-)
+from osmrank.latent import hidden_posterior
 from osmrank.learning import (
     CFParams,
     TrainConfig,
@@ -52,7 +49,7 @@ from osmrank.pipeline import (
 )
 from osmrank.sampler import advance_partition
 
-from helpers import random_latent_model, random_matrix_model
+from helpers import gibbs_sweep, random_latent_model, random_matrix_model
 from oracles import (
     exact_gradient,
     exact_log_likelihood,
@@ -213,8 +210,8 @@ def test_criterion_04_latent_joint_sampler():
         counts = np.zeros_like(probs)
         sweeps = 1_000_000
         for _ in range(sweeps):
-            X, h = gibbs_mh_step(X, m, rng)
-            si, ci = idx[(X.blocks, tuple(h.tolist()))]
+            X, h = gibbs_sweep(X, m, rng)
+            si, ci = idx[(X.blocks, tuple(h))]
             counts[si, ci] += 1
         tv = 0.5 * np.abs(counts / sweeps - probs).sum()
         assert tv < 0.02, f"joint TV {tv}"
@@ -290,7 +287,7 @@ def test_criterion_06_gradients():
         Xc = OrderedPartition.singletons(3)
         samples = []
         for sweep in range(150_000):
-            Xc, hc = gibbs_mh_step(Xc, model, crng)
+            Xc, hc = gibbs_sweep(Xc, model, crng)
             if sweep >= 5_000:
                 samples.append((Xc, hc))
         est = estimate_gradient(observed, samples, 3, 1)

@@ -39,6 +39,51 @@ class TestImportHygiene:
         assert out.strip() == "False"
 
 
+class TestProgramEntry:
+    """``python -m osmrank.cli`` runs ``entry``: ``main``, then ``gc.freeze``
+    and exit.  The exit codes, the one-line messages and the outputs stay
+    those of ``main`` in process."""
+
+    def run(self, argv, cwd):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered, as on a pipe
+        env["PYTHONPATH"] = src
+        return subprocess.run([sys.executable, "-m", "osmrank.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def test_success_writes_complete_outputs(self, tmp_path, monkeypatch, capsys):
+        data = make_ratings_file(tmp_path / "r.dat")
+        train = ["train", "--data", data, "--hidden", "2", "--out", "m.ck", "--log", "train.log"]
+        enumerate_ = ["oracle", "--n", "4", "--enumerate"]
+        for name in ("program", "in-process"):
+            (tmp_path / name).mkdir()
+        done = self.run(train, tmp_path / "program")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "checkpoint written to m.ck\n", "")
+        listed = self.run(enumerate_, tmp_path / "program")
+        assert (listed.returncode, listed.stderr) == (0, "")
+        assert len(listed.stdout.splitlines()) == fubini(4)
+        monkeypatch.chdir(tmp_path / "in-process")
+        assert main(train) == 0 and main(enumerate_) == 0
+        assert capsys.readouterr().out == done.stdout + listed.stdout
+        for name in ("m.ck", "train.log"):
+            assert (tmp_path / "program" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["sample", "--uniform", "--steps", "3"], 1, "osmrank: error: sample --uniform requires --n"),
+        (["estimate-z", "--model", "missing.ck"], 2,
+         "osmrank: [Errno 2] No such file or directory: 'missing.ck'"),
+        (["oracle", "--n", "9", "--enumerate", "--cap", "8"], 3,
+         "osmrank: enumeration of n=9 refused: fubini(9) = 7087261 states exceeds cap 8 "
+         "(pass a larger cap to override)"),
+    ])
+    def test_errors_keep_their_code_and_one_message_line(self, argv, code, message, tmp_path):
+        done = self.run(argv, tmp_path)
+        assert done.returncode == code and done.stdout == ""
+        err = done.stderr.splitlines()
+        assert err[-1] == message
+        assert [line for line in err if line.startswith("osmrank:")] == [message]  # a usage error prints usage first
+
+
 class TestNumericFlags:
     """A missing or out-of-range numeric flag is a usage error (exit 1)."""
 
@@ -306,9 +351,17 @@ class TestEstimateZCommand:
         out = tmp_path / "z.txt"
         assert main(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "osmrank: effective worths must be finite, nu finite"
+        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
         assert not out.exists()
+        assert main(["sample", "--model", str(ck), "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
+
+    def test_unit_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # u + W[:, 0] is finite, but log Omega_0 of three singletons is 2e308 + 1e308
+        ck = tmp_path / "steep.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0.0\nu 0.0 0.0 0.0\n" + "W 1e308\n" * 3)
+        assert main(["sample", "--model", str(ck), "--steps", "3"]) == 2
+        assert capsys.readouterr().err == "osmrank: unit weights must be finite\n"
 
     @pytest.mark.parametrize("n_runs", [3, 10])
     def test_ess_of_equal_weights_is_the_run_count(self, n_runs, tmp_path):

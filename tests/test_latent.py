@@ -11,13 +11,12 @@ from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, uniform_pa
 from osmrank.latent import (
     LatentModel,
     effective_pair_model,
-    gibbs_mh_step,
     hidden_posterior,
     sample_hidden,
 )
 from osmrank.learning import CFParams
 
-from helpers import random_latent_model
+from helpers import gibbs_sweep, random_latent_model
 from oracles import log_joint_weight, sigmoid, transition_matrix
 
 
@@ -216,8 +215,8 @@ class TestGibbsMhStep:
             X = OrderedPartition.singletons(3)
             seq = []
             for _ in range(200):
-                X, h = gibbs_mh_step(X, m, rng)
-                seq.append((X.blocks, tuple(h.tolist())))
+                X, h = gibbs_sweep(X, m, rng)
+                seq.append((X.blocks, tuple(h)))
             out.append(seq)
         assert out[0] == out[1]
 
@@ -231,8 +230,8 @@ class TestGibbsMhStep:
         counts = np.zeros_like(probs)
         sweeps = 200_000
         for _ in range(sweeps):
-            X, h = gibbs_mh_step(X, m, rng)
-            si, ci = idx[(X.blocks, tuple(h.tolist()))]
+            X, h = gibbs_sweep(X, m, rng)
+            si, ci = idx[(X.blocks, tuple(h))]
             counts[si, ci] += 1
         tv = 0.5 * np.abs(counts / sweeps - probs).sum()
         assert tv < 0.05

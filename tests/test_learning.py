@@ -8,7 +8,7 @@ import pytest
 
 from osmrank.combinatorics import EnumerationCapError, OrderedPartition
 from osmrank.core import log_weight
-from osmrank.latent import gibbs_mh_step, hidden_posterior
+from osmrank.latent import hidden_posterior
 from osmrank.learning import (
     CFParams,
     TrainConfig,
@@ -21,6 +21,7 @@ from osmrank.learning import (
 )
 from osmrank.partition_function import exact_distribution
 
+from helpers import gibbs_sweep
 from oracles import (
     exact_gradient,
     exact_log_likelihood,
@@ -186,7 +187,7 @@ class TestEstimateGradient:
         observed = [(X_d, hidden_posterior(X_d, m)) for X_d in data]
         samples = []
         for sweep in range(60_000):
-            X, h = gibbs_mh_step(X, m, rng)
+            X, h = gibbs_sweep(X, m, rng)
             if sweep >= 2_000:
                 samples.append((X, h))
         est = estimate_gradient(observed, samples, n, k)
@@ -207,7 +208,7 @@ class TestEstimateGradient:
             X = OrderedPartition.singletons(n)
             samples = []
             for _ in range(count):
-                X, h = gibbs_mh_step(X, m, rng)
+                X, h = gibbs_sweep(X, m, rng)
                 samples.append((X, h))
             g = estimate_gradient(observed, samples, n, k)
             return np.linalg.norm(flatten(CFParams(g.d_nu - exact.d_nu,

@@ -21,6 +21,7 @@ from helpers import (
     reference_effective_model,
     reference_entropy_filter,
     reference_train_test_split,
+    reference_unit_weights,
     reference_user_partitions,
     reference_worth_features,
 )
@@ -163,9 +164,9 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     scale = data.draw(st.sampled_from([1.0, *temperature_ladder(AISConfig(7, 1)).tolist()[1:-1]]))
     want = full if active else m.base
     want = want if scale == 1.0 else want.scaled(scale)
-    logom, gathered = m.unit_weights(X)
-    assert logom.tobytes() == m.log_omegas(X).tobytes()
-    local = m.effective_at(gathered, active, scale)
+    logom, gathered = m.unit_weights([X])
+    assert logom[0].tobytes() == m.log_omegas(X).tobytes()
+    local = m.effective_at(gathered[0], active, scale)
     objects = worth_features(X)[1].tolist()
     assert list(local.worths) == objects
     assert np.array(list(local.worths.values())).tobytes() == want.worth[objects].tobytes()
@@ -173,6 +174,22 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     cut = data.draw(st.integers(1, len(objects) - 1))
     A, B = objects[:cut], objects[cut:]
     assert np.float64(local(A, B)).tobytes() == np.float64(want.split_ratio(objects)(A, B)).tobytes()
+
+
+@given(st.integers(25, 40), st.sampled_from([0, 1, 10]), st.integers(0, 2**32 - 1), st.data())
+def test_block_unit_weights_are_the_per_partition_gemv(n, k, seed, data):
+    # normal draws use every bit, so a change of summation grouping shows
+    rng = np.random.default_rng(seed)
+    m = CFParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
+    sizes = st.just(data.draw(st.integers(1, 25))) if data.draw(st.booleans()) else st.integers(1, 25)
+    objects = sizes.flatmap(lambda size: st.lists(st.integers(0, n - 1), unique=True, min_size=size, max_size=size))
+    block = data.draw(st.lists(objects.flatmap(lambda o: partitions(n, o)), min_size=1, max_size=12))
+    logom, gathered = m.unit_weights(block)
+    assert logom.shape == (len(block), k) and len(gathered) == len(block)
+    for X, row, (items, Wx) in zip(block, logom, gathered):
+        assert row.tobytes() == reference_unit_weights(m, X).tobytes()
+        assert items.tolist() == reference_worth_features(X)[1].tolist()
+        assert Wx.tobytes() == m.W[items].tobytes()
 
 
 @given(st.integers(1, 12).flatmap(partitions))

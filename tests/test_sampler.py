@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from osmrank import sampler
 from osmrank.combinatorics import (
@@ -13,6 +15,7 @@ from osmrank.combinatorics import (
     sample_uniform_ordered_partition,
 )
 from osmrank.core import (
+    LocalWorths,
     WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
@@ -461,3 +464,46 @@ class TestArrayKernel:
         advance_partition(X, m, random.Random(0), 3000, stats)
         assert stats.split_accepted and stats.merge_accepted
         assert len(sampler._LOG) == 30 + 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model the kernel takes, the same model in the form ``_single_move``
+    takes, and a start over part of its catalog: a uniform draw, one block
+    of every object (a block of over 21 objects draws its two seeds on
+    ``random.sample``'s set path) or arbitrary blocks."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    objects = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n))
+    kind = draw(st.sampled_from(["worth", "local", "pair-table"]))
+    if kind == "pair-table":
+        m = ref = random_matrix_model(n, seed, scale=draw(st.sampled_from([0.5, 1.5])))
+    else:
+        rng = np.random.default_rng(seed)
+        ref = WorthPairModel(draw(st.sampled_from([-1.5, -0.5, 0.0, 0.33])), rng.normal(0.0, 1.0, n))
+        m = ref if kind == "worth" else LocalWorths(ref.nu, dict(zip(objects, ref.worth[objects].tolist())))
+    start = draw(st.sampled_from(["uniform", "one-block", "blocks"]))
+    if start == "uniform":
+        drawn = sample_uniform_ordered_partition(len(objects), random.Random(seed))
+        blocks = [[objects[x] for x in b] for b in drawn.blocks]
+    elif start == "one-block":
+        blocks = [objects]
+    else:
+        labels = draw(st.lists(st.integers(0, len(objects) - 1), min_size=len(objects), max_size=len(objects)))
+        blocks = [[x for x, b in zip(objects, labels) if b == t] for t in sorted(set(labels))]
+    return m, ref, OrderedPartition.from_blocks(blocks, n)
+
+
+@given(kernel_cases(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 80), min_size=1, max_size=4))
+@example((lambda ref: (ref, ref, OrderedPartition.from_blocks([range(22)], 40)))(  # ties persist at nu = 0.33
+    WorthPairModel(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40))), 5, [500, 500])
+def test_kernel_trajectory_is_the_reference_chain(case, seed, chunks):
+    m, ref, X = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ref_X, stats, ref_stats = X, MoveStats(), MoveStats()
+    for steps in chunks:
+        X = advance_partition(X, m, rng, steps, stats)
+        ref_X = reference_run(ref_X, ref, ref_rng, steps, ref_stats)
+        assert X == ref_X
+    assert rng.getstate() == ref_rng.getstate()
+    assert stats == ref_stats
