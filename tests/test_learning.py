@@ -391,9 +391,10 @@ def _bits(p: CFParams) -> bytes:
 
 
 class TestTrainMatchesReference:
-    """``train`` batches each block's statistics, computes disagreement from
-    rank arrays and sums effective worths at the chain's objects only; the
-    per-user loop with the per-entry accumulator, the pair loop and
+    """``train`` computes a block's unit weights in block passes, batches its
+    statistics, computes disagreement from rank arrays and sums effective
+    worths at the chain's objects only; the per-user loop with unit weights
+    one partition at a time, the per-entry accumulator, the pair loop and
     full-catalog effective models gives the same bits."""
 
     @staticmethod
