@@ -11,8 +11,10 @@ per-user chains.  The enumeration oracle the tests check this against
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import LocalWorths, WorthPairModel, stack_worth_features
+from .core import LocalWorths, WorthPairModel, stack_worth_features, worth_features
 from .latent import LatentModel, gibbs_mh_step, unit_posteriors
 
 __all__ = [
@@ -40,6 +42,9 @@ __all__ = [
 
 CHECKPOINT_MAGIC = "osmrank-checkpoint"
 CHECKPOINT_VERSION = 1
+
+_HALF_FLOAT_MAX = sys.float_info.max / 2
+_UNGUARDED = contextlib.nullcontext()  # numpy's floating-point error handling as it is
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,14 @@ class CFParams(LatentModel):
             raise ValueError("u must be (n_items,), W must be (n_items, K)")
         if not (np.isfinite(nu) and np.isfinite(u).all() and np.isfinite(W).all()):
             raise ValueError("parameters must be finite")
+        # |log Omega_k(X)| is below n_items**2 times the largest |parameter| (X's
+        # coefficients and its pair count each sum to at most n (n - 1) / 2), and an
+        # effective worth sums K + 1 parameters: within half the float range,
+        # neither overflows, whatever the rounding.
+        top = float(max(abs(nu), np.abs(u).max(initial=0.0), np.abs(W).max(initial=0.0)))
+        near_float_max = top * max(u.shape[0] ** 2, W.shape[1] + 1) > _HALF_FLOAT_MAX
         for name, value in (("nu", nu), ("u", u), ("W", W), ("base", WorthPairModel(nu, u)),
-                            ("n_objects", u.shape[0])):
+                            ("n_objects", u.shape[0]), ("_near_float_max", near_float_max)):
             object.__setattr__(self, name, value)
 
     @property
@@ -86,43 +97,56 @@ class CFParams(LatentModel):
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """``log_omegas`` of each partition, as the rows of a (B, K) array,
         and each partition's objects in block order with their rows of
-        ``W``, which ``effective_at`` takes.
+        ``W``, which ``effective_at`` takes."""
+        logom, groups = self._unit_weight_groups(partitions)
+        entries = [None] * len(logom)
+        for rows, items, Wx in groups:
+            for row, entry in zip(rows, zip(items, Wx)):
+                entries[row] = entry
+        return logom, entries
 
-        One ``stack_worth_features`` pass and one gather of ``W[items]``
-        serve the whole list.  The rows of the partitions with n objects
-        come from one ``np.matmul`` of (B_n, 1, n) by (B_n, n, K), which
-        runs the gemv ``coef @ W[items]`` of each partition, so a row has
-        the bits of that partition alone.  A row past the float range
-        raises ``ValueError`` and no numpy overflow warning: that of
-        ``effective_at`` when the worths with every unit on overflow too.
+    def _unit_weight_groups(
+        self, partitions: Sequence[OrderedPartition]
+    ) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray, np.ndarray]]]:
+        """The rows of ``unit_weights``, and for each object count n the
+        indices of the partitions with n objects, their objects (B_n, n)
+        and those objects' rows of ``W`` (B_n, n, K).
+
+        Each count takes one gather of ``W[items]`` and one ``np.matmul``
+        of (B_n, 1, n) by (B_n, n, K), which runs the gemv
+        ``coef @ W[items]`` of each partition, so a row has the bits of
+        that partition alone; ``nu * pairs`` is added after.  When the
+        parameters are large enough for a sum to leave the float range,
+        the pass raises ``ValueError``, with no numpy overflow warning:
+        ``effective_at``'s error when the worths of some set of active
+        units overflow at the partitions' objects, else ``unit weights
+        must be finite`` when a row overflows.
         """
-        pairs, counts, items, coef = stack_worth_features(partitions)
-        B, K = len(counts), self.n_hidden
-        Wx = self.W.take(items, axis=0)  # the one gather of W[items]
+        features = [worth_features(X) for X in partitions]
         rows_of = {}  # object count -> the rows with it
-        for row, n in enumerate(counts):
-            rows_of.setdefault(n, []).append(row)
-        logom = np.empty((B, K))
-        gathered = [None] * B
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for row, (_, items, _) in enumerate(features):
+            rows_of.setdefault(len(items), []).append(row)
+        logom = np.empty((len(features), self.n_hidden))
+        groups = []
+        with np.errstate(over="ignore", invalid="ignore") if self._near_float_max else _UNGUARDED:
             for n, rows in rows_of.items():
-                if len(rows) == B:  # one object count: the stacked arrays as they are
-                    at = slice(None)
-                    group_items, group_Wx = items.reshape(B, n), Wx.reshape(B, n, K)
-                    group_coef = coef.reshape(B, 1, n)
-                else:
-                    at = rows
-                    positions = (np.cumsum(counts) - counts)[rows, None] + np.arange(n)  # in the stack
-                    group_items, group_Wx = items[positions], Wx[positions]
-                    group_coef = coef[positions][:, None]
-                logom[at] = np.matmul(group_coef, group_Wx)[:, 0]
-                for row, row_items, row_Wx in zip(rows, group_items, group_Wx):
-                    gathered[row] = (row_items, row_Wx)
-            logom += self.nu * np.array(pairs, dtype=float)[:, None]
-            if not np.isfinite(logom).all():
-                self.effective_at((items, Wx), range(K))  # every unit on
-                raise ValueError("unit weights must be finite")
-        return logom, gathered
+                items = np.array([features[row][1] for row in rows])
+                coef = np.array([features[row][2] for row in rows]).reshape(len(rows), 1, n)
+                Wx = self.W.take(items, axis=0)  # the one gather of W[items] for this count
+                logom[rows] = np.matmul(coef, Wx)[:, 0]
+                groups.append((rows, items, Wx))
+            logom += np.array([[self.nu * pairs] for pairs, _, _ in features], dtype=float).reshape(-1, 1)
+            if self._near_float_max:
+                for _, items, Wx in groups:
+                    # with any active units, an item's worth lies between its worths with
+                    # the units where its W is positive and with those where it is negative
+                    # (the columns are summed left to right, and rounding is monotone)
+                    for extreme in (np.maximum(Wx, 0.0), np.minimum(Wx, 0.0)):
+                        self.effective_at((items.ravel(), extreme.reshape(items.size, self.n_hidden)),
+                                          range(self.n_hidden))
+                if not np.isfinite(logom).all():
+                    raise ValueError("unit weights must be finite")
+        return logom, groups
 
     def _effective_nu(self, active: Sequence[int]) -> float:
         extra = 0.0
@@ -143,8 +167,9 @@ class CFParams(LatentModel):
         from X's entry in the gathered rows of ``unit_weights``: a sweep over
         a user's items costs O(|items| |active|) whatever the catalog size.
         The worths are those of the catalog-wide model, summed in the same
-        grouping, and are checked as ``WorthPairModel`` checks them: finite
-        parameters can still sum past the float range."""
+        grouping.  They are checked as ``WorthPairModel`` checks them only
+        when the parameters are near the float range: elsewhere no such sum
+        overflows, and ``scale`` is at most 1."""
         items, Wx = gathered
         worths, nu = self.u[items], self.nu
         if active:
@@ -157,7 +182,7 @@ class CFParams(LatentModel):
         if scale != 1.0:
             worths, nu = worths * scale, nu * scale
         worths = worths.tolist()
-        if not (math.isfinite(nu) and all(map(math.isfinite, worths))):
+        if self._near_float_max and not (math.isfinite(nu) and all(map(math.isfinite, worths))):
             raise ValueError("effective worths must be finite, nu finite")
         return LocalWorths(nu, dict(zip(items.tolist(), worths)))
 
@@ -345,16 +370,16 @@ def train(
     against the current parameter snapshot, then the block gradient (data
     statistics with exact posteriors minus chain statistics) is applied.
     The parameters are fixed within a block, so its unit weights are two
-    ``unit_weights`` passes over all its users: the observed partitions',
-    whose posteriors come from one ``unit_posteriors`` pass, and the chain
-    states', which each user's first sweep reads.  The per-user loop keeps
-    what depends on ``rng``: the hidden draw, the effective worths of the
-    drawn units and the moves (a later sweep of a user computes its new
-    state's weights as a one-partition block).  The statistics are
-    whole-block passes too: the new chain states get
-    their features from one ``stack_worth_features`` pass, which the rank
-    rows and the gradient read and the next sweeps reuse.  ``callback``,
-    when given, receives one record per block with the
+    block passes over all its users: the observed partitions' rows, whose
+    posteriors come from one ``unit_posteriors`` pass, and the chain
+    states' ``unit_weights``, whose row and entry each user's first sweep
+    reads.  The per-user loop keeps what depends on ``rng``: the hidden
+    draw, the effective worths of the drawn units and the moves (a later
+    sweep of a user computes its new state's weights as a one-partition
+    block).  The statistics are whole-block passes too: the new chain
+    states get their features from one ``stack_worth_features`` pass,
+    which the rank rows and the gradient read and the next sweeps reuse.
+    ``callback``, when given, receives one record per block with the
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
     rng = random.Random(cfg.seed)
@@ -376,7 +401,7 @@ def train(
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
             observed = [usable[ui] for ui in block]
-            flat = unit_posteriors(params.unit_weights(observed)[0].ravel().tolist())
+            flat = unit_posteriors(params._unit_weight_groups(observed)[0].ravel().tolist())
             posteriors = [flat[i * K : i * K + K] for i in range(len(block))]
             rows, gathered = params.unit_weights([chains[ui] for ui in block])
             states, hidden = [], []

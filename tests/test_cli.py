@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ class TestImportHygiene:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "False"
+
+
+def main_without_warnings(argv):
+    """``main(argv)``, asserting that it issued no warning: pytest records
+    warnings itself, so they would not reach the captured stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
 
 
 class TestProgramEntry:
@@ -349,18 +360,31 @@ class TestEstimateZCommand:
         ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 2\nnu 1e308\nu 1e308 1e308 1e308\n"
                       + "W 1e308 1e308\n" * 3)
         out = tmp_path / "z.txt"
-        assert main(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
-                     "--out", str(out)]) == 2
+        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
+                                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
         assert not out.exists()
-        assert main(["sample", "--model", str(ck), "--steps", "3", "--out", str(out)]) == 2
+        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
+
+    def test_worths_of_a_drawn_unit_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # log Omega_0 of two singletons is 1e308, so the unit is drawn with probability 1,
+        # and u + W[:, 0] overflows: a sum that no unit weight shows
+        ck = tmp_path / "drawn.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 2\nK 1\nnu 0\nu 1e308 1e308\nW 1e308\nW 1e308\n")
+        out = tmp_path / "z.txt"
+        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
+                                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
+        assert not out.exists()
+        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3"]) == 2
         assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
 
     def test_unit_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
         # u + W[:, 0] is finite, but log Omega_0 of three singletons is 2e308 + 1e308
         ck = tmp_path / "steep.ck"
         ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0.0\nu 0.0 0.0 0.0\n" + "W 1e308\n" * 3)
-        assert main(["sample", "--model", str(ck), "--steps", "3"]) == 2
+        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3"]) == 2
         assert capsys.readouterr().err == "osmrank: unit weights must be finite\n"
 
     @pytest.mark.parametrize("n_runs", [3, 10])

@@ -192,6 +192,40 @@ def test_block_unit_weights_are_the_per_partition_gemv(n, k, seed, data):
         assert Wx.tobytes() == m.W[items].tobytes()
 
 
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e300, 1e306, 3e307, 1e308, 1.7e308]), st.data())
+def test_block_pass_refuses_exactly_the_sums_past_the_float_range(n, k, seed, top, data):
+    # the largest |parameter| decides whether a sum can overflow; the pass must
+    # refuse a model exactly when some drawable set of units, or a unit weight,
+    # takes a sum at X's objects past the float range, and warn about nothing
+    rng = np.random.default_rng(seed)
+    steps = [-1.0, -0.6, -0.3, 0.0, 0.3, 0.6, 1.0]  # few values, so sums cancel often
+    m = CFParams(*(top * rng.choice(steps, size) for size in ((), n, (n, k))))
+    X = data.draw(partitions(n, data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))))
+    items = reference_worth_features(X)[1]
+    with np.errstate(all="ignore"):
+        worths_past = False
+        for mask in range(2**k):
+            active = [unit for unit in range(k) if mask >> unit & 1]
+            hidden = sum((m.W[items, unit] for unit in active), np.zeros(len(items)))
+            nu = m.nu + sum(m.nu for _ in active)
+            worths_past |= not (np.isfinite(m.u[items] + hidden).all() and math.isfinite(nu))
+        weights_past = not np.isfinite(reference_unit_weights(m, X)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if worths_past:
+            with pytest.raises(ValueError, match="effective worths must be finite"):
+                m.unit_weights([X])
+        elif weights_past:
+            with pytest.raises(ValueError, match="unit weights must be finite"):
+                m.unit_weights([X])
+        else:
+            logom, gathered = m.unit_weights([X])
+            assert logom[0].tobytes() == reference_unit_weights(m, X).tobytes()
+            for mask in range(2**k):  # every sweep's model at X's objects is built without a warning
+                m.effective_at(gathered[0], [unit for unit in range(k) if mask >> unit & 1])
+
+
 @given(st.integers(1, 12).flatmap(partitions))
 def test_memoized_features_are_read_only_and_fresh(X):
     pairs, items, coef = worth_features(X)
