@@ -122,6 +122,8 @@ CASES = {
                                 "--out", "oracle_enum.txt"], ["oracle_enum.txt"]),
     "oracle-exact-z-marginals": (["oracle", "--n", "5", "--model", "small.ck", "--exact-z",
                                   "--marginals", "--out", "oracle_z.txt"], ["oracle_z.txt"]),
+    "oracle-exact-z-marginals-uniform": (["oracle", "--n", "4", "--exact-z", "--marginals",
+                                          "--out", "oracle_uniform.txt"], ["oracle_uniform.txt"]),
 }
 
 DIGESTS = {
@@ -130,6 +132,7 @@ DIGESTS = {
     ("eval", "per_user.txt"): "eedfa7e46bdd0d8e6a53f882ceb0c39495e05d929ca36236b4bf5606d8f2360c",
     ("eval", "sweep.tsv"): "8db4bdf826eb76d753f4d4b7210daf4c185e142b5a8d4b09d3153d3bf659d7a0",
     ("oracle-count-enumerate", "oracle_enum.txt"): "f760df91ed85e22796aeae5b6478bd4abc931e72060b65e65543c1d35249b33f",
+    ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "caa64cb52834db103ec3df5eedf82049fa141b23c1e02688b51a1a09f1782f39",
     ("sample-model", "sample_model.txt"): "034fde103d64cc2b49a66d173351047e3246e882665877ae6c5937d1bff13b59",
     ("sample-uniform", "sample_uniform.txt"): "39e0917843008114db2d2ace87c33883ba364fe4781a7f8f707b0f54476a8f8c",
     ("train-k0", "k0.ck"): "583b317acaeeced629e75ab6d8f4019b10e3d678b24f03096b9669046ef8a4fa",
