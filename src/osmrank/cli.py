@@ -24,9 +24,8 @@ from .combinatorics import (
     format_partition,
     fubini,
 )
-from .core import uniform_pair_model
 from .latent import gibbs_mh_step
-from .learning import TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
+from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
 from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
 from .pipeline import (
     SplitSpec,
@@ -185,11 +184,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _model_from_flags(args):
-    """The --model checkpoint's latent model, or uniform potentials over --n objects."""
+def _model_from_flags(args) -> CFParams:
+    """The --model checkpoint's latent model, or uniform potentials over --n
+    objects: the model with no hidden units and every parameter 0."""
     if args.model:
         return load_checkpoint(args.model)
-    return uniform_pair_model(args.n)
+    return CFParams.zeros(args.n, 0)
 
 
 def cmd_sample(args) -> int:
@@ -211,7 +211,7 @@ def cmd_sample(args) -> int:
                 if sweep > burn and (sweep - burn) % cfg.thin == 0:
                     print(format_partition(X), file=out)
         else:
-            samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
+            samples, _ = run_chain(OrderedPartition.singletons(n), model.base, cfg)
             for X in samples:
                 print(format_partition(X), file=out)
     return EXIT_OK

@@ -1,31 +1,28 @@
-"""Log-linear model over ordered set partitions.
+"""Log-linear model over ordered set partitions, in per-item worth form.
 
 The unnormalized weight of a partition X factorizes over object pairs:
 a symmetric tie potential phi(x_i ~ x_j) for objects sharing a block and
 an order potential psi(x_i > x_j) for objects in distinct blocks, with
-i's block ranked above j's.  Everything lives in the log domain; a model
-is a ``PairPotentialModel`` subclass exposing ``n_objects``,
-``log_tie(i, j)`` and ``log_order(i, j)``.  Subclasses with closed forms
-override ``log_weight`` and ``tables``.
+i's block ranked above j's.  Everything lives in the log domain.  The
+model is ``WorthPairModel``: each item carries a log-worth, so log Omega(X)
+is nu times X's within-block pair count plus a weighted sum of the worths
+(``worth_features``).  The functions here read a model through
+``n_objects``, ``log_tie(i, j)``, ``log_order(i, j)`` and ``log_weight(X)``
+only, so they also take the generic pair tables of ``tests/oracles.py``,
+the family the closed forms are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import OrderedPartition
 
 __all__ = [
-    "PairPotentialModel",
-    "MatrixPairModel",
     "WorthPairModel",
-    "LogLinearParams",
-    "uniform_pair_model",
-    "loglinear_pair_model",
     "log_weight",
     "log_ratio_split",
     "log_ratio_merge",
@@ -36,87 +33,7 @@ __all__ = [
 ]
 
 
-class PairPotentialModel:
-    """Interface: log-domain pairwise tie and order potentials."""
-
-    n_objects: int
-
-    def log_tie(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
-    def log_order(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "PairPotentialModel":
-        """Model with every log-potential multiplied by ``factor`` (tempering)."""
-        raise NotImplementedError
-
-    def log_weight(self, X: OrderedPartition) -> float:
-        """log Omega(X) as the pair sum; ``log_weight(X, m)`` checks sizes first."""
-        total = 0.0
-        for i, j in within_block_pairs(X):
-            total += self.log_tie(i, j)
-        for i, j in cross_block_pairs(X):
-            total += self.log_order(i, j)
-        return total
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (tie, order) log-potential tables; diagonals are ignored."""
-        raise NotImplementedError
-
-    def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
-        """The local log weight ratio for partitions of ``objects``: a function
-        of (A, B) giving log Omega(X') / Omega(X) for splitting a block into A
-        ranked just above B.  Merging A and B back has the negated ratio.
-
-        This is the pair sum of ``log_ratio_split`` without its checks."""
-        log_order, log_tie = self.log_order, self.log_tie
-
-        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
-            total = 0.0
-            for i in A:
-                for j in B:
-                    total += log_order(i, j) - log_tie(i, j)
-            return total
-
-        return ratio
-
-
-class MatrixPairModel(PairPotentialModel):
-    """Potentials tabulated as dense n x n matrices.
-
-    ``tie`` must be symmetric; diagonals are ignored.  ``order[i, j]`` is
-    log psi(x_i > x_j) for i ranked above j.
-    """
-
-    def __init__(self, tie: np.ndarray, order: np.ndarray):
-        tie = np.asarray(tie, dtype=float)
-        order = np.asarray(order, dtype=float)
-        if tie.shape != order.shape or tie.ndim != 2 or tie.shape[0] != tie.shape[1]:
-            raise ValueError("tie and order must be square matrices of equal shape")
-        if not np.allclose(tie, tie.T):
-            raise ValueError("tie matrix must be symmetric")
-        if not (np.isfinite(tie).all() and np.isfinite(order).all()):
-            raise ValueError("potentials must be finite")
-        self.n_objects = tie.shape[0]
-        self.tie = tie
-        self.order = order
-
-    def log_tie(self, i: int, j: int) -> float:
-        return self.tie[i, j]
-
-    def log_order(self, i: int, j: int) -> float:
-        return self.order[i, j]
-
-    def scaled(self, factor: float) -> "MatrixPairModel":
-        # scaling preserves symmetry/finiteness; skip re-validation
-        return _unchecked_matrix_model(self.tie * factor, self.order * factor)
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.tie, self.order
-
-
-class WorthPairModel(PairPotentialModel):
+class WorthPairModel:
     """Per-item worth parameterization used by the collaborative-ranking model.
 
     Each item i carries a log-worth w_i; ties get ``nu + (w_i + w_j) / 2``
@@ -139,9 +56,11 @@ class WorthPairModel(PairPotentialModel):
         return self.worth[i]
 
     def scaled(self, factor: float) -> "WorthPairModel":
+        """Model with every log-potential multiplied by ``factor`` (tempering)."""
         return WorthPairModel(self.nu * factor, self.worth * factor)
 
     def log_weight(self, X: OrderedPartition) -> float:
+        """log Omega(X); ``log_weight(X, m)`` checks sizes first."""
         pairs, items, coef = worth_features(X)
         # a left fold in block order: seeded AIS outputs depend on its rounding,
         # and the builtin float sum is compensated from Python 3.12
@@ -157,6 +76,7 @@ class WorthPairModel(PairPotentialModel):
         return LocalWorths(self.nu, dict(zip(objects, self.worth[np.array(objects, dtype=np.intp)].tolist())))
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (tie, order) log-potential tables; diagonals are ignored."""
         half = 0.5 * self.worth
         tie = self.nu + half[:, None] + half[None, :]
         order = np.broadcast_to(self.worth[:, None], (self.n_objects, self.n_objects)).copy()
@@ -193,79 +113,6 @@ class LocalWorths:
             sum_b += w[b]
         na, nb = len(A), len(B)
         return 0.5 * (nb * sum_a - na * sum_b) - self.nu * na * nb
-
-
-def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairModel:
-    """Internal constructor bypassing validation for matrices known valid."""
-    mdl = MatrixPairModel.__new__(MatrixPairModel)
-    mdl.n_objects = tie.shape[0]
-    mdl.tie = tie
-    mdl.order = order
-    return mdl
-
-
-def uniform_pair_model(n: int) -> WorthPairModel:
-    """All potentials 1 (log 0): every ordered partition equally weighted.
-    This is the worth model with nu = 0 and every worth 0, so it takes O(n)
-    memory and every split ratio and log weight is exactly 0.0."""
-    return WorthPairModel(0.0, np.zeros(n))
-
-
-@dataclass
-class LogLinearParams:
-    """Weights and feature evaluators for log-linear pair potentials.
-
-    ``tie_features[a](i, j)`` and ``order_features[b](i, j)`` are
-    deterministic real-valued features; log phi = sum_a alpha_a f_a and
-    log psi = sum_b beta_b g_b.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    tie_features: Sequence[Callable[[int, int], float]]
-    order_features: Sequence[Callable[[int, int], float]]
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        if len(self.alpha) != len(self.tie_features):
-            raise ValueError("alpha length must match tie feature count")
-        if len(self.beta) != len(self.order_features):
-            raise ValueError("beta length must match order feature count")
-
-
-def loglinear_pair_model(params: LogLinearParams, n_objects: int) -> MatrixPairModel:
-    """Tabulate the log-linear potentials over all object pairs.
-
-    The tie table is symmetrized via f_a evaluated on sorted pairs, so tie
-    features need not be written symmetric themselves.
-    """
-    tie = np.zeros((n_objects, n_objects))
-    order = np.zeros((n_objects, n_objects))
-    for i in range(n_objects):
-        for j in range(n_objects):
-            if i == j:
-                continue
-            lo, hi = (i, j) if i < j else (j, i)
-            tie[i, j] = sum(a * f(lo, hi) for a, f in zip(params.alpha, params.tie_features))
-            order[i, j] = sum(b * g(i, j) for b, g in zip(params.beta, params.order_features))
-    return MatrixPairModel(tie, order)
-
-
-def within_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
-    for block in X.blocks:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                yield block[a], block[b]
-
-
-def cross_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
-    """(i, j) with i's block ranked strictly above j's."""
-    for t in range(len(X.blocks)):
-        for u in range(t + 1, len(X.blocks)):
-            for i in X.blocks[t]:
-                for j in X.blocks[u]:
-                    yield i, j
 
 
 def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:
@@ -327,7 +174,7 @@ def _fill_worth_features(partitions: Sequence[OrderedPartition]) -> None:
         object.__setattr__(X, "_feature_coef", coef[start:stop])
 
 
-def log_weight(X: OrderedPartition, m: PairPotentialModel) -> float:
+def log_weight(X: OrderedPartition, m: WorthPairModel) -> float:
     """log Omega(X): tie terms over within-block pairs plus order terms over
     all cross-block pairs (higher-ranked object first)."""
     if X.n_objects != m.n_objects:
@@ -352,7 +199,7 @@ def log_ratio_split(
     X: OrderedPartition,
     t: int,
     assignment: tuple[Sequence[int], Sequence[int]],
-    m: PairPotentialModel,
+    m: WorthPairModel,
 ) -> float:
     """log of the weight ratio Omega(X') / Omega(X) for splitting block t
     into (A, B), A ranked just above B.
@@ -376,7 +223,7 @@ def log_ratio_split(
     return total
 
 
-def log_ratio_merge(X: OrderedPartition, t: int, m: PairPotentialModel) -> float:
+def log_ratio_merge(X: OrderedPartition, t: int, m: WorthPairModel) -> float:
     """log weight ratio for merging consecutive blocks t and t+1 (inverse split)."""
     if t + 1 >= X.n_blocks:
         raise ValueError("merge needs a successor block")

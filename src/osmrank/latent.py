@@ -8,6 +8,10 @@ the one pair model whose weight is the joint weight,
 ``effective_pair_model(h, m)``; a sweep takes it at the chain's objects
 only, ``m.effective_at``.  The direct product, ``log_joint_weight``, is the
 tests' reference in ``tests/oracles.py``.
+
+The model ``m`` is ``learning.CFParams``, read only through ``base``,
+``log_omegas``, ``effective``, ``unit_weights`` and ``effective_at``, so the
+functions here also take the generic ``LatentModel`` of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import PairPotentialModel, _unchecked_matrix_model, log_weight
+from .core import WorthPairModel
 from .sampler import advance_partition
 
 __all__ = [
-    "LatentModel",
     "hidden_posterior",
     "effective_pair_model",
     "gibbs_mh_step",
@@ -31,55 +34,6 @@ __all__ = [
     "sample_hidden",
     "unit_posteriors",
 ]
-
-
-class LatentModel:
-    """A base pair-potential model plus one pair-potential model per hidden unit.
-
-    A plain pair model is the latent model with no hidden units.  This class
-    works with any pair-model family: unit weights are pair sums and
-    effective models are potential tables.  ``learning.CFParams`` replaces
-    them with the worth-form closed forms.
-    """
-
-    def __init__(self, base: PairPotentialModel, hidden: Sequence[PairPotentialModel]):
-        hidden = tuple(hidden)
-        for hm in hidden:
-            if hm.n_objects != base.n_objects:
-                raise ValueError("all hidden potential models must share base.n_objects")
-        self.base = base
-        self.hidden = hidden
-        self.n_objects = base.n_objects
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.hidden)
-
-    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
-        """Vector of log Omega_k(X) over all hidden units."""
-        return self.unit_weights([X])[0][0]
-
-    def effective(self, active: Sequence[int]) -> PairPotentialModel:
-        """The base potentials plus those of the hidden units indexed by ``active``."""
-        tie, order = (table.copy() for table in self.base.tables())
-        for k in active:
-            ht, ho = self.hidden[k].tables()
-            tie += ht
-            order += ho
-        return _unchecked_matrix_model(tie, order)
-
-    def unit_weights(self, partitions: Sequence[OrderedPartition]) -> tuple[np.ndarray, list[None]]:
-        """``log_omegas`` of each partition, as the rows of a (B, K) array,
-        and what ``effective_at`` takes for each: nothing here."""
-        logom = [log_weight(X, hm) for X in partitions for hm in self.hidden]
-        return np.array(logom, dtype=float).reshape(len(partitions), self.n_hidden), [None] * len(partitions)
-
-    def effective_at(self, gathered: None, active: Sequence[int], scale: float = 1.0) -> PairPotentialModel:
-        """The model the kernel runs on with the hidden units ``active`` on:
-        the effective model (the base when none is active), its
-        log-potentials times ``scale``."""
-        m = self.effective(active) if active else self.base
-        return m if scale == 1.0 else m.scaled(scale)
 
 
 def unit_posteriors(logom: Sequence[float], temperature: float = 1.0) -> list[float]:
@@ -95,12 +49,12 @@ def unit_posteriors(logom: Sequence[float], temperature: float = 1.0) -> list[fl
     return out
 
 
-def hidden_posterior(X: OrderedPartition, m: LatentModel) -> np.ndarray:
+def hidden_posterior(X: OrderedPartition, m) -> np.ndarray:
     """P(h_k = 1 | X) = 1 / (1 + Omega_k(X)^-1), componentwise."""
     return np.array(unit_posteriors(m.log_omegas(X).tolist()))
 
 
-def effective_pair_model(h: np.ndarray, m: LatentModel) -> PairPotentialModel:
+def effective_pair_model(h: np.ndarray, m) -> WorthPairModel:
     """The pair model whose log_weight is the log joint weight
     log Omega(X) + sum_k h_k log Omega_k(X)."""
     active = [k for k, hk in enumerate(np.asarray(h).tolist()) if hk]
@@ -132,7 +86,7 @@ def sample_hidden(logom: np.ndarray, rng: random.Random, temperature: float = 1.
 
 def gibbs_mh_step(
     X: OrderedPartition,
-    m: LatentModel,
+    m,
     logom: Sequence[float],
     gathered,
     rng: random.Random,

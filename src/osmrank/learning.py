@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import OrderedPartition
 from .core import LocalWorths, WorthPairModel, stack_worth_features, worth_features
-from .latent import LatentModel, gibbs_mh_step, unit_posteriors
+from .latent import gibbs_mh_step, unit_posteriors
 
 __all__ = [
     "CFParams",
@@ -47,10 +47,24 @@ _HALF_FLOAT_MAX = sys.float_info.max / 2
 _UNGUARDED = contextlib.nullcontext()  # numpy's floating-point error handling as it is
 
 
+class _GuardedWorths(WorthPairModel):
+    """The base of a ``CFParams`` near the float range: a log weight past
+    it raises ``ValueError``, with no numpy overflow warning."""
+
+    def log_weight(self, X: OrderedPartition) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = WorthPairModel.log_weight(self, X)
+        if not math.isfinite(value):
+            raise ValueError("base weights must be finite")
+        return value
+
+
 @dataclass(frozen=True)
-class CFParams(LatentModel):
+class CFParams:
     """The collaborative-ranking latent model, held as its free parameters:
-    scalar nu, per-item worths u and per-item-per-unit worths W.
+    scalar nu, per-item worths u and per-item-per-unit worths W.  It is the
+    one model type of the package: with K = 0 it is the plain worth model,
+    and ``zeros(n, 0)`` is the uniform model over n objects.
 
     The base is ``WorthPairModel(nu, u)``: log phi(i~j) = nu + (u_i + u_j)/2,
     log psi(i>j) = u_i.  Hidden unit k is ``WorthPairModel(nu, W[:, k])``,
@@ -69,13 +83,14 @@ class CFParams(LatentModel):
             raise ValueError("u must be (n_items,), W must be (n_items, K)")
         if not (np.isfinite(nu) and np.isfinite(u).all() and np.isfinite(W).all()):
             raise ValueError("parameters must be finite")
-        # |log Omega_k(X)| is below n_items**2 times the largest |parameter| (X's
-        # coefficients and its pair count each sum to at most n (n - 1) / 2), and an
-        # effective worth sums K + 1 parameters: within half the float range,
-        # neither overflows, whatever the rounding.
+        # |log Omega(X)| and |log Omega_k(X)| are below n_items**2 times the largest
+        # |parameter| (X's coefficients and its pair count each sum to at most
+        # n (n - 1) / 2), and an effective worth sums K + 1 parameters: within half
+        # the float range, none overflows, whatever the rounding.
         top = float(max(abs(nu), np.abs(u).max(initial=0.0), np.abs(W).max(initial=0.0)))
         near_float_max = top * max(u.shape[0] ** 2, W.shape[1] + 1) > _HALF_FLOAT_MAX
-        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", WorthPairModel(nu, u)),
+        base = (_GuardedWorths if near_float_max else WorthPairModel)(nu, u)
+        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", base),
                             ("n_objects", u.shape[0]), ("_near_float_max", near_float_max)):
             object.__setattr__(self, name, value)
 
@@ -91,6 +106,10 @@ class CFParams(LatentModel):
     def hidden(self) -> tuple[WorthPairModel, ...]:
         """Each unit as its own pair model, built on each access."""
         return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
+
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        """Vector of log Omega_k(X) over all hidden units."""
+        return self._unit_weight_groups([X])[0][0]
 
     def unit_weights(
         self, partitions: Sequence[OrderedPartition]

@@ -2,12 +2,12 @@
 
 AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N) * 2^K)
 to the target (tau = 1) along an inverse-temperature ladder, accumulating
-importance weights in the log domain across R independent runs.  The runs
-are spread over min(R, CPUs in the process's affinity mask) processes, which
-write their weights into one shared array and report only an exit status;
-the weights do not depend on that number, and ``taskset -c 0`` keeps every
-run in one process.  Every routine works on a ``LatentModel``; a plain pair
-model is taken as the latent model with no hidden units (K = 0).
+importance weights in the log domain across R independent runs, spread
+over forked processes (``_fill_log_weights``).  Every routine takes a
+``CFParams`` (with K = 0, a plain worth model) and reads it only through
+``n_objects``, ``n_hidden``, ``base``, ``log_omegas``, ``unit_weights`` and
+``effective_at``, so the tests pass the generic ``LatentModel`` of
+``tests/oracles.py`` the same way.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .combinatorics import (
     fubini,
     sample_uniform_ordered_partition,
 )
-from .core import PairPotentialModel, log_weight, logsumexp
-from .latent import LatentModel, gibbs_mh_step
+from .core import log_weight, logsumexp
+from .latent import gibbs_mh_step
+from .learning import CFParams
 
 __all__ = [
     "AISConfig",
@@ -79,28 +80,19 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _as_latent(m: PairPotentialModel | LatentModel) -> LatentModel:
-    """The one model shape used below: a pair model becomes K = 0 latent."""
-    return m if isinstance(m, LatentModel) else LatentModel(m, ())
-
-
-def exact_log_z(m: PairPotentialModel | LatentModel, cap: int = 8) -> float:
+def exact_log_z(m: CFParams, cap: int = 8) -> float:
     """log Z by full enumeration (oracle).
 
     The hidden units are summed out analytically via the prod_k (1 + Omega_k)
     identity (the tau = 1 case of ``annealed_unnorm_log_prob``), so only
     partitions are enumerated.
     """
-    m = _as_latent(m)
     logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(m.n_objects, cap)]
     return float(logsumexp(logs))
 
 
-def exact_distribution(
-    m: PairPotentialModel | LatentModel, cap: int = 8
-) -> tuple[list[OrderedPartition], np.ndarray]:
+def exact_distribution(m: CFParams, cap: int = 8) -> tuple[list[OrderedPartition], np.ndarray]:
     """All states with their exact probabilities (latent: X-marginal)."""
-    m = _as_latent(m)
     states = list(enumerate_ordered_partitions(m.n_objects, cap))
     logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])
     probs = np.exp(logs - logsumexp(logs))
@@ -108,14 +100,11 @@ def exact_distribution(
     return states, probs
 
 
-def annealed_unnorm_log_prob(
-    X: OrderedPartition, tau: float, m: PairPotentialModel | LatentModel
-) -> float:
+def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: CFParams) -> float:
     """log P*(X | tau): tau * log Omega(X) plus the marginalized hidden
     terms sum_k log(1 + Omega_k(X)^tau)."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    m = _as_latent(m)
     tau = float(tau)
     total = tau * log_weight(X, m.base)
     for lo in m.log_omegas(X).tolist():
@@ -144,7 +133,7 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _ais_run(m: LatentModel, taus: list[float], steps: int, run_seed: int) -> float:
+def _ais_run(m: CFParams, taus: list[float], steps: int, run_seed: int) -> float:
     """One AIS run's log weight: an exact uniform draw climbs the ladder."""
     run_rng = random.Random(run_seed)
     X = sample_uniform_ordered_partition(m.n_objects, run_rng)
@@ -162,7 +151,7 @@ def _ais_run(m: LatentModel, taus: list[float], steps: int, run_seed: int) -> fl
 
 
 def _fill_log_weights(
-    m: LatentModel, taus: list[float], steps: int, seed: int, log_weights: np.ndarray
+    m: CFParams, taus: list[float], steps: int, seed: int, log_weights: np.ndarray
 ) -> None:
     """``log_weights[r]`` = run r's log weight, for every r, over W processes.
 
@@ -215,7 +204,7 @@ def _fill_log_weights(
             os.waitpid(pid, 0)
 
 
-def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
+def ais_log_z(m: CFParams, cfg: AISConfig) -> AISResult:
     """Annealed importance sampling estimate of log Z.
 
     Each of the R runs starts from an exact uniform draw and climbs the
@@ -225,15 +214,11 @@ def ais_log_z(m: PairPotentialModel | LatentModel, cfg: AISConfig) -> AISResult:
     log-mean-exp of the run weights, and the effective sample size
     (sum w)^2 / sum w^2 is at most R.
 
-    The runs are independent, each with its own seeded RNG, so they are
-    spread over min(R, CPUs in the affinity mask) processes, forked here
-    and reaped before this returns.  The workers write into one shared
-    weight array and report only an exit status; each replays the stream
-    of run seeds, so no list of R seeds is built.  The result does not
-    depend on the number of processes, and ``taskset -c 0`` keeps every
-    run in this process.
+    The runs are independent, each with its own seeded RNG, so they go to
+    min(R, CPUs in the affinity mask) processes (``_fill_log_weights``),
+    forked here and reaped before this returns.  The result does not depend
+    on their number, and ``taskset -c 0`` keeps every run in this process.
     """
-    m = _as_latent(m)
     n = m.n_objects
     steps = cfg.inner_steps if cfg.inner_steps is not None else n
     taus = temperature_ladder(cfg).tolist()

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .latent import LatentModel, hidden_posterior
+from .latent import hidden_posterior
 from .learning import CFParams
 from .metrics import err_rows, ndcg_rows
 
@@ -409,7 +409,7 @@ def _rank(scores: dict[int, float]) -> RankedList:
     return RankedList(tuple(ordered), tuple(scores[j] for j in ordered))
 
 
-def _mean_worth(m: LatentModel, p: np.ndarray) -> np.ndarray:
+def _mean_worth(m: CFParams, p: np.ndarray) -> np.ndarray:
     """u + W p: each item's order worth averaged over hidden activations ``p``."""
     if not isinstance(m, CFParams):
         raise ValueError("per-item worths need a worth-parameterized model")
@@ -417,7 +417,7 @@ def _mean_worth(m: LatentModel, p: np.ndarray) -> np.ndarray:
 
 
 def complete_rank(
-    seen: OrderedPartition, unseen: Iterable[int], m: LatentModel
+    seen: OrderedPartition, unseen: Iterable[int], m: CFParams
 ) -> RankedList:
     """Score unseen items against a user's observed partition.
 

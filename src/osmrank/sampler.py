@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import OrderedPartition
-from .core import LocalWorths, PairPotentialModel, log_ratio_merge, log_ratio_split
+from .core import LocalWorths, WorthPairModel, log_ratio_merge, log_ratio_split
 
 __all__ = [
     "InfeasibleMoveError",
@@ -119,7 +119,7 @@ def _merge_log_q_ratio(t_pre: int, t_merge: int, n1: int, n2: int) -> float:
 
 
 def propose_split(
-    X: OrderedPartition, rng: random.Random, m: Optional[PairPotentialModel] = None
+    X: OrderedPartition, rng: random.Random, m: Optional[WorthPairModel] = None
 ) -> MoveProposal:
     """Draw a split move: pick a non-singleton block uniformly, seed the two
     sub-blocks with two distinct objects (seed order fixes sub-block order),
@@ -145,7 +145,7 @@ def propose_split(
 
 
 def propose_merge(
-    X: OrderedPartition, rng: random.Random, m: Optional[PairPotentialModel] = None
+    X: OrderedPartition, rng: random.Random, m: Optional[WorthPairModel] = None
 ) -> MoveProposal:
     """Draw a merge move: pick one of the T-1 consecutive block pairs uniformly."""
     T = X.n_blocks
@@ -166,7 +166,7 @@ _LOG = [-math.inf]  # _LOG[i] == math.log(i); advance_partition grows it to its 
 
 def advance_partition(
     X: OrderedPartition,
-    m: PairPotentialModel,
+    m: WorthPairModel | LocalWorths,
     rng: random.Random,
     steps: int,
     stats: Optional[MoveStats] = None,
@@ -193,7 +193,8 @@ def advance_partition(
     be one): its closed form is evaluated here, each side's worths folded
     left to right in sorted order as ``LocalWorths`` folds them, and each
     block keeps its sum until a move changes it, so a merge reads two kept
-    sums.  One ``OrderedPartition`` is built on return, unchecked since it
+    sums.  Any other ratio, such as that of the tests' pair tables, is
+    called with the two halves.  One ``OrderedPartition`` is built on return, unchecked since it
     is valid by construction, and none when no move was accepted.
     """
     if steps < 0:
@@ -334,7 +335,7 @@ def advance_partition(
 
 
 def run_chain(
-    init: OrderedPartition, m: PairPotentialModel, cfg: SamplerConfig
+    init: OrderedPartition, m: WorthPairModel, cfg: SamplerConfig
 ) -> tuple[list[OrderedPartition], MoveStats]:
     """Run a chain from ``init``; returns thinned post-burn-in samples and stats.
 

@@ -42,7 +42,7 @@ def brute_force_ordered_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def random_matrix_model(n: int, seed: int, scale: float = 1.0):
-    from osmrank.core import MatrixPairModel
+    from oracles import MatrixPairModel
 
     rng = np.random.default_rng(seed)
     tie = rng.uniform(-scale, scale, (n, n))
@@ -52,7 +52,7 @@ def random_matrix_model(n: int, seed: int, scale: float = 1.0):
 
 
 def random_latent_model(n: int, k: int, seed: int, scale: float = 1.0):
-    from osmrank.latent import LatentModel
+    from oracles import LatentModel
 
     base = random_matrix_model(n, seed, scale)
     hidden = [random_matrix_model(n, seed + 1000 + i, scale) for i in range(k)]

@@ -2,11 +2,17 @@
 
 Each definition is the library's former code, unchanged: the ordered-Bell
 asymptote as a float and the Stirling numbers, the proposal-object MH step and the
-exact one-step kernel of the split-merge sampler, the enumeration oracles of
+exact one-step kernel of the split-merge sampler, the generic pair-table
+model family (log-domain tie and order tables, log-linear features over
+pairs, and a base table plus one table per hidden unit, ``LatentModel``,
+with ``as_latent`` taking a pair model as the latent model with no hidden
+units), the enumeration oracles of
 training (exact sufficient statistics, gradients, likelihoods and draws), the
 log joint weight and the scalar sigmoid, partitions from graded ratings and
 text, and rank reconstruction from a posterior.  They are small-size references the fast
-paths are checked against.
+paths are checked against.  The pair tables go through the production
+kernel and partition functions unchanged, which read a model by its
+methods only.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,14 +34,14 @@ from osmrank.combinatorics import (
     log_fubini_asymptotic,
 )
 from osmrank.core import (
-    PairPotentialModel,
+    WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
     logsumexp,
     worth_features,
 )
-from osmrank.latent import LatentModel, hidden_posterior
+from osmrank.latent import hidden_posterior
 from osmrank.learning import CFParams, GradientEstimate, _accumulate
 from osmrank.pipeline import RankedList, _mean_worth, _rank
 from osmrank.sampler import (
@@ -178,7 +185,160 @@ def transition_matrix(
     return states, K
 
 
-# osmrank.core
+# osmrank.core: the generic pair-table family
+class PairPotentialModel:
+    """Interface: log-domain pairwise tie and order potentials."""
+
+    n_objects: int
+
+    def log_tie(self, i: int, j: int) -> float:
+        raise NotImplementedError
+
+    def log_order(self, i: int, j: int) -> float:
+        raise NotImplementedError
+
+    def scaled(self, factor: float) -> "PairPotentialModel":
+        """Model with every log-potential multiplied by ``factor`` (tempering)."""
+        raise NotImplementedError
+
+    def log_weight(self, X: OrderedPartition) -> float:
+        """log Omega(X) as the pair sum; ``log_weight(X, m)`` checks sizes first."""
+        total = 0.0
+        for i, j in within_block_pairs(X):
+            total += self.log_tie(i, j)
+        for i, j in cross_block_pairs(X):
+            total += self.log_order(i, j)
+        return total
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (tie, order) log-potential tables; diagonals are ignored."""
+        raise NotImplementedError
+
+    def split_ratio(self, objects: Sequence[int]) -> Callable[[Sequence[int], Sequence[int]], float]:
+        """The local log weight ratio for partitions of ``objects``: a function
+        of (A, B) giving log Omega(X') / Omega(X) for splitting a block into A
+        ranked just above B.  Merging A and B back has the negated ratio.
+
+        This is the pair sum of ``log_ratio_split`` without its checks."""
+        log_order, log_tie = self.log_order, self.log_tie
+
+        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
+            total = 0.0
+            for i in A:
+                for j in B:
+                    total += log_order(i, j) - log_tie(i, j)
+            return total
+
+        return ratio
+
+
+class MatrixPairModel(PairPotentialModel):
+    """Potentials tabulated as dense n x n matrices.
+
+    ``tie`` must be symmetric; diagonals are ignored.  ``order[i, j]`` is
+    log psi(x_i > x_j) for i ranked above j.
+    """
+
+    def __init__(self, tie: np.ndarray, order: np.ndarray):
+        tie = np.asarray(tie, dtype=float)
+        order = np.asarray(order, dtype=float)
+        if tie.shape != order.shape or tie.ndim != 2 or tie.shape[0] != tie.shape[1]:
+            raise ValueError("tie and order must be square matrices of equal shape")
+        if not np.allclose(tie, tie.T):
+            raise ValueError("tie matrix must be symmetric")
+        if not (np.isfinite(tie).all() and np.isfinite(order).all()):
+            raise ValueError("potentials must be finite")
+        self.n_objects = tie.shape[0]
+        self.tie = tie
+        self.order = order
+
+    def log_tie(self, i: int, j: int) -> float:
+        return self.tie[i, j]
+
+    def log_order(self, i: int, j: int) -> float:
+        return self.order[i, j]
+
+    def scaled(self, factor: float) -> "MatrixPairModel":
+        # scaling preserves symmetry/finiteness; skip re-validation
+        return _unchecked_matrix_model(self.tie * factor, self.order * factor)
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.tie, self.order
+
+
+def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairModel:
+    """Internal constructor bypassing validation for matrices known valid."""
+    mdl = MatrixPairModel.__new__(MatrixPairModel)
+    mdl.n_objects = tie.shape[0]
+    mdl.tie = tie
+    mdl.order = order
+    return mdl
+
+
+def uniform_pair_model(n: int) -> WorthPairModel:
+    """All potentials 1 (log 0): every ordered partition equally weighted.
+    This is the worth model with nu = 0 and every worth 0, so it takes O(n)
+    memory and every split ratio and log weight is exactly 0.0."""
+    return WorthPairModel(0.0, np.zeros(n))
+
+
+@dataclass
+class LogLinearParams:
+    """Weights and feature evaluators for log-linear pair potentials.
+
+    ``tie_features[a](i, j)`` and ``order_features[b](i, j)`` are
+    deterministic real-valued features; log phi = sum_a alpha_a f_a and
+    log psi = sum_b beta_b g_b.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    tie_features: Sequence[Callable[[int, int], float]]
+    order_features: Sequence[Callable[[int, int], float]]
+
+    def __post_init__(self):
+        self.alpha = np.asarray(self.alpha, dtype=float)
+        self.beta = np.asarray(self.beta, dtype=float)
+        if len(self.alpha) != len(self.tie_features):
+            raise ValueError("alpha length must match tie feature count")
+        if len(self.beta) != len(self.order_features):
+            raise ValueError("beta length must match order feature count")
+
+
+def loglinear_pair_model(params: LogLinearParams, n_objects: int) -> MatrixPairModel:
+    """Tabulate the log-linear potentials over all object pairs.
+
+    The tie table is symmetrized via f_a evaluated on sorted pairs, so tie
+    features need not be written symmetric themselves.
+    """
+    tie = np.zeros((n_objects, n_objects))
+    order = np.zeros((n_objects, n_objects))
+    for i in range(n_objects):
+        for j in range(n_objects):
+            if i == j:
+                continue
+            lo, hi = (i, j) if i < j else (j, i)
+            tie[i, j] = sum(a * f(lo, hi) for a, f in zip(params.alpha, params.tie_features))
+            order[i, j] = sum(b * g(i, j) for b, g in zip(params.beta, params.order_features))
+    return MatrixPairModel(tie, order)
+
+
+def within_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
+    for block in X.blocks:
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
+                yield block[a], block[b]
+
+
+def cross_block_pairs(X: OrderedPartition) -> Iterator[tuple[int, int]]:
+    """(i, j) with i's block ranked strictly above j's."""
+    for t in range(len(X.blocks)):
+        for u in range(t + 1, len(X.blocks)):
+            for i in X.blocks[t]:
+                for j in X.blocks[u]:
+                    yield i, j
+
+
 def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) -> OrderedPartition:
     """Group objects by equal grade, blocks ordered by decreasing grade."""
     if not grades:
@@ -193,6 +353,55 @@ def from_graded_ratings(grades: dict[int, float], n_objects: int | None = None) 
 
 
 # osmrank.latent
+class LatentModel:
+    """A base pair-potential model plus one pair-potential model per hidden unit.
+
+    A plain pair model is the latent model with no hidden units.  This class
+    works with any pair-model family: unit weights are pair sums and
+    effective models are potential tables.  ``learning.CFParams`` replaces
+    them with the worth-form closed forms.
+    """
+
+    def __init__(self, base: PairPotentialModel, hidden: Sequence[PairPotentialModel]):
+        hidden = tuple(hidden)
+        for hm in hidden:
+            if hm.n_objects != base.n_objects:
+                raise ValueError("all hidden potential models must share base.n_objects")
+        self.base = base
+        self.hidden = hidden
+        self.n_objects = base.n_objects
+
+    @property
+    def n_hidden(self) -> int:
+        return len(self.hidden)
+
+    def log_omegas(self, X: OrderedPartition) -> np.ndarray:
+        """Vector of log Omega_k(X) over all hidden units."""
+        return self.unit_weights([X])[0][0]
+
+    def effective(self, active: Sequence[int]) -> PairPotentialModel:
+        """The base potentials plus those of the hidden units indexed by ``active``."""
+        tie, order = (table.copy() for table in self.base.tables())
+        for k in active:
+            ht, ho = self.hidden[k].tables()
+            tie += ht
+            order += ho
+        return _unchecked_matrix_model(tie, order)
+
+    def unit_weights(self, partitions: Sequence[OrderedPartition]) -> tuple[np.ndarray, list[None]]:
+        """``log_omegas`` of each partition, as the rows of a (B, K) array,
+        and what ``effective_at`` takes for each: nothing here."""
+        logom = [log_weight(X, hm) for X in partitions for hm in self.hidden]
+        return np.array(logom, dtype=float).reshape(len(partitions), self.n_hidden), [None] * len(partitions)
+
+    def effective_at(self, gathered: None, active: Sequence[int], scale: float = 1.0) -> PairPotentialModel:
+        """The model the kernel runs on with the hidden units ``active`` on:
+        the effective model (the base when none is active), its
+        log-potentials times ``scale``."""
+        m = self.effective(active) if active else self.base
+        return m if scale == 1.0 else m.scaled(scale)
+
+
 def sigmoid(x: float) -> float:
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -329,6 +538,12 @@ def sample_partitions_exact(
             if remaining == 0:
                 break
     return out  # type: ignore[return-value]
+
+
+# osmrank.partition_function
+def as_latent(m: PairPotentialModel | LatentModel) -> LatentModel:
+    """The one model shape the partition functions take: a pair model becomes K = 0 latent."""
+    return m if isinstance(m, LatentModel) else LatentModel(m, ())
 
 
 # osmrank.pipeline

@@ -380,6 +380,20 @@ class TestEstimateZCommand:
         assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3"]) == 2
         assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
 
+    def test_base_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # u + W[:, 0] and every unit weight are finite, but log Omega of three
+        # singletons is 2e308 + 1e308
+        ck = tmp_path / "tall.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3)
+        out = tmp_path / "z.txt"
+        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
+                                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: base weights must be finite\n"
+        assert not out.exists()
+        assert main_without_warnings(["oracle", "--n", "3", "--model", str(ck), "--exact-z",
+                                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: base weights must be finite\n"
+
     def test_unit_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
         # u + W[:, 0] is finite, but log Omega_0 of three singletons is 2e308 + 1e308
         ck = tmp_path / "steep.ck"

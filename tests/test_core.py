@@ -7,19 +7,21 @@ import pytest
 
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
 from osmrank.core import (
-    LogLinearParams,
-    MatrixPairModel,
     WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
-    loglinear_pair_model,
-    uniform_pair_model,
     worth_features,
 )
 
 from helpers import random_matrix_model
-from oracles import from_graded_ratings
+from oracles import (
+    LogLinearParams,
+    MatrixPairModel,
+    from_graded_ratings,
+    loglinear_pair_model,
+    uniform_pair_model,
+)
 
 
 def P(*blocks):

@@ -7,9 +7,8 @@ import pytest
 from scipy.special import logsumexp
 
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
-from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, uniform_pair_model
+from osmrank.core import WorthPairModel, log_weight
 from osmrank.latent import (
-    LatentModel,
     effective_pair_model,
     hidden_posterior,
     sample_hidden,
@@ -17,7 +16,14 @@ from osmrank.latent import (
 from osmrank.learning import CFParams
 
 from helpers import gibbs_sweep, random_latent_model
-from oracles import log_joint_weight, sigmoid, transition_matrix
+from oracles import (
+    LatentModel,
+    MatrixPairModel,
+    log_joint_weight,
+    sigmoid,
+    transition_matrix,
+    uniform_pair_model,
+)
 
 
 def P(*blocks):

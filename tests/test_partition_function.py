@@ -12,8 +12,7 @@ from scipy.special import logsumexp
 
 from osmrank import partition_function
 from osmrank.combinatorics import EnumerationCapError, OrderedPartition, fubini
-from osmrank.core import log_weight, uniform_pair_model
-from osmrank.latent import LatentModel
+from osmrank.core import log_weight
 from osmrank.partition_function import (
     AISConfig,
     ais_log_z,
@@ -24,7 +23,7 @@ from osmrank.partition_function import (
 )
 
 from helpers import random_latent_model, random_matrix_model, reference_ais_log_weights
-from oracles import log_joint_weight
+from oracles import LatentModel, as_latent, log_joint_weight, uniform_pair_model
 
 
 def P(*blocks):
@@ -37,7 +36,7 @@ def uniform_latent(n, k):
 
 class TestExactLogZ:
     def test_uniform_n4(self):
-        assert exact_log_z(uniform_pair_model(4)) == pytest.approx(math.log(75.0), abs=1e-12)
+        assert exact_log_z(as_latent(uniform_pair_model(4))) == pytest.approx(math.log(75.0), abs=1e-12)
 
     def test_uniform_latent(self):
         # 3 states x 2^3 hidden configs, all weight 1
@@ -50,7 +49,7 @@ class TestExactLogZ:
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
-            exact_log_z(uniform_pair_model(9))
+            exact_log_z(as_latent(uniform_pair_model(9)))
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 4)])
     def test_latent_identity_vs_hidden_enumeration(self, n, k):
@@ -68,13 +67,13 @@ class TestExactLogZ:
 
 class TestExactDistribution:
     def test_uniform_probabilities(self):
-        states, probs = exact_distribution(uniform_pair_model(3))
+        states, probs = exact_distribution(as_latent(uniform_pair_model(3)))
         assert len(states) == 13
         np.testing.assert_allclose(probs, 1.0 / 13.0)
 
     def test_matches_log_weights(self):
         m = random_matrix_model(4, seed=3)
-        states, probs = exact_distribution(m)
+        states, probs = exact_distribution(as_latent(m))
         logs = np.array([log_weight(X, m) for X in states])
         expected = np.exp(logs - logsumexp(logs))
         np.testing.assert_allclose(probs, expected / expected.sum(), atol=1e-12)
@@ -84,12 +83,12 @@ class TestAnnealedUnnormLogProb:
     def test_tau_zero_uniform(self):
         m = random_matrix_model(4, seed=1)
         for X in [P([0, 1, 2, 3]), P([0], [1], [2], [3])]:
-            assert annealed_unnorm_log_prob(X, 0.0, m) == 0.0
+            assert annealed_unnorm_log_prob(X, 0.0, as_latent(m)) == 0.0
 
     def test_tau_one_recovers_target(self):
         m = random_matrix_model(4, seed=2)
         X = P([0, 2], [1, 3])
-        assert annealed_unnorm_log_prob(X, 1.0, m) == pytest.approx(log_weight(X, m))
+        assert annealed_unnorm_log_prob(X, 1.0, as_latent(m)) == pytest.approx(log_weight(X, m))
 
     def test_tau_zero_latent(self):
         m = random_latent_model(3, 5, seed=3)
@@ -107,17 +106,17 @@ class TestAnnealedUnnormLogProb:
     def test_monotone_and_continuous_when_positive(self):
         m = random_matrix_model(4, seed=5)
         # pick a state with positive log weight
-        states, _ = exact_distribution(m)
+        states, _ = exact_distribution(as_latent(m))
         X = max(states, key=lambda s: log_weight(s, m))
         assert log_weight(X, m) > 0
         taus = np.linspace(0.0, 1.0, 101)
-        vals = [annealed_unnorm_log_prob(X, t, m) for t in taus]
+        vals = [annealed_unnorm_log_prob(X, t, as_latent(m)) for t in taus]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert max(abs(b - a) for a, b in zip(vals, vals[1:])) < 0.05 * abs(vals[-1]) + 0.01
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
-            annealed_unnorm_log_prob(P([0]), 1.5, uniform_pair_model(1))
+            annealed_unnorm_log_prob(P([0]), 1.5, as_latent(uniform_pair_model(1)))
 
 
 class TestTemperatureLadder:
@@ -150,7 +149,7 @@ class TestAisLogZ:
     def test_degenerate_uniform_anneal_is_exact(self):
         # uniform target: every weight is exactly 0 in log domain
         m = uniform_pair_model(5)
-        res = ais_log_z(m, AISConfig(n_temperatures=2, n_runs=8, seed=0))
+        res = ais_log_z(as_latent(m), AISConfig(n_temperatures=2, n_runs=8, seed=0))
         np.testing.assert_array_equal(res.log_weights, 0.0)
         assert res.log_z_estimate == pytest.approx(math.log(fubini(5)), abs=1e-12)
         assert res.effective_sample_size == pytest.approx(8.0)
@@ -164,8 +163,8 @@ class TestAisLogZ:
 
     def test_small_oracle_comparison_osm(self):
         m = random_matrix_model(4, seed=6)
-        res = ais_log_z(m, AISConfig(n_temperatures=2000, n_runs=30, seed=2))
-        assert abs(res.log_z_estimate - exact_log_z(m)) < 0.05
+        res = ais_log_z(as_latent(m), AISConfig(n_temperatures=2000, n_runs=30, seed=2))
+        assert abs(res.log_z_estimate - exact_log_z(as_latent(m))) < 0.05
 
     def test_small_oracle_comparison_latent(self):
         m = random_latent_model(3, 2, seed=7)
@@ -175,8 +174,8 @@ class TestAisLogZ:
     def test_deterministic_under_seed(self):
         m = random_matrix_model(3, seed=8)
         cfg = AISConfig(n_temperatures=50, n_runs=5, seed=11)
-        a = ais_log_z(m, cfg)
-        b = ais_log_z(m, cfg)
+        a = ais_log_z(as_latent(m), cfg)
+        b = ais_log_z(as_latent(m), cfg)
         assert a.log_z_estimate == b.log_z_estimate
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
 
@@ -185,8 +184,8 @@ class TestAisLogZ:
         mild = random_matrix_model(4, seed=9, scale=0.3)
         strong = random_matrix_model(4, seed=9, scale=3.0)
         cfg = AISConfig(n_temperatures=60, n_runs=40, seed=4)
-        ess_mild = ais_log_z(mild, cfg).effective_sample_size
-        ess_strong = ais_log_z(strong, cfg).effective_sample_size
+        ess_mild = ais_log_z(as_latent(mild), cfg).effective_sample_size
+        ess_strong = ais_log_z(as_latent(strong), cfg).effective_sample_size
         assert ess_strong < ess_mild
         assert 0 < ess_strong <= 40.0
         assert 0 < ess_mild <= 40.0
@@ -195,10 +194,10 @@ class TestAisLogZ:
         # light version of the acceptance check: mean of Z_hat / Z over
         # repeats within 3 standard errors of 1
         m = random_matrix_model(3, seed=10)
-        log_z = exact_log_z(m)
+        log_z = exact_log_z(as_latent(m))
         ratios = []
         for rep in range(30):
-            res = ais_log_z(m, AISConfig(n_temperatures=40, n_runs=10, seed=100 + rep))
+            res = ais_log_z(as_latent(m), AISConfig(n_temperatures=40, n_runs=10, seed=100 + rep))
             ratios.append(math.exp(res.log_z_estimate - log_z))
         ratios = np.array(ratios)
         se = ratios.std(ddof=1) / math.sqrt(len(ratios))
@@ -207,9 +206,9 @@ class TestAisLogZ:
     def test_geometric_schedule_works(self):
         m = random_matrix_model(3, seed=12)
         res = ais_log_z(
-            m, AISConfig(n_temperatures=1000, n_runs=20, schedule="geometric", seed=5)
+            as_latent(m), AISConfig(n_temperatures=1000, n_runs=20, schedule="geometric", seed=5)
         )
-        assert abs(res.log_z_estimate - exact_log_z(m)) < 0.1
+        assert abs(res.log_z_estimate - exact_log_z(as_latent(m))) < 0.1
 
 
 def dies():
@@ -285,7 +284,7 @@ class TestAisWorkers:
     def test_run_seeds_are_replayed_not_held(self, monkeypatch):
         # a list of R run seeds holds ~44 bytes a run; the weights take 8, in a mapping
         monkeypatch.setattr(partition_function, "_cpu_count", lambda: 1)
-        m, cfg = uniform_pair_model(1), AISConfig(n_temperatures=2, n_runs=5000)
+        m, cfg = as_latent(uniform_pair_model(1)), AISConfig(n_temperatures=2, n_runs=5000)
         tracemalloc.start()
         try:
             ais_log_z(m, cfg)

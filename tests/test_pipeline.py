@@ -741,8 +741,8 @@ class TestCompleteRank:
         fast = complete_rank(seen, [3, 4], m)
         # the pair-sum definition on tabulated potentials:
         # score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)]
-        from osmrank.latent import LatentModel, hidden_posterior
-        from osmrank.core import MatrixPairModel
+        from osmrank.latent import hidden_posterior
+        from oracles import LatentModel, MatrixPairModel
 
         mats = LatentModel(
             MatrixPairModel(*m.base.tables()),

@@ -25,12 +25,11 @@ from helpers import (
     reference_user_partitions,
     reference_worth_features,
 )
-from oracles import log_joint_weight, sigmoid
+from oracles import LatentModel, MatrixPairModel, log_joint_weight, sigmoid
 from osmrank import partition_function
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
-from osmrank.core import MatrixPairModel, WorthPairModel, log_weight, worth_features
+from osmrank.core import WorthPairModel, log_weight, worth_features
 from osmrank.latent import (
-    LatentModel,
     effective_pair_model,
     hidden_posterior,
     sample_hidden,

@@ -20,8 +20,9 @@ from osmrank.core import (
     log_ratio_merge,
     log_ratio_split,
     log_weight,
-    uniform_pair_model,
 )
+from osmrank.learning import CFParams
+from osmrank.partition_function import AISConfig, temperature_ladder
 from osmrank.sampler import (
     LOG2,
     InfeasibleMoveError,
@@ -36,7 +37,7 @@ from osmrank.sampler import (
 )
 
 from helpers import FakeRng, random_matrix_model
-from oracles import _single_move, stirling2, transition_matrix
+from oracles import _single_move, stirling2, transition_matrix, uniform_pair_model
 
 
 def P(*blocks):
@@ -369,6 +370,49 @@ def one_block_start(m, objects):
 def tempered_start(m, objects):
     # a uniform start after 20000 moves: like the AIS chains, T >> n_split (~180 blocks, ~20 splittable)
     return advance_partition(uniform_start(m, objects), m, random.Random(3), 20_000)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A model as a sweep hands it to the kernel, the same model as
+    ``_single_move`` takes it, and a start.  The model is
+    ``CFParams.effective_at`` with drawn active units at an AIS temperature
+    (a ``LocalWorths``), the catalog-wide worth model it stands for, or an
+    oracle pair table.  The start is a uniform draw over part of the catalog,
+    or one block of 22 to 40 objects: its first move is a split whose two
+    seeds ``random.sample`` draws on its set path."""
+    one_block = draw(st.booleans())
+    size = draw(st.integers(22, 40) if one_block else st.integers(1, 12))
+    n, seed = draw(st.integers(size, 60)), draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["effective-at", "effective", "pair-table"]))
+    if kind == "pair-table":
+        ref = random_matrix_model(n, seed, scale=draw(st.sampled_from([0.5, 1.5])))
+    else:
+        k, rng = draw(st.integers(0, 4)), np.random.default_rng(seed)
+        params = CFParams(draw(st.sampled_from([-1.5, -0.5, 0.0, 0.33])), rng.normal(0.0, 1.0, n),
+                          rng.normal(0.0, 0.5, (n, k)))
+        active = sorted(draw(st.sets(st.integers(0, k - 1)))) if k else []
+        cfg = AISConfig(n_temperatures=draw(st.integers(2, 50)), n_runs=1,
+                        schedule=draw(st.sampled_from(["linear", "geometric"])))
+        tau = draw(st.sampled_from(temperature_ladder(cfg)[1:].tolist()))
+        ref = params.effective(active).scaled(tau)
+    X = (one_block_start if one_block else uniform_start)(ref, random.Random(seed).sample(range(n), size))
+    if kind == "effective-at":
+        return params.effective_at(params.unit_weights([X])[1][0], active, tau), ref, X
+    return ref, ref, X
+
+
+@given(sweep_cases(), st.integers(0, 2**32 - 1), st.lists(st.integers(1, 80), min_size=1, max_size=4))
+def test_kernel_on_sweep_models_is_the_reference_chain(case, seed, chunks):
+    m, ref, X = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ref_X, stats, ref_stats = X, MoveStats(), MoveStats()
+    for steps in chunks:
+        X = advance_partition(X, m, rng, steps, stats)
+        ref_X = reference_run(ref_X, ref, ref_rng, steps, ref_stats)
+        assert X == ref_X
+    assert rng.getstate() == ref_rng.getstate()
+    assert stats == ref_stats
 
 
 KERNEL_MODELS = {  # name -> (model, objects in the chain, start)

@@ -3,15 +3,16 @@
 Every top-level definition of the package must be reachable from a root:
 ``cli.main``, the top-level statements of each module, the names the
 benchmark's span tracer wraps (``TRACED`` in ``perfbench/spans.py``) and the
-names its set-up probe imports (``setup`` in ``perfbench/inproc.py``).  The
-generic pair-table models stay too, as the oracle family the tests build
-on.  Code that only tests use belongs in ``tests/oracles.py``.
+names its set-up probe imports (``setup`` in ``perfbench/inproc.py``).  Code
+that only tests use, the generic pair-table models among it, belongs in
+``tests/oracles.py``.
 
 The walk is by name over the syntax tree: a definition reaches every
 top-level name of its own module and every imported ``osmrank`` name that
 appears in its body, annotations included.  Imports themselves reach
 nothing, so a re-export does not keep a name alive.  Every name a module
-imports must also be used in that module, annotations included.
+imports must also be used in that module, annotations included, and every
+name in a module's ``__all__`` must be defined there.
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ from test_trace_contract import TRACED
 HERE = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(HERE, os.pardir, "src", "osmrank")
 INPROC = os.path.join(HERE, os.pardir, "perfbench", "inproc.py")
-
-ORACLE_FAMILY = {
-    ("osmrank.core", "PairPotentialModel"),
-    ("osmrank.core", "MatrixPairModel"),
-    ("osmrank.core", "LogLinearParams"),
-    ("osmrank.core", "loglinear_pair_model"),
-    ("osmrank.latent", "LatentModel"),
-}
-
 
 def parse(path: str) -> ast.Module:
     with open(path) as fh:
@@ -113,8 +105,7 @@ def surface() -> tuple[dict[tuple[str, str], ast.stmt], set[tuple[str, str]]]:
 
 def test_every_definition_is_on_a_production_path():
     definitions, reached = surface()
-    assert ORACLE_FAMILY <= definitions.keys()
-    unreached = sorted(f"{m}.{n}" for m, n in definitions.keys() - reached - ORACLE_FAMILY)
+    unreached = sorted(f"{m}.{n}" for m, n in definitions.keys() - reached)
     assert unreached == [], f"move to tests/oracles.py or delete: {', '.join(unreached)}"
 
 
@@ -136,3 +127,14 @@ def test_every_import_is_used():
                 bound = [a.asname or a.name.split(".")[0] for a in stmt.names]
                 unused += [f"{module}: {name}" for name in bound if name not in used]
     assert unused == [], f"unused imports: {', '.join(unused)}"
+
+
+def test_every_exported_name_is_defined():
+    undefined = []
+    for module, tree in package_modules().items():
+        defined = {name for stmt in tree.body for name in defined_names(stmt)}
+        for stmt in tree.body:
+            if "__all__" in defined_names(stmt):
+                exported = ast.literal_eval(stmt.value)
+                undefined += [f"{module}.{name}" for name in exported if name not in defined]
+    assert undefined == [], f"in __all__ but not defined: {', '.join(undefined)}"
