@@ -53,7 +53,7 @@ class _GuardedWorths(WorthPairModel):
 
     def log_weight(self, X: OrderedPartition) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = WorthPairModel.log_weight(self, X)
+            value = super().log_weight(X)
         if not math.isfinite(value):
             raise ValueError("base weights must be finite")
         return value

@@ -194,8 +194,9 @@ def advance_partition(
     left to right in sorted order as ``LocalWorths`` folds them, and each
     block keeps its sum until a move changes it, so a merge reads two kept
     sums.  Any other ratio, such as that of the tests' pair tables, is
-    called with the two halves.  One ``OrderedPartition`` is built on return, unchecked since it
-    is valid by construction, and none when no move was accepted.
+    called with the two halves.  One ``OrderedPartition`` is built on
+    return, unchecked since it is valid by construction, and none when no
+    move was accepted.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
