@@ -84,6 +84,14 @@ def write_checkpoint(path: str, rng: np.random.Generator, n_items: int, n_hidden
         fh.write("\n".join(lines) + "\n")
 
 
+def write_zero_checkpoint(path: str, n_items: int) -> None:
+    """A K = 0 checkpoint with every parameter 0: eval scores all tie."""
+    lines = ["osmrank-checkpoint 1", f"n_items {n_items}", "K 0", "nu 0.0",
+             "u " + " ".join(["0.0"] * n_items)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def make_inputs(directory: str) -> None:
     n_items = write_ratings(os.path.join(directory, "ratings.dat"), seed=0)
     rng = np.random.default_rng([0, 2])
@@ -91,6 +99,7 @@ def make_inputs(directory: str) -> None:
     write_checkpoint(os.path.join(directory, "eval5.ck"), rng, n_items, 5)
     write_checkpoint(os.path.join(directory, "ais.ck"), rng, 14, 3)
     write_checkpoint(os.path.join(directory, "small.ck"), rng, 5, 2)
+    write_zero_checkpoint(os.path.join(directory, "tie.ck"), n_items)
 
 
 DATA = ["--data", "ratings.dat"]
@@ -106,6 +115,10 @@ CASES = {
     "eval": (["eval", *DATA, "--model", "eval2.ck", "eval5.ck", "--metrics", "ndcg@1,ndcg@5,err",
               "--seed", "3", "--out", "eval.txt", "--per-user", "per_user.txt",
               "--sweep-out", "sweep.tsv"], ["eval.txt", "per_user.txt", "sweep.tsv"]),
+    # every score ties, so each ranking is its items in ascending order
+    "eval-ties": (["eval", *DATA, "--model", "tie.ck", "--metrics", "ndcg@3,err", "--seed", "7",
+                   "--out", "eval_tie.txt", "--per-user", "per_user_tie.txt"],
+                  ["eval_tie.txt", "per_user_tie.txt"]),
     "estimate-z-linear": (["estimate-z", "--model", "ais.ck", *AIS, "--out", "z_linear.txt"],
                           ["z_linear.txt"]),
     "estimate-z-geometric": (["estimate-z", "--model", "ais.ck", *AIS, "--schedule", "geometric",
@@ -131,6 +144,8 @@ DIGESTS = {
     ("eval", "eval.txt"): "522bb24dfdc19727b3ba6976f72382eef3c54bbfb83543dcceef01de41c915dd",
     ("eval", "per_user.txt"): "eedfa7e46bdd0d8e6a53f882ceb0c39495e05d929ca36236b4bf5606d8f2360c",
     ("eval", "sweep.tsv"): "8db4bdf826eb76d753f4d4b7210daf4c185e142b5a8d4b09d3153d3bf659d7a0",
+    ("eval-ties", "eval_tie.txt"): "4f345649bc8a4330abb6f5dcacbd60429d0494570074de5338261e219562e666",
+    ("eval-ties", "per_user_tie.txt"): "3af67103cac1cb88ff9f5f484e85031e45a6c1814bbcda1bfd8ffbd1d439257f",
     ("oracle-count-enumerate", "oracle_enum.txt"): "f760df91ed85e22796aeae5b6478bd4abc931e72060b65e65543c1d35249b33f",
     ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "caa64cb52834db103ec3df5eedf82049fa141b23c1e02688b51a1a09f1782f39",
     ("sample-model", "sample_model.txt"): "034fde103d64cc2b49a66d173351047e3246e882665877ae6c5937d1bff13b59",
