@@ -165,16 +165,16 @@ def cmd_eval(args) -> int:
                 )
                 sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
     if args.per_user:
-        # one header per model, each followed by that model's rows
+        # one header per model, each followed by that model's rows; "%.6f"
+        # formats a float as ":.6f" does
+        row_format = " ".join(["user_row=%d", *(f"{name.replace('%', '%%')}=%.6f" for name in metric_names)])
+        lines = []
+        for model_path, _, report in reports:
+            lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
+            columns = [report["metrics"][name]["per_user"].tolist() for name in metric_names]
+            lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
         with open(args.per_user, "w") as fh:
-            for model_path, _, report in reports:
-                print(f"# per-user metrics model={model_path} seed={args.seed}", file=fh)
-                for row in range(report["n_users"]):
-                    vals = " ".join(
-                        f"{name}={report['metrics'][name]['per_user'][row]:.6f}"
-                        for name in metric_names
-                    )
-                    print(f"user_row={row} {vals}", file=fh)
+            fh.write("".join(line + "\n" for line in lines))
     if args.sweep_out:
         # plot-ready metric-vs-hidden-size table
         with open(args.sweep_out, "w") as fh:

@@ -59,6 +59,21 @@ class _GuardedWorths(WorthPairModel):
         return value
 
 
+class _GuardedLocalWorths(LocalWorths):
+    """The ``LocalWorths`` of a ``CFParams`` near the float range: a split
+    ratio past it raises ``ValueError``.  Its type is not ``LocalWorths``,
+    so the kernel calls it for every ratio instead of folding the worths
+    itself; the two give the same value."""
+
+    __slots__ = ()
+
+    def __call__(self, A: Sequence[int], B: Sequence[int]) -> float:
+        value = super().__call__(A, B)
+        if not math.isfinite(value):
+            raise ValueError("split ratios must be finite")
+        return value
+
+
 @dataclass(frozen=True)
 class CFParams:
     """The collaborative-ranking latent model, held as its free parameters:
@@ -186,8 +201,9 @@ class CFParams:
         from X's entry in the gathered rows of ``unit_weights``: a sweep over
         a user's items costs O(|items| |active|) whatever the catalog size.
         The worths are those of the catalog-wide model, summed in the same
-        grouping.  They are checked as ``WorthPairModel`` checks them only
-        when the parameters are near the float range: elsewhere no such sum
+        grouping.  They are checked as ``WorthPairModel`` checks them, and
+        the split ratios of the worths as the kernel takes them, only when
+        the parameters are near the float range: elsewhere no such sum
         overflows, and ``scale`` is at most 1."""
         items, Wx = gathered
         worths, nu = self.u[items], self.nu
@@ -201,8 +217,10 @@ class CFParams:
         if scale != 1.0:
             worths, nu = worths * scale, nu * scale
         worths = worths.tolist()
-        if self._near_float_max and not (math.isfinite(nu) and all(map(math.isfinite, worths))):
-            raise ValueError("effective worths must be finite, nu finite")
+        if self._near_float_max:
+            if not (math.isfinite(nu) and all(map(math.isfinite, worths))):
+                raise ValueError("effective worths must be finite, nu finite")
+            return _GuardedLocalWorths(nu, dict(zip(items.tolist(), worths)))
         return LocalWorths(nu, dict(zip(items.tolist(), worths)))
 
     def copy(self) -> "CFParams":
@@ -267,18 +285,22 @@ def cf_latent_model(p: CFParams) -> CFParams:
 
 
 def _accumulate(
-    entries: Iterable[tuple[OrderedPartition, np.ndarray]], n_items: int, n_hidden: int
+    entries: Iterable[tuple[OrderedPartition, np.ndarray]], n_items: int, n_hidden: int,
+    features: Optional[tuple] = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed partials of log joint weight w.r.t. (nu, u, W) over (X, h) pairs.
 
     The features of all the entries come from one ``stack_worth_features``
-    pass, then u and W take one weighted ``bincount`` each.  ``bincount``
+    pass (``features``, when the caller has it), then u and W take one
+    weighted ``bincount`` each.  ``bincount``
     adds its weights in input order, and an entry's items are distinct, so
     every coordinate receives its additions in entry order, as from a loop
     over the entries; d_nu is a left fold in entry order.
     """
     entries = list(entries)
-    pairs, counts, items, coef = stack_worth_features([X for X, _ in entries])
+    if features is None:
+        features = stack_worth_features([X for X, _ in entries])
+    pairs, counts, items, coef = features
     H = np.fromiter(chain.from_iterable(h for _, h in entries), dtype=float).reshape(len(entries), n_hidden)
     d_nu = 0.0
     for m, h_sum in zip(pairs, H.sum(axis=1).tolist()):
@@ -295,13 +317,16 @@ def estimate_gradient(
     model_samples: Sequence[tuple[OrderedPartition, np.ndarray]],
     n_items: int,
     n_hidden: int,
+    model_features: Optional[tuple] = None,
 ) -> GradientEstimate:
     """Stochastic log-likelihood gradient: mean data statistics (hidden
-    posteriors) minus mean model statistics (sampled hidden states)."""
+    posteriors) minus mean model statistics (sampled hidden states).
+    ``model_features``, when given, is ``stack_worth_features`` of the
+    model samples' partitions."""
     if not observed or not model_samples:
         raise ValueError("need at least one observed and one model sample")
     obs_nu, obs_u, obs_W = _accumulate(observed, n_items, n_hidden)
-    mod_nu, mod_u, mod_W = _accumulate(model_samples, n_items, n_hidden)
+    mod_nu, mod_u, mod_W = _accumulate(model_samples, n_items, n_hidden, model_features)
     n_obs, n_mod = len(observed), len(model_samples)
     return GradientEstimate(
         obs_nu / n_obs - mod_nu / n_mod,
@@ -319,17 +344,19 @@ def pairwise_disagreement(sample: OrderedPartition, observed: OrderedPartition) 
     return float(_disagreements(_rank_rows([sample], width), _rank_rows([observed], width))[0])
 
 
-def _rank_rows(partitions: Sequence[OrderedPartition], width: int) -> np.ndarray:
+def _rank_rows(
+    partitions: Sequence[OrderedPartition], width: int, features: Optional[tuple] = None
+) -> np.ndarray:
     """One row per partition: a rank key of each of its objects, in
     ascending object order, padded with -1 to ``width`` columns.
 
     The key is twice the object's worth coefficient (``worth_features``),
     an integer that is equal within a block and falls from each block to
     the next, so comparing two keys of a row compares their blocks.  The
-    features come from ``stack_worth_features``, which leaves each new
-    partition its own.
+    features are ``stack_worth_features`` of the partitions (``features``,
+    when the caller has it), which leaves each new partition its own.
     """
-    _, counts, items, coef = stack_worth_features(partitions)
+    _, counts, items, coef = stack_worth_features(partitions) if features is None else features
     rows = np.repeat(np.arange(len(partitions)), counts)
     starts = np.cumsum(counts) - counts
     span = int(items.max()) + 1 if len(items) else 0
@@ -396,8 +423,9 @@ def train(
     draw, the effective worths of the drawn units and the moves (a later
     sweep of a user computes its new state's weights as a one-partition
     block).  The statistics are whole-block passes too: the new chain
-    states get their features from one ``stack_worth_features`` pass,
-    which the rank rows and the gradient read and the next sweeps reuse.
+    states are stacked by one ``stack_worth_features`` pass, which the rank
+    rows and the gradient both read, and whose features the next sweeps
+    reuse.
     ``callback``, when given, receives one record per block with the
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
@@ -435,11 +463,13 @@ def train(
                 states.append(X_c)
                 hidden.append(h_c)
             disagreement = 0.0
-            chain_ranks = _rank_rows(states, width)  # also the features of the block's new states
+            features = stack_worth_features(states)  # also gives each new state its own
+            chain_ranks = _rank_rows(states, width, features)
             for value in _disagreements(chain_ranks, observed_ranks[block]).tolist():
                 disagreement += value  # summed in block order; the log prints its rounding
             grad = estimate_gradient(
-                list(zip(observed, posteriors)), list(zip(states, hidden)), n_items, cfg.n_hidden
+                list(zip(observed, posteriors)), list(zip(states, hidden)), n_items, cfg.n_hidden,
+                features,
             )
             if cfg.l2:
                 grad.d_u -= cfg.l2 * params.u

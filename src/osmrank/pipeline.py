@@ -86,17 +86,36 @@ def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(ids, return_inverse=True)
 
 
+def _stable_order(*keys: tuple[np.ndarray, int]) -> np.ndarray:
+    """``np.lexsort`` of integer keys, the last one primary, each given with
+    a bound above its values (which are >= 0).  One stable argsort per key,
+    the key cast to the smallest dtype that holds its bound, so keys below
+    2**16 take numpy's radix sort."""
+    order = None
+    for key, bound in keys:
+        key = key.astype(np.min_scalar_type(bound), copy=False)
+        order = np.argsort(key, kind="stable") if order is None else (
+            order[np.argsort(key[order], kind="stable")])
+    return order
+
+
 def _build_dataset(users: np.ndarray, items: np.ndarray, rates: np.ndarray) -> RatingsDataset:
     user_ids, dense_users = _dense_ids(users)
     item_ids, dense_items = _dense_ids(items)
+    # held in their smallest dtype until the end: radix sort keys for ids
+    # below 2**16, and fewer bytes for every pass below
+    dense_users = dense_users.astype(np.min_scalar_type(len(user_ids)))
+    dense_items = dense_items.astype(np.min_scalar_type(len(item_ids)))
     # duplicate (user, item) pairs: keep the last occurrence.  The sort is
     # stable, so the last record of each run of equal pairs in sorted order
     # is the pair's last record in file order.  Dropping the others leaves
     # every user and item in the data, so the dense indices stay valid.
-    pair = dense_users * len(item_ids) + dense_items
-    order = np.argsort(pair, kind="stable")
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = pair[order[1:]] != pair[order[:-1]]
+    order = _stable_order((dense_items, len(item_ids)), (dense_users, len(user_ids)))
+    last = np.zeros(len(order), dtype=bool)
+    last[-1:] = True
+    for ids in (dense_users, dense_items):
+        run = ids[order]
+        last[:-1] |= run[1:] != run[:-1]
     if not last.all():
         warnings.warn(f"{len(last) - np.count_nonzero(last)} duplicate (user, item) ratings; last wins")
         keep = np.sort(order[last])
@@ -144,9 +163,17 @@ def _misread_by_loadtxt(path: str, fmt: str) -> bool:
         for chunk in iter(lambda: fh.read(1 << 16) + fh.readline(), b""):
             if not chunk.isascii() or any(c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
                 return True
-            if fmt == "movielens_dcolon" and chunk.count(b":") != 2 * chunk.count(b"::"):
+            if fmt == "movielens_dcolon" and _odd_colon_run(chunk):
                 return True
     return False
+
+
+def _odd_colon_run(chunk: bytes) -> bool:
+    """True if ``chunk`` holds a run of an odd number of colons: then, and
+    only then, pairing its colons in order pairs two that are not adjacent
+    (or leaves one over)."""
+    at = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(":"))
+    return len(at) % 2 == 1 or bool((at[1::2] - at[::2] != 1).any())
 
 
 _INT64 = range(-(2**63), 2**63)  # the ids np.loadtxt can read
@@ -304,10 +331,12 @@ class SplitSpec:
 
 
 def _subset(ds: RatingsDataset, keep: np.ndarray) -> RatingsDataset:
-    """Records subset sharing the parent's dense user/item indexing."""
-    grades = ds.grades[keep] if ds.grades is not None else None
-    return replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep],
-                   grades=grades)
+    """Records subset sharing the parent's dense user/item indexing; ``keep``
+    is a mask over the records."""
+    index = np.flatnonzero(keep)
+    grades = ds.grades.take(index) if ds.grades is not None else None
+    return replace(ds, users=ds.users.take(index), items=ds.items.take(index),
+                   ratings=ds.ratings.take(index), grades=grades)
 
 
 def _sample_positions(rng: random.Random, counts: list[int], k: int) -> list[int]:
@@ -469,7 +498,8 @@ def _worth_coefficients(ds: RatingsDataset) -> tuple[np.ndarray, np.ndarray]:
     is the record's grade and n_g the number of the user's records of
     grade g.
     """
-    order = np.lexsort((ds.grades, ds.users))  # by user, then ascending grade
+    # by user, then ascending grade (grade_ratings makes them positive)
+    order = _stable_order((ds.grades, int(ds.grades.max(initial=0)) + 1), (ds.users, ds.n_users))
     users, grades = ds.users[order], ds.grades[order]
     n = len(order)
     user_start = np.ones(n, dtype=bool)
@@ -497,12 +527,6 @@ def _ranked_test_records(
     the user's training partition, as ``complete_rank`` computes them.
     """
     pairs, coef = _worth_coefficients(train_ds)
-    # log Omega_k per user and hidden unit
-    x = np.repeat(params.nu * pairs[:, None], params.n_hidden, axis=1)
-    np.add.at(x, train_ds.users, coef[:, None] * params.W[train_ds.items])
-    e = np.exp(-np.abs(x))
-    posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)  # latent.unit_posteriors, both branches
-
     n_seen = np.bincount(train_ds.users, minlength=train_ds.n_users)
     keep = np.flatnonzero(n_seen[test_ds.users] > 0)
     users, items = test_ds.users[keep], test_ds.items[keep]
@@ -513,18 +537,62 @@ def _ranked_test_records(
     at = np.minimum(np.searchsorted(seen_keys, keys), len(seen_keys) - 1)
     if (seen_keys[at] == keys).any():
         raise ValueError("unseen items overlap the seen partition")
+    # per hidden unit: log Omega_k of each user's training partition as one
+    # weighted bincount (each user's first term is nu * pairs, so each sum is
+    # np.add.at's left fold in record order), its posterior as
+    # latent.unit_posteriors computes it (both branches), and its term of the
+    # test records' hidden worths, which sum over the units as a left fold
+    bins = np.concatenate([np.arange(train_ds.n_users), train_ds.users])
+    terms = np.empty(len(bins))
+    terms[: train_ds.n_users] = params.nu * pairs
     hidden_worth = np.zeros(len(keep))
-    # a left fold over the units; each unit's column is made contiguous once,
-    # so its gathers are 1-d and no (records x units) array is built
-    for w, p in zip(params.W.T.copy(), posterior.T.copy()):
-        hidden_worth += w[items] * p[users]
+    for w in params.W.T.copy():  # each unit's column made contiguous once
+        terms[train_ds.n_users :] = coef * w[train_ds.items]
+        x = np.bincount(bins, weights=terms, minlength=train_ds.n_users)
+        e = np.exp(-np.abs(x))
+        posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        hidden_worth += w[items] * posterior[users]
     scores = n_seen[users] * (params.u[items] + hidden_worth)
-    # np.lexsort((items, -scores, users)) as three stable passes; integer keys
-    # in their smallest dtype, so ids below 2**16 take numpy's radix sort
-    order = np.argsort(items.astype(np.min_scalar_type(n)), kind="stable")
-    order = order[np.argsort(-scores[order], kind="stable")]
-    order = order[np.argsort(users[order].astype(np.min_scalar_type(test_ds.n_users)), kind="stable")]
-    return keep[order]
+    return keep[_rank_by_user(users, items, scores, test_ds.n_users, n)]
+
+
+_RANK_ROWS = 256  # users per chunk of _rank_by_user's padded matrix
+_RANK_CELLS = 1 << 16  # bounds a chunk's cells, unless one user has more records
+
+
+def _rank_by_user(
+    users: np.ndarray, items: np.ndarray, scores: np.ndarray, n_users: int, n_items: int,
+    rows: int = _RANK_ROWS, cells: int = _RANK_CELLS,
+) -> np.ndarray:
+    """``np.lexsort((items, -scores, users))`` for dense ids below ``n_users``
+    and ``n_items``.
+
+    Two radix passes group the records by user, in item order.  Then each
+    chunk of ``rows`` users (fewer where their padded rows would pass
+    ``cells``) is a matrix of -score, one row per user padded with NaN, that
+    one stable ``argsort`` sorts row-wise.  NaN sorts after every value, NaN
+    too, and the sort is stable, so a row's padding stays after its records.
+    """
+    order = _stable_order((items, n_items), (users, n_users))
+    keys = -scores[order]
+    lengths = np.bincount(users, minlength=n_users)
+    lengths = lengths[lengths > 0]
+    starts = np.cumsum(lengths) - lengths
+    lo = 0
+    while lo < len(lengths):
+        hi = min(lo + rows, len(lengths))
+        width = int(lengths[lo:hi].max())
+        if (hi - lo) * width > cells:
+            hi = lo + max(1, cells // width)
+            width = int(lengths[lo:hi].max())
+        a, b = starts[lo], starts[hi - 1] + lengths[hi - 1]
+        filled = np.arange(width) < lengths[lo:hi, None]
+        padded = np.full(filled.shape, np.nan)
+        padded[filled] = keys[a:b]
+        ranked = np.argsort(padded, axis=1, kind="stable") + starts[lo:hi, None]
+        order[a:b] = order[ranked[filled]]
+        lo = hi
+    return order
 
 
 def evaluate_ranking(

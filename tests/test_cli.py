@@ -394,6 +394,14 @@ class TestEstimateZCommand:
                                       "--out", str(out)]) == 2
         assert capsys.readouterr().err == "osmrank: base weights must be finite\n"
 
+    def test_split_ratios_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # the checkpoint above: no sweep computes a base weight, but a split
+        # of {0, 1, 2} into {0, 1} > {2} sums two worths of 1e308
+        ck = tmp_path / "tall.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3)
+        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "30", "--thin", "5"]) == 2
+        assert capsys.readouterr().err == "osmrank: split ratios must be finite\n"
+
     def test_unit_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
         # u + W[:, 0] is finite, but log Omega_0 of three singletons is 2e308 + 1e308
         ck = tmp_path / "steep.ck"
@@ -408,6 +416,19 @@ class TestEstimateZCommand:
         assert main(["estimate-z", "--uniform", "--n", "4", "--n-temps", "3",
                      "--n-runs", str(n_runs), "--out", str(out)]) == 0
         assert f"ess={float(n_runs)!r}" in out.read_text().splitlines()
+
+    def test_ess_of_weights_past_half_the_float_range(self, tmp_path):
+        # both run weights are 1.6e308: doubling them leaves the float range,
+        # so the ratio is taken relative to the largest weight
+        ck = tmp_path / "wide.ck"
+        ck.write_text("osmrank-checkpoint 1\nn_items 2\nK 0\nnu 0\nu 1.6e308 1.6e308\n")
+        out = tmp_path / "z.txt"
+        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
+                                      "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "log_weight=1.6e+308" in lines[-1]
+        ess = float([ln for ln in lines if ln.startswith("ess=")][0][4:])
+        assert 0.0 < ess <= 2.0
 
     def test_reports_runs(self, tmp_path):
         out = tmp_path / "z.txt"

@@ -45,6 +45,8 @@ from osmrank.partition_function import (
 from osmrank.pipeline import (
     SplitSpec,
     _build_dataset,
+    _odd_colon_run,
+    _rank_by_user,
     _ranked_test_records,
     complete_rank,
     entropy_filter,
@@ -433,3 +435,22 @@ def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind
     for name in names:
         want = [parse_metric(name)(np.array([row]))[0] for row in rows]
         np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
+
+
+RANK_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11), RANK_SCORES), max_size=60),
+       st.integers(1, 5), st.integers(1, 40))
+def test_ranking_by_user_is_lexsort(records, rows, cells):
+    # ties, signed zeros, infinities and NaN; users with one record; chunks of
+    # a few users, and cell bounds below some users' record counts
+    users, items, scores = (np.array(column, dtype=dtype) for column, dtype in
+                            zip(zip(*records) if records else ((), (), ()), (np.int64, np.int64, float)))
+    got = _rank_by_user(users, items, scores, 8, 12, rows=rows, cells=cells)
+    assert got.tolist() == np.lexsort((items, -scores, users)).tolist()
+
+
+@given(st.binary() | st.lists(st.sampled_from([b":", b"::", b":::", b"1", b"a", b"\n"])).map(b"".join))
+def test_odd_colon_run_is_the_count_rule(chunk):
+    assert _odd_colon_run(chunk) == (chunk.count(b":") != 2 * chunk.count(b"::"))
