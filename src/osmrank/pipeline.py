@@ -556,42 +556,37 @@ def _ranked_test_records(
     return keep[_rank_by_user(users, items, scores, test_ds.n_users, n)]
 
 
-_RANK_ROWS = 256  # users per chunk of _rank_by_user's padded matrix
-_RANK_CELLS = 1 << 16  # bounds a chunk's cells, unless one user has more records
+_RANK_CELLS = 1 << 14  # bounds the padded matrix of one chunk of _rank_by_user
 
 
 def _rank_by_user(
     users: np.ndarray, items: np.ndarray, scores: np.ndarray, n_users: int, n_items: int,
-    rows: int = _RANK_ROWS, cells: int = _RANK_CELLS,
+    cells: int = _RANK_CELLS,
 ) -> np.ndarray:
     """``np.lexsort((items, -scores, users))`` for dense ids below ``n_users``
     and ``n_items``.
 
     Two radix passes group the records by user, in item order.  Then each
-    chunk of ``rows`` users (fewer where their padded rows would pass
-    ``cells``) is a matrix of -score, one row per user padded with NaN, that
-    one stable ``argsort`` sorts row-wise.  NaN sorts after every value, NaN
-    too, and the sort is stable, so a row's padding stays after its records.
+    chunk of users is a matrix of -score, one row per user padded with NaN,
+    that one stable ``argsort`` sorts row-wise.  NaN sorts after every
+    value, NaN too, and the sort is stable, so a row's padding stays after
+    its records.  A chunk holds as many users as rows of the longest one
+    fit in ``cells``, and at least one.
     """
     order = _stable_order((items, n_items), (users, n_users))
     keys = -scores[order]
     lengths = np.bincount(users, minlength=n_users)
     lengths = lengths[lengths > 0]
     starts = np.cumsum(lengths) - lengths
-    lo = 0
-    while lo < len(lengths):
-        hi = min(lo + rows, len(lengths))
-        width = int(lengths[lo:hi].max())
-        if (hi - lo) * width > cells:
-            hi = lo + max(1, cells // width)
-            width = int(lengths[lo:hi].max())
-        a, b = starts[lo], starts[hi - 1] + lengths[hi - 1]
-        filled = np.arange(width) < lengths[lo:hi, None]
+    rows = max(1, cells // int(lengths.max(initial=1)))
+    for lo in range(0, len(lengths), rows):
+        chunk = slice(lo, lo + rows)
+        filled = np.arange(lengths[chunk].max()) < lengths[chunk, None]
         padded = np.full(filled.shape, np.nan)
-        padded[filled] = keys[a:b]
-        ranked = np.argsort(padded, axis=1, kind="stable") + starts[lo:hi, None]
-        order[a:b] = order[ranked[filled]]
-        lo = hi
+        records = slice(starts[lo], starts[lo] + lengths[chunk].sum())
+        padded[filled] = keys[records]
+        ranked = np.argsort(padded, axis=1, kind="stable") + starts[chunk, None]
+        order[records] = order[ranked[filled]]
     return order
 
 

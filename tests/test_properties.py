@@ -441,13 +441,13 @@ RANK_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, m
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11), RANK_SCORES), max_size=60),
-       st.integers(1, 5), st.integers(1, 40))
-def test_ranking_by_user_is_lexsort(records, rows, cells):
+       st.integers(1, 40))
+def test_ranking_by_user_is_lexsort(records, cells):
     # ties, signed zeros, infinities and NaN; users with one record; chunks of
-    # a few users, and cell bounds below some users' record counts
+    # one user to all of them, and cell bounds below the longest user's count
     users, items, scores = (np.array(column, dtype=dtype) for column, dtype in
                             zip(zip(*records) if records else ((), (), ()), (np.int64, np.int64, float)))
-    got = _rank_by_user(users, items, scores, 8, 12, rows=rows, cells=cells)
+    got = _rank_by_user(users, items, scores, 8, 12, cells=cells)
     assert got.tolist() == np.lexsort((items, -scores, users)).tolist()
 
 
