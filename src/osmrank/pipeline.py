@@ -570,8 +570,8 @@ def _rank_by_user(
     chunk of users is a matrix of -score, one row per user padded with NaN,
     that one stable ``argsort`` sorts row-wise.  NaN sorts after every
     value, NaN too, and the sort is stable, so a row's padding stays after
-    its records.  A chunk holds as many users as rows of the longest one
-    fit in ``cells``, and at least one.
+    its records.  A chunk holds as many users as fit in ``cells`` with
+    every row as long as the longest user's, and at least one.
     """
     order = _stable_order((items, n_items), (users, n_users))
     keys = -scores[order]
