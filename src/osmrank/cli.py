@@ -253,39 +253,40 @@ def _decimal(value: int) -> str:
 
 
 def cmd_oracle(args) -> int:
+    exact = args.exact_z or args.marginals  # the model and the cap are checked before --out opens
+    model = _model_from_flags(args) if exact else None
+    if exact and model.n_objects != args.n:
+        raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
+    listing = enumerate_ordered_partitions(args.n, cap=args.cap) if args.enumerate or exact else ()
     with _output(args.out) as out:
         if args.count:
             print(_decimal(fubini(args.n)), file=out)
         if args.enumerate:
-            for X in enumerate_ordered_partitions(args.n, cap=args.cap):
+            for X in listing:
                 print(format_partition(X), file=out)
-        if args.exact_z or args.marginals:
-            model = _model_from_flags(args)
-            if model.n_objects != args.n:
-                raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
-            if args.exact_z:
-                print(f"log_z={exact_log_z(model, cap=args.cap)!r}", file=out)
-            if args.marginals:
-                states, probs = exact_distribution(model, cap=args.cap)
-                order_marg = np.zeros((args.n, args.n))
-                tie_marg = np.zeros((args.n, args.n))
-                for X, p in zip(states, probs):
-                    ranks = X.block_of()
-                    for i in range(args.n):
-                        for j in range(i + 1, args.n):
-                            if ranks[i] == ranks[j]:
-                                tie_marg[i, j] += p
-                            elif ranks[i] < ranks[j]:
-                                order_marg[i, j] += p
-                            else:
-                                order_marg[j, i] += p
-                for i in range(args.n):
-                    for j in range(args.n):
-                        if i != j:
-                            print(f"order i={i} j={j} p={float(order_marg[i, j])!r}", file=out)
+        if args.exact_z:
+            print(f"log_z={exact_log_z(model, cap=args.cap)!r}", file=out)
+        if args.marginals:
+            states, probs = exact_distribution(model, cap=args.cap)
+            order_marg = np.zeros((args.n, args.n))
+            tie_marg = np.zeros((args.n, args.n))
+            for X, p in zip(states, probs):
+                ranks = X.block_of()
                 for i in range(args.n):
                     for j in range(i + 1, args.n):
-                        print(f"tie i={i} j={j} p={float(tie_marg[i, j])!r}", file=out)
+                        if ranks[i] == ranks[j]:
+                            tie_marg[i, j] += p
+                        elif ranks[i] < ranks[j]:
+                            order_marg[i, j] += p
+                        else:
+                            order_marg[j, i] += p
+            for i in range(args.n):
+                for j in range(args.n):
+                    if i != j:
+                        print(f"order i={i} j={j} p={float(order_marg[i, j])!r}", file=out)
+            for i in range(args.n):
+                for j in range(i + 1, args.n):
+                    print(f"tie i={i} j={j} p={float(tie_marg[i, j])!r}", file=out)
     return EXIT_OK
 
 

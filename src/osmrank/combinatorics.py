@@ -148,7 +148,8 @@ def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
     Generated by choosing the top-ranked block and recursing on the
     remainder, the same decomposition the uniform sampler uses.  Refuses
-    when n exceeds ``cap`` (fubini grows super-exponentially).
+    when n exceeds ``cap`` (fubini grows super-exponentially), on the call
+    itself, so a caller can check before writing anything.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -169,8 +170,7 @@ def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
             for tail in rec(rest):
                 yield (top,) + tail
 
-    for blocks in rec(tuple(range(n))):
-        yield OrderedPartition._unchecked(blocks, n)
+    return (OrderedPartition._unchecked(blocks, n) for blocks in rec(tuple(range(n))))
 
 
 def sample_uniform_ordered_partition(n: int, rng: random.Random) -> OrderedPartition:

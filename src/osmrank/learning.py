@@ -11,7 +11,6 @@ per-user chains.  The enumeration oracle the tests check this against
 
 from __future__ import annotations
 
-import contextlib
 import math
 import random
 import sys
@@ -43,35 +42,7 @@ __all__ = [
 CHECKPOINT_MAGIC = "osmrank-checkpoint"
 CHECKPOINT_VERSION = 1
 
-_HALF_FLOAT_MAX = sys.float_info.max / 2
-_UNGUARDED = contextlib.nullcontext()  # numpy's floating-point error handling as it is
-
-
-class _GuardedWorths(WorthPairModel):
-    """The base of a ``CFParams`` near the float range: a log weight past
-    it raises ``ValueError``, with no numpy overflow warning."""
-
-    def log_weight(self, X: OrderedPartition) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = super().log_weight(X)
-        if not math.isfinite(value):
-            raise ValueError("base weights must be finite")
-        return value
-
-
-class _GuardedLocalWorths(LocalWorths):
-    """The ``LocalWorths`` of a ``CFParams`` near the float range: a split
-    ratio past it raises ``ValueError``.  Its type is not ``LocalWorths``,
-    so the kernel calls it for every ratio instead of folding the worths
-    itself; the two give the same value."""
-
-    __slots__ = ()
-
-    def __call__(self, A: Sequence[int], B: Sequence[int]) -> float:
-        value = super().__call__(A, B)
-        if not math.isfinite(value):
-            raise ValueError("split ratios must be finite")
-        return value
+_FLOAT_BOUND = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -85,7 +56,8 @@ class CFParams:
     log psi(i>j) = u_i.  Hidden unit k is ``WorthPairModel(nu, W[:, k])``,
     sharing nu.  The worth family is closed under masking, so effective
     models stay in worth form, and unit weights come from one set of
-    structural features.  Frozen, so ``base`` always matches the fields.
+    structural features.  Frozen, so ``base`` always matches the fields,
+    and refuses parameters past the float bound (see ``__post_init__``).
     """
 
     nu: float
@@ -98,15 +70,20 @@ class CFParams:
             raise ValueError("u must be (n_items,), W must be (n_items, K)")
         if not (np.isfinite(nu) and np.isfinite(u).all() and np.isfinite(W).all()):
             raise ValueError("parameters must be finite")
-        # |log Omega(X)| and |log Omega_k(X)| are below n_items**2 times the largest
-        # |parameter| (X's coefficients and its pair count each sum to at most
-        # n (n - 1) / 2), and an effective worth sums K + 1 parameters: within half
-        # the float range, none overflows, whatever the rounding.
-        top = float(max(abs(nu), np.abs(u).max(initial=0.0), np.abs(W).max(initial=0.0)))
-        near_float_max = top * max(u.shape[0] ** 2, W.shape[1] + 1) > _HALF_FLOAT_MAX
-        base = (_GuardedWorths if near_float_max else WorthPairModel)(nu, u)
-        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", base),
-                            ("n_objects", u.shape[0]), ("_near_float_max", near_float_max)):
+        # The float bound: t (K + 1) n^2 <= max / 4, t the largest |parameter|, n = n_items,
+        # in Python floats (an overflow is inf).  A partition's worth coefficients and its
+        # within-block pair count each sum to n (n - 1) / 2, so |log Omega|, |log Omega_k| and
+        # their partial sums are <= n (n - 1) t; an effective worth or nu sums <= K + 1
+        # parameters; a split ratio's terms (|B| sum_A w, nu |A| |B|) are <= (K + 1) n^2 t; an
+        # AIS run weight is <= (K + 1) n (n - 1) t, doubled by the ESS; eval's scores are
+        # <= n (K + 1) t.  All stay below max / 2; change the bound only with the same proof.
+        top = max(abs(nu), float(np.abs(u).max(initial=0.0)), float(np.abs(W).max(initial=0.0)))
+        factor = (W.shape[1] + 1) * u.shape[0] ** 2
+        if top * factor > _FLOAT_BOUND:
+            raise ValueError(f"parameters past the float bound: the largest |parameter|, {top:.6g}, "
+                             f"times (K + 1) n_items^2 = {factor} is above {_FLOAT_BOUND:.6g}")
+        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", WorthPairModel(nu, u)),
+                            ("n_objects", u.shape[0])):
             object.__setattr__(self, name, value)
 
     @property
@@ -149,12 +126,7 @@ class CFParams:
         Each count takes one gather of ``W[items]`` and one ``np.matmul``
         of (B_n, 1, n) by (B_n, n, K), which runs the gemv
         ``coef @ W[items]`` of each partition, so a row has the bits of
-        that partition alone; ``nu * pairs`` is added after.  When the
-        parameters are large enough for a sum to leave the float range,
-        the pass raises ``ValueError``, with no numpy overflow warning:
-        ``effective_at``'s error when the worths of some set of active
-        units overflow at the partitions' objects, else ``unit weights
-        must be finite`` when a row overflows.
+        that partition alone; ``nu * pairs`` is added after.
         """
         features = [worth_features(X) for X in partitions]
         rows_of = {}  # object count -> the rows with it
@@ -162,24 +134,13 @@ class CFParams:
             rows_of.setdefault(len(items), []).append(row)
         logom = np.empty((len(features), self.n_hidden))
         groups = []
-        with np.errstate(over="ignore", invalid="ignore") if self._near_float_max else _UNGUARDED:
-            for n, rows in rows_of.items():
-                items = np.array([features[row][1] for row in rows])
-                coef = np.array([features[row][2] for row in rows]).reshape(len(rows), 1, n)
-                Wx = self.W.take(items, axis=0)  # the one gather of W[items] for this count
-                logom[rows] = np.matmul(coef, Wx)[:, 0]
-                groups.append((rows, items, Wx))
-            logom += np.array([[self.nu * pairs] for pairs, _, _ in features], dtype=float).reshape(-1, 1)
-            if self._near_float_max:
-                for _, items, Wx in groups:
-                    # with any active units, an item's worth lies between its worths with
-                    # the units where its W is positive and with those where it is negative
-                    # (the columns are summed left to right, and rounding is monotone)
-                    for extreme in (np.maximum(Wx, 0.0), np.minimum(Wx, 0.0)):
-                        self.effective_at((items.ravel(), extreme.reshape(items.size, self.n_hidden)),
-                                          range(self.n_hidden))
-                if not np.isfinite(logom).all():
-                    raise ValueError("unit weights must be finite")
+        for n, rows in rows_of.items():
+            items = np.array([features[row][1] for row in rows])
+            coef = np.array([features[row][2] for row in rows]).reshape(len(rows), 1, n)
+            Wx = self.W.take(items, axis=0)  # the one gather of W[items] for this count
+            logom[rows] = np.matmul(coef, Wx)[:, 0]
+            groups.append((rows, items, Wx))
+        logom += np.array([[self.nu * pairs] for pairs, _, _ in features], dtype=float).reshape(-1, 1)
         return logom, groups
 
     def _effective_nu(self, active: Sequence[int]) -> float:
@@ -201,10 +162,7 @@ class CFParams:
         from X's entry in the gathered rows of ``unit_weights``: a sweep over
         a user's items costs O(|items| |active|) whatever the catalog size.
         The worths are those of the catalog-wide model, summed in the same
-        grouping.  They are checked as ``WorthPairModel`` checks them, and
-        the split ratios of the worths as the kernel takes them, only when
-        the parameters are near the float range: elsewhere no such sum
-        overflows, and ``scale`` is at most 1."""
+        grouping."""
         items, Wx = gathered
         worths, nu = self.u[items], self.nu
         if active:
@@ -216,12 +174,7 @@ class CFParams:
             nu = self._effective_nu(active)
         if scale != 1.0:
             worths, nu = worths * scale, nu * scale
-        worths = worths.tolist()
-        if self._near_float_max:
-            if not (math.isfinite(nu) and all(map(math.isfinite, worths))):
-                raise ValueError("effective worths must be finite, nu finite")
-            return _GuardedLocalWorths(nu, dict(zip(items.tolist(), worths)))
-        return LocalWorths(nu, dict(zip(items.tolist(), worths)))
+        return LocalWorths(nu, dict(zip(items.tolist(), worths.tolist())))
 
     def copy(self) -> "CFParams":
         return CFParams(self.nu, self.u.copy(), self.W.copy())
@@ -516,7 +469,7 @@ def load_checkpoint(path: str) -> CFParams:
             return _parse_checkpoint([ln.rstrip("\n") for ln in fh if ln.strip()])
         except (IndexError, KeyError):
             raise ValueError(f"{path}: truncated checkpoint") from None
-        except ValueError as exc:  # a bad number, non-UTF-8 bytes, non-finite parameters
+        except ValueError as exc:  # a bad number, non-UTF-8 bytes, parameters out of range
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -232,11 +232,7 @@ def ais_log_z(m: CFParams, cfg: AISConfig) -> AISResult:
 
     log_sum = logsumexp(log_weights)
     log_z_estimate = log_z0 + log_sum - math.log(cfg.n_runs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_ess = 2.0 * log_sum - logsumexp(2.0 * log_weights)
-        if not math.isfinite(log_ess):  # doubled weights past the float range: shift by the top one
-            shifted = log_weights - log_weights.max()
-            log_ess = 2.0 * logsumexp(shifted) - logsumexp(2.0 * shifted)
+    log_ess = 2.0 * log_sum - logsumexp(2.0 * log_weights)
     # equal weights round a hair above R
     ess = min(float(np.exp(log_ess)), float(cfg.n_runs))
     return AISResult(float(log_z_estimate), log_weights, float(log_z0), ess)

@@ -11,7 +11,7 @@ import pytest
 
 from osmrank.cli import build_parser, main
 from osmrank.combinatorics import fubini
-from osmrank.learning import load_checkpoint
+from osmrank.learning import CFParams, load_checkpoint, save_checkpoint
 
 from oracles import parse_partition
 
@@ -189,6 +189,19 @@ class TestOracleCommand:
         assert "oracle needs one of --count, --enumerate, --exact-z, --marginals" in err[1]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--n", "9", "--count", "--exact-z"], 3),
+        (["--n", "9", "--count", "--enumerate"], 3),
+        (["--n", "3", "--count", "--exact-z", "--model", "four.ck"], 2),
+    ])
+    def test_failing_run_writes_nothing(self, argv, code, tmp_path, monkeypatch, capsys):
+        # the model and the cap are checked before the count is written
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint("four.ck", CFParams.zeros(4, 1))
+        assert main(["oracle", *argv, "--out", "o.txt"]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o.txt").exists()
+
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["oracle", "--n", "12", "--enumerate"]) == 3
         err = capsys.readouterr().err
@@ -354,60 +367,36 @@ class TestEstimateZCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(ck) in err
 
-    def test_effective_worths_past_the_float_range_are_data_error(self, tmp_path, capsys):
-        # every parameter is finite, but u + W[:, 0] + W[:, 1] overflows
-        ck = tmp_path / "huge.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 2\nnu 1e308\nu 1e308 1e308 1e308\n"
-                      + "W 1e308 1e308\n" * 3)
-        out = tmp_path / "z.txt"
-        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
-                                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
-        assert not out.exists()
-        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
+    # Checkpoints of finite parameters past the float bound, with n_items first.
+    # The first six once failed in different places (an effective worth, the
+    # worth of a drawn unit, a base weight, a split ratio, a unit weight) or
+    # reported ess=2.0 from shifted weights; the two leaks ran to log_z=inf and
+    # ess=nan with a numpy warning, and exit 0.
+    PAST_THE_FLOAT_BOUND = {
+        "effective-worths": (3, "K 2\nnu 1e308\nu 1e308 1e308 1e308\n" + "W 1e308 1e308\n" * 3),
+        "drawn-unit-worths": (2, "K 1\nnu 0\nu 1e308 1e308\nW 1e308\nW 1e308\n"),
+        "base-weights": (3, "K 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3),
+        "split-ratios": (3, "K 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3),
+        "unit-weights": (3, "K 1\nnu 0.0\nu 0.0 0.0 0.0\n" + "W 1e308\n" * 3),
+        "ess-of-wide-weights": (2, "K 0\nnu 0\nu 1.6e308 1.6e308\n"),
+        "leak-past-the-flag": (3, "K 2\nnu 0\nu 0 0 0\n" + "W 5e307 5e307\n" * 3),
+        "leak-below-the-flag": (3, "K 8\nnu 0\nu 0 0 0\n" + ("W" + " 9.9e306" * 8 + "\n") * 3),
+    }
 
-    def test_worths_of_a_drawn_unit_past_the_float_range_are_data_error(self, tmp_path, capsys):
-        # log Omega_0 of two singletons is 1e308, so the unit is drawn with probability 1,
-        # and u + W[:, 0] overflows: a sum that no unit weight shows
-        ck = tmp_path / "drawn.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 2\nK 1\nnu 0\nu 1e308 1e308\nW 1e308\nW 1e308\n")
-        out = tmp_path / "z.txt"
-        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
-                                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
-        assert not out.exists()
-        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3"]) == 2
-        assert capsys.readouterr().err == "osmrank: effective worths must be finite, nu finite\n"
-
-    def test_base_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
-        # u + W[:, 0] and every unit weight are finite, but log Omega of three
-        # singletons is 2e308 + 1e308
-        ck = tmp_path / "tall.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3)
-        out = tmp_path / "z.txt"
-        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
-                                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "osmrank: base weights must be finite\n"
-        assert not out.exists()
-        assert main_without_warnings(["oracle", "--n", "3", "--model", str(ck), "--exact-z",
-                                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "osmrank: base weights must be finite\n"
-
-    def test_split_ratios_past_the_float_range_are_data_error(self, tmp_path, capsys):
-        # the checkpoint above: no sweep computes a base weight, but a split
-        # of {0, 1, 2} into {0, 1} > {2} sums two worths of 1e308
-        ck = tmp_path / "tall.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0\nu 1e308 1e308 1e308\n" + "W 0\n" * 3)
-        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "30", "--thin", "5"]) == 2
-        assert capsys.readouterr().err == "osmrank: split ratios must be finite\n"
-
-    def test_unit_weights_past_the_float_range_are_data_error(self, tmp_path, capsys):
-        # u + W[:, 0] is finite, but log Omega_0 of three singletons is 2e308 + 1e308
-        ck = tmp_path / "steep.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 3\nK 1\nnu 0.0\nu 0.0 0.0 0.0\n" + "W 1e308\n" * 3)
-        assert main_without_warnings(["sample", "--model", str(ck), "--steps", "3"]) == 2
-        assert capsys.readouterr().err == "osmrank: unit weights must be finite\n"
+    @pytest.mark.parametrize("case", list(PAST_THE_FLOAT_BOUND))
+    def test_checkpoint_past_the_float_bound_is_data_error(self, case, tmp_path, capsys):
+        n, body = self.PAST_THE_FLOAT_BOUND[case]
+        ck = tmp_path / f"{case}.ck"
+        ck.write_text(f"osmrank-checkpoint 1\nn_items {n}\n{body}")
+        out = tmp_path / "out.txt"
+        for argv in (["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2"],
+                     ["sample", "--model", str(ck), "--steps", "30", "--thin", "5"],
+                     ["oracle", "--n", str(n), "--exact-z", "--model", str(ck)]):
+            assert main_without_warnings([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"osmrank: {ck}: parameters past the float bound: ")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("n_runs", [3, 10])
     def test_ess_of_equal_weights_is_the_run_count(self, n_runs, tmp_path):
@@ -416,19 +405,6 @@ class TestEstimateZCommand:
         assert main(["estimate-z", "--uniform", "--n", "4", "--n-temps", "3",
                      "--n-runs", str(n_runs), "--out", str(out)]) == 0
         assert f"ess={float(n_runs)!r}" in out.read_text().splitlines()
-
-    def test_ess_of_weights_past_half_the_float_range(self, tmp_path):
-        # both run weights are 1.6e308: doubling them leaves the float range,
-        # so the ratio is taken relative to the largest weight; equal weights
-        # give the run count
-        ck = tmp_path / "wide.ck"
-        ck.write_text("osmrank-checkpoint 1\nn_items 2\nK 0\nnu 0\nu 1.6e308 1.6e308\n")
-        out = tmp_path / "z.txt"
-        assert main_without_warnings(["estimate-z", "--model", str(ck), "--n-temps", "3", "--n-runs", "2",
-                                      "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[-2:] == ["run=0 log_weight=1.6e+308", "run=1 log_weight=1.6e+308"]
-        assert "ess=2.0" in lines
 
     def test_reports_runs(self, tmp_path):
         out = tmp_path / "z.txt"
@@ -658,6 +634,19 @@ class TestTrainOutput:
                      "--out", str(ck), "--log", str(log)]) == 2
         assert "no trainable users" in capsys.readouterr().err
         assert not log.exists() and not ck.exists()
+
+    def test_update_past_the_float_bound_writes_no_checkpoint(self, tmp_path, capsys):
+        # the one block of users at --lr 1e304 takes the largest |parameter| to
+        # ~9.7e304, past the bound of 20 items at K = 2 (~3.7e304)
+        data = make_ratings_file(tmp_path / "r.dat")
+        log, ck = tmp_path / "t.log", tmp_path / "m.ck"
+        assert main_without_warnings(["train", "--data", data, "--hidden", "2", "--lr", "1e304",
+                                      "--out", str(ck), "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("osmrank: parameters past the float bound: ")
+        assert not ck.exists()
+        assert log.read_text().startswith("# osmrank train seed=0 ")  # the header, kept
 
 
 class TestNonFiniteRatings:

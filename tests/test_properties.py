@@ -1,8 +1,10 @@
 """Property-based checks of the worth latent model and the training
 statistics against their definitions and the per-entry oracles."""
 
+import itertools
 import math
 import random
+import sys
 import warnings
 from unittest import mock
 
@@ -193,38 +195,81 @@ def test_block_unit_weights_are_the_per_partition_gemv(n, k, seed, data):
         assert Wx.tobytes() == m.W[items].tobytes()
 
 
-@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**32 - 1),
-       st.sampled_from([1e300, 1e306, 3e307, 1e308, 1.7e308]), st.data())
-def test_block_pass_refuses_exactly_the_sums_past_the_float_range(n, k, seed, top, data):
-    # the largest |parameter| decides whether a sum can overflow; the pass must
-    # refuse a model exactly when some drawable set of units, or a unit weight,
-    # takes a sum at X's objects past the float range, and warn about nothing
+FLOAT_BOUND = sys.float_info.max / 4  # the largest |parameter| times (K + 1) n_items^2 may not pass it
+
+
+def largest_accepted(n, k):
+    """The largest t with t (k + 1) n^2 <= FLOAT_BOUND in floats."""
+    factor = (k + 1) * n * n
+    t = FLOAT_BOUND / factor
+    while t * factor > FLOAT_BOUND:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) * factor <= FLOAT_BOUND:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place, up when positive."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def params_with_top(n, k, t, seed, parts):
+    """(nu, u, W) with every entry drawn from ``parts`` times t, and one
+    entry, of either sign, exactly t in size."""
     rng = np.random.default_rng(seed)
-    steps = [-1.0, -0.6, -0.3, 0.0, 0.3, 0.6, 1.0]  # few values, so sums cancel often
-    m = CFParams(*(top * rng.choice(steps, size) for size in ((), n, (n, k))))
-    X = data.draw(partitions(n, data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))))
-    items = reference_worth_features(X)[1]
-    with np.errstate(all="ignore"):
-        worths_past = False
-        for mask in range(2**k):
-            active = [unit for unit in range(k) if mask >> unit & 1]
-            hidden = sum((m.W[items, unit] for unit in active), np.zeros(len(items)))
-            nu = m.nu + sum(m.nu for _ in active)
-            worths_past |= not (np.isfinite(m.u[items] + hidden).all() and math.isfinite(nu))
-        weights_past = not np.isfinite(reference_unit_weights(m, X)).all()
+    flat = t * rng.choice(parts, 1 + n + n * k)
+    flat[rng.integers(flat.size)] = t * rng.choice([-1.0, 1.0])
+    return flat[0], flat[1 : 1 + n], flat[1 + n :].reshape(n, k)
+
+
+@given(st.integers(1, 40), st.integers(0, 12), st.integers(0, 2**32 - 1), st.data())
+def test_cfparams_refuses_exactly_the_parameters_past_the_float_bound(n, k, seed, data):
+    edge = largest_accepted(n, k)
+    t = data.draw(st.one_of(st.integers(-3, 3).map(lambda ulps: nudge(edge, ulps)),
+                            st.floats(edge / 2, edge * 2), st.floats(0.0, sys.float_info.max)))
+    nu, u, W = params_with_top(n, k, t, seed, [-1.0, -0.5, 0.0, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if worths_past:
-            with pytest.raises(ValueError, match="effective worths must be finite"):
-                m.unit_weights([X])
-        elif weights_past:
-            with pytest.raises(ValueError, match="unit weights must be finite"):
-                m.unit_weights([X])
+        if t * ((k + 1) * n * n) > FLOAT_BOUND:
+            with pytest.raises(ValueError, match="^parameters past the float bound: "):
+                CFParams(nu, u, W)
         else:
-            logom, gathered = m.unit_weights([X])
-            assert logom[0].tobytes() == reference_unit_weights(m, X).tobytes()
-            for mask in range(2**k):  # every sweep's model at X's objects is built without a warning
-                m.effective_at(gathered[0], [unit for unit in range(k) if mask >> unit & 1])
+            assert t <= edge
+            CFParams(nu, u, W)
+
+
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+def test_every_sum_at_the_float_bound_is_finite(n, k, seed, data):
+    # at the largest accepted |parameter|, with signs that add up or cancel,
+    # every sum the package forms stays finite, with no numpy warning
+    m = CFParams(*params_with_top(n, k, largest_accepted(n, k), seed, [-1.0, -0.5, 0.5, 1.0]))
+    X = data.draw(partitions(n, data.draw(st.permutations(range(n)))))
+    every = list(enumerate_ordered_partitions(n))
+    halves = []  # every (A, B) of disjoint non-empty sets of X's objects, each in sorted order
+    for sides in itertools.product(range(3), repeat=n):
+        A, B = ([x for x, side in zip(range(n), sides) if side == s] for s in (1, 2))
+        if A and B:
+            halves.append((A, B))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(m.unit_weights(every)[0]).all()
+        assert all(math.isfinite(m.base.log_weight(Y)) for Y in every)
+        gathered = m.unit_weights([X])[1][0]
+        for mask in range(2**k):
+            active = [unit for unit in range(k) if mask >> unit & 1]
+            for scale in (1.0, 0.5):
+                local = m.effective_at(gathered, active, scale)
+                assert math.isfinite(local.nu) and all(map(math.isfinite, local.worths.values()))
+                assert all(math.isfinite(local(A, B)) for A, B in halves)
+        assert math.isfinite(partition_function.exact_log_z(m))
+        if n <= 4:
+            with mock.patch.object(partition_function, "_cpu_count", return_value=1):
+                result = ais_log_z(m, AISConfig(3, 2, seed=seed))
+            assert np.isfinite(result.log_weights).all() and math.isfinite(result.log_z_estimate)
+            assert 0.0 < result.effective_sample_size <= 2.0
 
 
 @given(st.integers(1, 12).flatmap(partitions))
