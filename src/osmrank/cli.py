@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact counting/enumeration/Z utilities")
     p_oracle.add_argument("--n", type=_non_negative_int, required=True)
-    p_oracle.add_argument("--cap", type=_non_negative_int, default=8)
+    p_oracle.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
     p_oracle.add_argument("--count", action="store_true", help="print fubini(n)")
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.add_argument("--exact-z", action="store_true")

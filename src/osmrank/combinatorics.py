@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 __all__ = [
     "OrderedPartition",
@@ -77,13 +77,6 @@ class OrderedPartition:
         return X
 
     @staticmethod
-    def from_blocks(blocks: Sequence[Sequence[int]], n_objects: int | None = None) -> "OrderedPartition":
-        tup = tuple(tuple(sorted(b)) for b in blocks)
-        if n_objects is None:
-            n_objects = 1 + max((x for b in tup for x in b), default=-1)
-        return OrderedPartition(tup, n_objects)
-
-    @staticmethod
     def singletons(n: int) -> "OrderedPartition":
         return OrderedPartition(tuple((i,) for i in range(n)), n)
 
@@ -94,9 +87,6 @@ class OrderedPartition:
     @property
     def objects(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
-
-    def covers_universe(self) -> bool:
-        return sum(len(b) for b in self.blocks) == self.n_objects
 
     def block_of(self) -> dict[int, int]:
         """Map object index -> block index."""

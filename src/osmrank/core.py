@@ -8,8 +8,8 @@ model is ``WorthPairModel``: each item carries a log-worth, so log Omega(X)
 is nu times X's within-block pair count plus a weighted sum of the worths
 (``worth_features``).  The functions here read a model through
 ``n_objects``, ``log_tie(i, j)``, ``log_order(i, j)`` and ``log_weight(X)``
-only, so they also take the generic pair tables of ``tests/oracles.py``,
-the family the closed forms are checked against.
+only, so they also take the pair tables of ``tests/oracles.py`` that check
+the closed forms; a worth model's ``tables`` and ``scaled`` are there too.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class WorthPairModel:
     def log_order(self, i: int, j: int) -> float:
         return self.worth[i]
 
-    def scaled(self, factor: float) -> "WorthPairModel":
-        """Model with every log-potential multiplied by ``factor`` (tempering)."""
-        return WorthPairModel(self.nu * factor, self.worth * factor)
-
     def log_weight(self, X: OrderedPartition) -> float:
         """log Omega(X); ``log_weight(X, m)`` checks sizes first."""
         pairs, items, coef = worth_features(X)
@@ -75,13 +71,6 @@ class WorthPairModel:
         objects = list(objects)
         return LocalWorths(self.nu, dict(zip(objects, self.worth[np.array(objects, dtype=np.intp)].tolist())))
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (tie, order) log-potential tables; diagonals are ignored."""
-        half = 0.5 * self.worth
-        tie = self.nu + half[:, None] + half[None, :]
-        order = np.broadcast_to(self.worth[:, None], (self.n_objects, self.n_objects)).copy()
-        return tie, order
-
 
 class LocalWorths:
     """A worth model at a chain's objects: ``nu`` and ``worths``, a dict from
@@ -89,10 +78,10 @@ class LocalWorths:
 
     It is its own ``split_ratio``, so ``advance_partition`` takes it in place
     of the model: the kernel reads the two fields, folds each block's worths
-    once and keeps the sums.  Called with (A, B), it gives the closed form of
-    the pair sum: each (a, b) in A x B contributes (w_a - w_b) / 2 - nu, so the
+    once and keeps the sums.  Its ratio for (A, B) is the closed form of the
+    pair sum: each (a, b) in A x B contributes (w_a - w_b) / 2 - nu, so the
     ratio is (|B| sum_A w - |A| sum_B w) / 2 - nu |A||B|, each sum a left fold
-    in the order given, as in ``WorthPairModel.log_weight``.
+    in the order given, as in ``WorthPairModel.log_weight`` and the tests' ``local_ratio``.
     """
 
     __slots__ = ("nu", "worths")
@@ -103,16 +92,6 @@ class LocalWorths:
 
     def split_ratio(self, objects: Sequence[int]) -> "LocalWorths":
         return self
-
-    def __call__(self, A: Sequence[int], B: Sequence[int]) -> float:
-        w = self.worths
-        sum_a = sum_b = 0.0
-        for a in A:
-            sum_a += w[a]
-        for b in B:
-            sum_b += w[b]
-        na, nb = len(A), len(B)
-        return 0.5 * (nb * sum_a - na * sum_b) - self.nu * na * nb
 
 
 def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:

@@ -10,8 +10,9 @@ only, ``m.effective_at``.  The direct product, ``log_joint_weight``, is the
 tests' reference in ``tests/oracles.py``.
 
 The model ``m`` is ``learning.CFParams``, read only through ``base``,
-``log_omegas``, ``effective``, ``unit_weights`` and ``effective_at``, so the
-functions here also take the generic ``LatentModel`` of ``tests/oracles.py``.
+``log_omegas``, ``effective``, ``unit_weights`` and ``effective_at`` (never
+per unit: that is the tests' ``unit_models``), so the functions here also
+take the generic ``LatentModel`` of ``tests/oracles.py``.
 """
 
 from __future__ import annotations

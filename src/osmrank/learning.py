@@ -94,54 +94,38 @@ class CFParams:
     def n_hidden(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def hidden(self) -> tuple[WorthPairModel, ...]:
-        """Each unit as its own pair model, built on each access."""
-        return tuple(WorthPairModel(self.nu, self.W[:, k]) for k in range(self.n_hidden))
-
     def log_omegas(self, X: OrderedPartition) -> np.ndarray:
         """Vector of log Omega_k(X) over all hidden units."""
-        return self._unit_weight_groups([X])[0][0]
+        return self.unit_weights([X])[0][0]
 
     def unit_weights(
         self, partitions: Sequence[OrderedPartition]
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """``log_omegas`` of each partition, as the rows of a (B, K) array,
         and each partition's objects in block order with their rows of
-        ``W``, which ``effective_at`` takes."""
-        logom, groups = self._unit_weight_groups(partitions)
-        entries = [None] * len(logom)
-        for rows, items, Wx in groups:
-            for row, entry in zip(rows, zip(items, Wx)):
-                entries[row] = entry
-        return logom, entries
+        ``W``, which ``effective_at`` takes.
 
-    def _unit_weight_groups(
-        self, partitions: Sequence[OrderedPartition]
-    ) -> tuple[np.ndarray, list[tuple[list[int], np.ndarray, np.ndarray]]]:
-        """The rows of ``unit_weights``, and for each object count n the
-        indices of the partitions with n objects, their objects (B_n, n)
-        and those objects' rows of ``W`` (B_n, n, K).
-
-        Each count takes one gather of ``W[items]`` and one ``np.matmul``
-        of (B_n, 1, n) by (B_n, n, K), which runs the gemv
-        ``coef @ W[items]`` of each partition, so a row has the bits of
-        that partition alone; ``nu * pairs`` is added after.
+        The partitions are grouped by object count n.  Each count takes one
+        gather of ``W[items]`` and one ``np.matmul`` of (B_n, 1, n) by
+        (B_n, n, K), which runs the gemv ``coef @ W[items]`` of each
+        partition, so a row has the bits of that partition alone;
+        ``nu * pairs`` is added after.
         """
         features = [worth_features(X) for X in partitions]
         rows_of = {}  # object count -> the rows with it
         for row, (_, items, _) in enumerate(features):
             rows_of.setdefault(len(items), []).append(row)
         logom = np.empty((len(features), self.n_hidden))
-        groups = []
+        entries = [None] * len(features)
         for n, rows in rows_of.items():
             items = np.array([features[row][1] for row in rows])
             coef = np.array([features[row][2] for row in rows]).reshape(len(rows), 1, n)
             Wx = self.W.take(items, axis=0)  # the one gather of W[items] for this count
             logom[rows] = np.matmul(coef, Wx)[:, 0]
-            groups.append((rows, items, Wx))
+            for row, entry in zip(rows, zip(items, Wx)):
+                entries[row] = entry
         logom += np.array([[self.nu * pairs] for pairs, _, _ in features], dtype=float).reshape(-1, 1)
-        return logom, groups
+        return logom, entries
 
     def _effective_nu(self, active: Sequence[int]) -> float:
         extra = 0.0
@@ -401,7 +385,7 @@ def train(
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
             observed = [usable[ui] for ui in block]
-            flat = unit_posteriors(params._unit_weight_groups(observed)[0].ravel().tolist())
+            flat = unit_posteriors(params.unit_weights(observed)[0].ravel().tolist())
             posteriors = [flat[i * K : i * K + K] for i in range(len(block))]
             rows, gathered = params.unit_weights([chains[ui] for ui in block])
             states, hidden = [], []

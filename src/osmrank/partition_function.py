@@ -7,7 +7,7 @@ over forked processes (``_fill_log_weights``).  Every routine takes a
 ``CFParams`` (with K = 0, a plain worth model) and reads it only through
 ``n_objects``, ``n_hidden``, ``base``, ``log_omegas``, ``unit_weights`` and
 ``effective_at``, so the tests pass the generic ``LatentModel`` of
-``tests/oracles.py`` the same way.
+``tests/oracles.py`` the same way; tempering is ``effective_at``'s scale.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
+    DEFAULT_ENUMERATION_CAP,
     OrderedPartition,
     enumerate_ordered_partitions,
     fubini,
@@ -80,7 +81,7 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def exact_log_z(m: CFParams, cap: int = 8) -> float:
+def exact_log_z(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """log Z by full enumeration (oracle).
 
     The hidden units are summed out analytically via the prod_k (1 + Omega_k)
@@ -91,7 +92,9 @@ def exact_log_z(m: CFParams, cap: int = 8) -> float:
     return float(logsumexp(logs))
 
 
-def exact_distribution(m: CFParams, cap: int = 8) -> tuple[list[OrderedPartition], np.ndarray]:
+def exact_distribution(
+    m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[list[OrderedPartition], np.ndarray]:
     """All states with their exact probabilities (latent: X-marginal)."""
     states = list(enumerate_ordered_partitions(m.n_objects, cap))
     logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])

@@ -303,12 +303,10 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     order = np.argsort(entropy, kind="stable")
     keep_mask = np.ones(n_items, dtype=bool)
     keep_mask[order[:n_remove]] = False
-    keep_records = keep_mask[ds.items]
-    items = (np.cumsum(keep_mask) - 1)[ds.items[keep_records]]
-    kept_users, users = _present(np.zeros(ds.n_users, dtype=bool), ds.users[keep_records])
-    return replace(ds, users=users, items=items, ratings=ds.ratings[keep_records],
-                   user_ids=ds.user_ids[kept_users], item_ids=ds.item_ids[keep_mask],
-                   grades=ds.grades[keep_records])
+    kept = _subset(ds, keep_mask[ds.items])
+    kept_users, users = _present(np.zeros(ds.n_users, dtype=bool), kept.users)
+    return replace(kept, users=users, items=(np.cumsum(keep_mask) - 1)[kept.items],
+                   user_ids=ds.user_ids[kept_users], item_ids=ds.item_ids[keep_mask])
 
 
 @dataclass

@@ -191,12 +191,12 @@ def advance_partition(
     ``m.split_ratio(objects)``, and a merge's is the negated split ratio of
     the two blocks.  A worth model's ratio is a ``LocalWorths`` (``m`` may
     be one): its closed form is evaluated here, each side's worths folded
-    left to right in sorted order as ``LocalWorths`` folds them, and each
-    block keeps its sum until a move changes it, so a merge reads two kept
-    sums.  Any other ratio, such as that of the tests' pair tables, is
-    called with the two halves.  One ``OrderedPartition`` is built on
-    return, unchecked since it is valid by construction, and none when no
-    move was accepted.
+    left to right in sorted order as ``local_ratio`` of ``tests/oracles.py``
+    folds them, and each block keeps its sum until a move changes it, so a
+    merge reads two kept sums.  Any other ratio, such as that of the tests'
+    pair tables, is called with the two halves.  One ``OrderedPartition`` is
+    built on return, unchecked since it is valid by construction, and none
+    when no move was accepted.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

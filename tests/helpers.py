@@ -351,6 +351,8 @@ def reference_ais_log_weights(m, cfg):
     from osmrank.partition_function import _softplus, temperature_ladder
     from osmrank.sampler import advance_partition
 
+    from oracles import scaled
+
     seed_src = random.Random(cfg.seed)
     run_seeds = [seed_src.randrange(2**63) for _ in range(cfg.n_runs)]
     steps = cfg.inner_steps if cfg.inner_steps is not None else m.n_objects
@@ -364,7 +366,7 @@ def reference_ais_log_weights(m, cfg):
             t_hi, t_lo = taus[s], taus[s - 1]
             if s > 1:
                 h = sample_hidden(logom, run_rng, temperature=t_lo)
-                X = advance_partition(X, effective_pair_model(h, m).scaled(t_lo), run_rng, steps)
+                X = advance_partition(X, scaled(effective_pair_model(h, m), t_lo), run_rng, steps)
             logom = m.log_omegas(X)
             logw += (t_hi - t_lo) * log_weight(X, m.base)
             for lo in logom:

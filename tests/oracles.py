@@ -13,6 +13,14 @@ text, and rank reconstruction from a posterior.  They are small-size references 
 paths are checked against.  The pair tables go through the production
 kernel and partition functions unchanged, which read a model by its
 methods only.
+
+The views of the production types that only tests take are plain
+functions here, moved from their methods: ``from_blocks`` and
+``covers_universe`` of an ``OrderedPartition``, ``tables`` and ``scaled``
+of a worth model (a pair table keeps its own methods, which they call),
+``unit_models`` of a ``CFParams`` or ``LatentModel``, and ``local_ratio``,
+the closed form of a ``LocalWorths`` split ratio that the kernel evaluates
+inline.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from osmrank.combinatorics import (
     log_fubini_asymptotic,
 )
 from osmrank.core import (
+    LocalWorths,
     WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
@@ -75,10 +84,21 @@ def fubini_asymptotic(n: int) -> float:
     return math.exp(log_value)
 
 
+def from_blocks(blocks: Sequence[Sequence[int]], n_objects: int | None = None) -> OrderedPartition:
+    tup = tuple(tuple(sorted(b)) for b in blocks)
+    if n_objects is None:
+        n_objects = 1 + max((x for b in tup for x in b), default=-1)
+    return OrderedPartition(tup, n_objects)
+
+
+def covers_universe(X: OrderedPartition) -> bool:
+    return sum(len(b) for b in X.blocks) == X.n_objects
+
+
 def parse_partition(text: str, n_objects: int | None = None) -> OrderedPartition:
     """Decode the '>'/',' text form; item order inside a block is irrelevant."""
     blocks = [[int(tok) for tok in part.split(",")] for part in text.strip().split(">")]
-    return OrderedPartition.from_blocks(blocks, n_objects)
+    return from_blocks(blocks, n_objects)
 
 
 # osmrank.sampler: the proposal-object MH step and the exact kernel
@@ -275,6 +295,44 @@ def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairMod
     return mdl
 
 
+def scaled(m: WorthPairModel | PairPotentialModel, factor: float) -> WorthPairModel | PairPotentialModel:
+    """Model with every log-potential multiplied by ``factor`` (tempering);
+    a pair table scales itself."""
+    if not isinstance(m, WorthPairModel):
+        return m.scaled(factor)
+    return WorthPairModel(m.nu * factor, m.worth * factor)
+
+
+def tables(m: WorthPairModel | PairPotentialModel) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (tie, order) log-potential tables; diagonals are ignored.  A
+    pair table gives its own."""
+    if not isinstance(m, WorthPairModel):
+        return m.tables()
+    half = 0.5 * m.worth
+    tie = m.nu + half[:, None] + half[None, :]
+    order = np.broadcast_to(m.worth[:, None], (m.n_objects, m.n_objects)).copy()
+    return tie, order
+
+
+def local_ratio(
+    ratio: LocalWorths | Callable[[Sequence[int], Sequence[int]], float], A: Sequence[int], B: Sequence[int]
+) -> float:
+    """The log weight ratio of a ``split_ratio`` result for splitting a block
+    into A ranked just above B.  A ``LocalWorths`` gives the closed form of
+    the pair sum, each sum a left fold in the order given, as the kernel
+    folds it; a pair table's ratio is called."""
+    if not isinstance(ratio, LocalWorths):
+        return ratio(A, B)
+    w = ratio.worths
+    sum_a = sum_b = 0.0
+    for a in A:
+        sum_a += w[a]
+    for b in B:
+        sum_b += w[b]
+    na, nb = len(A), len(B)
+    return 0.5 * (nb * sum_a - na * sum_b) - ratio.nu * na * nb
+
+
 def uniform_pair_model(n: int) -> WorthPairModel:
     """All potentials 1 (log 0): every ordered partition equally weighted.
     This is the worth model with nu = 0 and every worth 0, so it takes O(n)
@@ -381,9 +439,9 @@ class LatentModel:
 
     def effective(self, active: Sequence[int]) -> PairPotentialModel:
         """The base potentials plus those of the hidden units indexed by ``active``."""
-        tie, order = (table.copy() for table in self.base.tables())
+        tie, order = (table.copy() for table in tables(self.base))
         for k in active:
-            ht, ho = self.hidden[k].tables()
+            ht, ho = tables(self.hidden[k])
             tie += ht
             order += ho
         return _unchecked_matrix_model(tie, order)
@@ -399,7 +457,15 @@ class LatentModel:
         the effective model (the base when none is active), its
         log-potentials times ``scale``."""
         m = self.effective(active) if active else self.base
-        return m if scale == 1.0 else m.scaled(scale)
+        return m if scale == 1.0 else scaled(m, scale)
+
+
+def unit_models(m: CFParams | LatentModel) -> tuple[WorthPairModel | PairPotentialModel, ...]:
+    """Each hidden unit as its own pair model: a ``CFParams`` unit k is
+    ``WorthPairModel(nu, W[:, k])``, built on each call."""
+    if isinstance(m, LatentModel):
+        return m.hidden
+    return tuple(WorthPairModel(m.nu, m.W[:, k]) for k in range(m.n_hidden))
 
 
 def sigmoid(x: float) -> float:
@@ -409,13 +475,13 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: LatentModel) -> float:
+def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: CFParams | LatentModel) -> float:
     """log of Omega(X) * prod_k Omega_k(X)^{h_k}."""
     h = np.asarray(h)
     if h.shape != (m.n_hidden,):
         raise ValueError(f"hidden state must have shape ({m.n_hidden},)")
     total = log_weight(X, m.base)
-    for hk, hm in zip(h, m.hidden):
+    for hk, hm in zip(h, unit_models(m)):
         if hk:
             total += log_weight(X, hm)
     return total
@@ -473,7 +539,7 @@ def _cf_log_weights(p: CFParams, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _require_dense_cover(data: Sequence[OrderedPartition], n_items: int, what: str) -> None:
     for X in data:
-        if X.n_objects != n_items or not X.covers_universe():
+        if X.n_objects != n_items or not covers_universe(X):
             raise ValueError(f"{what} requires partitions covering all {n_items} items")
 
 

@@ -19,6 +19,7 @@ from helpers import gibbs_sweep, random_latent_model
 from oracles import (
     LatentModel,
     MatrixPairModel,
+    from_blocks,
     log_joint_weight,
     sigmoid,
     transition_matrix,
@@ -27,7 +28,7 @@ from oracles import (
 
 
 def P(*blocks):
-    return OrderedPartition.from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
+    return from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
 
 
 def uniform_latent(n, k):
@@ -282,8 +283,8 @@ class TestLatentRepresentation:
 
     def test_within_block_listing_invariance(self):
         m = random_latent_model(4, 2, seed=13)
-        a = OrderedPartition.from_blocks([[3, 0], [2, 1]], 4)
-        b = OrderedPartition.from_blocks([[0, 3], [1, 2]], 4)
+        a = from_blocks([[3, 0], [2, 1]], 4)
+        b = from_blocks([[0, 3], [1, 2]], 4)
         np.testing.assert_array_equal(hidden_posterior(a, m), hidden_posterior(b, m))
 
 

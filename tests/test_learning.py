@@ -25,15 +25,17 @@ from helpers import gibbs_sweep
 from oracles import (
     exact_gradient,
     exact_log_likelihood,
+    from_blocks,
     log_joint_weight,
     sample_partitions_exact,
     state_features,
     sufficient_stats,
+    unit_models,
 )
 
 
 def P(*blocks):
-    return OrderedPartition.from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
+    return from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
 
 
 def random_params(n, k, seed, scale=0.6):
@@ -61,7 +63,7 @@ class TestCfLatentModel:
                 if i != j:
                     assert m.base.log_tie(i, j) == 0.0
                     assert m.base.log_order(i, j) == 0.0
-                    for hm in m.hidden:
+                    for hm in unit_models(m):
                         assert hm.log_tie(i, j) == 0.0
 
     def test_formula_plug_in(self):
@@ -69,9 +71,9 @@ class TestCfLatentModel:
         # tie(0,1) = (2+0)/2 = 1, order(0>1) = 2
         p = CFParams(0.0, np.zeros(2), np.array([[2.0], [0.0]]))
         m = cf_latent_model(p)
-        assert m.hidden[0].log_tie(0, 1) == pytest.approx(1.0)
-        assert m.hidden[0].log_order(0, 1) == pytest.approx(2.0)
-        assert m.hidden[0].log_order(1, 0) == pytest.approx(0.0)
+        assert unit_models(m)[0].log_tie(0, 1) == pytest.approx(1.0)
+        assert unit_models(m)[0].log_order(0, 1) == pytest.approx(2.0)
+        assert unit_models(m)[0].log_order(1, 0) == pytest.approx(0.0)
 
     def test_tie_symmetry_random(self):
         p = random_params(5, 3, seed=0)
@@ -80,14 +82,14 @@ class TestCfLatentModel:
             for j in range(5):
                 if i != j:
                     assert m.base.log_tie(i, j) == pytest.approx(m.base.log_tie(j, i))
-                    for hm in m.hidden:
+                    for hm in unit_models(m):
                         assert hm.log_tie(i, j) == pytest.approx(hm.log_tie(j, i))
 
     def test_shared_nu(self):
         p = random_params(3, 2, seed=1)
         m = cf_latent_model(p)
         assert m.base.nu == p.nu
-        for hm in m.hidden:
+        for hm in unit_models(m):
             assert hm.nu == p.nu
 
 
@@ -406,9 +408,9 @@ class TestTrainMatchesReference:
             items = rng.sample(range(n_items), size)
             labels = [rng.randrange(size) for _ in items]
             blocks = [[x for x, b in zip(items, labels) if b == t] for t in sorted(set(labels))]
-            data.append(OrderedPartition.from_blocks(blocks, n_items))
+            data.append(from_blocks(blocks, n_items))
         # 25 tied items: the kernel splits the block through sample's set path (over 21 objects)
-        data.insert(5, OrderedPartition.from_blocks([rng.sample(range(n_items), 25)], n_items))
+        data.insert(5, from_blocks([rng.sample(range(n_items), 25)], n_items))
         return data
 
     @pytest.mark.parametrize("l2", [0.0, 0.1])

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import logsumexp
 
 from osmrank import partition_function
-from osmrank.combinatorics import EnumerationCapError, OrderedPartition, fubini
+from osmrank.combinatorics import EnumerationCapError, fubini
 from osmrank.core import log_weight
 from osmrank.partition_function import (
     AISConfig,
@@ -23,11 +23,11 @@ from osmrank.partition_function import (
 )
 
 from helpers import random_latent_model, random_matrix_model, reference_ais_log_weights
-from oracles import LatentModel, as_latent, log_joint_weight, uniform_pair_model
+from oracles import LatentModel, as_latent, from_blocks, log_joint_weight, uniform_pair_model
 
 
 def P(*blocks):
-    return OrderedPartition.from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
+    return from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
 
 
 def uniform_latent(n, k):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import by_user, random_latent_model, reference_load_ratings
-from oracles import from_graded_ratings, reconstruct_rank
+from oracles import from_blocks, from_graded_ratings, reconstruct_rank
 from osmrank.combinatorics import OrderedPartition
 from osmrank.core import worth_features
 from osmrank.learning import CFParams, cf_latent_model
@@ -729,8 +729,8 @@ class TestCompleteRank:
         rng = np.random.default_rng(1)
         p = CFParams(0.2, rng.normal(size=6), rng.normal(size=(6, 3)))
         m = cf_latent_model(p)
-        a = OrderedPartition.from_blocks([[2, 0], [1]], 6)
-        b = OrderedPartition.from_blocks([[0, 2], [1]], 6)
+        a = from_blocks([[2, 0], [1]], 6)
+        b = from_blocks([[0, 2], [1]], 6)
         assert complete_rank(a, [3, 4, 5], m) == complete_rank(b, [3, 4, 5], m)
 
     def test_general_model_matches_worth_fast_path(self):
@@ -742,11 +742,11 @@ class TestCompleteRank:
         # the pair-sum definition on tabulated potentials:
         # score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)]
         from osmrank.latent import hidden_posterior
-        from oracles import LatentModel, MatrixPairModel
+        from oracles import LatentModel, MatrixPairModel, tables, unit_models
 
         mats = LatentModel(
-            MatrixPairModel(*m.base.tables()),
-            [MatrixPairModel(*hm.tables()) for hm in m.hidden],
+            MatrixPairModel(*tables(m.base)),
+            [MatrixPairModel(*tables(hm)) for hm in unit_models(m)],
         )
         p_seen = hidden_posterior(seen, mats)
         order = mats.base.order + sum(pk * hm.order for pk, hm in zip(p_seen, mats.hidden))

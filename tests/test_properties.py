@@ -27,7 +27,18 @@ from helpers import (
     reference_user_partitions,
     reference_worth_features,
 )
-from oracles import LatentModel, MatrixPairModel, log_joint_weight, sigmoid
+from oracles import (
+    LatentModel,
+    MatrixPairModel,
+    covers_universe,
+    from_blocks,
+    local_ratio,
+    log_joint_weight,
+    scaled,
+    sigmoid,
+    tables,
+    unit_models,
+)
 from osmrank import partition_function
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
 from osmrank.core import WorthPairModel, log_weight, worth_features
@@ -75,7 +86,7 @@ def worth_latent_cases(draw):
     n_seen = draw(st.integers(1, n - 1))
     labels = draw(st.lists(st.integers(0, n_seen - 1), min_size=n_seen, max_size=n_seen))
     blocks = [[i for i, b in zip(items, labels) if b == t] for t in sorted(set(labels))]
-    X = OrderedPartition.from_blocks(blocks, n)
+    X = from_blocks(blocks, n)
     h = np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.int8)
     return m, X, items[n_seen:], h
 
@@ -84,7 +95,7 @@ def worth_latent_cases(draw):
 def test_worth_latent_model_matches_its_definitions(case):
     m, X, unseen, h = case
     close = dict(rel=1e-12, abs=1e-9)
-    hidden = m.hidden
+    hidden = unit_models(m)
     assert m.log_omegas(X).tolist() == pytest.approx([log_weight(X, hm) for hm in hidden], **close)
     assert log_weight(X, effective_pair_model(h, m)) == pytest.approx(log_joint_weight(X, h, m), **close)
 
@@ -92,9 +103,9 @@ def test_worth_latent_model_matches_its_definitions(case):
     assert np.array_equal(effective_pair_model(h, m).worth, m.u + sum(m.W[:, k] for k in active))
 
     # score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)] on the tables
-    tables = LatentModel(MatrixPairModel(*m.base.tables()), [MatrixPairModel(*hm.tables()) for hm in hidden])
-    p = hidden_posterior(X, tables)
-    order = tables.base.order + sum(pk * hm.order for pk, hm in zip(p, tables.hidden))
+    mats = LatentModel(MatrixPairModel(*tables(m.base)), [MatrixPairModel(*tables(hm)) for hm in hidden])
+    p = hidden_posterior(X, mats)
+    order = mats.base.order + sum(pk * hm.order for pk, hm in zip(p, mats.hidden))
     seen = list(X.objects)
     ranking = complete_rank(X, unseen, m)
     assert sorted(ranking.items) == sorted(unseen)
@@ -111,7 +122,7 @@ def partitions(draw, n, objects=None):
     labels = draw(st.lists(st.integers(0, max(0, len(objects) - 1)), min_size=len(objects),
                            max_size=len(objects)))
     blocks = [[x for x, b in zip(objects, labels) if b == t] for t in sorted(set(labels))]
-    return OrderedPartition.from_blocks(blocks, n)
+    return from_blocks(blocks, n)
 
 
 @st.composite
@@ -166,7 +177,7 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     X = data.draw(partitions(n, data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))))
     scale = data.draw(st.sampled_from([1.0, *temperature_ladder(AISConfig(7, 1)).tolist()[1:-1]]))
     want = full if active else m.base
-    want = want if scale == 1.0 else want.scaled(scale)
+    want = want if scale == 1.0 else scaled(want, scale)
     logom, gathered = m.unit_weights([X])
     assert logom[0].tobytes() == m.log_omegas(X).tobytes()
     local = m.effective_at(gathered[0], active, scale)
@@ -176,7 +187,8 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     assert np.float64(local.nu).tobytes() == np.float64(want.nu).tobytes()
     cut = data.draw(st.integers(1, len(objects) - 1))
     A, B = objects[:cut], objects[cut:]
-    assert np.float64(local(A, B)).tobytes() == np.float64(want.split_ratio(objects)(A, B)).tobytes()
+    assert np.float64(local_ratio(local, A, B)).tobytes() == np.float64(
+        local_ratio(want.split_ratio(objects), A, B)).tobytes()
 
 
 @given(st.integers(25, 40), st.sampled_from([0, 1, 10]), st.integers(0, 2**32 - 1), st.data())
@@ -263,7 +275,7 @@ def test_every_sum_at_the_float_bound_is_finite(n, k, seed, data):
             for scale in (1.0, 0.5):
                 local = m.effective_at(gathered, active, scale)
                 assert math.isfinite(local.nu) and all(map(math.isfinite, local.worths.values()))
-                assert all(math.isfinite(local(A, B)) for A, B in halves)
+                assert all(math.isfinite(local_ratio(local, A, B)) for A, B in halves)
         assert math.isfinite(partition_function.exact_log_z(m))
         if n <= 4:
             with mock.patch.object(partition_function, "_cpu_count", return_value=1):
@@ -356,14 +368,14 @@ def test_kernel_and_uniform_outputs_pass_the_checks(X, seed, steps):
     assert Y.objects == X.objects
     U = sample_uniform_ordered_partition(X.n_objects, random.Random(seed))
     assert_checked_build_equal(U)
-    assert U.covers_universe()
+    assert covers_universe(U)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_enumerated_partitions_pass_the_checks(n):
     for X in enumerate_ordered_partitions(n):
         assert_checked_build_equal(X)
-        assert X.covers_universe()
+        assert covers_universe(X)
 
 
 HALF_STARS = [0.5 * s for s in range(1, 11)]

@@ -37,11 +37,19 @@ from osmrank.sampler import (
 )
 
 from helpers import FakeRng, random_matrix_model
-from oracles import _single_move, stirling2, transition_matrix, uniform_pair_model
+from oracles import (
+    _single_move,
+    from_blocks,
+    local_ratio,
+    scaled,
+    stirling2,
+    transition_matrix,
+    uniform_pair_model,
+)
 
 
 def P(*blocks):
-    return OrderedPartition.from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
+    return from_blocks(blocks, n_objects=max(x for b in blocks for x in b) + 1)
 
 
 def exact_pi(m):
@@ -327,10 +335,10 @@ class TestModelRatios:
             ratio = m.split_ratio([x for b in X.blocks for x in b])
             for t, block in enumerate(X.blocks):
                 for A, B in bipartitions(block):
-                    assert ratio(A, B) == pytest.approx(log_ratio_split(X, t, (A, B), m), abs=1e-12)
+                    assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, t, (A, B), m), abs=1e-12)
                     checked += 1
                 if t + 1 < X.n_blocks:
-                    merged = -ratio(block, X.blocks[t + 1])
+                    merged = -local_ratio(ratio, block, X.blocks[t + 1])
                     assert merged == pytest.approx(log_ratio_merge(X, t, m), abs=1e-12)
                     checked += 1
         assert checked or n == 1
@@ -338,11 +346,11 @@ class TestModelRatios:
     def test_worth_ratio_over_catalog_subset(self):
         # per-user chains hold a few items of a larger catalog
         m = worth_model(40, seed=9)
-        X = OrderedPartition.from_blocks([[3, 17, 30], [8], [12, 39]], n_objects=40)
+        X = from_blocks([[3, 17, 30], [8], [12, 39]], n_objects=40)
         ratio = m.split_ratio([3, 17, 30, 8, 12, 39])
         for A, B in bipartitions((3, 17, 30)):
-            assert ratio(A, B) == pytest.approx(log_ratio_split(X, 0, (A, B), m), abs=1e-12)
-        assert -ratio((8,), (12, 39)) == pytest.approx(log_ratio_merge(X, 1, m), abs=1e-12)
+            assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, 0, (A, B), m), abs=1e-12)
+        assert -local_ratio(ratio, (8,), (12, 39)) == pytest.approx(log_ratio_merge(X, 1, m), abs=1e-12)
 
 
 def reference_run(X, m, rng, moves, stats):
@@ -359,12 +367,12 @@ def reference_run(X, m, rng, moves, stats):
 
 def uniform_start(m, objects):
     start = sample_uniform_ordered_partition(len(objects), random.Random(1))
-    return OrderedPartition.from_blocks([[objects[x] for x in b] for b in start.blocks], m.n_objects)
+    return from_blocks([[objects[x] for x in b] for b in start.blocks], m.n_objects)
 
 
 def one_block_start(m, objects):
     # every object tied: sample(block, 2) takes its set path while a block holds over 21 objects
-    return OrderedPartition.from_blocks([objects], m.n_objects)
+    return from_blocks([objects], m.n_objects)
 
 
 def tempered_start(m, objects):
@@ -395,7 +403,7 @@ def sweep_cases(draw):
         cfg = AISConfig(n_temperatures=draw(st.integers(2, 50)), n_runs=1,
                         schedule=draw(st.sampled_from(["linear", "geometric"])))
         tau = draw(st.sampled_from(temperature_ladder(cfg)[1:].tolist()))
-        ref = params.effective(active).scaled(tau)
+        ref = scaled(params.effective(active), tau)
     X = (one_block_start if one_block else uniform_start)(ref, random.Random(seed).sample(range(n), size))
     if kind == "effective-at":
         return params.effective_at(params.unit_weights([X])[1][0], active, tau), ref, X
@@ -503,7 +511,7 @@ class TestArrayKernel:
     def test_log_table_grows_to_the_chain_object_count(self):
         sampler._LOG = sampler._LOG[:2]  # any prefix of the table is valid; the kernel grows it on demand
         m = worth_model(100, seed=7)
-        X = OrderedPartition.from_blocks([range(30)], 100)  # a 30-object chain over 100 items
+        X = from_blocks([range(30)], 100)  # a 30-object chain over 100 items
         stats = MoveStats()
         advance_partition(X, m, random.Random(0), 3000, stats)
         assert stats.split_accepted and stats.merge_accepted
@@ -535,11 +543,11 @@ def kernel_cases(draw):
     else:
         labels = draw(st.lists(st.integers(0, len(objects) - 1), min_size=len(objects), max_size=len(objects)))
         blocks = [[x for x, b in zip(objects, labels) if b == t] for t in sorted(set(labels))]
-    return m, ref, OrderedPartition.from_blocks(blocks, n)
+    return m, ref, from_blocks(blocks, n)
 
 
 @given(kernel_cases(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 80), min_size=1, max_size=4))
-@example((lambda ref: (ref, ref, OrderedPartition.from_blocks([range(22)], 40)))(  # ties persist at nu = 0.33
+@example((lambda ref: (ref, ref, from_blocks([range(22)], 40)))(  # ties persist at nu = 0.33
     WorthPairModel(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40))), 5, [500, 500])
 def test_kernel_trajectory_is_the_reference_chain(case, seed, chunks):
     m, ref, X = case
