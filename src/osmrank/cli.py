@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import math
+import os
 import random
 import sys
 import warnings
@@ -212,7 +212,7 @@ def cmd_sample(args) -> int:
                 if sweep > burn and (sweep - burn) % cfg.thin == 0:
                     print(format_partition(X), file=out)
         else:
-            samples, _ = run_chain(OrderedPartition.singletons(n), model.base, cfg)
+            samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
             for X in samples:
                 print(format_partition(X), file=out)
     return EXIT_OK
@@ -386,14 +386,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     """The ``osmrank`` program (``python -m osmrank.cli`` too): ``main`` on
-    the command line, then exit with its code.  ``gc.freeze`` first moves
-    every object into the collector's permanent generation, so the
-    interpreter's final collections do not walk all that numpy and osmrank
-    made.  Nothing waits on them: every output file is already closed by its
-    ``with`` block."""
+    the command line, then a flush of stdout and stderr and ``os._exit`` with
+    its code, skipping the interpreter's teardown (every output file is
+    already closed by its ``with`` block).  A stdout closed at that flush is
+    a broken pipe, as one inside ``main`` is: one message line and exit 2."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"osmrank: {exc}", file=sys.stderr)
+        code = EXIT_DATA
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@ The unnormalized weight of a partition X factorizes over object pairs:
 a symmetric tie potential phi(x_i ~ x_j) for objects sharing a block and
 an order potential psi(x_i > x_j) for objects in distinct blocks, with
 i's block ranked above j's.  Everything lives in the log domain.  The
-model is ``WorthPairModel``: each item carries a log-worth, so log Omega(X)
-is nu times X's within-block pair count plus a weighted sum of the worths
-(``worth_features``).  The functions here read a model through
-``n_objects``, ``log_tie(i, j)``, ``log_order(i, j)`` and ``log_weight(X)``
-only, so they also take the pair tables of ``tests/oracles.py`` that check
-the closed forms; a worth model's ``tables`` and ``scaled`` are there too.
+model is ``learning.CFParams``: each item carries a log-worth, so log
+Omega(X) is nu times X's within-block pair count plus a weighted sum of
+the worths (``worth_features``).  The functions here read a model through
+``n_objects``, ``log_weight(X)``, ``log_tie(i, j)`` and ``log_order(i, j)``
+only; the last two are those of the pair tables in ``tests/oracles.py``,
+which check the closed forms (a worth model's ``tables`` are there too).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .combinatorics import OrderedPartition
 
 __all__ = [
-    "WorthPairModel",
     "log_weight",
     "log_ratio_split",
     "log_ratio_merge",
@@ -31,45 +30,6 @@ __all__ = [
     "LocalWorths",
     "logsumexp",
 ]
-
-
-class WorthPairModel:
-    """Per-item worth parameterization used by the collaborative-ranking model.
-
-    Each item i carries a log-worth w_i; ties get ``nu + (w_i + w_j) / 2``
-    (compatible items have positively correlated worths) and orderings get
-    the winner's worth ``w_i``.
-    """
-
-    def __init__(self, nu: float, worth: np.ndarray):
-        worth = np.asarray(worth, dtype=float)
-        if worth.ndim != 1 or not np.isfinite(worth).all() or not np.isfinite(nu):
-            raise ValueError("worth must be a finite 1-d vector, nu finite")
-        self.nu = float(nu)
-        self.worth = worth
-        self.n_objects = worth.shape[0]
-
-    def log_tie(self, i: int, j: int) -> float:
-        return self.nu + 0.5 * (self.worth[i] + self.worth[j])
-
-    def log_order(self, i: int, j: int) -> float:
-        return self.worth[i]
-
-    def log_weight(self, X: OrderedPartition) -> float:
-        """log Omega(X); ``log_weight(X, m)`` checks sizes first."""
-        pairs, items, coef = worth_features(X)
-        # a left fold in block order: seeded AIS outputs depend on its rounding,
-        # and the builtin float sum is compensated from Python 3.12
-        total = 0.0
-        for term in (self.worth[items] * coef).tolist():
-            total += term
-        return self.nu * pairs + total
-
-    def split_ratio(self, objects: Sequence[int]) -> "LocalWorths":
-        """The worths of ``objects``, gathered once, with nu: the closed form
-        of the pair sum (see ``LocalWorths``)."""
-        objects = list(objects)
-        return LocalWorths(self.nu, dict(zip(objects, self.worth[np.array(objects, dtype=np.intp)].tolist())))
 
 
 class LocalWorths:
@@ -81,7 +41,7 @@ class LocalWorths:
     once and keeps the sums.  Its ratio for (A, B) is the closed form of the
     pair sum: each (a, b) in A x B contributes (w_a - w_b) / 2 - nu, so the
     ratio is (|B| sum_A w - |A| sum_B w) / 2 - nu |A||B|, each sum a left fold
-    in the order given, as in ``WorthPairModel.log_weight`` and the tests' ``local_ratio``.
+    in the order given, as in ``CFParams.log_weight`` and the tests' ``local_ratio``.
     """
 
     __slots__ = ("nu", "worths")
@@ -153,7 +113,7 @@ def _fill_worth_features(partitions: Sequence[OrderedPartition]) -> None:
         object.__setattr__(X, "_feature_coef", coef[start:stop])
 
 
-def log_weight(X: OrderedPartition, m: WorthPairModel) -> float:
+def log_weight(X: OrderedPartition, m) -> float:
     """log Omega(X): tie terms over within-block pairs plus order terms over
     all cross-block pairs (higher-ranked object first)."""
     if X.n_objects != m.n_objects:
@@ -178,7 +138,7 @@ def log_ratio_split(
     X: OrderedPartition,
     t: int,
     assignment: tuple[Sequence[int], Sequence[int]],
-    m: WorthPairModel,
+    m,
 ) -> float:
     """log of the weight ratio Omega(X') / Omega(X) for splitting block t
     into (A, B), A ranked just above B.
@@ -202,7 +162,7 @@ def log_ratio_split(
     return total
 
 
-def log_ratio_merge(X: OrderedPartition, t: int, m: WorthPairModel) -> float:
+def log_ratio_merge(X: OrderedPartition, t: int, m) -> float:
     """log weight ratio for merging consecutive blocks t and t+1 (inverse split)."""
     if t + 1 >= X.n_blocks:
         raise ValueError("merge needs a successor block")

@@ -4,13 +4,13 @@ Each of the K hidden units gates a full extra set of pairwise potentials:
 the joint weight is Omega(X) * prod_k Omega_k(X)^{h_k}.  Posteriors over
 h factorize and are available in closed form, so inference alternates an
 exact Gibbs draw of h | X with split-merge MH moves on X | h, which run on
-the one pair model whose weight is the joint weight,
+the model with no hidden units whose weight is the joint weight,
 ``effective_pair_model(h, m)``; a sweep takes it at the chain's objects
 only, ``m.effective_at``.  The direct product, ``log_joint_weight``, is the
 tests' reference in ``tests/oracles.py``.
 
-The model ``m`` is ``learning.CFParams``, read only through ``base``,
-``log_omegas``, ``effective``, ``unit_weights`` and ``effective_at`` (never
+The model ``m`` is ``learning.CFParams``, read only through ``log_omegas``,
+``effective``, ``unit_weights`` and ``effective_at`` (never
 per unit: that is the tests' ``unit_models``), so the functions here also
 take the generic ``LatentModel`` of ``tests/oracles.py``.
 """
@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import WorthPairModel
 from .sampler import advance_partition
 
 __all__ = [
@@ -55,11 +54,10 @@ def hidden_posterior(X: OrderedPartition, m) -> np.ndarray:
     return np.array(unit_posteriors(m.log_omegas(X).tolist()))
 
 
-def effective_pair_model(h: np.ndarray, m) -> WorthPairModel:
-    """The pair model whose log_weight is the log joint weight
-    log Omega(X) + sum_k h_k log Omega_k(X)."""
-    active = [k for k, hk in enumerate(np.asarray(h).tolist()) if hk]
-    return m.effective(active) if active else m.base
+def effective_pair_model(h: np.ndarray, m):
+    """The model with no hidden units whose log_weight is the log joint
+    weight log Omega(X) + sum_k h_k log Omega_k(X)."""
+    return m.effective([k for k, hk in enumerate(np.asarray(h).tolist()) if hk])
 
 
 def draw_hidden(

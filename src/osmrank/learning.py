@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .core import LocalWorths, WorthPairModel, stack_worth_features, worth_features
+from .core import LocalWorths, stack_worth_features, worth_features
 from .latent import gibbs_mh_step, unit_posteriors
 
 __all__ = [
@@ -52,12 +52,11 @@ class CFParams:
     one model type of the package: with K = 0 it is the plain worth model,
     and ``zeros(n, 0)`` is the uniform model over n objects.
 
-    The base is ``WorthPairModel(nu, u)``: log phi(i~j) = nu + (u_i + u_j)/2,
-    log psi(i>j) = u_i.  Hidden unit k is ``WorthPairModel(nu, W[:, k])``,
-    sharing nu.  The worth family is closed under masking, so effective
-    models stay in worth form, and unit weights come from one set of
-    structural features.  Frozen, so ``base`` always matches the fields,
-    and refuses parameters past the float bound (see ``__post_init__``).
+    Its base potentials are log phi(i~j) = nu + (u_i + u_j)/2 and
+    log psi(i>j) = u_i (``log_weight``, ``split_ratio``); hidden unit k has
+    the same form over ``W[:, k]``, sharing nu, so effective models are
+    ``CFParams`` with K = 0 and unit weights come from one set of structural
+    features.  Frozen, and refuses parameters past the float bound.
     """
 
     nu: float
@@ -74,25 +73,34 @@ class CFParams:
         # in Python floats (an overflow is inf).  A partition's worth coefficients and its
         # within-block pair count each sum to n (n - 1) / 2, so |log Omega|, |log Omega_k| and
         # their partial sums are <= n (n - 1) t; an effective worth or nu sums <= K + 1
-        # parameters; a split ratio's terms (|B| sum_A w, nu |A| |B|) are <= (K + 1) n^2 t; an
-        # AIS run weight is <= (K + 1) n (n - 1) t, doubled by the ESS; eval's scores are
-        # <= n (K + 1) t.  All stay below max / 2; change the bound only with the same proof.
+        # parameters, so an effective model (K = 0) is inside the bound too; a split ratio's
+        # terms (|B| sum_A w, nu |A| |B|) are <= (K + 1) n^2 t; an AIS run weight is
+        # <= (K + 1) n (n - 1) t, doubled by the ESS; eval's scores are <= n (K + 1) t.  All
+        # stay below max / 2; change the bound only with the same proof.
+        n, k = W.shape
         top = max(abs(nu), float(np.abs(u).max(initial=0.0)), float(np.abs(W).max(initial=0.0)))
-        factor = (W.shape[1] + 1) * u.shape[0] ** 2
+        factor = (k + 1) * n ** 2
         if top * factor > _FLOAT_BOUND:
             raise ValueError(f"parameters past the float bound: the largest |parameter|, {top:.6g}, "
                              f"times (K + 1) n_items^2 = {factor} is above {_FLOAT_BOUND:.6g}")
-        for name, value in (("nu", nu), ("u", u), ("W", W), ("base", WorthPairModel(nu, u)),
-                            ("n_objects", u.shape[0])):
+        for name, value in zip(("nu", "u", "W", "n_items", "n_objects", "n_hidden"), (nu, u, W, n, n, k)):
             object.__setattr__(self, name, value)
 
-    @property
-    def n_items(self) -> int:
-        return self.u.shape[0]
+    def log_weight(self, X: OrderedPartition) -> float:
+        """log Omega(X), the base term; ``log_weight(X, m)`` checks sizes first."""
+        pairs, items, coef = worth_features(X)
+        # a left fold in block order: seeded AIS outputs depend on its rounding,
+        # and the builtin float sum is compensated from Python 3.12
+        total = 0.0
+        for term in (self.u[items] * coef).tolist():
+            total += term
+        return self.nu * pairs + total
 
-    @property
-    def n_hidden(self) -> int:
-        return self.W.shape[1]
+    def split_ratio(self, objects: Sequence[int]) -> LocalWorths:
+        """The base worths of ``objects``, gathered once, with nu: the closed
+        form of the pair sum (see ``LocalWorths``)."""
+        objects = list(objects)
+        return LocalWorths(self.nu, dict(zip(objects, self.u[np.array(objects, dtype=np.intp)].tolist())))
 
     def log_omegas(self, X: OrderedPartition) -> np.ndarray:
         """Vector of log Omega_k(X) over all hidden units."""
@@ -129,24 +137,23 @@ class CFParams:
 
     def _effective_nu(self, active: Sequence[int]) -> float:
         extra = 0.0
-        for _ in active:  # a left fold, as in WorthPairModel.log_weight
+        for _ in active:  # a left fold, as in log_weight
             extra += self.nu
         return self.nu + extra
 
-    def effective(self, active: Sequence[int]) -> WorthPairModel:
-        """``WorthPairModel(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...))``
-        over the whole catalog."""
-        return WorthPairModel(self._effective_nu(active), self.u + sum(self.W[:, k] for k in active))
+    def effective(self, active: Sequence[int]) -> "CFParams":
+        """The K = 0 model of the hidden units ``active`` on, over the catalog:
+        ``CFParams(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...), zeros(n, 0))``."""
+        return CFParams(self._effective_nu(active), self.u + sum(self.W[:, k] for k in active), self.W[:, :0])
 
     def effective_at(
         self, gathered: tuple[np.ndarray, np.ndarray], active: Sequence[int], scale: float = 1.0
     ) -> LocalWorths:
-        """``effective(active)`` (the base when ``active`` is empty), its
-        log-potentials times ``scale``, at the objects of a partition X only,
-        from X's entry in the gathered rows of ``unit_weights``: a sweep over
-        a user's items costs O(|items| |active|) whatever the catalog size.
-        The worths are those of the catalog-wide model, summed in the same
-        grouping."""
+        """``effective(active)``'s ``split_ratio`` with its log-potentials
+        times ``scale``, at the objects of a partition X only, from X's entry
+        in the gathered rows of ``unit_weights``: a sweep over a user's items
+        costs O(|items| |active|) whatever the catalog size.  The worths are
+        those of the catalog-wide model, summed in the same grouping."""
         items, Wx = gathered
         worths, nu = self.u[items], self.nu
         if active:

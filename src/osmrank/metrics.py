@@ -39,12 +39,14 @@ def _dcg_rows(g: np.ndarray, truncation: int) -> np.ndarray:
     return total
 
 
-def ndcg_rows(grades, truncation: int, lengths: Optional[np.ndarray] = None) -> np.ndarray:
+def ndcg_rows(grades, truncation: int, lengths: Optional[np.ndarray] = None,
+              largest: Optional[float] = None) -> np.ndarray:
     """Normalized discounted cumulative gain at cut-off ``truncation``, per row.
 
     The normalizer is the DCG of the ideal (descending-grade) ordering of
     the same grades, so a correct ranking scores exactly 1.  An all-zero
-    ideal (every grade 0) scores 1 by convention.
+    ideal (every grade 0) scores 1 by convention.  An overflowing gain is a
+    ``ValueError`` naming ``largest``, by default the largest of ``grades``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -55,7 +57,8 @@ def ndcg_rows(grades, truncation: int, lengths: Optional[np.ndarray] = None) -> 
         ideal = _dcg_rows(np.sort(g, axis=1)[:, ::-1], truncation)  # padding sorts last
         dcg = _dcg_rows(g, truncation)
     if not np.isfinite(ideal).all():
-        raise ValueError(f"NDCG gains 2**grade overflow (largest grade {g.max():g})")
+        largest = g.max() if largest is None else largest
+        raise ValueError(f"NDCG gains 2**grade overflow (largest grade {largest:g})")
     zero = ideal == 0.0
     return np.where(zero, 1.0, dcg / np.where(zero, 1.0, ideal))
 

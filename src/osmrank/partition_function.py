@@ -5,8 +5,8 @@ to the target (tau = 1) along an inverse-temperature ladder, accumulating
 importance weights in the log domain across R independent runs, spread
 over forked processes (``_fill_log_weights``).  Every routine takes a
 ``CFParams`` (with K = 0, a plain worth model) and reads it only through
-``n_objects``, ``n_hidden``, ``base``, ``log_omegas``, ``unit_weights`` and
-``effective_at``, so the tests pass the generic ``LatentModel`` of
+``n_objects``, ``n_hidden``, ``log_weight``, ``log_omegas``, ``unit_weights``
+and ``effective_at``, so the tests pass the generic ``LatentModel`` of
 ``tests/oracles.py`` the same way; tempering is ``effective_at``'s scale.
 """
 
@@ -109,7 +109,7 @@ def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: CFParams) -> fl
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     tau = float(tau)
-    total = tau * log_weight(X, m.base)
+    total = tau * log_weight(X, m)
     for lo in m.log_omegas(X).tolist():
         total += _softplus(tau * lo)
     return total
@@ -147,7 +147,7 @@ def _ais_run(m: CFParams, taus: list[float], steps: int, run_seed: int) -> float
             X, _ = gibbs_mh_step(X, m, logom, gathered, run_rng, t_lo, steps)
         rows, more = m.unit_weights([X])  # the next transition reuses both
         logom, gathered = rows[0].tolist(), more[0]
-        logw += (t_hi - t_lo) * log_weight(X, m.base)
+        logw += (t_hi - t_lo) * log_weight(X, m)
         for lo in logom:
             logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
     return logw

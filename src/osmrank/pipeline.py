@@ -465,11 +465,11 @@ def complete_rank(
 
 
 def parse_metric(name: str):
-    """'ndcg@T' or 'err' -> callable(grades, lengths=None) -> one value per
-    row of grades in predicted order (see ``metrics.ndcg_rows``)."""
+    """'ndcg@T' or 'err' -> callable(grades, lengths=None, largest=None) ->
+    one value per row of grades in predicted order (see ``metrics.ndcg_rows``)."""
     name = name.strip().lower()
     if name == "err":
-        return err_rows
+        return lambda grades, lengths=None, largest=None: err_rows(grades, lengths)
     if name.startswith("ndcg@"):
         try:
             t = int(name.split("@", 1)[1])
@@ -477,7 +477,7 @@ def parse_metric(name: str):
             raise ValueError(f"metric {name!r}: truncation must be an integer") from None
         if t < 1:
             raise ValueError(f"metric {name!r}: truncation must be >= 1")
-        return lambda grades, lengths=None: ndcg_rows(grades, t, lengths)
+        return lambda grades, lengths=None, largest=None: ndcg_rows(grades, t, lengths, largest)
     raise ValueError(f"unknown metric {name!r}")
 
 
@@ -529,11 +529,12 @@ def _ranked_test_records(
     keep = np.flatnonzero(n_seen[test_ds.users] > 0)
     users, items = test_ds.users[keep], test_ds.items[keep]
     n = test_ds.n_items
-    # a test key among the sorted training keys; only the shorter array is sorted
-    seen_keys = np.sort(train_ds.users * n + train_ds.items)
-    keys = users * n + items
-    at = np.minimum(np.searchsorted(seen_keys, keys), len(seen_keys) - 1)
-    if (seen_keys[at] == keys).any():
+    # each training key among the test keys in the ranking's (user, item) order
+    order = _stable_order((items, n), (users, test_ds.n_users))
+    keys = (users * n + items)[order]
+    seen = train_ds.users * n + train_ds.items
+    at = np.minimum(np.searchsorted(keys, seen), len(keys) - 1)
+    if len(keys) and (keys[at] == seen).any():
         raise ValueError("unseen items overlap the seen partition")
     # per hidden unit: log Omega_k of each user's training partition as one
     # weighted bincount (each user's first term is nu * pairs, so each sum is
@@ -551,29 +552,26 @@ def _ranked_test_records(
         posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)
         hidden_worth += w[items] * posterior[users]
     scores = n_seen[users] * (params.u[items] + hidden_worth)
-    return keep[_rank_by_user(users, items, scores, test_ds.n_users, n)]
+    return keep[_rank_by_user(order, users, scores)]
 
 
 _RANK_CELLS = 1 << 14  # bounds the padded matrix of one chunk of _rank_by_user
 
 
 def _rank_by_user(
-    users: np.ndarray, items: np.ndarray, scores: np.ndarray, n_users: int, n_items: int,
-    cells: int = _RANK_CELLS,
+    order: np.ndarray, users: np.ndarray, scores: np.ndarray, cells: int = _RANK_CELLS
 ) -> np.ndarray:
-    """``np.lexsort((items, -scores, users))`` for dense ids below ``n_users``
-    and ``n_items``.
+    """``np.lexsort((items, -scores, users))``, from ``order``, the records
+    grouped by user in item order (``_stable_order``), reordered in place.
 
-    Two radix passes group the records by user, in item order.  Then each
-    chunk of users is a matrix of -score, one row per user padded with NaN,
-    that one stable ``argsort`` sorts row-wise.  NaN sorts after every
+    Each chunk of users is a matrix of -score, one row per user padded with
+    NaN, that one stable ``argsort`` sorts row-wise.  NaN sorts after every
     value, NaN too, and the sort is stable, so a row's padding stays after
     its records.  A chunk holds as many users as fit in ``cells`` with
     every row as long as the longest user's, and at least one.
     """
-    order = _stable_order((items, n_items), (users, n_users))
     keys = -scores[order]
-    lengths = np.bincount(users, minlength=n_users)
+    lengths = np.bincount(users)
     lengths = lengths[lengths > 0]
     starts = np.cumsum(lengths) - lengths
     rows = max(1, cells // int(lengths.max(initial=1)))
@@ -586,6 +584,27 @@ def _rank_by_user(
         ranked = np.argsort(padded, axis=1, kind="stable") + starts[chunk, None]
         order[records] = order[ranked[filled]]
     return order
+
+
+_METRIC_CELLS = 1 << 20  # bounds the padded grade matrix of one chunk of _metric_rows
+
+
+def _metric_rows(metrics: list, grades: np.ndarray, lengths: np.ndarray, cells: int = _METRIC_CELLS):
+    """The metrics (``parse_metric``) of lists held one after another in
+    ``grades``, as a (lists, metrics) array.  Each metric scores the lists in
+    order, in chunks of as many as fit in ``cells`` at the longest list's
+    width (at least one), one row each, padded to the chunk's longest.  Padding
+    adds nothing to a row and NDCG's overflow names the largest grade of all."""
+    rows, ends, largest = max(1, cells // int(lengths.max())), np.cumsum(lengths), grades.max()
+    values = np.empty((len(lengths), len(metrics)))
+    for col, metric in enumerate(metrics):
+        for lo in range(0, len(lengths), rows):
+            chunk = lengths[lo : lo + rows]
+            filled = np.arange(chunk.max()) < chunk[:, None]
+            padded = np.zeros(filled.shape)
+            padded[filled] = grades[ends[lo] - chunk[0] : ends[lo + len(chunk) - 1]]
+            values[lo : lo + rows, col] = metric(padded, chunk, largest)
+    return values
 
 
 def evaluate_ranking(
@@ -606,14 +625,9 @@ def evaluate_ranking(
     ranked = _ranked_test_records(params, train_ds, test_ds)
     if not len(ranked):
         raise ValueError("no users with both training and test records")
-    # one padded row of grades in predicted order per user
     users = test_ds.users[ranked]
     first = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
-    lengths = np.diff(np.r_[first, len(users)])
-    row = np.repeat(np.arange(len(first)), lengths)
-    grades = np.zeros((len(first), lengths.max()))
-    grades[row, np.arange(len(users)) - first[row]] = test_ds.grades[ranked]
-    values = np.column_stack([metric(grades, lengths) for metric in metrics])
+    values = _metric_rows(metrics, test_ds.grades[ranked], np.diff(np.r_[first, len(users)]))
     report = {"n_users": len(first), "metrics": {}}
     for col, name in enumerate(metric_names):
         vals = values[:, col]

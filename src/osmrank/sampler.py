@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import OrderedPartition
-from .core import LocalWorths, WorthPairModel, log_ratio_merge, log_ratio_split
+from .core import LocalWorths, log_ratio_merge, log_ratio_split
 
 __all__ = [
     "InfeasibleMoveError",
@@ -118,13 +118,11 @@ def _merge_log_q_ratio(t_pre: int, t_merge: int, n1: int, n2: int) -> float:
     )
 
 
-def propose_split(
-    X: OrderedPartition, rng: random.Random, m: Optional[WorthPairModel] = None
-) -> MoveProposal:
+def propose_split(X: OrderedPartition, rng: random.Random, m=None) -> MoveProposal:
     """Draw a split move: pick a non-singleton block uniformly, seed the two
     sub-blocks with two distinct objects (seed order fixes sub-block order),
-    coin-flip the rest.  log_l_ratio is evaluated under ``m`` (uniform model
-    when omitted, where it is exactly 0)."""
+    coin-flip the rest.  log_l_ratio is evaluated under ``m``, a pair model
+    (``log_ratio_split``), or is exactly 0, the uniform model's, without one."""
     splittable = [t for t, b in enumerate(X.blocks) if len(b) > 1]
     if not splittable:
         raise InfeasibleMoveError("no non-singleton block to split")
@@ -144,9 +142,7 @@ def propose_split(
     return MoveProposal("split", t, (A, B), log_q, log_l, proposed)
 
 
-def propose_merge(
-    X: OrderedPartition, rng: random.Random, m: Optional[WorthPairModel] = None
-) -> MoveProposal:
+def propose_merge(X: OrderedPartition, rng: random.Random, m=None) -> MoveProposal:
     """Draw a merge move: pick one of the T-1 consecutive block pairs uniformly."""
     T = X.n_blocks
     if T < 2:
@@ -166,7 +162,7 @@ _LOG = [-math.inf]  # _LOG[i] == math.log(i); advance_partition grows it to its 
 
 def advance_partition(
     X: OrderedPartition,
-    m: WorthPairModel | LocalWorths,
+    m,
     rng: random.Random,
     steps: int,
     stats: Optional[MoveStats] = None,
@@ -335,13 +331,10 @@ def advance_partition(
     return OrderedPartition._unchecked(tuple(map(tuple, blocks)), X.n_objects)
 
 
-def run_chain(
-    init: OrderedPartition, m: WorthPairModel, cfg: SamplerConfig
-) -> tuple[list[OrderedPartition], MoveStats]:
-    """Run a chain from ``init``; returns thinned post-burn-in samples and stats.
-
-    Deterministic given cfg.seed.
-    """
+def run_chain(init: OrderedPartition, m, cfg: SamplerConfig) -> tuple[list[OrderedPartition], MoveStats]:
+    """Run a chain from ``init`` on ``m`` (a model ``advance_partition``
+    takes); returns thinned post-burn-in samples and stats.  Deterministic
+    given cfg.seed."""
     rng = random.Random(cfg.seed)
     stats = MoveStats()
     burn = min(cfg.resolved_burn_in(), cfg.steps)

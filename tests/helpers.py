@@ -251,13 +251,13 @@ def reference_disagreement(sample, observed) -> float:
 
 def reference_effective_model(m, active):
     """A worth latent model's effective model over the whole catalog:
-    ``WorthPairModel(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...))``."""
-    from osmrank.core import WorthPairModel
+    ``CFParams(nu + nu |active|, u + (W[:, k1] + W[:, k2] + ...), zeros(n, 0))``."""
+    from osmrank.learning import CFParams
 
     extra = 0.0
     for _ in active:  # a left fold: the builtin float sum is compensated from Python 3.12
         extra += m.nu
-    return WorthPairModel(m.nu + extra, m.u + sum(m.W[:, k] for k in active))
+    return CFParams(m.nu + extra, m.u + sum(m.W[:, k] for k in active), np.zeros((m.n_items, 0)))
 
 
 def reference_unit_weights(m, X):
@@ -284,7 +284,7 @@ def reference_gibbs_step(X, m, rng):
 
     h = sample_hidden(reference_unit_weights(m, X), rng)
     active = [k for k, hk in enumerate(h.tolist()) if hk]
-    eff = reference_effective_model(m, active) if active else m.base
+    eff = reference_effective_model(m, active)
     return advance_partition(X, eff, rng, sum(len(b) for b in X.blocks)), h
 
 
@@ -368,7 +368,7 @@ def reference_ais_log_weights(m, cfg):
                 h = sample_hidden(logom, run_rng, temperature=t_lo)
                 X = advance_partition(X, scaled(effective_pair_model(h, m), t_lo), run_rng, steps)
             logom = m.log_omegas(X)
-            logw += (t_hi - t_lo) * log_weight(X, m.base)
+            logw += (t_hi - t_lo) * log_weight(X, m)
             for lo in logom:
                 logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
         log_weights[r] = logw

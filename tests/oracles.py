@@ -20,7 +20,9 @@ functions here, moved from their methods: ``from_blocks`` and
 of a worth model (a pair table keeps its own methods, which they call),
 ``unit_models`` of a ``CFParams`` or ``LatentModel``, and ``local_ratio``,
 the closed form of a ``LocalWorths`` split ratio that the kernel evaluates
-inline.
+inline.  A ``CFParams`` has no pair potentials of its own: ``pair_table``
+tabulates its base ones, whose ``log_tie``/``log_order`` the reference
+moves and pair sums (``log_ratio_split``, ``_single_move``) read.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from osmrank.combinatorics import (
 )
 from osmrank.core import (
     LocalWorths,
-    WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
@@ -139,16 +140,17 @@ def _single_move(
 
 
 def transition_matrix(
-    m: PairPotentialModel, states: Optional[list[OrderedPartition]] = None
+    m: CFParams | PairPotentialModel, states: Optional[list[OrderedPartition]] = None
 ) -> tuple[list[OrderedPartition], np.ndarray]:
     """Exact one-step kernel of ``advance_partition`` with ``steps=1`` over
-    the full state space.
+    the full state space, on the pair sums of ``pair_table(m)``.
 
     Enumerates every proposal outcome with its analytic probability and the
     same acceptance rule the sampler applies.  Only viable for small
     n_objects; used to verify detailed balance and the stationary
     distribution against exp(log_weight)/Z.
     """
+    m = pair_table(m)
     if states is None:
         states = list(enumerate_ordered_partitions(m.n_objects))
     index = {X.blocks: si for si, X in enumerate(states)}
@@ -295,23 +297,30 @@ def _unchecked_matrix_model(tie: np.ndarray, order: np.ndarray) -> MatrixPairMod
     return mdl
 
 
-def scaled(m: WorthPairModel | PairPotentialModel, factor: float) -> WorthPairModel | PairPotentialModel:
+def scaled(m: CFParams | PairPotentialModel, factor: float) -> CFParams | PairPotentialModel:
     """Model with every log-potential multiplied by ``factor`` (tempering);
     a pair table scales itself."""
-    if not isinstance(m, WorthPairModel):
+    if not isinstance(m, CFParams):
         return m.scaled(factor)
-    return WorthPairModel(m.nu * factor, m.worth * factor)
+    return CFParams(m.nu * factor, m.u * factor, m.W * factor)
 
 
-def tables(m: WorthPairModel | PairPotentialModel) -> tuple[np.ndarray, np.ndarray]:
+def tables(m: CFParams | PairPotentialModel) -> tuple[np.ndarray, np.ndarray]:
     """Dense (tie, order) log-potential tables; diagonals are ignored.  A
-    pair table gives its own."""
-    if not isinstance(m, WorthPairModel):
+    pair table gives its own; a worth model's are its base potentials,
+    log phi(i~j) = nu + (u_i + u_j) / 2 and log psi(i>j) = u_i, each entry
+    with the bits of that formula."""
+    if not isinstance(m, CFParams):
         return m.tables()
-    half = 0.5 * m.worth
-    tie = m.nu + half[:, None] + half[None, :]
-    order = np.broadcast_to(m.worth[:, None], (m.n_objects, m.n_objects)).copy()
+    tie = m.nu + 0.5 * (m.u[:, None] + m.u[None, :])
+    order = np.broadcast_to(m.u[:, None], (m.n_objects, m.n_objects)).copy()
     return tie, order
+
+
+def pair_table(m: CFParams | PairPotentialModel) -> PairPotentialModel:
+    """The pair model of ``tables(m)``: a worth model's base potentials,
+    read by ``log_tie``/``log_order``.  A pair table is its own."""
+    return m if isinstance(m, PairPotentialModel) else MatrixPairModel(*tables(m))
 
 
 def local_ratio(
@@ -333,11 +342,18 @@ def local_ratio(
     return 0.5 * (nb * sum_a - na * sum_b) - ratio.nu * na * nb
 
 
-def uniform_pair_model(n: int) -> WorthPairModel:
+def plain_model(nu: float, worth: np.ndarray) -> CFParams:
+    """The worth model with no hidden units: ``CFParams(nu, worth, zeros(n, 0))``."""
+    worth = np.asarray(worth, dtype=float)
+    return CFParams(nu, worth, np.zeros((len(worth), 0)))
+
+
+def uniform_pair_model(n: int) -> CFParams:
     """All potentials 1 (log 0): every ordered partition equally weighted.
-    This is the worth model with nu = 0 and every worth 0, so it takes O(n)
-    memory and every split ratio and log weight is exactly 0.0."""
-    return WorthPairModel(0.0, np.zeros(n))
+    This is the worth model with nu = 0, every worth 0 and no hidden units,
+    so it takes O(n) memory and every split ratio and log weight is exactly
+    0.0."""
+    return CFParams.zeros(n, 0)
 
 
 @dataclass
@@ -433,6 +449,10 @@ class LatentModel:
     def n_hidden(self) -> int:
         return len(self.hidden)
 
+    def log_weight(self, X: OrderedPartition) -> float:
+        """log Omega(X), the base term."""
+        return self.base.log_weight(X)
+
     def log_omegas(self, X: OrderedPartition) -> np.ndarray:
         """Vector of log Omega_k(X) over all hidden units."""
         return self.unit_weights([X])[0][0]
@@ -460,12 +480,12 @@ class LatentModel:
         return m if scale == 1.0 else scaled(m, scale)
 
 
-def unit_models(m: CFParams | LatentModel) -> tuple[WorthPairModel | PairPotentialModel, ...]:
-    """Each hidden unit as its own pair model: a ``CFParams`` unit k is
-    ``WorthPairModel(nu, W[:, k])``, built on each call."""
+def unit_models(m: CFParams | LatentModel) -> tuple[CFParams | PairPotentialModel, ...]:
+    """Each hidden unit as its own model: a ``CFParams`` unit k is
+    ``CFParams(nu, W[:, k], zeros(n, 0))``, built on each call."""
     if isinstance(m, LatentModel):
         return m.hidden
-    return tuple(WorthPairModel(m.nu, m.W[:, k]) for k in range(m.n_hidden))
+    return tuple(CFParams(m.nu, m.W[:, k], np.zeros((m.n_items, 0))) for k in range(m.n_hidden))
 
 
 def sigmoid(x: float) -> float:
@@ -480,7 +500,7 @@ def log_joint_weight(X: OrderedPartition, h: np.ndarray, m: CFParams | LatentMod
     h = np.asarray(h)
     if h.shape != (m.n_hidden,):
         raise ValueError(f"hidden state must have shape ({m.n_hidden},)")
-    total = log_weight(X, m.base)
+    total = log_weight(X, m)
     for hk, hm in zip(h, unit_models(m)):
         if hk:
             total += log_weight(X, hm)

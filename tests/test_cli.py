@@ -51,16 +51,20 @@ def main_without_warnings(argv):
 
 
 class TestProgramEntry:
-    """``python -m osmrank.cli`` runs ``entry``: ``main``, then ``gc.freeze``
-    and exit.  The exit codes, the one-line messages and the outputs stay
-    those of ``main`` in process."""
+    """``python -m osmrank.cli`` runs ``entry``: ``main``, then a flush of
+    stdout and stderr and ``os._exit``.  The exit codes, the one-line
+    messages and the outputs stay those of ``main`` in process, and a stdout
+    closed before the final flush is a broken pipe: one line, exit 2."""
 
-    def run(self, argv, cwd):
+    def command(self, argv):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered, as on a pipe
         env["PYTHONPATH"] = src
-        return subprocess.run([sys.executable, "-m", "osmrank.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True)
+        return [sys.executable, "-m", "osmrank.cli", *argv], env
+
+    def run(self, argv, cwd):
+        args, env = self.command(argv)
+        return subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
 
     def test_success_writes_complete_outputs(self, tmp_path, monkeypatch, capsys):
         data = make_ratings_file(tmp_path / "r.dat")
@@ -93,6 +97,17 @@ class TestProgramEntry:
         err = done.stderr.splitlines()
         assert err[-1] == message
         assert [line for line in err if line.startswith("osmrank:")] == [message]  # a usage error prints usage first
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_closed_stdout_is_one_broken_pipe_line(self, n, tmp_path):
+        # n = 3 lists 13 lines, which wait in the buffer until the flush at exit;
+        # n = 7 lists 47293, so a write inside main fails first
+        args, env = self.command(["oracle", "--n", str(n), "--enumerate"])
+        proc = subprocess.Popen(args, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (2, "osmrank: [Errno 32] Broken pipe\n")
 
 
 class TestNumericFlags:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
+from osmrank.learning import CFParams
 from osmrank.core import (
-    WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
@@ -23,6 +23,7 @@ from oracles import (
     from_graded_ratings,
     local_ratio,
     loglinear_pair_model,
+    pair_table,
     scaled,
     uniform_pair_model,
 )
@@ -64,9 +65,12 @@ class TestLogWeight:
 
     def test_worth_model_matches_pair_sum(self):
         rng = np.random.default_rng(11)
-        w = WorthPairModel(0.3, rng.normal(size=5))
-        tie = np.array([[w.log_tie(i, j) if i != j else 0.0 for j in range(5)] for i in range(5)])
-        order = np.array([[w.log_order(i, j) if i != j else 0.0 for j in range(5)] for i in range(5)])
+        worth = rng.normal(size=5)
+        w = CFParams(0.3, worth, np.zeros((5, 0)))
+        # the potentials by definition: log phi(i~j) = nu + (w_i + w_j) / 2, log psi(i>j) = w_i
+        tie = np.array([[0.3 + 0.5 * (worth[i] + worth[j]) if i != j else 0.0 for j in range(5)]
+                        for i in range(5)])
+        order = np.array([[worth[i] if i != j else 0.0 for j in range(5)] for i in range(5)])
         mat = MatrixPairModel(tie, order)
         r = random.Random(2)
         from osmrank.combinatorics import sample_uniform_ordered_partition
@@ -80,11 +84,11 @@ class TestLogWeight:
         # a compensated sum (the builtin float sum from Python 3.12) gives 1.0
         worths = [1e16, 1.0, -1e16]
         assert math.fsum(worths) == 1.0
-        ratio = WorthPairModel(0.0, np.array(worths + [0.0])).split_ratio(range(4))
+        ratio = CFParams(0.0, np.array(worths + [0.0]), np.zeros((4, 0))).split_ratio(range(4))
         assert local_ratio(ratio, [0, 1, 2], [3]) == 0.0
         assert local_ratio(ratio, [3], [0, 1, 2]) == 0.0
         # coefficients 3, 2, 1, 0 in block order: terms 3e16, 2.0, -3e16, 0.0
-        m = WorthPairModel(0.0, np.array([1e16, 1.0, -3e16, 0.0]))
+        m = CFParams(0.0, np.array([1e16, 1.0, -3e16, 0.0]), np.zeros((4, 0)))
         assert math.fsum([3e16, 2.0, -3e16]) == 2.0
         assert log_weight(P((0,), (1,), (2,), (3,)), m) == 0.0
 
@@ -112,7 +116,7 @@ class TestWorthFeatures:
 
 class TestLogRatioSplit:
     def test_uniform_model_zero(self):
-        m = uniform_pair_model(3)
+        m = pair_table(uniform_pair_model(3))
         assert log_ratio_split(P([0, 1, 2]), 0, ((0,), (1, 2)), m) == 0.0
 
     def test_single_pair(self):
@@ -141,7 +145,7 @@ class TestLogRatioSplit:
                         )
 
     def test_invalid_bipartition_rejected(self):
-        m = uniform_pair_model(3)
+        m = pair_table(uniform_pair_model(3))
         X = P([0, 1, 2])
         with pytest.raises(ValueError):
             log_ratio_split(X, 0, ((0,), (1,)), m)  # loses object 2
@@ -153,7 +157,7 @@ class TestLogRatioSplit:
 
 class TestLogRatioMerge:
     def test_uniform_model_zero(self):
-        assert log_ratio_merge(P([0], [1]), 0, uniform_pair_model(2)) == 0.0
+        assert log_ratio_merge(P([0], [1]), 0, pair_table(uniform_pair_model(2))) == 0.0
 
     def test_single_pair(self):
         m = random_matrix_model(2, seed=3)
@@ -175,7 +179,7 @@ class TestLogRatioMerge:
 
     def test_last_block_rejected(self):
         with pytest.raises(ValueError):
-            log_ratio_merge(P([0], [1]), 1, uniform_pair_model(2))
+            log_ratio_merge(P([0], [1]), 1, pair_table(uniform_pair_model(2)))
 
 
 class TestLogLinearPairModel:
@@ -257,10 +261,10 @@ class TestMatrixPairModel:
         assert np.allclose(s.order, 0.25 * m.order)
 
     def test_worth_scaled(self):
-        w = WorthPairModel(2.0, np.array([1.0, -1.0]))
+        w = CFParams(2.0, np.array([1.0, -1.0]), np.zeros((2, 0)))
         s = scaled(w, 0.5)
         assert s.nu == 1.0
-        assert np.allclose(s.worth, [0.5, -0.5])
+        assert np.allclose(s.u, [0.5, -0.5])
 
 
 class TestUniformPairModel:
@@ -287,4 +291,4 @@ class TestUniformPairModel:
                     A = [x for i, x in enumerate(block) if mask >> i & 1]
                     B = [x for i, x in enumerate(block) if not mask >> i & 1]
                     assert local_ratio(ratio, A, B) == 0.0
-                    assert log_ratio_split(X, t, (A, B), m) == 0.0
+                    assert log_ratio_split(X, t, (A, B), pair_table(m)) == 0.0

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions
-from osmrank.core import WorthPairModel, log_weight
+from osmrank.core import log_weight
 from osmrank.latent import (
     effective_pair_model,
     hidden_posterior,
@@ -21,6 +21,7 @@ from oracles import (
     MatrixPairModel,
     from_blocks,
     log_joint_weight,
+    plain_model,
     sigmoid,
     transition_matrix,
     uniform_pair_model,
@@ -67,8 +68,8 @@ class TestLogOmegaK:
     def test_worth_fast_path_matches_generic(self):
         rng = np.random.default_rng(5)
         u = rng.normal(size=6)
-        hidden = [WorthPairModel(0.2, rng.normal(size=6)) for _ in range(3)]
-        m = CFParams(0.2, u, np.column_stack([hm.worth for hm in hidden]))
+        hidden = [plain_model(0.2, rng.normal(size=6)) for _ in range(3)]
+        m = CFParams(0.2, u, np.column_stack([hm.u for hm in hidden]))
         r = random.Random(0)
         from osmrank.combinatorics import sample_uniform_ordered_partition
 
@@ -159,7 +160,11 @@ class TestLogJointWeight:
 class TestEffectivePairModel:
     def test_zero_hidden_returns_base(self):
         m = random_latent_model(3, 2, seed=7)
-        assert effective_pair_model(np.zeros(2), m) is m.base
+        eff = effective_pair_model(np.zeros(2), m)
+        assert np.array_equal(eff.tie, m.base.tie) and np.array_equal(eff.order, m.base.order)
+        p = CFParams(0.4, np.arange(3.0), np.ones((3, 2)))
+        eff = effective_pair_model(np.zeros(2), p)
+        assert (eff.nu, eff.u.tolist(), eff.W.shape) == (p.nu, p.u.tolist(), (3, 0))
 
     def test_single_active_unit_adds(self):
         m = random_latent_model(3, 1, seed=8)
@@ -189,7 +194,7 @@ class TestEffectivePairModel:
         u = rng.normal(size=5)
         m = CFParams(0.5, u, np.column_stack([rng.normal(size=5) for _ in range(2)]))
         eff = effective_pair_model(np.array([1, 1]), m)
-        assert isinstance(eff, WorthPairModel)
+        assert isinstance(eff, CFParams) and eff.n_hidden == 0
         r = random.Random(1)
         from osmrank.combinatorics import sample_uniform_ordered_partition
 

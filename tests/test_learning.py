@@ -30,6 +30,7 @@ from oracles import (
     sample_partitions_exact,
     state_features,
     sufficient_stats,
+    tables,
     unit_models,
 )
 
@@ -58,37 +59,42 @@ def unflatten(vec: np.ndarray, n: int, k: int) -> CFParams:
 class TestCfLatentModel:
     def test_zero_params_uniform(self):
         m = cf_latent_model(CFParams.zeros(3, 2))
+        tie, order = tables(m)
+        unit_ties = [tables(hm)[0] for hm in unit_models(m)]
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert m.base.log_tie(i, j) == 0.0
-                    assert m.base.log_order(i, j) == 0.0
-                    for hm in unit_models(m):
-                        assert hm.log_tie(i, j) == 0.0
+                    assert tie[i, j] == 0.0
+                    assert order[i, j] == 0.0
+                    for hm_tie in unit_ties:
+                        assert hm_tie[i, j] == 0.0
 
     def test_formula_plug_in(self):
         # nu = 0, item-0 worth 2 on the first hidden unit, item-1 worth 0:
         # tie(0,1) = (2+0)/2 = 1, order(0>1) = 2
         p = CFParams(0.0, np.zeros(2), np.array([[2.0], [0.0]]))
         m = cf_latent_model(p)
-        assert unit_models(m)[0].log_tie(0, 1) == pytest.approx(1.0)
-        assert unit_models(m)[0].log_order(0, 1) == pytest.approx(2.0)
-        assert unit_models(m)[0].log_order(1, 0) == pytest.approx(0.0)
+        tie, order = tables(unit_models(m)[0])
+        assert tie[0, 1] == pytest.approx(1.0)
+        assert order[0, 1] == pytest.approx(2.0)
+        assert order[1, 0] == pytest.approx(0.0)
 
     def test_tie_symmetry_random(self):
         p = random_params(5, 3, seed=0)
         m = cf_latent_model(p)
+        tie = tables(m)[0]
+        unit_ties = [tables(hm)[0] for hm in unit_models(m)]
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert m.base.log_tie(i, j) == pytest.approx(m.base.log_tie(j, i))
-                    for hm in unit_models(m):
-                        assert hm.log_tie(i, j) == pytest.approx(hm.log_tie(j, i))
+                    assert tie[i, j] == pytest.approx(tie[j, i])
+                    for hm_tie in unit_ties:
+                        assert hm_tie[i, j] == pytest.approx(hm_tie[j, i])
 
     def test_shared_nu(self):
         p = random_params(3, 2, seed=1)
         m = cf_latent_model(p)
-        assert m.base.nu == p.nu
+        assert m.effective([]).nu == p.nu
         for hm in unit_models(m):
             assert hm.nu == p.nu
 
@@ -99,13 +105,13 @@ class TestCfLatentModel:
         assert p.effective(range(10)).nu == 0.1 + 0.9999999999999999
         assert 0.1 + math.fsum([0.1] * 10) != 0.1 + 0.9999999999999999
 
-    @pytest.mark.parametrize("field", ["nu", "u", "W", "base", "n_objects"])
+    @pytest.mark.parametrize("field", ["nu", "u", "W", "n_objects"])
     def test_fields_cannot_be_assigned(self, field):
-        # base is built from the fields once, so an assignment would leave it stale
+        # the float bound is checked on the fields once, so an assignment could pass it
         p = CFParams.zeros(3, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, field, getattr(p, field))
-        assert p.base.nu == p.nu == 0.0 and p.effective([0]).nu == 0.0
+        assert p.nu == p.effective([]).nu == 0.0 and p.effective([0]).nu == 0.0
 
 
 class TestSufficientStats:
@@ -293,10 +299,10 @@ class TestTranslationInvariance:
         p = random_params(4, 0, seed=8)
         m = cf_latent_model(p)
         a, b = P([0, 1], [2], [3]), P([2, 3], [1], [0])
-        base_diff = log_weight(a, m.base) - log_weight(b, m.base)
+        base_diff = log_weight(a, m) - log_weight(b, m)
         shifted = CFParams(p.nu, p.u + 1.7, p.W)
         ms = cf_latent_model(shifted)
-        shifted_diff = log_weight(a, ms.base) - log_weight(b, ms.base)
+        shifted_diff = log_weight(a, ms) - log_weight(b, ms)
         assert shifted_diff == pytest.approx(base_diff, abs=1e-10)
 
 

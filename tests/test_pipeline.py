@@ -20,6 +20,7 @@ from osmrank.metrics import err, err_rows, ndcg_at, ndcg_rows
 from osmrank.pipeline import (
     RankedList,
     SplitSpec,
+    _metric_rows,
     _ranked_test_records,
     _worth_coefficients,
     complete_rank,
@@ -28,6 +29,7 @@ from osmrank.pipeline import (
     grade_ratings,
     load_ratings,
     parse_metric,
+    parse_metrics,
     train_test_split,
     user_partitions,
 )
@@ -745,7 +747,7 @@ class TestCompleteRank:
         from oracles import LatentModel, MatrixPairModel, tables, unit_models
 
         mats = LatentModel(
-            MatrixPairModel(*tables(m.base)),
+            MatrixPairModel(*tables(m)),
             [MatrixPairModel(*tables(hm)) for hm in unit_models(m)],
         )
         p_seen = hidden_posterior(seen, mats)
@@ -902,6 +904,17 @@ class TestBatchedEvaluation:
         for col, name in enumerate(["ndcg@1", "ndcg@5", "err"]):
             want = np.array(expected)[:, col]
             np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 4, 1 << 20])
+    def test_chunked_metric_errors_are_those_of_all_lists(self, cells):
+        # lists [1024, 2], [7, 1] and [1030]: one, two or three lists per chunk
+        grades, lengths = np.array([1024.0, 2.0, 7.0, 1.0, 1030.0]), np.array([2, 2, 1])
+        # the first list overflows, and the message names the largest grade of all lists
+        with pytest.raises(ValueError, match=r"^NDCG gains 2\*\*grade overflow \(largest grade 1030\)$"):
+            _metric_rows(parse_metrics(["ndcg@5", "err"]), grades, lengths, cells)
+        # the first metric that fails anywhere fails first, at its first bad grade in list order
+        with pytest.raises(ValueError, match=r"^ERR grade must be an integer in 1\.\.5, got 1024$"):
+            _metric_rows(parse_metrics(["err", "ndcg@5"]), grades, lengths, cells)
 
     def test_overlap_rejected(self, tmp_path):
         ds, (train_ds, _) = self.split(tmp_path, 5)

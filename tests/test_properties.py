@@ -34,6 +34,8 @@ from oracles import (
     from_blocks,
     local_ratio,
     log_joint_weight,
+    pair_table,
+    plain_model,
     scaled,
     sigmoid,
     tables,
@@ -41,7 +43,7 @@ from oracles import (
 )
 from osmrank import partition_function
 from osmrank.combinatorics import OrderedPartition, enumerate_ordered_partitions, sample_uniform_ordered_partition
-from osmrank.core import WorthPairModel, log_weight, worth_features
+from osmrank.core import log_ratio_merge, log_ratio_split, log_weight, worth_features
 from osmrank.latent import (
     effective_pair_model,
     hidden_posterior,
@@ -58,14 +60,17 @@ from osmrank.partition_function import (
 from osmrank.pipeline import (
     SplitSpec,
     _build_dataset,
+    _metric_rows,
     _odd_colon_run,
     _rank_by_user,
     _ranked_test_records,
+    _stable_order,
     complete_rank,
     entropy_filter,
     evaluate_ranking,
     grade_ratings,
     parse_metric,
+    parse_metrics,
     train_test_split,
     user_partitions,
 )
@@ -100,10 +105,10 @@ def test_worth_latent_model_matches_its_definitions(case):
     assert log_weight(X, effective_pair_model(h, m)) == pytest.approx(log_joint_weight(X, h, m), **close)
 
     active = np.flatnonzero(h).tolist()
-    assert np.array_equal(effective_pair_model(h, m).worth, m.u + sum(m.W[:, k] for k in active))
+    assert np.array_equal(effective_pair_model(h, m).u, m.u + sum(m.W[:, k] for k in active))
 
     # score(j) = sum_{i in seen} [log psi(j > i) + sum_k p_k log psi_k(j > i)] on the tables
-    mats = LatentModel(MatrixPairModel(*tables(m.base)), [MatrixPairModel(*tables(hm)) for hm in hidden])
+    mats = LatentModel(MatrixPairModel(*tables(m)), [MatrixPairModel(*tables(hm)) for hm in hidden])
     p = hidden_posterior(X, mats)
     order = mats.base.order + sum(pk * hm.order for pk, hm in zip(p, mats.hidden))
     seen = list(X.objects)
@@ -157,6 +162,49 @@ def partition_pairs(draw):
     return pairs
 
 
+halves = st.integers(-8, 8).map(lambda i: i / 2)
+
+
+@given(st.integers(1, 8), st.integers(0, 3), st.data())
+def test_cf_params_base_and_effective_models_are_their_pair_tables(n, k, data):
+    # half-integer parameters: every pair sum and closed form below is exact, so they agree bit for bit
+    m = CFParams(data.draw(halves), np.array(data.draw(st.lists(halves, min_size=n, max_size=n))),
+                 np.array(data.draw(st.lists(halves, min_size=n * k, max_size=n * k)), dtype=float).reshape(n, k))
+    X, table = data.draw(partitions(n)), pair_table(m)
+    assert log_weight(X, m) == log_weight(X, table)
+    objects = worth_features(X)[1].tolist()
+    ratio = m.split_ratio(objects)
+    assert (ratio.nu, ratio.worths) == (m.nu, dict(zip(objects, m.u[objects].tolist())))
+    for t, block in enumerate(X.blocks):
+        for cut in range(1, len(block)):
+            assert local_ratio(ratio, block[:cut], block[cut:]) == log_ratio_split(
+                X, t, (block[:cut], block[cut:]), table)
+        if t + 1 < X.n_blocks:
+            assert -local_ratio(ratio, block, X.blocks[t + 1]) == log_ratio_merge(X, t, table)
+    # the effective model is a K = 0 CFParams with the tables of the oracle's effective model
+    h = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.int8)
+    eff = effective_pair_model(h, m)
+    assert isinstance(eff, CFParams) and eff.n_hidden == 0
+    want = LatentModel(table, [pair_table(hm) for hm in unit_models(m)]).effective(np.flatnonzero(h).tolist())
+    off = ~np.eye(n, dtype=bool)
+    for got, ref in zip(tables(eff), tables(want)):
+        assert got[off].tolist() == ref[off].tolist()
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_cf_params_log_weight_is_the_left_fold(n, seed, data):
+    # normal draws use every bit: the base term is nu * pairs plus the terms folded in block order
+    rng = np.random.default_rng(seed)
+    m = CFParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, 2)))
+    X = data.draw(partitions(n))
+    pairs, items, coef = reference_worth_features(X)
+    total = 0.0
+    for term in (m.u[items] * coef).tolist():
+        total += term
+    assert np.float64(log_weight(X, m)).tobytes() == np.float64(m.nu * pairs + total).tobytes()
+    assert log_weight(X, m) == pytest.approx(log_weight(X, pair_table(m)), rel=1e-12, abs=1e-9)
+
+
 @given(partition_pairs(), st.integers(0, 3))
 def test_batched_disagreement_is_the_pair_loop(pairs, extra_width):
     width = max(len(a.objects) for a, _ in pairs) + extra_width
@@ -172,18 +220,17 @@ def test_effective_split_ratios_are_the_full_catalog_models(n, k, seed, data):
     m = CFParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
     active = sorted(data.draw(st.sets(st.integers(0, k - 1))) if k else [])
     full = reference_effective_model(m, active)
-    assert m.effective(active).worth.tobytes() == full.worth.tobytes()
+    assert m.effective(active).u.tobytes() == full.u.tobytes()
     # the sweep's model at a chain's objects, at tau = 1 and at an AIS temperature
     X = data.draw(partitions(n, data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))))
     scale = data.draw(st.sampled_from([1.0, *temperature_ladder(AISConfig(7, 1)).tolist()[1:-1]]))
-    want = full if active else m.base
-    want = want if scale == 1.0 else scaled(want, scale)
+    want = full if scale == 1.0 else scaled(full, scale)
     logom, gathered = m.unit_weights([X])
     assert logom[0].tobytes() == m.log_omegas(X).tobytes()
     local = m.effective_at(gathered[0], active, scale)
     objects = worth_features(X)[1].tolist()
     assert list(local.worths) == objects
-    assert np.array(list(local.worths.values())).tobytes() == want.worth[objects].tobytes()
+    assert np.array(list(local.worths.values())).tobytes() == want.u[objects].tobytes()
     assert np.float64(local.nu).tobytes() == np.float64(want.nu).tobytes()
     cut = data.draw(st.integers(1, len(objects) - 1))
     A, B = objects[:cut], objects[cut:]
@@ -268,7 +315,7 @@ def test_every_sum_at_the_float_bound_is_finite(n, k, seed, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(m.unit_weights(every)[0]).all()
-        assert all(math.isfinite(m.base.log_weight(Y)) for Y in every)
+        assert all(math.isfinite(m.log_weight(Y)) for Y in every)
         gathered = m.unit_weights([X])[1][0]
         for mask in range(2**k):
             active = [unit for unit in range(k) if mask >> unit & 1]
@@ -342,7 +389,7 @@ def test_ais_loops_are_the_float64_loops(case, schedule, n_temperatures, n_runs,
         got = ais_log_z(m, cfg).log_weights
     assert got.tobytes() == reference_ais_log_weights(m, cfg).tobytes()
     tau = temperature_ladder(cfg)[data.draw(st.integers(0, n_temperatures))]
-    ref = tau * log_weight(X, m.base)
+    ref = tau * log_weight(X, m)
     for lo in m.log_omegas(X):
         ref += _softplus(tau * lo)
     assert np.float64(annealed_unnorm_log_prob(X, tau, m)).tobytes() == np.float64(ref).tobytes()
@@ -360,7 +407,7 @@ def assert_checked_build_equal(Y):
 
 @given(st.integers(1, 12).flatmap(partitions), st.integers(0, 2**32 - 1), st.integers(1, 40))
 def test_kernel_and_uniform_outputs_pass_the_checks(X, seed, steps):
-    m = WorthPairModel(-0.5, np.random.default_rng(seed).normal(size=X.n_objects))
+    m = plain_model(-0.5, np.random.default_rng(seed).normal(size=X.n_objects))
     rng, Y = random.Random(seed), X
     for _ in range(steps):  # one move per call, so every state the chain visits is checked
         Y = advance_partition(Y, m, rng, 1)
@@ -494,6 +541,20 @@ def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind
         np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
 
 
+@given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=12), min_size=1, max_size=30),
+       st.integers(2, 40))
+def test_metric_rows_do_not_depend_on_the_chunk_bound(lists, cells):
+    # one list per chunk, chunks of a few lists, and the default bound (one chunk here)
+    grades = np.array([g for row in lists for g in row], dtype=float)
+    lengths = np.array([len(row) for row in lists])
+    metrics = parse_metrics(["ndcg@1", "ndcg@5", "err"])
+    values = _metric_rows(metrics, grades, lengths)
+    for bound in (1, cells):
+        assert _metric_rows(metrics, grades, lengths, bound).tobytes() == values.tobytes()
+    for row, lst in zip(values.tolist(), lists):
+        assert row == [metric(np.array([lst], dtype=float))[0] for metric in metrics]
+
+
 RANK_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]) | st.floats()
 
 
@@ -504,7 +565,7 @@ def test_ranking_by_user_is_lexsort(records, cells):
     # one user to all of them, and cell bounds below the longest user's count
     users, items, scores = (np.array(column, dtype=dtype) for column, dtype in
                             zip(zip(*records) if records else ((), (), ()), (np.int64, np.int64, float)))
-    got = _rank_by_user(users, items, scores, 8, 12, cells=cells)
+    got = _rank_by_user(_stable_order((items, 12), (users, 8)), users, scores, cells=cells)
     assert got.tolist() == np.lexsort((items, -scores, users)).tolist()
 
 

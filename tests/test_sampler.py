@@ -16,7 +16,6 @@ from osmrank.combinatorics import (
 )
 from osmrank.core import (
     LocalWorths,
-    WorthPairModel,
     log_ratio_merge,
     log_ratio_split,
     log_weight,
@@ -41,6 +40,8 @@ from oracles import (
     _single_move,
     from_blocks,
     local_ratio,
+    pair_table,
+    plain_model,
     scaled,
     stirling2,
     transition_matrix,
@@ -309,7 +310,7 @@ class TestSamplerConfig:
 def worth_model(n, seed):
     """Worths and nu on the scale of a trained collaborative-ranking model."""
     rng = np.random.default_rng(seed)
-    return WorthPairModel(-0.5, rng.normal(0.0, 0.5, n))
+    return plain_model(-0.5, rng.normal(0.0, 0.5, n))
 
 
 def bipartitions(block):
@@ -330,16 +331,17 @@ class TestModelRatios:
     @pytest.mark.parametrize("family", ["worth", "matrix"])
     def test_matches_core_pair_sums(self, family, n):
         m = worth_model(n, seed=n) if family == "worth" else random_matrix_model(n, seed=n, scale=1.5)
+        table = pair_table(m)
         checked = 0
         for X in enumerate_ordered_partitions(n):
             ratio = m.split_ratio([x for b in X.blocks for x in b])
             for t, block in enumerate(X.blocks):
                 for A, B in bipartitions(block):
-                    assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, t, (A, B), m), abs=1e-12)
+                    assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, t, (A, B), table), abs=1e-12)
                     checked += 1
                 if t + 1 < X.n_blocks:
                     merged = -local_ratio(ratio, block, X.blocks[t + 1])
-                    assert merged == pytest.approx(log_ratio_merge(X, t, m), abs=1e-12)
+                    assert merged == pytest.approx(log_ratio_merge(X, t, table), abs=1e-12)
                     checked += 1
         assert checked or n == 1
 
@@ -347,14 +349,15 @@ class TestModelRatios:
         # per-user chains hold a few items of a larger catalog
         m = worth_model(40, seed=9)
         X = from_blocks([[3, 17, 30], [8], [12, 39]], n_objects=40)
-        ratio = m.split_ratio([3, 17, 30, 8, 12, 39])
+        ratio, table = m.split_ratio([3, 17, 30, 8, 12, 39]), pair_table(m)
         for A, B in bipartitions((3, 17, 30)):
-            assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, 0, (A, B), m), abs=1e-12)
-        assert -local_ratio(ratio, (8,), (12, 39)) == pytest.approx(log_ratio_merge(X, 1, m), abs=1e-12)
+            assert local_ratio(ratio, A, B) == pytest.approx(log_ratio_split(X, 0, (A, B), table), abs=1e-12)
+        assert -local_ratio(ratio, (8,), (12, 39)) == pytest.approx(log_ratio_merge(X, 1, table), abs=1e-12)
 
 
 def reference_run(X, m, rng, moves, stats):
-    """The ``_single_move`` loop, counting kinds and acceptances into ``stats``."""
+    """The ``_single_move`` loop on a pair model, counting kinds and
+    acceptances into ``stats``."""
     for _ in range(moves):
         X, kind, accepted = _single_move(X, m, rng)
         if kind is None:
@@ -383,7 +386,7 @@ def tempered_start(m, objects):
 @st.composite
 def sweep_cases(draw):
     """A model as a sweep hands it to the kernel, the same model as
-    ``_single_move`` takes it, and a start.  The model is
+    ``_single_move`` takes it (its ``pair_table``), and a start.  The model is
     ``CFParams.effective_at`` with drawn active units at an AIS temperature
     (a ``LocalWorths``), the catalog-wide worth model it stands for, or an
     oracle pair table.  The start is a uniform draw over part of the catalog,
@@ -406,8 +409,8 @@ def sweep_cases(draw):
         ref = scaled(params.effective(active), tau)
     X = (one_block_start if one_block else uniform_start)(ref, random.Random(seed).sample(range(n), size))
     if kind == "effective-at":
-        return params.effective_at(params.unit_weights([X])[1][0], active, tau), ref, X
-    return ref, ref, X
+        return params.effective_at(params.unit_weights([X])[1][0], active, tau), pair_table(ref), X
+    return ref, pair_table(ref), X
 
 
 @given(sweep_cases(), st.integers(0, 2**32 - 1), st.lists(st.integers(1, 80), min_size=1, max_size=4))
@@ -432,10 +435,10 @@ KERNEL_MODELS = {  # name -> (model, objects in the chain, start)
     "uniform-n6": (lambda: uniform_pair_model(6), 6, uniform_start),
     # ties pay nu = 0.33 per pair, so a block of over 21 objects persists through the run
     "worth-n40-one-block": (
-        lambda: WorthPairModel(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40)), 40, one_block_start),
+        lambda: plain_model(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40)), 40, one_block_start),
     # nu and worths on the scale of the AIS benchmark's checkpoint
     "worth-n200-tempered": (
-        lambda: WorthPairModel(-1.5, np.random.default_rng(3).normal(0.0, 1.0, 200)), 200, tempered_start),
+        lambda: plain_model(-1.5, np.random.default_rng(3).normal(0.0, 1.0, 200)), 200, tempered_start),
 }
 
 
@@ -447,11 +450,12 @@ class TestArrayKernel:
         make, n, start = KERNEL_MODELS[name]
         m = make()
         X = start(m, random.Random(0).sample(range(m.n_objects), n))
+        ref = pair_table(m)
         moves, chunk = 100_000, max(n, 10)
         ref_rng, rng = random.Random(2), random.Random(2)
         ref_X, ref_stats, stats = X, MoveStats(), MoveStats()
         for _ in range(moves // chunk):
-            ref_X = reference_run(ref_X, m, ref_rng, chunk, ref_stats)
+            ref_X = reference_run(ref_X, ref, ref_rng, chunk, ref_stats)
             X = advance_partition(X, m, rng, chunk, stats)
             assert X == ref_X
         assert rng.getstate() == ref_rng.getstate()
@@ -464,10 +468,10 @@ class TestArrayKernel:
         m = KERNEL_MODELS[name][0]()
         cfg = SamplerConfig(steps=steps, burn_in=burn_in, thin=thin, seed=3)
         samples, stats = run_chain(OrderedPartition.singletons(m.n_objects), m, cfg)
-        X, ref_rng = OrderedPartition.singletons(m.n_objects), random.Random(cfg.seed)
+        X, ref_rng, ref = OrderedPartition.singletons(m.n_objects), random.Random(cfg.seed), pair_table(m)
         ref_samples, ref_stats = [], MoveStats()
         for step in range(1, steps + 1):
-            X = reference_run(X, m, ref_rng, 1, ref_stats)
+            X = reference_run(X, ref, ref_rng, 1, ref_stats)
             if step > burn_in and (step - burn_in) % thin == 0:
                 ref_samples.append(X)
         assert samples == ref_samples
@@ -521,7 +525,7 @@ class TestArrayKernel:
 @st.composite
 def kernel_cases(draw):
     """A model the kernel takes, the same model in the form ``_single_move``
-    takes, and a start over part of its catalog: a uniform draw, one block
+    takes (its ``pair_table``), and a start over part of its catalog: a uniform draw, one block
     of every object (a block of over 21 objects draws its two seeds on
     ``random.sample``'s set path) or arbitrary blocks."""
     n = draw(st.integers(2, 40))
@@ -532,8 +536,8 @@ def kernel_cases(draw):
         m = ref = random_matrix_model(n, seed, scale=draw(st.sampled_from([0.5, 1.5])))
     else:
         rng = np.random.default_rng(seed)
-        ref = WorthPairModel(draw(st.sampled_from([-1.5, -0.5, 0.0, 0.33])), rng.normal(0.0, 1.0, n))
-        m = ref if kind == "worth" else LocalWorths(ref.nu, dict(zip(objects, ref.worth[objects].tolist())))
+        ref = plain_model(draw(st.sampled_from([-1.5, -0.5, 0.0, 0.33])), rng.normal(0.0, 1.0, n))
+        m = ref if kind == "worth" else LocalWorths(ref.nu, dict(zip(objects, ref.u[objects].tolist())))
     start = draw(st.sampled_from(["uniform", "one-block", "blocks"]))
     if start == "uniform":
         drawn = sample_uniform_ordered_partition(len(objects), random.Random(seed))
@@ -543,12 +547,12 @@ def kernel_cases(draw):
     else:
         labels = draw(st.lists(st.integers(0, len(objects) - 1), min_size=len(objects), max_size=len(objects)))
         blocks = [[x for x, b in zip(objects, labels) if b == t] for t in sorted(set(labels))]
-    return m, ref, from_blocks(blocks, n)
+    return m, pair_table(ref), from_blocks(blocks, n)
 
 
 @given(kernel_cases(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 80), min_size=1, max_size=4))
-@example((lambda ref: (ref, ref, from_blocks([range(22)], 40)))(  # ties persist at nu = 0.33
-    WorthPairModel(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40))), 5, [500, 500])
+@example((lambda ref: (ref, pair_table(ref), from_blocks([range(22)], 40)))(  # ties persist at nu = 0.33
+    plain_model(0.33, np.random.default_rng(6).normal(0.0, 0.5, 40))), 5, [500, 500])
 def test_kernel_trajectory_is_the_reference_chain(case, seed, chunks):
     m, ref, X = case
     rng, ref_rng = random.Random(seed), random.Random(seed)
