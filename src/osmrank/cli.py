@@ -29,6 +29,8 @@ from .latent import gibbs_mh_step
 from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
 from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
 from .pipeline import (
+    DEFAULT_GRADES,
+    DEFAULT_SCALE,
     SplitSpec,
     entropy_filter,
     evaluate_ranking,
@@ -96,8 +98,8 @@ def _prepped_split(args):
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="ratings file")
     p.add_argument("--format", default="movielens_dcolon", choices=["movielens_dcolon", "csv"])
-    p.add_argument("--scale", type=float, nargs=2, default=[0.5, 5.0], metavar=("LO", "HI"))
-    p.add_argument("--grades", type=_positive_int, default=5)
+    p.add_argument("--scale", type=float, nargs=2, default=DEFAULT_SCALE, metavar=("LO", "HI"))
+    p.add_argument("--grades", type=_positive_int, default=DEFAULT_GRADES)
     p.add_argument("--n-train", type=_positive_int, default=10, help="training items per user")
     p.add_argument("--min-ratings", type=_non_negative_int, default=0,
                    help="default: n_train + 10")
@@ -168,7 +170,7 @@ def cmd_eval(args) -> int:
     if args.per_user:
         # one header per model, each followed by that model's rows; "%.6f"
         # formats a float as ":.6f" does
-        row_format = " ".join(["user_row=%d", *(f"{name.replace('%', '%%')}=%.6f" for name in metric_names)])
+        row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metric_names)])
         lines = []
         for model_path, _, report in reports:
             lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
@@ -297,14 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit the latent ranking model", parents=[])
     _add_data_flags(p_train)
-    p_train.add_argument("--hidden", type=_non_negative_int, default=10,
+    p_train.add_argument("--hidden", type=_non_negative_int, default=TrainConfig.n_hidden,
                          help="number of hidden units K")
-    p_train.add_argument("--lr", type=_number(float, 0.0, strict=True), default=0.01)
-    p_train.add_argument("--block", type=_positive_int, default=100, help="users per parameter update")
-    p_train.add_argument("--chain-steps", type=_positive_int, default=1,
+    p_train.add_argument("--lr", type=_number(float, 0.0, strict=True), default=TrainConfig.learning_rate)
+    p_train.add_argument("--block", type=_positive_int, default=TrainConfig.block_size,
+                         help="users per parameter update")
+    p_train.add_argument("--chain-steps", type=_positive_int, default=TrainConfig.chain_steps_per_update,
                          help="sweeps per chain per block")
-    p_train.add_argument("--epochs", type=_non_negative_int, default=1)
-    p_train.add_argument("--l2", type=_number(float, 0.0), default=0.0)
+    p_train.add_argument("--epochs", type=_non_negative_int, default=TrainConfig.epochs)
+    p_train.add_argument("--l2", type=_number(float, 0.0), default=TrainConfig.l2)
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--log", default=None, help="training log path (default stdout)")
     p_train.set_defaults(func=cmd_train)
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="object count for --uniform")
     p_sample.add_argument("--steps", type=_non_negative_int, required=True)
     p_sample.add_argument("--burn-in", type=_non_negative_int, default=None)
-    p_sample.add_argument("--thin", type=_positive_int, default=10)
+    p_sample.add_argument("--thin", type=_positive_int, default=SamplerConfig.thin)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=cmd_sample)
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.add_argument("--n", type=_positive_int, default=None)
     p_z.add_argument("--n-temps", type=_number(int, 2), default=1000)
     p_z.add_argument("--n-runs", type=_positive_int, default=10)
-    p_z.add_argument("--schedule", default="linear", choices=["linear", "geometric"])
+    p_z.add_argument("--schedule", default=AISConfig.schedule, choices=["linear", "geometric"])
     p_z.add_argument("--inner-steps", type=_non_negative_int, default=None)
     p_z.add_argument("--seed", type=int, default=0)
     p_z.add_argument("--out", default=None)

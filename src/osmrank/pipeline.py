@@ -1,6 +1,6 @@
 """Collaborative-ranking data pipeline: ingestion, the preprocessing
-protocol (grading, entropy filtering, per-user splits), rank completion
-and reconstruction, and batched per-user evaluation.
+protocol (grading, entropy filtering, per-user splits), rank completion,
+and batched per-user evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "parse_metrics",
 ]
 
+DEFAULT_GRADES = 5
 DEFAULT_SCALE = (0.5, 5.0)
 
 
@@ -259,7 +260,7 @@ def load_ratings(
 
 
 def grade_ratings(
-    ds: RatingsDataset, n_grades: int = 5, scale: tuple[float, float] = DEFAULT_SCALE
+    ds: RatingsDataset, n_grades: int = DEFAULT_GRADES, scale: tuple[float, float] = DEFAULT_SCALE
 ) -> RatingsDataset:
     """Map ratings to grades 1..n_grades by equal-length segments of the
     rating ``scale`` (lo, hi); out-of-scale or non-finite ratings are an error."""
@@ -398,7 +399,9 @@ def user_partitions(ds: RatingsDataset) -> dict[int, OrderedPartition]:
     (block 0 = highest grade; item indices are catalog-wide)."""
     if ds.grades is None:
         raise ValueError("user_partitions needs a graded dataset")
-    order = np.lexsort((ds.items, -ds.grades, ds.users))  # by user, grade down, item up
+    down = ds.grades.max(initial=0) - ds.grades  # descending grade as a key >= 0
+    order = _stable_order((ds.items, ds.n_items), (down, int(down.max(initial=0)) + 1),
+                          (ds.users, ds.n_users))  # by user, grade down, item up
     users, grades = ds.users[order], ds.grades[order]
     user_start = np.ones(len(order), dtype=bool)
     user_start[1:] = users[1:] != users[:-1]
@@ -409,8 +412,9 @@ def user_partitions(ds: RatingsDataset) -> dict[int, OrderedPartition]:
     blocks = [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
     # the records are distinct (user, item) pairs of dense ids: valid partitions
     spans = np.append(np.flatnonzero(user_start[block_start]), len(blocks)).tolist()
+    n_items = ds.n_items
     return {
-        u: OrderedPartition._unchecked(tuple(blocks[a:b]), ds.n_items)
+        u: OrderedPartition._unchecked(tuple(blocks[a:b]), n_items)
         for u, a, b in zip(users[user_start].tolist(), spans, spans[1:])
     }
 
@@ -471,8 +475,11 @@ def parse_metric(name: str):
     if name == "err":
         return lambda grades, lengths=None, largest=None: err_rows(grades, lengths)
     if name.startswith("ndcg@"):
+        digits = name[len("ndcg@"):]
         try:
-            t = int(name.split("@", 1)[1])
+            if not (digits.isascii() and digits.isdigit()):  # int() takes " 5", "+5", "1_0", "\u0665"
+                raise ValueError
+            t = int(digits)  # which fails past the interpreter's digit limit
         except ValueError:
             raise ValueError(f"metric {name!r}: truncation must be an integer") from None
         if t < 1:
@@ -514,24 +521,21 @@ def _worth_coefficients(ds: RatingsDataset) -> tuple[np.ndarray, np.ndarray]:
     return pairs, coef
 
 
-def _ranked_test_records(
+def _scored_test_records(
     params: CFParams, train_ds: RatingsDataset, test_ds: RatingsDataset
-) -> np.ndarray:
-    """``complete_rank`` for every user with training and test records at once.
-
-    Returns those users' test-record indices, grouped by ascending user and,
-    within a user, ranked by descending score, ties by ascending item.
-    Scores are |seen| * (u_j + W_j . p) with p the hidden posterior given
-    the user's training partition, as ``complete_rank`` computes them.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``complete_rank``'s scores for every user with training and test records at once:
+    those users' test-record indices, by ascending user, then item; each
+    user's record count; and the records' scores, |seen| * (u_j + W_j . p)
+    with p the hidden posterior given the user's training partition."""
     pairs, coef = _worth_coefficients(train_ds)
     n_seen = np.bincount(train_ds.users, minlength=train_ds.n_users)
     keep = np.flatnonzero(n_seen[test_ds.users] > 0)
-    users, items = test_ds.users[keep], test_ds.items[keep]
     n = test_ds.n_items
-    # each training key among the test keys in the ranking's (user, item) order
-    order = _stable_order((items, n), (users, test_ds.n_users))
-    keys = (users * n + items)[order]
+    keep = keep[_stable_order((test_ds.items[keep], n), (test_ds.users[keep], test_ds.n_users))]
+    users, items = test_ds.users[keep], test_ds.items[keep]
+    # each training key among the test keys, which are in (user, item) order
+    keys = users * n + items
     seen = train_ds.users * n + train_ds.items
     at = np.minimum(np.searchsorted(keys, seen), len(keys) - 1)
     if len(keys) and (keys[at] == seen).any():
@@ -551,59 +555,43 @@ def _ranked_test_records(
         e = np.exp(-np.abs(x))
         posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)
         hidden_worth += w[items] * posterior[users]
-    scores = n_seen[users] * (params.u[items] + hidden_worth)
-    return keep[_rank_by_user(order, users, scores)]
-
-
-_RANK_CELLS = 1 << 14  # bounds the padded matrix of one chunk of _rank_by_user
-
-
-def _rank_by_user(
-    order: np.ndarray, users: np.ndarray, scores: np.ndarray, cells: int = _RANK_CELLS
-) -> np.ndarray:
-    """``np.lexsort((items, -scores, users))``, from ``order``, the records
-    grouped by user in item order (``_stable_order``), reordered in place.
-
-    Each chunk of users is a matrix of -score, one row per user padded with
-    NaN, that one stable ``argsort`` sorts row-wise.  NaN sorts after every
-    value, NaN too, and the sort is stable, so a row's padding stays after
-    its records.  A chunk holds as many users as fit in ``cells`` with
-    every row as long as the longest user's, and at least one.
-    """
-    keys = -scores[order]
     lengths = np.bincount(users)
-    lengths = lengths[lengths > 0]
-    starts = np.cumsum(lengths) - lengths
-    rows = max(1, cells // int(lengths.max(initial=1)))
-    for lo in range(0, len(lengths), rows):
-        chunk = slice(lo, lo + rows)
-        filled = np.arange(lengths[chunk].max()) < lengths[chunk, None]
-        padded = np.full(filled.shape, np.nan)
-        records = slice(starts[lo], starts[lo] + lengths[chunk].sum())
-        padded[filled] = keys[records]
-        ranked = np.argsort(padded, axis=1, kind="stable") + starts[chunk, None]
-        order[records] = order[ranked[filled]]
-    return order
+    return keep, lengths[lengths > 0], n_seen[users] * (params.u[items] + hidden_worth)
 
 
-_METRIC_CELLS = 1 << 20  # bounds the padded grade matrix of one chunk of _metric_rows
+_CELLS = 1 << 20  # bounds the padded matrices of one chunk of _ranked_metric_rows
 
 
-def _metric_rows(metrics: list, grades: np.ndarray, lengths: np.ndarray, cells: int = _METRIC_CELLS):
+def _ranked_metric_rows(metrics: list, scores: np.ndarray, grades: np.ndarray, lengths: np.ndarray,
+                        cells: int = _CELLS) -> np.ndarray:
     """The metrics (``parse_metric``) of lists held one after another in
-    ``grades``, as a (lists, metrics) array.  Each metric scores the lists in
-    order, in chunks of as many as fit in ``cells`` at the longest list's
-    width (at least one), one row each, padded to the chunk's longest.  Padding
-    adds nothing to a row and NDCG's overflow names the largest grade of all."""
+    ``grades``, each ranked by descending ``scores``, ties in stored order,
+    as a (lists, metrics) array.  A chunk holds as many lists as fit in ``cells``
+    at the longest list's width (at least one), one row each, padded: -score
+    with NaN, which a stable ``argsort`` sorts after every value, NaN too,
+    and grades with 0, which add nothing to a row.  A failure is that of all
+    lists at once: the first metric that fails anywhere, as it fails on its
+    first failing chunk (NDCG's overflow names the largest grade of all)."""
     rows, ends, largest = max(1, cells // int(lengths.max())), np.cumsum(lengths), grades.max()
     values = np.empty((len(lengths), len(metrics)))
-    for col, metric in enumerate(metrics):
-        for lo in range(0, len(lengths), rows):
-            chunk = lengths[lo : lo + rows]
-            filled = np.arange(chunk.max()) < chunk[:, None]
-            padded = np.zeros(filled.shape)
-            padded[filled] = grades[ends[lo] - chunk[0] : ends[lo + len(chunk) - 1]]
-            values[lo : lo + rows, col] = metric(padded, chunk, largest)
+    failure, active = None, len(metrics)
+    for lo in range(0, len(lengths), rows):
+        chunk = lengths[lo : lo + rows]
+        filled = np.arange(chunk.max()) < chunk[:, None]
+        records = slice(ends[lo] - chunk[0], ends[lo + len(chunk) - 1])
+        keys = np.full(filled.shape, np.nan)
+        keys[filled] = -scores[records]
+        ranked = np.zeros(filled.shape)
+        ranked[filled] = grades[records]
+        ranked = np.take_along_axis(ranked, np.argsort(keys, axis=1, kind="stable"), axis=1)
+        for col, metric in enumerate(metrics[:active]):
+            try:
+                values[lo : lo + rows, col] = metric(ranked, chunk, largest)
+            except ValueError as exc:  # metrics after this one no longer count
+                failure, active = exc, col
+                break
+    if failure is not None:
+        raise failure
     return values
 
 
@@ -616,19 +604,18 @@ def evaluate_ranking(
     """Rank each user's test items given their training partition and average
     the requested metrics over users.
 
-    Deterministic: all users are scored in one batch against ``params``;
-    rankings equal ``complete_rank`` on ``user_partitions(train_ds)``.
+    Deterministic: one pass against ``params`` scores every test item, then
+    each chunk of users is ranked and measured at once; rankings equal
+    ``complete_rank`` on ``user_partitions(train_ds)``.
     """
     metrics = parse_metrics(metric_names)  # validate upfront
     if train_ds.grades is None or test_ds.grades is None:
         raise ValueError("evaluate_ranking needs graded datasets")
-    ranked = _ranked_test_records(params, train_ds, test_ds)
-    if not len(ranked):
+    records, lengths, scores = _scored_test_records(params, train_ds, test_ds)
+    if not len(records):
         raise ValueError("no users with both training and test records")
-    users = test_ds.users[ranked]
-    first = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
-    values = _metric_rows(metrics, test_ds.grades[ranked], np.diff(np.r_[first, len(users)]))
-    report = {"n_users": len(first), "metrics": {}}
+    values = _ranked_metric_rows(metrics, scores, test_ds.grades[records], lengths)
+    report = {"n_users": len(lengths), "metrics": {}}
     for col, name in enumerate(metric_names):
         vals = values[:, col]
         report["metrics"][name] = {

@@ -115,6 +115,24 @@ def by_user(ds) -> list[np.ndarray]:
     return [order[bounds[u] : bounds[u + 1]] for u in range(ds.n_users)]
 
 
+def walk_ranking(scores, lengths, cells: int = 0) -> np.ndarray:
+    """The positions of lists held one after another in ``scores``, in the
+    order ``pipeline._ranked_metric_rows`` ranks them (``cells`` 0: its
+    default bound): the walk's ranked grades when the grades are the
+    positions, read by a metric that records them."""
+    from osmrank.pipeline import _CELLS, _ranked_metric_rows
+
+    ranked = [np.zeros(0)]
+
+    def record(grades, chunk, largest):
+        ranked.append(grades[np.arange(grades.shape[1]) < chunk[:, None]])
+        return np.zeros(len(grades))
+
+    if len(lengths):
+        _ranked_metric_rows([record], scores, np.arange(len(scores), dtype=float), lengths, cells or _CELLS)
+    return np.concatenate(ranked).astype(np.int64)
+
+
 def reference_build_dataset(users, items, rates):
     """``pipeline._build_dataset`` with ``np.unique`` dense ids, kept as an oracle."""
     import warnings

@@ -619,6 +619,19 @@ class TestEvalOutput:
         assert not report.exists()
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["ndcg@ 5", "ndcg@+5", "ndcg@1_0", "ndcg@\u0665"])
+    def test_non_canonical_truncation_writes_no_report(self, tmp_path, capsys, name):
+        # int() takes inner blanks, signs, digit separators and non-ASCII digits
+        data = make_ratings_file(tmp_path / "r.dat")
+        ck = self.checkpoint(tmp_path, data)
+        capsys.readouterr()
+        report = tmp_path / "r.txt"
+        code = main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15",
+                     "--model", ck, "--metrics", name, "--out", str(report)])
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == f"osmrank: metric {name!r}: truncation must be an integer\n"
+
     def test_metrics_checked_before_reading_ratings(self, tmp_path, capsys):
         code = main(["eval", "--data", str(tmp_path / "missing.dat"), "--model", "m.ck",
                      "--metrics", "ndcg@5,map@5"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import by_user, random_latent_model, reference_load_ratings
+from helpers import by_user, random_latent_model, reference_load_ratings, walk_ranking
 from oracles import from_blocks, from_graded_ratings, reconstruct_rank
 from osmrank.combinatorics import OrderedPartition
 from osmrank.core import worth_features
@@ -20,8 +20,8 @@ from osmrank.metrics import err, err_rows, ndcg_at, ndcg_rows
 from osmrank.pipeline import (
     RankedList,
     SplitSpec,
-    _metric_rows,
-    _ranked_test_records,
+    _ranked_metric_rows,
+    _scored_test_records,
     _worth_coefficients,
     complete_rank,
     entropy_filter,
@@ -832,7 +832,8 @@ class TestParseMetric:
         with pytest.raises(ValueError):
             parse_metric("precision")
 
-    @pytest.mark.parametrize("name", ["ndcg@x", "ndcg@", "ndcg@0"])
+    @pytest.mark.parametrize("name", ["ndcg@x", "ndcg@", "ndcg@0", "ndcg@ 5", "ndcg@+5", "ndcg@1_0",
+                                      "ndcg@\u0665"])
     def test_bad_truncation_names_the_metric(self, name):
         with pytest.raises(ValueError, match=re.escape(f"metric {name!r}: ")):
             parse_metric(name)
@@ -885,7 +886,8 @@ class TestBatchedEvaluation:
         params = self.params(kind, train_ds.n_items, k, seed)
         model = cf_latent_model(params)
         parts = user_partitions(train_ds)
-        ranked = _ranked_test_records(params, train_ds, test_ds)
+        records, lengths, scores = _scored_test_records(params, train_ds, test_ds)
+        ranked = records[walk_ranking(scores, lengths)]
         ranked_users = test_ds.users[ranked]
         expected = []
         for u, recs in enumerate(by_user(test_ds)):
@@ -899,22 +901,32 @@ class TestBatchedEvaluation:
             ordered = [grade_of[j] for j in oracle.items]
             expected.append([ndcg_at(ordered, 1), ndcg_at(ordered, 5), err(ordered)])
         assert len({len(r) for r in by_user(test_ds) if len(r)}) > 1
-        report = evaluate_ranking(params, train_ds, test_ds, ["ndcg@1", "ndcg@5", "err"])
+        names = ["ndcg@1", "ndcg@5", "err"]
+        report = evaluate_ranking(params, train_ds, test_ds, names)
         assert report["n_users"] == len(expected)
-        for col, name in enumerate(["ndcg@1", "ndcg@5", "err"]):
+        for col, name in enumerate(names):
             want = np.array(expected)[:, col]
             np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
+        # one user per chunk, a few, and the default bound give the same bytes
+        values = np.column_stack([report["metrics"][name]["per_user"] for name in names])
+        for cells in (1, 7):
+            chunked = _ranked_metric_rows(parse_metrics(names), scores, test_ds.grades[records], lengths, cells)
+            assert chunked.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("cells", [1, 4, 1 << 20])
     def test_chunked_metric_errors_are_those_of_all_lists(self, cells):
-        # lists [1024, 2], [7, 1] and [1030]: one, two or three lists per chunk
+        # lists [1024, 2], [7, 1] and [1030], ranked as stored: one, two or three lists per chunk
         grades, lengths = np.array([1024.0, 2.0, 7.0, 1.0, 1030.0]), np.array([2, 2, 1])
+        scores = -np.arange(len(grades), dtype=float)
         # the first list overflows, and the message names the largest grade of all lists
         with pytest.raises(ValueError, match=r"^NDCG gains 2\*\*grade overflow \(largest grade 1030\)$"):
-            _metric_rows(parse_metrics(["ndcg@5", "err"]), grades, lengths, cells)
+            _ranked_metric_rows(parse_metrics(["ndcg@5", "err"]), scores, grades, lengths, cells)
         # the first metric that fails anywhere fails first, at its first bad grade in list order
         with pytest.raises(ValueError, match=r"^ERR grade must be an integer in 1\.\.5, got 1024$"):
-            _metric_rows(parse_metrics(["err", "ndcg@5"]), grades, lengths, cells)
+            _ranked_metric_rows(parse_metrics(["err", "ndcg@5"]), scores, grades, lengths, cells)
+        # ERR fails on [7, 1] before NDCG overflows on [1030], and NDCG still fails first
+        with pytest.raises(ValueError, match=r"^NDCG gains 2\*\*grade overflow \(largest grade 1030\)$"):
+            _ranked_metric_rows(parse_metrics(["ndcg@5", "err"]), scores[2:], grades[2:], lengths[1:], cells)
 
     def test_overlap_rejected(self, tmp_path):
         ds, (train_ds, _) = self.split(tmp_path, 5)

@@ -26,6 +26,7 @@ from helpers import (
     reference_unit_weights,
     reference_user_partitions,
     reference_worth_features,
+    walk_ranking,
 )
 from oracles import (
     LatentModel,
@@ -60,10 +61,9 @@ from osmrank.partition_function import (
 from osmrank.pipeline import (
     SplitSpec,
     _build_dataset,
-    _metric_rows,
     _odd_colon_run,
-    _rank_by_user,
-    _ranked_test_records,
+    _ranked_metric_rows,
+    _scored_test_records,
     _stable_order,
     complete_rank,
     entropy_filter,
@@ -527,7 +527,8 @@ def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind
             grade_of = dict(zip(test_ds.items[recs].tolist(), test_ds.grades[recs].tolist()))
             ranked_items += oracle
             rows.append([grade_of[j] for j in oracle])
-    assert test_ds.items[_ranked_test_records(params, train_ds, test_ds)].tolist() == ranked_items
+    records, lengths, scores = _scored_test_records(params, train_ds, test_ds)
+    assert test_ds.items[records[walk_ranking(scores, lengths)]].tolist() == ranked_items
 
     names = ["ndcg@1", "ndcg@5", "err"]
     if not rows:
@@ -541,21 +542,24 @@ def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind
         np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
 
 
-@given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=12), min_size=1, max_size=30),
+RANK_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(1, 5), RANK_SCORES), min_size=1, max_size=12),
+                min_size=1, max_size=30),
        st.integers(2, 40))
 def test_metric_rows_do_not_depend_on_the_chunk_bound(lists, cells):
     # one list per chunk, chunks of a few lists, and the default bound (one chunk here)
-    grades = np.array([g for row in lists for g in row], dtype=float)
+    grades, scores = (np.array([pair[i] for row in lists for pair in row], dtype=float) for i in (0, 1))
     lengths = np.array([len(row) for row in lists])
     metrics = parse_metrics(["ndcg@1", "ndcg@5", "err"])
-    values = _metric_rows(metrics, grades, lengths)
+    values = _ranked_metric_rows(metrics, scores, grades, lengths)
     for bound in (1, cells):
-        assert _metric_rows(metrics, grades, lengths, bound).tobytes() == values.tobytes()
+        assert _ranked_metric_rows(metrics, scores, grades, lengths, bound).tobytes() == values.tobytes()
     for row, lst in zip(values.tolist(), lists):
-        assert row == [metric(np.array([lst], dtype=float))[0] for metric in metrics]
-
-
-RANK_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]) | st.floats()
+        list_grades, list_scores = np.array(lst).T
+        ranked = list_grades[np.lexsort((np.arange(len(lst)), -list_scores))]
+        assert row == [metric(ranked[None])[0] for metric in metrics]
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11), RANK_SCORES), max_size=60),
@@ -565,7 +569,8 @@ def test_ranking_by_user_is_lexsort(records, cells):
     # one user to all of them, and cell bounds below the longest user's count
     users, items, scores = (np.array(column, dtype=dtype) for column, dtype in
                             zip(zip(*records) if records else ((), (), ()), (np.int64, np.int64, float)))
-    got = _rank_by_user(_stable_order((items, 12), (users, 8)), users, scores, cells=cells)
+    order, lengths = _stable_order((items, 12), (users, 8)), np.bincount(users)
+    got = order[walk_ranking(scores[order], lengths[lengths > 0], cells)]
     assert got.tolist() == np.lexsort((items, -scores, users)).tolist()
 
 
