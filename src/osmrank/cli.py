@@ -140,8 +140,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    parse_metrics(metric_names)  # fail before reading the ratings
+    metrics = parse_metrics(args.metrics.split(","))  # fail before reading the ratings
     train_ds, test_ds = _prepped_split(args)
     # score every model before writing anything
     reports = []
@@ -151,13 +150,23 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"{model_path}: checkpoint has {params.n_items} items, data has {train_ds.n_items}"
             )
-        reports.append((model_path, params.n_hidden,
-                        evaluate_ranking(params, train_ds, test_ds, metric_names)))
+        reports.append((model_path, params.n_hidden, evaluate_ranking(params, train_ds, test_ds, metrics)))
+    # open every output for appending, which writes nothing, before writing
+    # any; on a failure, remove those that did not exist before
+    outputs = [path for path in (args.out, args.per_user, args.sweep_out) if path]
+    new = {path for path in outputs if not os.path.lexists(path)}
+    try:
+        for path in outputs:
+            open(path, "a").close()
+    except OSError:
+        for path in filter(os.path.lexists, new):
+            os.remove(path)
+        raise
     sweep_rows = []
     with _output(args.out) as out:
         print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
         for model_path, k, report in reports:
-            for name in metric_names:
+            for name in metrics:
                 stats = report["metrics"][name]
                 t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
                 print(
@@ -170,11 +179,11 @@ def cmd_eval(args) -> int:
     if args.per_user:
         # one header per model, each followed by that model's rows; "%.6f"
         # formats a float as ":.6f" does
-        row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metric_names)])
+        row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metrics)])
         lines = []
         for model_path, _, report in reports:
             lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
-            columns = [report["metrics"][name]["per_user"].tolist() for name in metric_names]
+            columns = [report["metrics"][name]["per_user"].tolist() for name in metrics]
             lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
         with open(args.per_user, "w") as fh:
             fh.write("".join(line + "\n" for line in lines))
@@ -273,16 +282,11 @@ def cmd_oracle(args) -> int:
             states, probs = exact_distribution(model, cap=args.cap)
             order_marg = np.zeros((args.n, args.n))
             tie_marg = np.zeros((args.n, args.n))
-            for X, p in zip(states, probs):
+            for X, p in zip(states, probs):  # each cell adds p or an exact 0.0
                 ranks = X.block_of()
-                for i in range(args.n):
-                    for j in range(i + 1, args.n):
-                        if ranks[i] == ranks[j]:
-                            tie_marg[i, j] += p
-                        elif ranks[i] < ranks[j]:
-                            order_marg[i, j] += p
-                        else:
-                            order_marg[j, i] += p
+                r = np.array([ranks[i] for i in range(args.n)])
+                order_marg += p * (r[:, None] < r)
+                tie_marg += p * np.triu(r[:, None] == r, 1)
             for i in range(args.n):
                 for j in range(args.n):
                     if i != j:

@@ -30,7 +30,6 @@ __all__ = [
     "user_partitions",
     "complete_rank",
     "evaluate_ranking",
-    "parse_metric",
     "parse_metrics",
 ]
 
@@ -192,10 +191,10 @@ def _is_record(parts: list[str]) -> bool:
     return user in _INT64 and item in _INT64
 
 
-def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
-    """Per-line check of a file ``np.loadtxt`` refused: names the first
-    malformed line (an error in strict mode, a warning otherwise) and
-    returns the well-formed lines.  Blank lines are skipped.
+def _scan_lines(path: str, fmt: str) -> list[str]:
+    """Per-line check of a file ``np.loadtxt`` refused: any malformed line is
+    an error naming the count and the first; returns the lines.  Blank lines
+    are skipped.
 
     The file is read as bytes and split at \\n, \\r\\n and \\r, as text mode
     splits it; a line that is not UTF-8 is a malformed line.
@@ -222,26 +221,18 @@ def _scan_lines(path: str, fmt: str, strict: bool) -> list[str]:
                 else:
                     bad.append(lineno)
     if bad:
-        message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message)
+        raise ValueError(f"{path}: {len(bad)} malformed lines (first at line {bad[0]})")
     return good
 
 
-def load_ratings(
-    path: str,
-    fmt: str = "movielens_dcolon",
-    strict: bool = True,
-) -> RatingsDataset:
+def load_ratings(path: str, fmt: str = "movielens_dcolon") -> RatingsDataset:
     """Parse ``user::item::rating[::...]`` or headed ``user,item,rating[,...]``
     rating files; fields after the rating (a timestamp, say) are ignored.
 
     A well-formed file is read by one ``np.loadtxt`` call, in blocks from the
     path unless the name has a compressed suffix or looks like a URL.
-    Otherwise a per-line scan reports malformed lines with their line
-    numbers; in strict mode any malformed line is an error, else those lines
-    are dropped.
+    Otherwise a per-line scan raises on any malformed line, with the count
+    and the first line's number.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -255,7 +246,7 @@ def load_ratings(
             source = fh if "://" in path or path.endswith(_COMPRESSED) else path
             records = _parse_records(source, fmt, skiprows=_FORMATS[fmt][3])
     except ValueError:
-        records = _parse_records(_scan_lines(path, fmt, strict), fmt)
+        records = _parse_records(_scan_lines(path, fmt), fmt)
     return _build_dataset(records["user"], records["item"], records["rating"])
 
 
@@ -468,31 +459,34 @@ def complete_rank(
     return _rank({j: len(seen_items) * float(w[j]) for j in unseen})
 
 
-def parse_metric(name: str):
-    """'ndcg@T' or 'err' -> callable(grades, lengths=None, largest=None) ->
-    one value per row of grades in predicted order (see ``metrics.ndcg_rows``)."""
-    name = name.strip().lower()
-    if name == "err":
-        return lambda grades, lengths=None, largest=None: err_rows(grades, lengths)
-    if name.startswith("ndcg@"):
-        digits = name[len("ndcg@"):]
-        try:
-            if not (digits.isascii() and digits.isdigit()):  # int() takes " 5", "+5", "1_0", "\u0665"
-                raise ValueError
-            t = int(digits)  # which fails past the interpreter's digit limit
-        except ValueError:
-            raise ValueError(f"metric {name!r}: truncation must be an integer") from None
-        if t < 1:
-            raise ValueError(f"metric {name!r}: truncation must be >= 1")
-        return lambda grades, lengths=None, largest=None: ndcg_rows(grades, t, lengths, largest)
-    raise ValueError(f"unknown metric {name!r}")
-
-
-def parse_metrics(names: Sequence[str]) -> list:
-    """``parse_metric`` over a list of names, which must not be empty."""
-    if not names:
+def parse_metrics(names: Sequence[str]) -> dict:
+    """Metric names -> {canonical name: callable(grades, lengths=None,
+    largest=None) -> one value per row of grades in predicted order (see
+    ``metrics.ndcg_rows``)}.  Names are 'err' or 'ndcg@T'; each is stripped
+    and lower-cased, blanks are skipped, T is written as an integer, and a
+    metric named twice is kept once, in first-named order."""
+    metrics = {}
+    for name in names:
+        name = name.strip().lower()
+        if name == "err":
+            metrics.setdefault(name, lambda grades, lengths=None, largest=None: err_rows(grades, lengths))
+        elif name.startswith("ndcg@"):
+            digits = name[len("ndcg@"):]
+            try:
+                if not (digits.isascii() and digits.isdigit()):  # int() takes " 5", "+5", "1_0", "\u0665"
+                    raise ValueError
+                t = int(digits)  # which fails past the interpreter's digit limit
+            except ValueError:
+                raise ValueError(f"metric {name!r}: truncation must be an integer") from None
+            if t < 1:
+                raise ValueError(f"metric {name!r}: truncation must be >= 1")
+            metrics.setdefault(f"ndcg@{t}", lambda grades, lengths=None, largest=None, t=t:
+                               ndcg_rows(grades, t, lengths, largest))
+        elif name:
+            raise ValueError(f"unknown metric {name!r}")
+    if not metrics:
         raise ValueError("no metrics requested")
-    return [parse_metric(name) for name in names]
+    return metrics
 
 
 def _worth_coefficients(ds: RatingsDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -562,9 +556,9 @@ def _scored_test_records(
 _CELLS = 1 << 20  # bounds the padded matrices of one chunk of _ranked_metric_rows
 
 
-def _ranked_metric_rows(metrics: list, scores: np.ndarray, grades: np.ndarray, lengths: np.ndarray,
+def _ranked_metric_rows(metrics: dict, scores: np.ndarray, grades: np.ndarray, lengths: np.ndarray,
                         cells: int = _CELLS) -> np.ndarray:
-    """The metrics (``parse_metric``) of lists held one after another in
+    """The metrics (``parse_metrics``) of lists held one after another in
     ``grades``, each ranked by descending ``scores``, ties in stored order,
     as a (lists, metrics) array.  A chunk holds as many lists as fit in ``cells``
     at the longest list's width (at least one), one row each, padded: -score
@@ -584,7 +578,7 @@ def _ranked_metric_rows(metrics: list, scores: np.ndarray, grades: np.ndarray, l
         ranked = np.zeros(filled.shape)
         ranked[filled] = grades[records]
         ranked = np.take_along_axis(ranked, np.argsort(keys, axis=1, kind="stable"), axis=1)
-        for col, metric in enumerate(metrics[:active]):
+        for col, metric in enumerate(list(metrics.values())[:active]):
             try:
                 values[lo : lo + rows, col] = metric(ranked, chunk, largest)
             except ValueError as exc:  # metrics after this one no longer count
@@ -599,16 +593,15 @@ def evaluate_ranking(
     params: CFParams,
     train_ds: RatingsDataset,
     test_ds: RatingsDataset,
-    metric_names: Sequence[str],
+    metrics: dict,
 ) -> dict:
     """Rank each user's test items given their training partition and average
-    the requested metrics over users.
+    the metrics (``parse_metrics``) over users, under the same names.
 
     Deterministic: one pass against ``params`` scores every test item, then
     each chunk of users is ranked and measured at once; rankings equal
     ``complete_rank`` on ``user_partitions(train_ds)``.
     """
-    metrics = parse_metrics(metric_names)  # validate upfront
     if train_ds.grades is None or test_ds.grades is None:
         raise ValueError("evaluate_ranking needs graded datasets")
     records, lengths, scores = _scored_test_records(params, train_ds, test_ds)
@@ -616,7 +609,7 @@ def evaluate_ranking(
         raise ValueError("no users with both training and test records")
     values = _ranked_metric_rows(metrics, scores, test_ds.grades[records], lengths)
     report = {"n_users": len(lengths), "metrics": {}}
-    for col, name in enumerate(metric_names):
+    for col, name in enumerate(metrics):
         vals = values[:, col]
         report["metrics"][name] = {
             "mean": float(vals.mean()),

@@ -129,7 +129,7 @@ def walk_ranking(scores, lengths, cells: int = 0) -> np.ndarray:
         return np.zeros(len(grades))
 
     if len(lengths):
-        _ranked_metric_rows([record], scores, np.arange(len(scores), dtype=float), lengths, cells or _CELLS)
+        _ranked_metric_rows({"record": record}, scores, np.arange(len(scores), dtype=float), lengths, cells or _CELLS)
     return np.concatenate(ranked).astype(np.int64)
 
 

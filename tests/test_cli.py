@@ -654,6 +654,57 @@ class TestEvalOutput:
         assert not any(path.exists() for path in outs.values())
 
 
+    def test_metric_named_in_several_spellings_is_scored_once(self, tmp_path, capsys):
+        # each metric is scored once, under its canonical name, in first-named order
+        data = make_ratings_file(tmp_path / "r.dat")
+        ck = self.checkpoint(tmp_path, data)
+        outputs = {}
+        for n, metrics in enumerate(["NDCG@5,ndcg@05,ndcg@5,Err", "ndcg@5,err"]):
+            files = [tmp_path / f"{name}{n}.txt" for name in ("report", "per_user", "sweep")]
+            assert main(["eval", "--data", data, "--n-train", "5", "--min-ratings", "15", "--model", ck,
+                         "--metrics", metrics, "--out", str(files[0]), "--per-user", str(files[1]),
+                         "--sweep-out", str(files[2])]) == 0
+            outputs[metrics] = [path.read_text().splitlines() for path in files]
+        report, per_user, sweep = outputs["NDCG@5,ndcg@05,ndcg@5,Err"]
+        assert [row.split()[2] for row in report[1:]] == ["metric=ndcg@5", "metric=err"]
+        assert report[1].split()[3] == "T=5" and report[2].split()[3].startswith("mean=")
+        assert {tuple(field.split("=")[0] for field in row.split()) for row in per_user[1:]} == {
+            ("user_row", "ndcg@5", "err")}
+        assert [row.split("\t")[1] for row in sweep[1:]] == ["err", "ndcg@5"]
+        assert outputs["ndcg@5,err"] == [report, per_user, sweep]
+
+    @pytest.mark.parametrize("bad", ["dir", "missing/x.txt"])
+    @pytest.mark.parametrize("flag, others", [
+        ("--out", ["--per-user", "--sweep-out"]),
+        ("--per-user", ["--out", "--sweep-out"]),
+        ("--sweep-out", ["--out", "--per-user"]),
+        ("--per-user", ["--sweep-out"]),  # the report goes to stdout
+        ("--sweep-out", ["--per-user"]),
+    ], ids=["out", "per-user", "sweep-out", "per-user-stdout", "sweep-out-stdout"])
+    def test_unopenable_output_writes_nothing(self, tmp_path, capsys, flag, others, bad):
+        # a directory or a path in a missing directory, beside an existing file
+        # and a new path, or beside stdout and a new path
+        data = make_ratings_file(tmp_path / "r.dat")
+        ck = self.checkpoint(tmp_path, data)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "kept.txt").write_text("kept\n")
+        argv = ["eval", "--data", data, "--n-train", "5", "--min-ratings", "15", "--model", ck,
+                flag, str(tmp_path / bad)]
+        for other, name in zip(others, ["kept.txt", "new.txt"][-len(others):]):
+            argv += [other, str(tmp_path / name)]
+
+        def tree():
+            return {path: (path.stat().st_mtime_ns, path.is_file() and path.read_bytes())
+                    for path in tmp_path.rglob("*")}
+
+        before = tree()
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("osmrank: [Errno ") and err.endswith(f": {str(tmp_path / bad)!r}\n")
+        assert tree() == before
+
 class TestTrainOutput:
     def test_no_trainable_users_writes_nothing(self, tmp_path, capsys):
         data = make_ratings_file(tmp_path / "r.dat")

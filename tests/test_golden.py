@@ -100,6 +100,7 @@ def make_inputs(directory: str) -> None:
     write_checkpoint(os.path.join(directory, "ais.ck"), rng, 14, 3)
     write_checkpoint(os.path.join(directory, "small.ck"), rng, 5, 2)
     write_zero_checkpoint(os.path.join(directory, "tie.ck"), n_items)
+    write_checkpoint(os.path.join(directory, "small0.ck"), rng, 5, 0)
 
 
 DATA = ["--data", "ratings.dat"]
@@ -135,6 +136,9 @@ CASES = {
                                 "--out", "oracle_enum.txt"], ["oracle_enum.txt"]),
     "oracle-exact-z-marginals": (["oracle", "--n", "5", "--model", "small.ck", "--exact-z",
                                   "--marginals", "--out", "oracle_z.txt"], ["oracle_z.txt"]),
+    # K = 0 makes no BLAS call, so its floats are pinned by digest
+    "oracle-exact-z-marginals-k0": (["oracle", "--n", "5", "--model", "small0.ck", "--exact-z",
+                                     "--marginals", "--out", "oracle_k0.txt"], ["oracle_k0.txt"]),
     "oracle-exact-z-marginals-uniform": (["oracle", "--n", "4", "--exact-z", "--marginals",
                                           "--out", "oracle_uniform.txt"], ["oracle_uniform.txt"]),
 }
@@ -147,6 +151,7 @@ DIGESTS = {
     ("eval-ties", "eval_tie.txt"): "4f345649bc8a4330abb6f5dcacbd60429d0494570074de5338261e219562e666",
     ("eval-ties", "per_user_tie.txt"): "3af67103cac1cb88ff9f5f484e85031e45a6c1814bbcda1bfd8ffbd1d439257f",
     ("oracle-count-enumerate", "oracle_enum.txt"): "f760df91ed85e22796aeae5b6478bd4abc931e72060b65e65543c1d35249b33f",
+    ("oracle-exact-z-marginals-k0", "oracle_k0.txt"): "3e8cf58a3671fbd9074b83c3b50f886d1900792afdf5a1861d8b4a3061f5b147",
     ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "caa64cb52834db103ec3df5eedf82049fa141b23c1e02688b51a1a09f1782f39",
     ("sample-model", "sample_model.txt"): "034fde103d64cc2b49a66d173351047e3246e882665877ae6c5937d1bff13b59",
     ("sample-uniform", "sample_uniform.txt"): "39e0917843008114db2d2ace87c33883ba364fe4781a7f8f707b0f54476a8f8c",

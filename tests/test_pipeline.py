@@ -28,7 +28,6 @@ from osmrank.pipeline import (
     evaluate_ranking,
     grade_ratings,
     load_ratings,
-    parse_metric,
     parse_metrics,
     train_test_split,
     user_partitions,
@@ -191,13 +190,6 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match="line 2"):
             load_ratings(str(path))
 
-    def test_malformed_lenient_warns(self, tmp_path):
-        path = tmp_path / "bad.dat"
-        path.write_text("1::10::4.5::1\nnope\n")
-        with pytest.warns(UserWarning):
-            ds = load_ratings(str(path), strict=False)
-        assert ds.n_records == 1
-
     @pytest.mark.parametrize("fmt", ["movielens_dcolon", "csv"])
     def test_non_utf8_line_is_a_malformed_line(self, tmp_path, fmt):
         # the text-mode read used to fail on the byte, naming neither the file nor the line
@@ -209,9 +201,6 @@ class TestLoadRatings:
         first_bad = 3 if fmt == "csv" else 2
         with pytest.raises(ValueError, match=f"^{path}: 1 malformed lines \\(first at line {first_bad}\\)$"):
             load_ratings(str(path), fmt=fmt)
-        with pytest.warns(UserWarning, match=f"first at line {first_bad}"):
-            ds = load_ratings(str(path), fmt=fmt, strict=False)
-        assert ds.user_ids[ds.users].tolist() == [1, 3]
 
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -393,10 +382,8 @@ class TestLoadRatingsAgainstReference:
             message = f"{path}: {len(bad)} malformed lines (first at line {bad[0]})"
             with pytest.raises(ValueError, match=re.escape(message)):
                 load_ratings(str(path), fmt=fmt)
-            with pytest.warns(UserWarning, match=re.escape(message)):
-                ds = load_ratings(str(path), fmt=fmt, strict=False)
-        else:
-            ds = load_ratings(str(path), fmt=fmt)
+            return
+        ds = load_ratings(str(path), fmt=fmt)
         got = list(zip(ds.user_ids[ds.users].tolist(), ds.item_ids[ds.items].tolist(),
                        ds.ratings.tolist()))
         assert repr(got) == repr(expected)  # repr: nan == nan
@@ -802,7 +789,7 @@ class TestEvaluateRanking:
     def test_zero_model_matches_explicit_ascending_baseline(self, tmp_path):
         train_ds, test_ds = self.build(tmp_path)
         params = CFParams.zeros(train_ds.n_items, 2)
-        report = evaluate_ranking(params, train_ds, test_ds, ["ndcg@5", "err"])
+        report = evaluate_ranking(params, train_ds, test_ds, parse_metrics(["ndcg@5", "err"]))
         # zero model ranks test items by ascending item index; replicate
         from osmrank.metrics import ndcg_at as nd, err as er
 
@@ -819,24 +806,36 @@ class TestEvaluateRanking:
         assert report["metrics"]["ndcg@5"]["mean"] == pytest.approx(np.mean(nd_vals))
         assert report["metrics"]["err"]["mean"] == pytest.approx(np.mean(er_vals))
 
-    def test_unknown_metric_rejected(self, tmp_path):
-        train_ds, test_ds = self.build(tmp_path)
+    def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            evaluate_ranking(CFParams.zeros(train_ds.n_items, 1), train_ds, test_ds, ["map@5"])
+            parse_metrics(["map@5"])
 
 
 class TestParseMetric:
     def test_parses(self):
-        assert parse_metric("ndcg@10")([[5, 0] * 5])[0] > 0
-        assert parse_metric("err")([[5, 1]])[0] > 0
+        assert parse_metrics(["ndcg@10"])["ndcg@10"]([[5, 0] * 5])[0] > 0
+        assert parse_metrics(["err"])["err"]([[5, 1]])[0] > 0
         with pytest.raises(ValueError):
-            parse_metric("precision")
+            parse_metrics(["precision"])
+
+    def test_names_are_canonical_and_each_metric_kept_once(self):
+        metrics = parse_metrics(["NDCG@5", " ndcg@05", "", "Err ", "ndcg@5", "ndcg@010", "err"])
+        assert list(metrics) == ["ndcg@5", "err", "ndcg@10"]
+        grades = np.array([[1.0, 5.0, 3.0, 2.0, 4.0, 1.0]])
+        assert metrics["ndcg@5"](grades).tolist() == ndcg_rows(grades, 5).tolist()
+        assert metrics["ndcg@10"](grades).tolist() == ndcg_rows(grades, 10).tolist()
+        assert metrics["err"](grades).tolist() == err_rows(grades).tolist()
+
+    @pytest.mark.parametrize("names", [[], [""], [" ", ""]])
+    def test_no_names_is_an_error(self, names):
+        with pytest.raises(ValueError, match="^no metrics requested$"):
+            parse_metrics(names)
 
     @pytest.mark.parametrize("name", ["ndcg@x", "ndcg@", "ndcg@0", "ndcg@ 5", "ndcg@+5", "ndcg@1_0",
                                       "ndcg@\u0665"])
     def test_bad_truncation_names_the_metric(self, name):
         with pytest.raises(ValueError, match=re.escape(f"metric {name!r}: ")):
-            parse_metric(name)
+            parse_metrics([name])
 
 
 class TestBatchedEvaluation:
@@ -902,7 +901,7 @@ class TestBatchedEvaluation:
             expected.append([ndcg_at(ordered, 1), ndcg_at(ordered, 5), err(ordered)])
         assert len({len(r) for r in by_user(test_ds) if len(r)}) > 1
         names = ["ndcg@1", "ndcg@5", "err"]
-        report = evaluate_ranking(params, train_ds, test_ds, names)
+        report = evaluate_ranking(params, train_ds, test_ds, parse_metrics(names))
         assert report["n_users"] == len(expected)
         for col, name in enumerate(names):
             want = np.array(expected)[:, col]
@@ -931,17 +930,17 @@ class TestBatchedEvaluation:
     def test_overlap_rejected(self, tmp_path):
         ds, (train_ds, _) = self.split(tmp_path, 5)
         with pytest.raises(ValueError, match="overlap"):
-            evaluate_ranking(CFParams.zeros(ds.n_items, 1), train_ds, ds, ["err"])
+            evaluate_ranking(CFParams.zeros(ds.n_items, 1), train_ds, ds, parse_metrics(["err"]))
 
     @pytest.mark.parametrize("end", [np.argmin, np.argmax])
     def test_one_overlapping_record_rejected(self, tmp_path, end):
         # the training record with the smallest or largest (user, item) key
         ds, (train_ds, test_ds) = self.split(tmp_path, 5)
         params = CFParams.zeros(ds.n_items, 1)
-        evaluate_ranking(params, train_ds, test_ds, ["err"])
+        evaluate_ranking(params, train_ds, test_ds, parse_metrics(["err"]))
         r = int(end(train_ds.users * ds.n_items + train_ds.items))
         fields = ("users", "items", "ratings", "grades")
         overlapping = replace(test_ds, **{f: np.append(getattr(test_ds, f), getattr(train_ds, f)[r])
                                           for f in fields})
         with pytest.raises(ValueError, match="overlap"):
-            evaluate_ranking(params, train_ds, overlapping, ["err"])
+            evaluate_ranking(params, train_ds, overlapping, parse_metrics(["err"]))

@@ -69,7 +69,6 @@ from osmrank.pipeline import (
     entropy_filter,
     evaluate_ranking,
     grade_ratings,
-    parse_metric,
     parse_metrics,
     train_test_split,
     user_partitions,
@@ -533,12 +532,12 @@ def test_batched_ranking_is_complete_rank(records, n_grades, n_train, seed, kind
     names = ["ndcg@1", "ndcg@5", "err"]
     if not rows:
         with pytest.raises(ValueError, match="no users"):
-            evaluate_ranking(params, train_ds, test_ds, names)
+            evaluate_ranking(params, train_ds, test_ds, parse_metrics(names))
         return
-    report = evaluate_ranking(params, train_ds, test_ds, names)
+    report = evaluate_ranking(params, train_ds, test_ds, parse_metrics(names))
     assert report["n_users"] == len(rows)
     for name in names:
-        want = [parse_metric(name)(np.array([row]))[0] for row in rows]
+        want = [parse_metrics([name])[name](np.array([row]))[0] for row in rows]
         np.testing.assert_allclose(report["metrics"][name]["per_user"], want, rtol=0, atol=1e-12)
 
 
@@ -559,7 +558,7 @@ def test_metric_rows_do_not_depend_on_the_chunk_bound(lists, cells):
     for row, lst in zip(values.tolist(), lists):
         list_grades, list_scores = np.array(lst).T
         ranked = list_grades[np.lexsort((np.arange(len(lst)), -list_scores))]
-        assert row == [metric(ranked[None])[0] for metric in metrics]
+        assert row == [metric(ranked[None])[0] for metric in metrics.values()]
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11), RANK_SCORES), max_size=60),
