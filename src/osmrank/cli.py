@@ -85,6 +85,37 @@ def _output(path: Optional[str]):
         yield fh
 
 
+@contextlib.contextmanager
+def _claimed(paths: list[str]):
+    """Open each path for appending, which writes nothing, before the body
+    runs; if an open or the body fails, remove the paths this run created."""
+    new = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for path in filter(os.path.lexists, new):
+            os.remove(path)
+        raise
+
+
+def _refuse_shared_files(parser: argparse.ArgumentParser, args) -> None:
+    """A usage error for one file in two roles: two outputs, or an output and
+    ``--data`` or a ``--model``.  One file is one real path, or one existing
+    file under two names."""
+    flags = ("out", "log", "per_user", "sweep_out", "data", "model")  # the outputs first
+    given = {flag: getattr(args, flag, None) for flag in flags}
+    named = [("--" + flag.replace("_", "-"), path) for flag, value in given.items()
+             for path in (value if isinstance(value, list) else [value]) if path]  # eval's --model is a list
+    n_outputs = sum(flag not in ("--data", "--model") for flag, _ in named)
+    for i, (flag, path) in enumerate(named[:n_outputs]):
+        for other, path2 in named[i + 1:]:  # the later outputs, then the inputs
+            with contextlib.suppress(OSError, ValueError):  # a missing file; a NUL, which open() reports
+                if os.path.realpath(path) == os.path.realpath(path2) or os.path.samefile(path, path2):
+                    parser.error(f"{flag} and {other} name one file: {path2}")
+
+
 def _prepped_split(args):
     ds = grade_ratings(load_ratings(args.data, fmt=args.format), n_grades=args.grades,
                        scale=tuple(args.scale))
@@ -112,7 +143,7 @@ def cmd_train(args) -> int:
     parts = user_partitions(train_ds)
     if not parts:
         raise ValueError("no users left after filtering and splitting")
-    users = trainable_users(parts.values())  # fail before the log is opened
+    users = trainable_users(parts.values())  # fail before --out and the log are opened
     cfg = TrainConfig(
         learning_rate=args.lr,
         block_size=args.block,
@@ -122,7 +153,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         l2=args.l2,
     )
-    with _output(args.log) as log_fh:
+    with _claimed([args.out]), _output(args.log) as log_fh:
         print(f"# osmrank train seed={args.seed} users={len(parts)} "
               f"items={train_ds.n_items} hidden={args.hidden}", file=log_fh)
 
@@ -134,7 +165,7 @@ def cmd_train(args) -> int:
             )
 
         params = train(users, cfg, callback=log_block)
-    save_checkpoint(args.out, params)
+        save_checkpoint(args.out, params)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -151,48 +182,38 @@ def cmd_eval(args) -> int:
                 f"{model_path}: checkpoint has {params.n_items} items, data has {train_ds.n_items}"
             )
         reports.append((model_path, params.n_hidden, evaluate_ranking(params, train_ds, test_ds, metrics)))
-    # open every output for appending, which writes nothing, before writing
-    # any; on a failure, remove those that did not exist before
-    outputs = [path for path in (args.out, args.per_user, args.sweep_out) if path]
-    new = {path for path in outputs if not os.path.lexists(path)}
-    try:
-        for path in outputs:
-            open(path, "a").close()
-    except OSError:
-        for path in filter(os.path.lexists, new):
-            os.remove(path)
-        raise
-    sweep_rows = []
-    with _output(args.out) as out:
-        print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
-        for model_path, k, report in reports:
-            for name in metrics:
-                stats = report["metrics"][name]
-                t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
-                print(
-                    f"model={model_path} K={k} metric={name}{t_part} "
-                    f"mean={stats['mean']:.6f} stderr={stats['stderr']:.6f} "
-                    f"n_users={report['n_users']}",
-                    file=out,
-                )
-                sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
-    if args.per_user:
-        # one header per model, each followed by that model's rows; "%.6f"
-        # formats a float as ":.6f" does
-        row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metrics)])
-        lines = []
-        for model_path, _, report in reports:
-            lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
-            columns = [report["metrics"][name]["per_user"].tolist() for name in metrics]
-            lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
-        with open(args.per_user, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-    if args.sweep_out:
-        # plot-ready metric-vs-hidden-size table
-        with open(args.sweep_out, "w") as fh:
-            print("K\tmetric\tmean\tstderr\tn_users", file=fh)
-            for k, name, mean, stderr, n_users in sorted(sweep_rows):
-                print(f"{k}\t{name}\t{mean:.6f}\t{stderr:.6f}\t{n_users}", file=fh)
+    with _claimed([path for path in (args.out, args.per_user, args.sweep_out) if path]):
+        sweep_rows = []
+        with _output(args.out) as out:
+            print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
+            for model_path, k, report in reports:
+                for name in metrics:
+                    stats = report["metrics"][name]
+                    t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
+                    print(
+                        f"model={model_path} K={k} metric={name}{t_part} "
+                        f"mean={stats['mean']:.6f} stderr={stats['stderr']:.6f} "
+                        f"n_users={report['n_users']}",
+                        file=out,
+                    )
+                    sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
+        if args.per_user:
+            # one header per model, each followed by that model's rows; "%.6f"
+            # formats a float as ":.6f" does
+            row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metrics)])
+            lines = []
+            for model_path, _, report in reports:
+                lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
+                columns = [report["metrics"][name]["per_user"].tolist() for name in metrics]
+                lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
+            with open(args.per_user, "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+        if args.sweep_out:
+            # plot-ready metric-vs-hidden-size table
+            with open(args.sweep_out, "w") as fh:
+                print("K\tmetric\tmean\tstderr\tn_users", file=fh)
+                for k, name, mean, stderr, n_users in sorted(sweep_rows):
+                    print(f"{k}\t{name}\t{mean:.6f}\t{stderr:.6f}\t{n_users}", file=fh)
     return EXIT_OK
 
 
@@ -374,6 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"{args.command} --uniform requires --n")
     if args.command == "oracle" and not (args.count or args.enumerate or args.exact_z or args.marginals):
         parser.error("oracle needs one of --count, --enumerate, --exact-z, --marginals")
+    _refuse_shared_files(parser, args)
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"osmrank: warning: {message}\n"
     try:

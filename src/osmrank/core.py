@@ -15,7 +15,7 @@ which check the closed forms (a worth model's ``tables`` are there too).
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,14 +34,8 @@ __all__ = [
 
 class LocalWorths:
     """A worth model at a chain's objects: ``nu`` and ``worths``, a dict from
-    each object to its worth.
-
-    It is its own ``split_ratio``, so ``advance_partition`` takes it in place
-    of the model: the kernel reads the two fields, folds each block's worths
-    once and keeps the sums.  Its ratio for (A, B) is the closed form of the
-    pair sum: each (a, b) in A x B contributes (w_a - w_b) / 2 - nu, so the
-    ratio is (|B| sum_A w - |A| sum_B w) / 2 - nu |A||B|, each sum a left fold
-    in the order given, as in ``CFParams.log_weight`` and the tests' ``local_ratio``.
+    each object to its worth.  ``advance_partition`` takes it in place of the
+    model and calls its ``ratio()`` for every proposal.
     """
 
     __slots__ = ("nu", "worths")
@@ -50,8 +44,25 @@ class LocalWorths:
         self.nu = nu
         self.worths = worths
 
-    def split_ratio(self, objects: Sequence[int]) -> "LocalWorths":
-        return self
+    def ratio(self) -> Callable[[Sequence[int], Sequence[int]], float]:
+        """The log weight ratio for splitting a block into A ranked just above
+        B, as a plain function closed over ``nu`` and ``worths``.  It is the
+        closed form of the pair sum: each (a, b) in A x B contributes
+        (w_a - w_b) / 2 - nu, so the ratio is (|B| sum_A w - |A| sum_B w) / 2
+        - nu |A||B|, each sum a left fold in the order given, as in
+        ``CFParams.log_weight`` and the tests' ``local_ratio``."""
+        nu, worths = self.nu, self.worths
+
+        def ratio(A: Sequence[int], B: Sequence[int]) -> float:
+            sum_a = sum_b = 0.0
+            for x in A:
+                sum_a += worths[x]
+            for x in B:
+                sum_b += worths[x]
+            na, nb = len(A), len(B)
+            return 0.5 * (nb * sum_a - na * sum_b) - nu * na * nb
+
+        return ratio
 
 
 def worth_features(X: OrderedPartition) -> tuple[int, np.ndarray, np.ndarray]:

@@ -5,9 +5,10 @@ the joint weight is Omega(X) * prod_k Omega_k(X)^{h_k}.  Posteriors over
 h factorize and are available in closed form, so inference alternates an
 exact Gibbs draw of h | X with split-merge MH moves on X | h, which run on
 the model with no hidden units whose weight is the joint weight,
-``effective_pair_model(h, m)``; a sweep takes it at the chain's objects
-only, ``m.effective_at``.  The direct product, ``log_joint_weight``, is the
-tests' reference in ``tests/oracles.py``.
+``effective_pair_model(h, m)``; a sweep takes it at the chain's objects only,
+``m.effective_at``, a ``LocalWorths`` whose closed-form ratio the kernel
+calls once per proposal.  The tests' reference is the direct product,
+``log_joint_weight`` in ``tests/oracles.py``.
 
 The model ``m`` is ``learning.CFParams``, read only through ``log_omegas``,
 ``effective``, ``unit_weights`` and ``effective_at`` (never

@@ -138,17 +138,6 @@ _FORMATS = {
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes np.loadtxt decompresses
 
 
-def _parse_records(lines, fmt: str, skiprows: int = 0) -> np.ndarray:
-    """One ``np.loadtxt`` call over a path, an open file or a list of lines."""
-    _, delimiter, usecols, _ = _FORMATS[fmt]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(
-            lines, dtype=_RECORD, comments=None, delimiter=delimiter,
-            usecols=usecols, skiprows=skiprows, ndmin=1,
-        )
-
-
 def _misread_by_loadtxt(path: str, fmt: str) -> bool:
     """True if ``np.loadtxt`` may read the file otherwise than the per-line scan.
 
@@ -179,28 +168,28 @@ def _odd_colon_run(chunk: bytes) -> bool:
 _INT64 = range(-(2**63), 2**63)  # the ids np.loadtxt can read
 
 
-def _is_record(parts: list[str]) -> bool:
+def _record(parts: list[str]) -> Optional[tuple[int, int, float]]:
+    """The (user, item, rating) of a split line, or None if it is malformed."""
     # np.loadtxt takes no digit separator (1_000) and no non-ASCII digit
     if len(parts) < 3 or any("_" in p or not p.isascii() for p in parts[:3]):
-        return False
+        return None
     try:
-        user, item = int(parts[0]), int(parts[1])
-        float(parts[2])
+        record = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
-        return False
-    return user in _INT64 and item in _INT64
+        return None
+    return record if record[0] in _INT64 and record[1] in _INT64 else None
 
 
-def _scan_lines(path: str, fmt: str) -> list[str]:
+def _scan_lines(path: str, fmt: str) -> list[tuple[int, int, float]]:
     """Per-line check of a file ``np.loadtxt`` refused: any malformed line is
-    an error naming the count and the first; returns the lines.  Blank lines
-    are skipped.
+    an error naming the count and the first; returns the (user, item,
+    rating) of each line, as the check parsed them.  Blank lines are skipped.
 
     The file is read as bytes and split at \\n, \\r\\n and \\r, as text mode
     splits it; a line that is not UTF-8 is a malformed line.
     """
     sep, _, _, header = _FORMATS[fmt]
-    good: list[str] = []
+    good: list[tuple[int, int, float]] = []
     bad: list[int] = []
     lineno = 0
     with open(path, "rb") as fh:
@@ -216,10 +205,11 @@ def _scan_lines(path: str, fmt: str) -> list[str]:
                     continue
                 if not line:
                     continue
-                if _is_record(line.split(sep)):
-                    good.append(line)
-                else:
+                record = _record(line.split(sep))
+                if record is None:
                     bad.append(lineno)
+                else:
+                    good.append(record)
     if bad:
         raise ValueError(f"{path}: {len(bad)} malformed lines (first at line {bad[0]})")
     return good
@@ -229,24 +219,27 @@ def load_ratings(path: str, fmt: str = "movielens_dcolon") -> RatingsDataset:
     """Parse ``user::item::rating[::...]`` or headed ``user,item,rating[,...]``
     rating files; fields after the rating (a timestamp, say) are ignored.
 
-    A well-formed file is read by one ``np.loadtxt`` call, in blocks from the
-    path unless the name has a compressed suffix or looks like a URL.
-    Otherwise a per-line scan raises on any malformed line, with the count
-    and the first line's number.
+    A well-formed file is read whole by one ``np.loadtxt`` call, in blocks
+    from the path unless the name has a compressed suffix or looks like a
+    URL.  Otherwise a per-line scan raises on any malformed line, with the
+    count and the first line's number, and gives the records it parsed.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    _, delimiter, usecols, header = _FORMATS[fmt]
     path = os.fspath(path)
     try:
         if _misread_by_loadtxt(path, fmt):
             raise ValueError("characters np.loadtxt misreads")
-        with open(path) as fh:  # a missing file fails here, with the OS's message
+        with open(path) as fh, warnings.catch_warnings():  # a missing file fails here, with the OS's message
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
             # numpy reads a path in blocks, but through its DataSource, which
             # decompresses by suffix and fetches URLs: those names keep the handle
             source = fh if "://" in path or path.endswith(_COMPRESSED) else path
-            records = _parse_records(source, fmt, skiprows=_FORMATS[fmt][3])
+            records = np.loadtxt(source, dtype=_RECORD, comments=None, delimiter=delimiter,
+                                 usecols=usecols, skiprows=header, ndmin=1)
     except ValueError:
-        records = _parse_records(_scan_lines(path, fmt), fmt)
+        records = np.array(_scan_lines(path, fmt), dtype=_RECORD)
     return _build_dataset(records["user"], records["item"], records["rating"])
 
 

@@ -183,30 +183,27 @@ def advance_partition(
     trajectory and the RNG state equal the reference kernel's.  The
     Hastings terms are those of ``_split_log_q_ratio`` and
     ``_merge_log_q_ratio``, in the same order, read from a table of
-    ``math.log(i)``.  The local weight ratio comes from
-    ``m.split_ratio(objects)``, and a merge's is the negated split ratio of
-    the two blocks.  A worth model's ratio is a ``LocalWorths`` (``m`` may
-    be one): its closed form is evaluated here, each side's worths folded
-    left to right in sorted order as ``local_ratio`` of ``tests/oracles.py``
-    folds them, and each block keeps its sum until a move changes it, so a
-    merge reads two kept sums.  Any other ratio, such as that of the tests'
-    pair tables, is called with the two halves.  One ``OrderedPartition`` is
-    built on return, unchecked since it is valid by construction, and none
-    when no move was accepted.
+    ``math.log(i)``.  Each call takes one ratio function and calls it once
+    per proposal: ``ratio(upper, lower)`` for a split and ``-ratio(b1, b2)``
+    for a merge.  A ``LocalWorths`` (``m`` may be one, and a worth model's
+    ``split_ratio`` of the chain's objects is one) gives its ``ratio()``, the
+    closed form with each side's worths folded left to right in sorted
+    order, as ``local_ratio`` of ``tests/oracles.py`` folds them; a pair
+    table's ``split_ratio`` is its own.  One ``OrderedPartition`` is built
+    on return, unchecked since it is valid by construction, and none when no
+    move was accepted.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     blocks = [list(b) for b in X.blocks]
     big = [t for t, b in enumerate(blocks) if len(b) > 1]
-    objects = [x for b in blocks for x in b]
-    pair_ratio = m.split_ratio(objects)
-    if type(pair_ratio) is LocalWorths:  # the worth form, folded here with each block's sum kept
-        nu, worths, pair_ratio = pair_ratio.nu, pair_ratio.worths, None
-    sums = [None] * len(blocks)  # each block's worth sum once folded, in block order (worth form)
+    local = m if type(m) is LocalWorths else m.split_ratio([x for b in blocks for x in b])
+    ratio = local.ratio() if type(local) is LocalWorths else local
+    n = sum(map(len, blocks))
     global _LOG
     LOG = _LOG
-    if len(LOG) <= len(objects):  # a new list, not an extended one: a chain never sees a table change
-        LOG = _LOG = [-math.inf, *map(math.log, range(1, len(objects) + 1))]
+    if len(LOG) <= n:  # a new list, not an extended one: a chain never sees a table change
+        LOG = _LOG = [-math.inf, *map(math.log, range(1, n + 1))]
     log, exp = math.log, math.exp
     uniform, getrandbits = rng.random, rng.getrandbits
     split_proposed = split_accepted = merge_proposed = merge_accepted = no_move = 0
@@ -258,25 +255,14 @@ def advance_partition(
                 else:
                     lower.append(x)
             na, nb = len(upper), len(lower)
-            if pair_ratio is None:
-                sum_a = sum_b = 0.0  # each half's worths folded in order
-                for x in upper:
-                    sum_a += worths[x]
-                for x in lower:
-                    sum_b += worths[x]
-                log_l = 0.5 * (nb * sum_a - na * sum_b) - nu * na * nb
-            else:
-                sum_a = sum_b = None
-                log_l = pair_ratio(upper, lower)
             log_accept = (
-                log_l
+                ratio(upper, lower)
                 + (LOG[n_split] + LOG[nt] + LOG[nt - 1] + (nt - 2) * LOG2 - LOG[T] - log(na * nb))
                 + (LOG_HALF if nt > 2 or n_split > 1 else 0.0)
                 - log_q_kind_fwd
             )
             if log_accept >= 0.0 or uniform() < exp(log_accept):
                 blocks[t : t + 1] = [upper, lower]
-                sums[t : t + 1] = [sum_a, sum_b]
                 head = [t] if na > 1 else []
                 if nb > 1:
                     head.append(t + 1)
@@ -290,32 +276,16 @@ def advance_partition(
                 t = getrandbits(k)
             b1, b2 = blocks[t], blocks[t + 1]
             n1, n2 = len(b1), len(b2)
-            if pair_ratio is None:
-                s1, s2 = sums[t], sums[t + 1]
-                if s1 is None:
-                    s1 = 0.0
-                    for x in b1:
-                        s1 += worths[x]
-                    sums[t] = s1
-                if s2 is None:
-                    s2 = 0.0
-                    for x in b2:
-                        s2 += worths[x]
-                    sums[t + 1] = s2
-                log_l = 0.5 * (n2 * s1 - n1 * s2) - nu * n1 * n2
-            else:
-                log_l = pair_ratio(b1, b2)
             ns = n1 + n2
             n_split_after = n_split + 1 - (n1 > 1) - (n2 > 1)
             log_accept = (
-                -log_l
+                -ratio(b1, b2)
                 + (LOG[T - 1] + log(n1 * n2) - LOG[n_split_after] - LOG[ns] - LOG[ns - 1] - (ns - 2) * LOG2)
                 + (LOG_HALF if T - 1 >= 2 else 0.0)
                 - log_q_kind_fwd
             )
             if log_accept >= 0.0 or uniform() < exp(log_accept):
                 blocks[t : t + 2] = [sorted(b1 + b2)]
-                sums[t : t + 2] = [None]  # folded again when a merge needs it
                 i = bisect_left(big, t)  # drop the entries for t and t + 1
                 big[i:] = [t] + [p - 1 for p in big[i + (n1 > 1) + (n2 > 1) :]]
                 merge_accepted += 1

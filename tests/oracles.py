@@ -19,8 +19,8 @@ functions here, moved from their methods: ``from_blocks`` and
 ``covers_universe`` of an ``OrderedPartition``, ``tables`` and ``scaled``
 of a worth model (a pair table keeps its own methods, which they call),
 ``unit_models`` of a ``CFParams`` or ``LatentModel``, and ``local_ratio``,
-the closed form of a ``LocalWorths`` split ratio that the kernel evaluates
-inline.  A ``CFParams`` has no pair potentials of its own: ``pair_table``
+the closed form of a ``LocalWorths`` split ratio, written apart from the
+``LocalWorths.ratio()`` closure the kernel calls.  A ``CFParams`` has no pair potentials of its own: ``pair_table``
 tabulates its base ones, whose ``log_tie``/``log_order`` the reference
 moves and pair sums (``log_ratio_split``, ``_single_move``) read.
 """

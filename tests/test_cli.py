@@ -727,6 +727,71 @@ class TestTrainOutput:
         assert not ck.exists()
         assert log.read_text().startswith("# osmrank train seed=0 ")  # the header, kept
 
+    def test_unopenable_out_fails_before_training(self, tmp_path, capsys):
+        # --out is claimed before --log opens: a directory fails with no log written
+        data = make_ratings_file(tmp_path / "r.dat")
+        (tmp_path / "dir").mkdir()
+        log = tmp_path / "tlog.txt"
+        capsys.readouterr()
+        assert main(["train", "--data", data, "--epochs", "1", "--out", str(tmp_path / "dir"),
+                     "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("osmrank: [Errno ")
+        assert not log.exists()
+
+
+class TestOneFileInTwoRoles:
+    """One file named by two outputs, or by an output and an input, is a
+    usage error found before any input is read."""
+
+    ROLES = {  # argv with the file "same" in two roles; "./same" names it too
+        "eval-out-per-user": ["eval", "--data", "r.dat", "--model", "m.ck", "--out", "same",
+                              "--per-user", "./same"],
+        "eval-out-sweep-out": ["eval", "--data", "r.dat", "--model", "m.ck", "--out", "same",
+                               "--sweep-out", "same"],
+        "eval-per-user-sweep-out": ["eval", "--data", "r.dat", "--model", "m.ck", "--per-user", "same",
+                                    "--sweep-out", "./same"],
+        "train-out-log": ["train", "--data", "r.dat", "--out", "same", "--log", "./same"],
+        "train-out-data": ["train", "--data", "same", "--out", "./same"],
+        "train-log-data": ["train", "--data", "same", "--out", "m2.ck", "--log", "same"],
+        "eval-out-data": ["eval", "--data", "./same", "--model", "m.ck", "--out", "same"],
+        "eval-out-model": ["eval", "--data", "r.dat", "--model", "m.ck", "same", "--out", "./same"],
+        "eval-per-user-model": ["eval", "--data", "r.dat", "--model", "same", "--per-user", "same"],
+        "sample-out-model": ["sample", "--model", "same", "--steps", "2", "--out", "./same"],
+        "estimate-z-out-model": ["estimate-z", "--model", "same", "--n-temps", "2", "--n-runs", "1",
+                                 "--out", "same"],
+        "oracle-out-model": ["oracle", "--n", "20", "--exact-z", "--model", "./same", "--out", "same"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROLES))
+    @pytest.mark.parametrize("same", ["checkpoint", "ratings", "missing"])
+    def test_is_usage_error(self, case, same, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        make_ratings_file(tmp_path / "r.dat")
+        save_checkpoint(str(tmp_path / "m.ck"), CFParams.zeros(20, 1))
+        if same != "missing":  # a checkpoint or a ratings file: either input would read it
+            source = tmp_path / ("m.ck" if same == "checkpoint" else "r.dat")
+            (tmp_path / "same").write_bytes(source.read_bytes())
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(self.ROLES[case])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ") and err.count("\n") == 2
+        assert " name one file: " in err.splitlines()[1]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_hard_link_is_one_file(self, tmp_path, capsys):
+        ck = tmp_path / "m.ck"
+        save_checkpoint(str(ck), CFParams.zeros(3, 0))
+        os.link(ck, tmp_path / "link.ck")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--model", str(ck), "--steps", "2", "--out", str(tmp_path / "link.ck")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f"--out and --model name one file: {ck}\n")
+
 
 class TestNonFiniteRatings:
     """A NaN rating or a non-finite scale bound is a data error (exit 2) with

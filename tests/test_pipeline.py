@@ -320,7 +320,7 @@ CSV_CORPUS = [
 # holds a digit separator or a non-ASCII digit: those differences have their
 # own tests.
 NUMBERS = st.sampled_from(["0", "7", "-3", "+2", "3.0", "4.5", "+2.0", ".5", "5.", "1e0", "-1e-3",
-                           "nan", "inf", "-inf"])
+                           "nan", "inf", "-inf", "1e5", "1E3", "-0", "-0.0", "0012", "1e400", "1e-400"])
 NON_NUMBERS = st.sampled_from(["", "bad", "x1", "1.2.3", "--1", "0x10", "#", "1 2", "4;5", "e3"])
 MISREAD = st.sampled_from(["3\x1f", "3\u01fe"])  # np.loadtxt reads 3 and 492
 ODD_COLONS = st.sampled_from([":", ":", ":::", ":::::"])  # one colon, as in 3.5:1, half the time
