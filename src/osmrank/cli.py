@@ -2,6 +2,7 @@
 estimation, and exact oracle utilities.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 size cap exceeded.
+Outputs: each result file is claimed before any work; a failed run removes those it created.
 """
 
 from __future__ import annotations
@@ -75,24 +76,35 @@ _positive_int = _number(int, 1)
 _non_negative_int = _number(int, 0)
 
 
-@contextlib.contextmanager
 def _output(path: Optional[str]):
     """The file at ``path``, opened for writing and closed on exit, or stdout."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w") as fh:
-        yield fh
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
+# Each file flag and its role, the outputs first.  main claims every result
+# before the command runs and removes those this run created if it fails; train
+# opens its progress log after its checks and keeps it; an input is only read.
+FILE_ROLES = {"out": "result", "per_user": "result", "sweep_out": "result", "log": "log",
+              "data": "input", "model": "input"}
+
+
+def _named_files(args) -> list[tuple[str, str, str]]:
+    """``(flag, role, path)`` for each file ``args`` names, in ``FILE_ROLES`` order."""
+    given = {flag: getattr(args, flag, None) for flag in FILE_ROLES}
+    return [("--" + flag.replace("_", "-"), FILE_ROLES[flag], path) for flag, value in given.items()
+            for path in (value if isinstance(value, list) else [value]) if path]  # eval's --model is a list
 
 
 @contextlib.contextmanager
 def _claimed(paths: list[str]):
     """Open each path for appending, which writes nothing, before the body
-    runs; if an open or the body fails, remove the paths this run created."""
-    new = [path for path in paths if not os.path.lexists(path)]
+    runs; if an open or the body fails, remove the paths this run created.
+    An existing FIFO, socket or device is not opened here, only by the write."""
+    new = [os.path.realpath(path) for path in paths if not os.path.exists(path)]  # a dangling link's target too
     try:
         for path in paths:
-            open(path, "a").close()
+            if not os.path.exists(path) or os.path.isfile(path) or os.path.isdir(path):
+                open(path, "a").close()  # a directory fails here
         yield
     except BaseException:
         for path in filter(os.path.lexists, new):
@@ -100,17 +112,13 @@ def _claimed(paths: list[str]):
         raise
 
 
-def _refuse_shared_files(parser: argparse.ArgumentParser, args) -> None:
+def _refuse_shared_files(parser: argparse.ArgumentParser, named: list[tuple[str, str, str]]) -> None:
     """A usage error for one file in two roles: two outputs, or an output and
     ``--data`` or a ``--model``.  One file is one real path, or one existing
     file under two names."""
-    flags = ("out", "log", "per_user", "sweep_out", "data", "model")  # the outputs first
-    given = {flag: getattr(args, flag, None) for flag in flags}
-    named = [("--" + flag.replace("_", "-"), path) for flag, value in given.items()
-             for path in (value if isinstance(value, list) else [value]) if path]  # eval's --model is a list
-    n_outputs = sum(flag not in ("--data", "--model") for flag, _ in named)
-    for i, (flag, path) in enumerate(named[:n_outputs]):
-        for other, path2 in named[i + 1:]:  # the later outputs, then the inputs
+    n_outputs = sum(role != "input" for _, role, _ in named)
+    for i, (flag, _, path) in enumerate(named[:n_outputs]):
+        for other, _, path2 in named[i + 1:]:  # the later outputs, then the inputs
             with contextlib.suppress(OSError, ValueError):  # a missing file; a NUL, which open() reports
                 if os.path.realpath(path) == os.path.realpath(path2) or os.path.samefile(path, path2):
                     parser.error(f"{flag} and {other} name one file: {path2}")
@@ -143,17 +151,10 @@ def cmd_train(args) -> int:
     parts = user_partitions(train_ds)
     if not parts:
         raise ValueError("no users left after filtering and splitting")
-    users = trainable_users(parts.values())  # fail before --out and the log are opened
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        block_size=args.block,
-        chain_steps_per_update=args.chain_steps,
-        epochs=args.epochs,
-        n_hidden=args.hidden,
-        seed=args.seed,
-        l2=args.l2,
-    )
-    with _claimed([args.out]), _output(args.log) as log_fh:
+    users = trainable_users(parts.values())  # fail before the log opens
+    cfg = TrainConfig(learning_rate=args.lr, block_size=args.block, chain_steps_per_update=args.chain_steps,
+                      epochs=args.epochs, n_hidden=args.hidden, seed=args.seed, l2=args.l2)
+    with _output(args.log) as log_fh:
         print(f"# osmrank train seed={args.seed} users={len(parts)} "
               f"items={train_ds.n_items} hidden={args.hidden}", file=log_fh)
 
@@ -182,38 +183,33 @@ def cmd_eval(args) -> int:
                 f"{model_path}: checkpoint has {params.n_items} items, data has {train_ds.n_items}"
             )
         reports.append((model_path, params.n_hidden, evaluate_ranking(params, train_ds, test_ds, metrics)))
-    with _claimed([path for path in (args.out, args.per_user, args.sweep_out) if path]):
-        sweep_rows = []
-        with _output(args.out) as out:
-            print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
-            for model_path, k, report in reports:
-                for name in metrics:
-                    stats = report["metrics"][name]
-                    t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
-                    print(
-                        f"model={model_path} K={k} metric={name}{t_part} "
-                        f"mean={stats['mean']:.6f} stderr={stats['stderr']:.6f} "
-                        f"n_users={report['n_users']}",
-                        file=out,
-                    )
-                    sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
-        if args.per_user:
-            # one header per model, each followed by that model's rows; "%.6f"
-            # formats a float as ":.6f" does
-            row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metrics)])
-            lines = []
-            for model_path, _, report in reports:
-                lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
-                columns = [report["metrics"][name]["per_user"].tolist() for name in metrics]
-                lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
-            with open(args.per_user, "w") as fh:
-                fh.write("".join(line + "\n" for line in lines))
-        if args.sweep_out:
-            # plot-ready metric-vs-hidden-size table
-            with open(args.sweep_out, "w") as fh:
-                print("K\tmetric\tmean\tstderr\tn_users", file=fh)
-                for k, name, mean, stderr, n_users in sorted(sweep_rows):
-                    print(f"{k}\t{name}\t{mean:.6f}\t{stderr:.6f}\t{n_users}", file=fh)
+    sweep_rows = []
+    with _output(args.out) as out:
+        print(f"# osmrank eval seed={args.seed} data={args.data}", file=out)
+        for model_path, k, report in reports:
+            for name in metrics:
+                stats = report["metrics"][name]
+                t_part = f" T={name.split('@', 1)[1]}" if "@" in name else ""
+                print(f"model={model_path} K={k} metric={name}{t_part} mean={stats['mean']:.6f} "
+                      f"stderr={stats['stderr']:.6f} n_users={report['n_users']}", file=out)
+                sweep_rows.append((k, name, stats["mean"], stats["stderr"], report["n_users"]))
+    if args.per_user:
+        # one header per model, each followed by that model's rows; "%.6f"
+        # formats a float as ":.6f" does
+        row_format = " ".join(["user_row=%d", *(f"{name}=%.6f" for name in metrics)])
+        lines = []
+        for model_path, _, report in reports:
+            lines.append(f"# per-user metrics model={model_path} seed={args.seed}")
+            columns = [report["metrics"][name]["per_user"].tolist() for name in metrics]
+            lines.extend(row_format % (row, *vals) for row, vals in enumerate(zip(*columns)))
+        with open(args.per_user, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    if args.sweep_out:
+        # plot-ready metric-vs-hidden-size table
+        with open(args.sweep_out, "w") as fh:
+            print("K\tmetric\tmean\tstderr\tn_users", file=fh)
+            for k, name, mean, stderr, n_users in sorted(sweep_rows):
+                print(f"{k}\t{name}\t{mean:.6f}\t{stderr:.6f}\t{n_users}", file=fh)
     return EXIT_OK
 
 
@@ -252,13 +248,8 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate_z(args) -> int:
     model = _model_from_flags(args)
-    cfg = AISConfig(
-        n_temperatures=args.n_temps,
-        n_runs=args.n_runs,
-        schedule=args.schedule,
-        inner_steps=args.inner_steps,
-        seed=args.seed,
-    )
+    cfg = AISConfig(n_temperatures=args.n_temps, n_runs=args.n_runs, schedule=args.schedule,
+                    inner_steps=args.inner_steps, seed=args.seed)
     result = ais_log_z(model, cfg)
     with _output(args.out) as out:
         print(f"# osmrank estimate-z seed={args.seed}", file=out)
@@ -395,11 +386,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"{args.command} --uniform requires --n")
     if args.command == "oracle" and not (args.count or args.enumerate or args.exact_z or args.marginals):
         parser.error("oracle needs one of --count, --enumerate, --exact-z, --marginals")
-    _refuse_shared_files(parser, args)
+    named = _named_files(args)
+    _refuse_shared_files(parser, named)
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"osmrank: warning: {message}\n"
     try:
-        return args.func(args)
+        with _claimed([path for _, role, path in named if role == "result"]):
+            return args.func(args)
     except EnumerationCapError as exc:
         print(f"osmrank: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -457,30 +457,34 @@ def load_checkpoint(path: str) -> CFParams:
     naming ``path``."""
     with open(path) as fh:
         try:
-            return _parse_checkpoint([ln.rstrip("\n") for ln in fh if ln.strip()])
-        except (IndexError, KeyError):
+            return _parse_checkpoint([(number, ln.split()) for number, ln in enumerate(fh, 1) if ln.strip()])
+        except IndexError:
             raise ValueError(f"{path}: truncated checkpoint") from None
-        except ValueError as exc:  # a bad number, non-UTF-8 bytes, parameters out of range
+        except ValueError as exc:  # a bad number or key, non-UTF-8 bytes, parameters out of range
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_checkpoint(lines: list[str]) -> CFParams:
-    head = lines[0].split() if lines else []
+def _parse_checkpoint(rows: list[tuple[int, list[str]]]) -> CFParams:
+    """The model in ``rows``, the line number and fields of each non-blank line."""
+    head = rows[0][1] if rows else []
     if head[:1] != [CHECKPOINT_MAGIC]:
         raise ValueError("not an osmrank checkpoint")
     version = int(head[1])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    fields = [ln.split() for ln in lines[1:3]]
-    if any(len(f) != 2 for f in fields):
+    for (number, row), key in zip(rows[1:], ["n_items", "K", "nu", "u"] + ["W"] * len(rows)):
+        if row[0] != key:
+            raise ValueError(f"line {number} is {row[0]!r}, expected {key!r}")
+    fields = [row for _, row in rows[1:]]
+    if any(len(f) != 2 for f in fields[:3]):
         raise ValueError("malformed header line")
-    header = {key: int(value) for key, value in fields}
-    n_items, n_hidden = header["n_items"], header["K"]
-    nu = float(lines[3].split(maxsplit=1)[1])
-    u = np.array([float(v) for v in lines[4].split()[1:]])
-    w_rows = [[float(v) for v in ln.split()[1:]] for ln in lines[5:]]
+    n_items, n_hidden, nu = int(fields[0][1]), int(fields[1][1]), float(fields[2][1])
+    u = np.array([float(v) for v in fields[3][1:]])
+    w_rows = [[float(v) for v in f[1:]] for f in fields[4:]]
     if n_items < 1:
         raise ValueError(f"checkpoint has {n_items} items")
+    if any(len(row) != n_hidden for row in w_rows):  # before numpy builds a ragged array
+        raise ValueError("checkpoint shapes do not match header")
     W = np.array(w_rows) if w_rows else np.zeros((n_items, 0))
     if u.shape != (n_items,) or W.shape != (n_items, n_hidden):
         raise ValueError("checkpoint shapes do not match header")

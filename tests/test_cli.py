@@ -1,14 +1,18 @@
 import argparse
+import ast
+import contextlib
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from osmrank import cli
 from osmrank.cli import build_parser, main
 from osmrank.combinatorics import fubini
 from osmrank.learning import CFParams, load_checkpoint, save_checkpoint
@@ -791,6 +795,124 @@ class TestOneFileInTwoRoles:
             main(["sample", "--model", str(ck), "--steps", "2", "--out", str(tmp_path / "link.ck")])
         assert exc.value.code == 1
         assert capsys.readouterr().err.endswith(f"--out and --model name one file: {ck}\n")
+
+
+def file_tree(root):
+    """Each path under ``root``: its mtime and, for a file, its bytes."""
+    return {path: (path.lstat().st_mtime_ns, path.is_file() and path.read_bytes())
+            for path in root.rglob("*")}
+
+
+class TestOutputContract:
+    """``main`` claims every result output (``--out``, ``--per-user``,
+    ``--sweep-out``) before the command's work starts, and a failing run
+    removes the outputs it created.  An existing FIFO is opened once, by the
+    command's write."""
+
+    # every command's work: each fails the test if it is called
+    WORK = ["osmrank.cli.load_ratings", "osmrank.cli.train", "osmrank.sampler.advance_partition",
+            "osmrank.latent.advance_partition", "osmrank.cli.ais_log_z",
+            "osmrank.cli.enumerate_ordered_partitions"]
+    COMMANDS = {
+        "train": ["train", "--data", "r.dat", "--epochs", "1", "--log", "t.log"],
+        "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--per-user", "pu.txt"],
+        "sample": ["sample", "--uniform", "--n", "4", "--steps", "5"],
+        "estimate-z": ["estimate-z", "--uniform", "--n", "60", "--n-temps", "500", "--n-runs", "1"],
+        "sample-model": ["sample", "--model", "m.ck", "--steps", "5"],
+        "oracle": ["oracle", "--n", "3", "--enumerate"],
+    }
+
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        make_ratings_file(tmp_path / "r.dat")
+        save_checkpoint("m.ck", CFParams.zeros(20, 1))
+
+    @pytest.mark.parametrize("bad", ["dir", "missing/x.txt"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unopenable_out_fails_before_any_work(self, command, bad, tmp_path, monkeypatch, capsys):
+        self.inputs(tmp_path, monkeypatch)
+        (tmp_path / "dir").mkdir()
+        for target in self.WORK:
+            def refuse(*_, _target=target, **__):
+                raise AssertionError(f"{_target} ran")
+            monkeypatch.setattr(target, refuse)
+        before = file_tree(tmp_path)
+        capsys.readouterr()
+        assert main([*self.COMMANDS[command], "--out", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("osmrank: [Errno ") and err.endswith(f": {bad!r}\n")
+        assert file_tree(tmp_path) == before
+
+    FAILING = {  # argv that fails once its outputs are claimed, and its exit code
+        "train": (["train", "--data", "r.dat", "--hidden", "2", "--lr", "1e304", "--log", "t.log"], 2),
+        "eval": (["eval", "--data", "r.dat", "--model", "small.ck", "--per-user", "pu.txt",
+                  "--sweep-out", "sweep.txt"], 2),
+        "sample": (["sample", "--model", "truncated.ck", "--steps", "5"], 2),
+        "estimate-z": (["estimate-z", "--uniform", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19)], 3),
+        "oracle": (["oracle", "--n", "9", "--count", "--enumerate", "--cap", "8"], 3),
+    }
+
+    @pytest.mark.parametrize("out", ["new", "existing", "dangling-link"])
+    @pytest.mark.parametrize("command", list(FAILING))
+    def test_failing_run_removes_only_what_it_created(self, command, out, tmp_path, monkeypatch, capsys):
+        self.inputs(tmp_path, monkeypatch)
+        save_checkpoint("small.ck", CFParams.zeros(3, 1))
+        (tmp_path / "truncated.ck").write_text("osmrank-checkpoint 1\n")
+        if out == "existing":
+            (tmp_path / "o.txt").write_text("kept\n")
+        elif out == "dangling-link":  # the claim creates the link's target
+            os.symlink("target.txt", "o.txt")
+        before = file_tree(tmp_path)
+        argv, code = self.FAILING[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", "o.txt"]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        after = file_tree(tmp_path)
+        if command == "train":  # the progress log keeps the blocks written
+            assert after.pop(tmp_path / "t.log")[1].startswith(b"# osmrank train seed=0 ")
+        assert after == before
+
+    FIFO = {  # argv whose last flag names the output given a FIFO
+        "train": ["train", "--data", "r.dat", "--hidden", "1", "--epochs", "1", "--log", "t.log", "--out"],
+        "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--out", "report.txt", "--per-user"],
+        "estimate-z": ["estimate-z", "--uniform", "--n", "5", "--n-temps", "10", "--n-runs", "2", "--out"],
+    }
+
+    @pytest.mark.parametrize("command", list(FIFO))
+    def test_fifo_output_is_written_through_one_open(self, command, tmp_path, monkeypatch, capsys):
+        self.inputs(tmp_path, monkeypatch)
+        assert main([*self.FIFO[command], "want.txt"]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        try:
+            done = subprocess.run([sys.executable, "-m", "osmrank.cli", *self.FIFO[command], "fifo"],
+                                  cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, timeout=60)
+        finally:
+            if reader.is_alive():  # a reader no writer opened for: let it see end-of-file
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert got == [(tmp_path / "want.txt").read_bytes()]
+
+    def test_main_is_the_only_claimant(self):
+        with open(cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_claimed"}
+        assert callers == {"main"}
 
 
 class TestNonFiniteRatings:

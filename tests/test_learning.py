@@ -475,6 +475,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
+    LINES = ["osmrank-checkpoint 1", "n_items 2", "K 2", "nu -0.5", "u 0.1 0.2", "W 0.3 0.4", "W 0.5 0.6"]
+
+    @pytest.mark.parametrize("line, text, message", [
+        (2, "K 2", "'K', expected 'n_items'"),
+        (4, "bogus -0.5", "'bogus', expected 'nu'"),
+        (5, "zz 0.1 0.2", "'zz', expected 'u'"),
+        (6, "QQ 0.3 0.4", "'QQ', expected 'W'"),
+        (7, "K 2", "'K', expected 'W'"),  # a header line out of place
+    ])
+    @pytest.mark.parametrize("blank", [0, 2])
+    def test_rejects_a_line_with_another_key(self, tmp_path, line, text, message, blank):
+        # the error names the file's line, blank lines counted
+        path = tmp_path / "c.ck"
+        lines = self.LINES[:1] + [""] * blank + self.LINES[1:]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_checkpoint(str(path)).W.tolist() == [[0.3, 0.4], [0.5, 0.6]]
+        lines[line - 1 + blank] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value) == f"{path}: line {line + blank} is {message}"
+
+    def test_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "c.ck"
+        path.write_text("\n".join(self.LINES[:-1] + ["W 0.5"]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value) == f"{path}: checkpoint shapes do not match header"
+
     def test_rejects_shape_mismatch(self, tmp_path):
         p = random_params(3, 1, seed=12)
         path = tmp_path / "c.ck"
