@@ -14,6 +14,7 @@ import os
 import random
 import sys
 import warnings
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,8 @@ from .combinatorics import (
 )
 from .latent import gibbs_mh_step
 from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
-from .partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
+from .core import logsumexp
+from .partition_function import ENUMERATION_CHUNK, AISConfig, ais_log_z, enumeration_log_weights
 from .pipeline import (
     DEFAULT_GRADES,
     DEFAULT_SCALE,
@@ -41,7 +43,7 @@ from .pipeline import (
     train_test_split,
     user_partitions,
 )
-from .sampler import SamplerConfig, run_chain
+from .sampler import SamplerConfig, advance_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,27 +224,31 @@ def _model_from_flags(args) -> CFParams:
 
 
 def cmd_sample(args) -> int:
+    """Burn in, then print a sample every ``--thin`` steps as it is drawn.  A
+    ``--model`` step is one Gibbs sweep and a ``--uniform`` step one MH move;
+    the seeded dumps depend on that.  Steps after the last sample are not run."""
     model = _model_from_flags(args)
-    n = model.n_objects
     cfg = SamplerConfig(steps=args.steps, burn_in=args.burn_in, thin=args.thin, seed=args.seed)
-    burn = cfg.resolved_burn_in()
-    with _output(args.out) as out:
-        print(f"# osmrank sample seed={cfg.seed} steps={cfg.steps} "
-              f"burn_in={burn} thin={cfg.thin}", file=out)
-        # --model steps are Gibbs sweeps, --uniform steps single MH moves;
-        # seeded dumps of both depend on it
-        if args.model:
-            rng = random.Random(cfg.seed)
-            X = OrderedPartition.singletons(n)
-            for sweep in range(1, cfg.steps + 1):
+    rng = random.Random(cfg.seed)
+    if args.model:
+        def advance(X: OrderedPartition, steps: int) -> OrderedPartition:
+            for _ in range(steps):
                 logom, gathered = model.unit_weights([X])
                 X, _ = gibbs_mh_step(X, model, logom[0].tolist(), gathered[0], rng)
-                if sweep > burn and (sweep - burn) % cfg.thin == 0:
-                    print(format_partition(X), file=out)
-        else:
-            samples, _ = run_chain(OrderedPartition.singletons(n), model, cfg)
-            for X in samples:
-                print(format_partition(X), file=out)
+            return X
+    else:
+        local = model.split_ratio(range(model.n_objects))  # the uniform model's worths, all 0
+
+        def advance(X: OrderedPartition, steps: int) -> OrderedPartition:
+            return advance_partition(X, local, rng, steps)
+    burn = min(cfg.resolved_burn_in(), cfg.steps)
+    with _output(args.out) as out:
+        print(f"# osmrank sample seed={cfg.seed} steps={cfg.steps} "
+              f"burn_in={cfg.resolved_burn_in()} thin={cfg.thin}", file=out)
+        X = advance(OrderedPartition.singletons(model.n_objects), burn)
+        for _ in range((cfg.steps - burn) // cfg.thin):
+            X = advance(X, cfg.thin)
+            print(format_partition(X), file=out)
     return EXIT_OK
 
 
@@ -277,11 +283,17 @@ def _decimal(value: int) -> str:
 
 
 def cmd_oracle(args) -> int:
+    """Print the requested lines in flag order.  ``--exact-z`` and
+    ``--marginals`` read one array, the enumeration's log weights, weighed
+    before anything is written; the marginals walk the enumeration again."""
     exact = args.exact_z or args.marginals  # the model and the cap are checked before --out opens
     model = _model_from_flags(args) if exact else None
     if exact and model.n_objects != args.n:
         raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
-    listing = enumerate_ordered_partitions(args.n, cap=args.cap) if args.enumerate or exact else ()
+    listing = enumerate_ordered_partitions(args.n, cap=args.cap) if args.enumerate else ()
+    if exact:
+        logs = enumeration_log_weights(model, cap=args.cap)
+        log_z = logsumexp(logs)
     with _output(args.out) as out:
         if args.count:
             print(_decimal(fubini(args.n)), file=out)
@@ -289,23 +301,28 @@ def cmd_oracle(args) -> int:
             for X in listing:
                 print(format_partition(X), file=out)
         if args.exact_z:
-            print(f"log_z={exact_log_z(model, cap=args.cap)!r}", file=out)
+            print(f"log_z={float(log_z)!r}", file=out)
         if args.marginals:
-            states, probs = exact_distribution(model, cap=args.cap)
-            order_marg = np.zeros((args.n, args.n))
-            tie_marg = np.zeros((args.n, args.n))
-            for X, p in zip(states, probs):  # each cell adds p or an exact 0.0
-                ranks = X.block_of()
-                r = np.array([ranks[i] for i in range(args.n)])
-                order_marg += p * (r[:, None] < r)
-                tie_marg += p * np.triu(r[:, None] == r, 1)
+            probs = np.exp(logs - log_z)
+            probs /= probs.sum()
+            # each state adds p or an exact 0.0 to each cell, in enumeration
+            # order: add.accumulate sums in sequence, as a state-by-state loop does
+            order_marg, tie_marg = np.zeros((2, 1, args.n, args.n))
+            states = enumerate_ordered_partitions(args.n, cap=args.cap)
+            for start in range(0, len(probs), ENUMERATION_CHUNK):
+                chunk = list(islice(states, ENUMERATION_CHUNK))
+                r = np.array([[t for _, t in sorted(X.block_of().items())] for X in chunk])[:, :, None]
+                p = probs[start : start + len(chunk), None, None]
+                r_other = r.transpose(0, 2, 1)  # [s, i, j] = rank of j in state s
+                order_marg = np.add.accumulate(np.concatenate([order_marg, p * (r < r_other)]))[-1:]
+                tie_marg = np.add.accumulate(np.concatenate([tie_marg, p * np.triu(r == r_other, 1)]))[-1:]
             for i in range(args.n):
                 for j in range(args.n):
                     if i != j:
-                        print(f"order i={i} j={j} p={float(order_marg[i, j])!r}", file=out)
+                        print(f"order i={i} j={j} p={float(order_marg[0, i, j])!r}", file=out)
             for i in range(args.n):
                 for j in range(i + 1, args.n):
-                    print(f"tie i={i} j={j} p={float(tie_marg[i, j])!r}", file=out)
+                    print(f"tie i={i} j={j} p={float(tie_marg[0, i, j])!r}", file=out)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Normalization constants: exact enumeration oracle and annealed importance sampling.
+"""Normalization constants: exact log weights by enumeration and annealed importance sampling.
 
 AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N) * 2^K)
 to the target (tau = 1) along an inverse-temperature ladder, accumulating
@@ -19,7 +19,8 @@ import random
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,21 +31,21 @@ from .combinatorics import (
     fubini,
     sample_uniform_ordered_partition,
 )
-from .core import log_weight, logsumexp
+from .core import log_weight, logsumexp, stack_worth_features
 from .latent import gibbs_mh_step
 from .learning import CFParams
 
 __all__ = [
     "AISConfig",
     "AISResult",
-    "exact_log_z",
-    "exact_distribution",
+    "enumeration_log_weights",
     "annealed_unnorm_log_prob",
     "temperature_ladder",
     "ais_log_z",
 ]
 
 LOG2 = math.log(2.0)
+ENUMERATION_CHUNK = 1024  # states weighed per features pass in enumeration_log_weights
 
 
 @dataclass
@@ -81,36 +82,43 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def exact_log_z(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """log Z by full enumeration (oracle).
+def enumeration_log_weights(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """``annealed_unnorm_log_prob(X, 1.0, m)`` of every ordered partition X
+    of m's objects, in the order of ``enumerate_ordered_partitions``: the
+    exact log weights, whose logsumexp is log Z and whose softmax is the
+    distribution of X.  The hidden units are summed out analytically via the
+    prod_k (1 + Omega_k) identity, so only partitions are enumerated.
 
-    The hidden units are summed out analytically via the prod_k (1 + Omega_k)
-    identity (the tau = 1 case of ``annealed_unnorm_log_prob``), so only
-    partitions are enumerated.
+    The states are weighed ``ENUMERATION_CHUNK`` at a time: one
+    ``stack_worth_features`` pass fills a chunk's worth features and one
+    ``unit_weights`` call gives its hidden units' log weights.  Only the
+    weights are kept, so memory does not grow with the enumeration.
     """
-    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(m.n_objects, cap)]
-    return float(logsumexp(logs))
+    states = enumerate_ordered_partitions(m.n_objects, cap)
+    try:  # a count past memory fails here, before any state is weighed
+        logs = np.empty(fubini(m.n_objects))
+    except ValueError as exc:  # numpy refuses a size past the address space
+        raise MemoryError(f"log weights of fubini({m.n_objects}) states: {exc}") from None
+    for start in range(0, len(logs), ENUMERATION_CHUNK):
+        chunk = list(islice(states, ENUMERATION_CHUNK))
+        stack_worth_features(chunk)
+        rows = m.unit_weights(chunk)[0].tolist()
+        logs[start : start + len(chunk)] = [
+            annealed_unnorm_log_prob(X, 1.0, m, row) for X, row in zip(chunk, rows)]
+    return logs
 
 
-def exact_distribution(
-    m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[list[OrderedPartition], np.ndarray]:
-    """All states with their exact probabilities (latent: X-marginal)."""
-    states = list(enumerate_ordered_partitions(m.n_objects, cap))
-    logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])
-    probs = np.exp(logs - logsumexp(logs))
-    probs /= probs.sum()
-    return states, probs
-
-
-def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: CFParams) -> float:
+def annealed_unnorm_log_prob(
+    X: OrderedPartition, tau: float, m: CFParams, logom: Optional[Sequence[float]] = None
+) -> float:
     """log P*(X | tau): tau * log Omega(X) plus the marginalized hidden
-    terms sum_k log(1 + Omega_k(X)^tau)."""
+    terms sum_k log(1 + Omega_k(X)^tau).  ``logom``, X's row of
+    ``m.unit_weights`` where the caller has it, is ``m.log_omegas(X)``."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     tau = float(tau)
     total = tau * log_weight(X, m)
-    for lo in m.log_omegas(X).tolist():
+    for lo in m.log_omegas(X).tolist() if logom is None else logom:
         total += _softplus(tau * lo)
     return total
 

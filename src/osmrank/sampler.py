@@ -18,7 +18,9 @@ with q_kind the move-type probability (1/2 when both kinds are feasible,
 1 when only one is).  Exact detailed balance of the induced kernel is
 verified against full enumeration in the tests.
 
-``advance_partition`` is the kernel every chain runs.  The proposal
+``advance_partition`` is the kernel every chain runs: ``sample --uniform``
+steps it on one ``LocalWorths``, and ``latent.gibbs_mh_step`` (training,
+AIS and ``sample --model``) on each sweep's effective worths.  The proposal
 objects ``propose_split`` and ``propose_merge`` build a validated partition
 per move.  The tests step them as the reference kernel (``_single_move`` in
 ``tests/oracles.py``, with the exact ``transition_matrix``) and require the
@@ -44,7 +46,6 @@ __all__ = [
     "propose_split",
     "propose_merge",
     "advance_partition",
-    "run_chain",
 ]
 
 LOG2 = math.log(2.0)
@@ -299,20 +300,3 @@ def advance_partition(
     if not (split_accepted or merge_accepted):
         return X
     return OrderedPartition._unchecked(tuple(map(tuple, blocks)), X.n_objects)
-
-
-def run_chain(init: OrderedPartition, m, cfg: SamplerConfig) -> tuple[list[OrderedPartition], MoveStats]:
-    """Run a chain from ``init`` on ``m`` (a model ``advance_partition``
-    takes); returns thinned post-burn-in samples and stats.  Deterministic
-    given cfg.seed."""
-    rng = random.Random(cfg.seed)
-    stats = MoveStats()
-    burn = min(cfg.resolved_burn_in(), cfg.steps)
-    X = advance_partition(init, m, rng, burn, stats)
-    samples: list[OrderedPartition] = []
-    for _ in range((cfg.steps - burn) // cfg.thin):
-        X = advance_partition(X, m, rng, cfg.thin, stats)
-        samples.append(X)
-    # moves after the last sample still count in stats
-    advance_partition(X, m, rng, (cfg.steps - burn) % cfg.thin, stats)
-    return samples, stats

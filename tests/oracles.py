@@ -1,14 +1,17 @@
 """Exact oracles that only the tests use, moved out of ``src/osmrank``.
 
 Each definition is the library's former code, unchanged: the ordered-Bell
-asymptote as a float and the Stirling numbers, the proposal-object MH step and the
-exact one-step kernel of the split-merge sampler, the generic pair-table
+asymptote as a float and the Stirling numbers, the proposal-object MH step, the
+exact one-step kernel of the split-merge sampler and its chain reference
+``run_chain`` (every step's partition kept in a list), the generic pair-table
 model family (log-domain tie and order tables, log-linear features over
 pairs, and a base table plus one table per hidden unit, ``LatentModel``,
 with ``as_latent`` taking a pair model as the latent model with no hidden
 units), the enumeration oracles of
 training (exact sufficient statistics, gradients, likelihoods and draws), the
-log joint weight and the scalar sigmoid, partitions from graded ratings and
+log joint weight and the scalar sigmoid, the enumeration forms of log Z and
+of the exact distribution (``exact_log_z``, ``exact_distribution``), which
+hold every state or weight at once, partitions from graded ratings and
 text, and rank reconstruction from a posterior.  They are small-size references the fast
 paths are checked against.  The pair tables go through the production
 kernel and partition functions unchanged, which read a model by its
@@ -37,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from osmrank.combinatorics import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
@@ -53,11 +57,15 @@ from osmrank.core import (
 )
 from osmrank.latent import hidden_posterior
 from osmrank.learning import CFParams, GradientEstimate, _accumulate
+from osmrank.partition_function import annealed_unnorm_log_prob
 from osmrank.pipeline import RankedList, _mean_worth, _rank
 from osmrank.sampler import (
     LOG_HALF,
+    MoveStats,
+    SamplerConfig,
     _merge_log_q_ratio,
     _split_log_q_ratio,
+    advance_partition,
     propose_merge,
     propose_split,
 )
@@ -102,7 +110,7 @@ def parse_partition(text: str, n_objects: int | None = None) -> OrderedPartition
     return from_blocks(blocks, n_objects)
 
 
-# osmrank.sampler: the proposal-object MH step and the exact kernel
+# osmrank.sampler: the proposal-object MH step, the exact kernel and the chain reference
 def _single_move(
     X: OrderedPartition, m: PairPotentialModel, rng: random.Random
 ) -> tuple[OrderedPartition, Optional[str], bool]:
@@ -205,6 +213,23 @@ def transition_matrix(
                 K[si, si] += out_prob * (1.0 - alpha)
 
     return states, K
+
+
+def run_chain(init: OrderedPartition, m, cfg: SamplerConfig) -> tuple[list[OrderedPartition], MoveStats]:
+    """Run a chain from ``init`` on ``m`` (a model ``advance_partition``
+    takes); returns thinned post-burn-in samples and stats.  Deterministic
+    given cfg.seed."""
+    rng = random.Random(cfg.seed)
+    stats = MoveStats()
+    burn = min(cfg.resolved_burn_in(), cfg.steps)
+    X = advance_partition(init, m, rng, burn, stats)
+    samples: list[OrderedPartition] = []
+    for _ in range((cfg.steps - burn) // cfg.thin):
+        X = advance_partition(X, m, rng, cfg.thin, stats)
+        samples.append(X)
+    # moves after the last sample still count in stats
+    advance_partition(X, m, rng, (cfg.steps - burn) % cfg.thin, stats)
+    return samples, stats
 
 
 # osmrank.core: the generic pair-table family
@@ -626,7 +651,29 @@ def sample_partitions_exact(
     return out  # type: ignore[return-value]
 
 
-# osmrank.partition_function
+# osmrank.partition_function: the enumeration forms of log Z and the distribution
+def exact_log_z(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+    """log Z by full enumeration (oracle).
+
+    The hidden units are summed out analytically via the prod_k (1 + Omega_k)
+    identity (the tau = 1 case of ``annealed_unnorm_log_prob``), so only
+    partitions are enumerated.
+    """
+    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(m.n_objects, cap)]
+    return float(logsumexp(logs))
+
+
+def exact_distribution(
+    m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[list[OrderedPartition], np.ndarray]:
+    """All states with their exact probabilities (latent: X-marginal)."""
+    states = list(enumerate_ordered_partitions(m.n_objects, cap))
+    logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])
+    probs = np.exp(logs - logsumexp(logs))
+    probs /= probs.sum()
+    return states, probs
+
+
 def as_latent(m: PairPotentialModel | LatentModel) -> LatentModel:
     """The one model shape the partition functions take: a pair model becomes K = 0 latent."""
     return m if isinstance(m, LatentModel) else LatentModel(m, ())

@@ -33,7 +33,7 @@ from osmrank.learning import (
     train,
 )
 from osmrank.metrics import err, ndcg_at
-from osmrank.partition_function import AISConfig, ais_log_z, exact_distribution, exact_log_z
+from osmrank.partition_function import AISConfig, ais_log_z
 from osmrank.pipeline import (
     SplitSpec,
     complete_rank,
@@ -48,8 +48,10 @@ from helpers import gibbs_sweep, random_latent_model, random_matrix_model
 from oracles import (
     LogLinearParams,
     as_latent,
+    exact_distribution,
     exact_gradient,
     exact_log_likelihood,
+    exact_log_z,
     fubini_asymptotic,
     log_joint_weight,
     loglinear_pair_model,

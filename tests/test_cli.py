@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from osmrank.cli import build_parser, main
 from osmrank.combinatorics import fubini
 from osmrank.learning import CFParams, load_checkpoint, save_checkpoint
 
-from oracles import covers_universe, parse_partition
+from oracles import covers_universe, exact_distribution, exact_log_z, parse_partition
 
 
 def make_ratings_file(path, n_users=60, n_items=40, seed=0):
@@ -260,6 +261,37 @@ class TestOracleCommand:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("n", [15, 40])
+    def test_weights_past_memory_are_a_cap_error(self, n, capsys):
+        # fubini(15) weights need ~8 PiB, past a 64-bit address space; numpy
+        # refuses fubini(40) as a size
+        assert main(["oracle", "--n", str(n), "--exact-z", "--cap", str(n)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("osmrank: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (3, 0), (6, 0), (1, 2), (4, 2), (6, 2), (5, None)])
+    def test_exact_z_and_marginals_equal_the_enumeration_oracles(self, n, k, tmp_path, capsys):
+        # k None: no --model, the all-zero model
+        if k is None:
+            model, flags = CFParams.zeros(n, 0), []
+        else:
+            rng = np.random.default_rng([n, k])
+            save_checkpoint(str(tmp_path / "m.ck"),
+                            CFParams(-0.4, rng.normal(0.0, 0.8, n), rng.normal(0.0, 0.6, (n, k))))
+            model, flags = load_checkpoint(str(tmp_path / "m.ck")), ["--model", str(tmp_path / "m.ck")]
+        assert main(["oracle", "--n", str(n), *flags, "--exact-z", "--marginals"]) == 0
+        states, probs = exact_distribution(model)
+        order, tie = np.zeros((n, n)), np.zeros((n, n))
+        for X, p in zip(states, probs):  # state by state, in enumeration order
+            ranks = X.block_of()
+            r = np.array([ranks[i] for i in range(n)])
+            order += p * (r[:, None] < r)
+            tie += p * np.triu(r[:, None] == r, 1)
+        want = [f"log_z={exact_log_z(model)!r}"]
+        want += [f"order i={i} j={j} p={float(order[i, j])!r}" for i in range(n) for j in range(n) if i != j]
+        want += [f"tie i={i} j={j} p={float(tie[i, j])!r}" for i in range(n) for j in range(i + 1, n)]
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_exact_z_uniform(self, capsys):
         assert main(["oracle", "--n", "4", "--exact-z"]) == 0
         out = capsys.readouterr().out
@@ -338,6 +370,30 @@ class TestSampleCommand:
         n_items = load_checkpoint(str(ck)).n_items
         for ln in lines:
             assert covers_universe(parse_partition(ln, n_items))
+
+
+class TestBoundedMemory:
+    """``sample`` prints each draw as it is made and ``oracle`` keeps one
+    weight per state, so the traced peak of ``main`` does not grow with the
+    chain and stays small over an enumeration."""
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_does_not_hold_its_draws(self, tmp_path):
+        peaks = [self.traced_peak(["sample", "--uniform", "--n", "30", "--steps", str(steps), "--thin", "1",
+                                   "--out", str(tmp_path / "s.txt")]) for steps in (2000, 20000)]
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    def test_oracle_marginals_peak(self, tmp_path):
+        # 47293 states; holding them with their features took ~39 MB
+        assert self.traced_peak(["oracle", "--n", "7", "--marginals", "--out", str(tmp_path / "o.txt")]) < 8 * 2**20
 
 
 class TestBadCheckpoint:
@@ -810,9 +866,10 @@ class TestOutputContract:
     command's write."""
 
     # every command's work: each fails the test if it is called
-    WORK = ["osmrank.cli.load_ratings", "osmrank.cli.train", "osmrank.sampler.advance_partition",
-            "osmrank.latent.advance_partition", "osmrank.cli.ais_log_z",
-            "osmrank.cli.enumerate_ordered_partitions"]
+    WORK = ["osmrank.cli.load_ratings", "osmrank.cli.train", "osmrank.cli.advance_partition",
+            "osmrank.sampler.advance_partition", "osmrank.latent.advance_partition",
+            "osmrank.cli.ais_log_z", "osmrank.cli.enumerate_ordered_partitions",
+            "osmrank.cli.enumeration_log_weights"]
     COMMANDS = {
         "train": ["train", "--data", "r.dat", "--epochs", "1", "--log", "t.log"],
         "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--per-user", "pu.txt"],
@@ -820,6 +877,7 @@ class TestOutputContract:
         "estimate-z": ["estimate-z", "--uniform", "--n", "60", "--n-temps", "500", "--n-runs", "1"],
         "sample-model": ["sample", "--model", "m.ck", "--steps", "5"],
         "oracle": ["oracle", "--n", "3", "--enumerate"],
+        "oracle-exact": ["oracle", "--n", "3", "--exact-z", "--marginals"],
     }
 
     def inputs(self, tmp_path, monkeypatch):

@@ -101,6 +101,7 @@ def make_inputs(directory: str) -> None:
     write_checkpoint(os.path.join(directory, "small.ck"), rng, 5, 2)
     write_zero_checkpoint(os.path.join(directory, "tie.ck"), n_items)
     write_checkpoint(os.path.join(directory, "small0.ck"), rng, 5, 0)
+    write_checkpoint(os.path.join(directory, "oracle6.ck"), rng, 6, 2)
 
 
 DATA = ["--data", "ratings.dat"]
@@ -132,6 +133,15 @@ CASES = {
                       "--out", "sample_model.txt"], ["sample_model.txt"]),
     "sample-uniform": (["sample", "--uniform", "--n", "7", "--steps", "400", "--thin", "8",
                         "--seed", "6", "--out", "sample_uniform.txt"], ["sample_uniform.txt"]),
+    # the sample schedule's edges: steps left after the last sample, a burn-in
+    # that takes every step, a thin longer than the chain
+    **{f"sample-{kind}-{edge}": (["sample", *source, *schedule, "--seed", "8",
+                                  "--out", f"sample_{kind}_{edge}.txt"], [f"sample_{kind}_{edge}.txt"])
+       for kind, source in [("uniform", ["--uniform", "--n", "7"]), ("model", ["--model", "ais.ck"]),
+                            ("model-k0", ["--model", "small0.ck"])]
+       for edge, schedule in [("remainder", ["--steps", "403", "--thin", "8"]),
+                              ("burn-past-steps", ["--steps", "40", "--burn-in", "40"]),
+                              ("thin-past-steps", ["--steps", "5", "--thin", "9"])]},
     "oracle-count-enumerate": (["oracle", "--n", "4", "--count", "--enumerate",
                                 "--out", "oracle_enum.txt"], ["oracle_enum.txt"]),
     "oracle-exact-z-marginals": (["oracle", "--n", "5", "--model", "small.ck", "--exact-z",
@@ -139,6 +149,8 @@ CASES = {
     # K = 0 makes no BLAS call, so its floats are pinned by digest
     "oracle-exact-z-marginals-k0": (["oracle", "--n", "5", "--model", "small0.ck", "--exact-z",
                                      "--marginals", "--out", "oracle_k0.txt"], ["oracle_k0.txt"]),
+    "oracle-all-n6": (["oracle", "--n", "6", "--model", "oracle6.ck", "--count", "--enumerate",
+                       "--exact-z", "--marginals", "--out", "oracle_all6.txt"], ["oracle_all6.txt"]),
     "oracle-exact-z-marginals-uniform": (["oracle", "--n", "4", "--exact-z", "--marginals",
                                           "--out", "oracle_uniform.txt"], ["oracle_uniform.txt"]),
 }
@@ -154,7 +166,16 @@ DIGESTS = {
     ("oracle-exact-z-marginals-k0", "oracle_k0.txt"): "3e8cf58a3671fbd9074b83c3b50f886d1900792afdf5a1861d8b4a3061f5b147",
     ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "caa64cb52834db103ec3df5eedf82049fa141b23c1e02688b51a1a09f1782f39",
     ("sample-model", "sample_model.txt"): "034fde103d64cc2b49a66d173351047e3246e882665877ae6c5937d1bff13b59",
+    ("sample-model-burn-past-steps", "sample_model_burn-past-steps.txt"): "6e95614b98c9035c81e2742b79c47f8fd6176b1659d100dcafe5feb4de0298f4",
+    ("sample-model-k0-burn-past-steps", "sample_model-k0_burn-past-steps.txt"): "6e95614b98c9035c81e2742b79c47f8fd6176b1659d100dcafe5feb4de0298f4",
+    ("sample-model-k0-remainder", "sample_model-k0_remainder.txt"): "40e1b7df5f497dd9576d5cfc710d1de5bb353fb2bf400fa8d0f2a5e809420530",
+    ("sample-model-k0-thin-past-steps", "sample_model-k0_thin-past-steps.txt"): "7eb966e89cac6107d272481012c73676e4d3a686acfd41cb97be713ee2df9dd3",
+    ("sample-model-remainder", "sample_model_remainder.txt"): "b9b197945b2f9744f5fe66837cedcb158ab9c0b2fdaed45e32c91beffabad3c2",
+    ("sample-model-thin-past-steps", "sample_model_thin-past-steps.txt"): "7eb966e89cac6107d272481012c73676e4d3a686acfd41cb97be713ee2df9dd3",
     ("sample-uniform", "sample_uniform.txt"): "39e0917843008114db2d2ace87c33883ba364fe4781a7f8f707b0f54476a8f8c",
+    ("sample-uniform-burn-past-steps", "sample_uniform_burn-past-steps.txt"): "6e95614b98c9035c81e2742b79c47f8fd6176b1659d100dcafe5feb4de0298f4",
+    ("sample-uniform-remainder", "sample_uniform_remainder.txt"): "c3e414af1064d0a26ea1d73a903f08d1ed5632624a6099103946486dbd1aadaf",
+    ("sample-uniform-thin-past-steps", "sample_uniform_thin-past-steps.txt"): "7eb966e89cac6107d272481012c73676e4d3a686acfd41cb97be713ee2df9dd3",
     ("train-k0", "k0.ck"): "583b317acaeeced629e75ab6d8f4019b10e3d678b24f03096b9669046ef8a4fa",
     ("train-k0", "k0.log"): "3f98f3436a889934f24d304d8f43b4abbb91b75a3a64f1c998b21979ee4498d4",
     ("train-k3", "k3.log"): "c41ff0005db291a693e1d7ecafcd5dd04a864b23abbbf168ae0bc333e58d4f33",
@@ -182,6 +203,23 @@ VALUES = {
         """
         85.77367490133682 32.07520935258353 1.0000000655500423 54.79707780464638
         29.816568653981555 37.56304648440227
+        """,
+    ),
+    ("oracle-all-n6", "oracle_all6.txt"): (
+        "eebfd46098a1697efbb6332802a265d43b0b01e1d86d5ac7f1aedc2a5612c45c",
+        """
+        14.909183395702334 0.21215377016874795 0.21207104016980488 0.01733524411780857
+        0.5006449496737483 0.4171325489627034 0.7310794328250678 0.4645211190166325
+        0.09347320988818279 0.7524876605424233 0.6935793942042715 0.7315024588602044
+        0.4604296772725457 0.09058876833207674 0.7575668663003997 0.6929507933290732
+        0.9667357684644784 0.8441044543105904 0.8460680086134396 0.9681937429262171
+        0.95640928063624 0.4151803532772835 0.19445674002355695 0.189387507357308
+        0.016343790725248417 0.3792373147332995 0.5030092876752976 0.24595424173798291
+        0.24698152401803683 0.02324072445180078 0.5428938115034967 0.05676679700618226
+        0.05642650096998875 0.0159289874177093 0.08417469704896823 0.079858163361999
+        0.07504920371082205 0.062422335801223375 0.053055599434018295 0.06046636405774441
+        0.06334322305448004 0.053045626342290195 0.060067682652888796 0.01546246634853167
+        0.0203499949119556 0.07786887376320349
         """,
     ),
     ("oracle-exact-z-marginals", "oracle_z.txt"): (

@@ -19,6 +19,7 @@ from helpers import gibbs_sweep, random_latent_model
 from oracles import (
     LatentModel,
     MatrixPairModel,
+    exact_log_z,
     from_blocks,
     log_joint_weight,
     plain_model,
@@ -136,8 +137,6 @@ class TestLogJointWeight:
             log_joint_weight(P([0, 1, 2]), np.zeros(3), m)
 
     def test_sums_to_exact_log_z(self):
-        from osmrank.partition_function import exact_log_z
-
         m = random_latent_model(3, 2, seed=5)
         states, configs, _ = brute_joint(m)
         logs = [

@@ -19,10 +19,9 @@ from osmrank.learning import (
     save_checkpoint,
     train,
 )
-from osmrank.partition_function import exact_distribution
-
 from helpers import gibbs_sweep
 from oracles import (
+    exact_distribution,
     exact_gradient,
     exact_log_likelihood,
     from_blocks,

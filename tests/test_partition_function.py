@@ -11,19 +11,27 @@ import pytest
 from scipy.special import logsumexp
 
 from osmrank import partition_function
-from osmrank.combinatorics import EnumerationCapError, fubini
+from osmrank.combinatorics import EnumerationCapError, enumerate_ordered_partitions, fubini
 from osmrank.core import log_weight
+from osmrank.learning import CFParams
 from osmrank.partition_function import (
     AISConfig,
     ais_log_z,
     annealed_unnorm_log_prob,
-    exact_distribution,
-    exact_log_z,
+    enumeration_log_weights,
     temperature_ladder,
 )
 
 from helpers import random_latent_model, random_matrix_model, reference_ais_log_weights
-from oracles import LatentModel, as_latent, from_blocks, log_joint_weight, uniform_pair_model
+from oracles import (
+    LatentModel,
+    as_latent,
+    exact_distribution,
+    exact_log_z,
+    from_blocks,
+    log_joint_weight,
+    uniform_pair_model,
+)
 
 
 def P(*blocks):
@@ -54,8 +62,6 @@ class TestExactLogZ:
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 4)])
     def test_latent_identity_vs_hidden_enumeration(self, n, k):
         m = random_latent_model(n, k, seed=n * 10 + k)
-        from osmrank.combinatorics import enumerate_ordered_partitions
-
         logs = [
             log_joint_weight(X, np.array(h), m)
             for X in enumerate_ordered_partitions(n)
@@ -77,6 +83,30 @@ class TestExactDistribution:
         logs = np.array([log_weight(X, m) for X in states])
         expected = np.exp(logs - logsumexp(logs))
         np.testing.assert_allclose(probs, expected / expected.sum(), atol=1e-12)
+
+
+class TestEnumerationLogWeights:
+    """The weighing pass gives each state ``annealed_unnorm_log_prob(X, 1.0,
+    m)`` bit for bit, in enumeration order, across its chunks."""
+
+    @pytest.mark.parametrize("model", ["cf-k0", "cf-k2", "zero", "latent"])
+    def test_equals_the_annealed_weights(self, model, monkeypatch):
+        monkeypatch.setattr(partition_function, "ENUMERATION_CHUNK", 100)  # 541 states: 6 chunks
+        rng = np.random.default_rng(4)
+        m = {"cf-k0": CFParams(0.3, rng.normal(0.0, 0.8, 5), np.zeros((5, 0))),
+             "cf-k2": CFParams(-0.4, rng.normal(0.0, 0.8, 5), rng.normal(0.0, 0.6, (5, 2))),
+             "zero": CFParams.zeros(5, 0),
+             "latent": random_latent_model(5, 2, seed=6)}[model]
+        want = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(5)]
+        assert enumeration_log_weights(m).tobytes() == np.array(want).tobytes()
+
+    def test_cap_enforced_before_any_allocation(self):
+        with pytest.raises(EnumerationCapError):
+            enumeration_log_weights(CFParams.zeros(40, 0))
+
+    def test_count_past_the_address_space_is_a_memory_error(self):
+        with pytest.raises(MemoryError, match="fubini\\(40\\)"):
+            enumeration_log_weights(CFParams.zeros(40, 0), cap=40)
 
 
 class TestAnnealedUnnormLogProb:

@@ -32,7 +32,6 @@ from osmrank.sampler import (
     advance_partition,
     propose_merge,
     propose_split,
-    run_chain,
 )
 
 from helpers import FakeRng, random_matrix_model
@@ -42,6 +41,7 @@ from oracles import (
     local_ratio,
     pair_table,
     plain_model,
+    run_chain,
     scaled,
     stirling2,
     transition_matrix,
