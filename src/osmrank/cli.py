@@ -14,10 +14,7 @@ import os
 import random
 import sys
 import warnings
-from itertools import islice
 from typing import Optional
-
-import numpy as np
 
 from .combinatorics import (
     DEFAULT_ENUMERATION_CAP,
@@ -29,8 +26,7 @@ from .combinatorics import (
 )
 from .latent import gibbs_mh_step
 from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
-from .core import logsumexp
-from .partition_function import ENUMERATION_CHUNK, AISConfig, ais_log_z, enumeration_log_weights
+from .partition_function import AISConfig, ais_log_z, exact_inference
 from .pipeline import (
     DEFAULT_GRADES,
     DEFAULT_SCALE,
@@ -216,11 +212,15 @@ def cmd_eval(args) -> int:
 
 
 def _model_from_flags(args) -> CFParams:
-    """The --model checkpoint's latent model, or uniform potentials over --n
-    objects: the model with no hidden units and every parameter 0."""
-    if args.model:
-        return load_checkpoint(args.model)
-    return CFParams.zeros(args.n, 0)
+    """The --model checkpoint's latent model, which must cover --n objects
+    where --n is given, or uniform potentials over --n objects: the model
+    with no hidden units and every parameter 0."""
+    if not args.model:
+        return CFParams.zeros(args.n, 0)
+    model = load_checkpoint(args.model)
+    if args.n is not None and model.n_objects != args.n:
+        raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
+    return model
 
 
 def cmd_sample(args) -> int:
@@ -284,16 +284,11 @@ def _decimal(value: int) -> str:
 
 def cmd_oracle(args) -> int:
     """Print the requested lines in flag order.  ``--exact-z`` and
-    ``--marginals`` read one array, the enumeration's log weights, weighed
-    before anything is written; the marginals walk the enumeration again."""
-    exact = args.exact_z or args.marginals  # the model and the cap are checked before --out opens
-    model = _model_from_flags(args) if exact else None
-    if exact and model.n_objects != args.n:
-        raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
+    ``--marginals`` come from one ``exact_inference`` run, made before
+    anything is written."""
     listing = enumerate_ordered_partitions(args.n, cap=args.cap) if args.enumerate else ()
-    if exact:
-        logs = enumeration_log_weights(model, cap=args.cap)
-        log_z = logsumexp(logs)
+    if args.exact_z or args.marginals:
+        log_z, order, tie = exact_inference(_model_from_flags(args))
     with _output(args.out) as out:
         if args.count:
             print(_decimal(fubini(args.n)), file=out)
@@ -301,28 +296,15 @@ def cmd_oracle(args) -> int:
             for X in listing:
                 print(format_partition(X), file=out)
         if args.exact_z:
-            print(f"log_z={float(log_z)!r}", file=out)
+            print(f"log_z={log_z!r}", file=out)
         if args.marginals:
-            probs = np.exp(logs - log_z)
-            probs /= probs.sum()
-            # each state adds p or an exact 0.0 to each cell, in enumeration
-            # order: add.accumulate sums in sequence, as a state-by-state loop does
-            order_marg, tie_marg = np.zeros((2, 1, args.n, args.n))
-            states = enumerate_ordered_partitions(args.n, cap=args.cap)
-            for start in range(0, len(probs), ENUMERATION_CHUNK):
-                chunk = list(islice(states, ENUMERATION_CHUNK))
-                r = np.array([[t for _, t in sorted(X.block_of().items())] for X in chunk])[:, :, None]
-                p = probs[start : start + len(chunk), None, None]
-                r_other = r.transpose(0, 2, 1)  # [s, i, j] = rank of j in state s
-                order_marg = np.add.accumulate(np.concatenate([order_marg, p * (r < r_other)]))[-1:]
-                tie_marg = np.add.accumulate(np.concatenate([tie_marg, p * np.triu(r == r_other, 1)]))[-1:]
             for i in range(args.n):
                 for j in range(args.n):
                     if i != j:
-                        print(f"order i={i} j={j} p={float(order_marg[0, i, j])!r}", file=out)
+                        print(f"order i={i} j={j} p={float(order[i, j])!r}", file=out)
             for i in range(args.n):
                 for j in range(i + 1, args.n):
-                    print(f"tie i={i} j={j} p={float(tie_marg[0, i, j])!r}", file=out)
+                    print(f"tie i={i} j={j} p={float(tie[i, j])!r}", file=out)
     return EXIT_OK
 
 
@@ -384,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact counting/enumeration/Z utilities")
     p_oracle.add_argument("--n", type=_non_negative_int, required=True)
-    p_oracle.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP)
+    p_oracle.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP,
+                          help="largest --n that --enumerate lists")
     p_oracle.add_argument("--count", action="store_true", help="print fubini(n)")
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.add_argument("--exact-z", action="store_true")

@@ -27,7 +27,7 @@ DEFAULT_ENUMERATION_CAP = 8
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exact enumeration would exceed its configured cap."""
+    """Raised when an exact enumeration or computation would exceed its size cap."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +87,6 @@ class OrderedPartition:
     @property
     def objects(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
-
-    def block_of(self) -> dict[int, int]:
-        """Map object index -> block index."""
-        return {x: t for t, block in enumerate(self.blocks) for x in block}
 
 
 # ``_unchecked`` writes the frozen class's slots through their descriptors,

@@ -1,9 +1,9 @@
-"""Normalization constants: exact log weights by enumeration and annealed importance sampling.
+"""Normalization constants: exact inference by a DP over subsets, and annealed importance sampling.
 
 AIS interpolates from the uniform base (tau = 0, Z(0) = Fubini(N) * 2^K)
 to the target (tau = 1) along an inverse-temperature ladder, accumulating
 importance weights in the log domain across R independent runs, spread
-over forked processes (``_fill_log_weights``).  Every routine takes a
+over forked processes (``_fill_log_weights``).  Every AIS routine takes a
 ``CFParams`` (with K = 0, a plain worth model) and reads it only through
 ``n_objects``, ``n_hidden``, ``log_weight``, ``log_omegas``, ``unit_weights``
 and ``effective_at``, so the tests pass the generic ``LatentModel`` of
@@ -19,33 +19,25 @@ import random
 import signal
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .combinatorics import (
-    DEFAULT_ENUMERATION_CAP,
-    OrderedPartition,
-    enumerate_ordered_partitions,
-    fubini,
-    sample_uniform_ordered_partition,
-)
-from .core import log_weight, logsumexp, stack_worth_features
+from .combinatorics import EnumerationCapError, fubini, sample_uniform_ordered_partition
+from .core import log_weight, logsumexp
 from .latent import gibbs_mh_step
 from .learning import CFParams
 
 __all__ = [
     "AISConfig",
     "AISResult",
-    "enumeration_log_weights",
-    "annealed_unnorm_log_prob",
+    "exact_inference",
     "temperature_ladder",
     "ais_log_z",
 ]
 
 LOG2 = math.log(2.0)
-ENUMERATION_CHUNK = 1024  # states weighed per features pass in enumeration_log_weights
+EXACT_TERMS = 3**14  # the most terms, 3^n 2^K, that exact_inference sums
 
 
 @dataclass
@@ -82,45 +74,73 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def enumeration_log_weights(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """``annealed_unnorm_log_prob(X, 1.0, m)`` of every ordered partition X
-    of m's objects, in the order of ``enumerate_ordered_partitions``: the
-    exact log weights, whose logsumexp is log Z and whose softmax is the
-    distribution of X.  The hidden units are summed out analytically via the
-    prod_k (1 + Omega_k) identity, so only partitions are enumerated.
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f``, ``math.exp`` or ``math.log``, of each element, 2^16 at a time:
+    numpy's own exp and log round differently on each CPU it dispatches to."""
+    out, flat, chunk = np.empty(x.size), x.ravel(), 1 << 16
+    for start in range(0, x.size, chunk):
+        out[start : start + chunk] = list(map(f, flat[start : start + chunk].tolist()))
+    return out.reshape(x.shape)
 
-    The states are weighed ``ENUMERATION_CHUNK`` at a time: one
-    ``stack_worth_features`` pass fills a chunk's worth features and one
-    ``unit_weights`` call gives its hidden units' log weights.  Only the
-    weights are kept, so memory does not grow with the enumeration.
+
+def _normalized(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log sum exp(terms), exp(terms) over that sum) along the last axis."""
+    top = terms.max(axis=-1, keepdims=True)
+    e = _libm(math.exp, terms - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return (top + _libm(math.log, total))[..., 0], e / total
+
+
+def exact_inference(m: CFParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z of m and its pair marginals, ``order[i, j]`` = P(i ranked above
+    j) and ``tie[i, j]`` = P(i tied with j), by a DP over subsets.
+
+    Hidden setting h makes m the worth model nu_h = nu (1 + |h|), w_h = u +
+    sum_{k in h} W_k, and Z = sum_h Z_h.  A block S with t objects below it
+    adds g_h(S, t) = nu_h C(|S|, 2) + (t + (|S| - 1) / 2) sum_S w_h to log
+    Omega, so the ordered partitions of a bitmask R weigh Z_h[R] = sum_{S in
+    R} e^{g_h(S, |R - S|)} Z_h[R - S], S the top block.  Those terms over
+    their sum are P(top block S | objects left R, h): a chain from h ~ Z_h /
+    Z down to no object.  P(S is a block) sums its flow through the steps
+    that take S, and P(i above j) through those that take j from a set
+    without i.  It has 3^n steps per h; 3^n 2^K past ``EXACT_TERMS`` is refused.
     """
-    states = enumerate_ordered_partitions(m.n_objects, cap)
-    try:  # a count past memory fails here, before any state is weighed
-        logs = np.empty(fubini(m.n_objects))
-    except ValueError as exc:  # numpy refuses a size past the address space
-        raise MemoryError(f"log weights of fubini({m.n_objects}) states: {exc}") from None
-    for start in range(0, len(logs), ENUMERATION_CHUNK):
-        chunk = list(islice(states, ENUMERATION_CHUNK))
-        stack_worth_features(chunk)
-        rows = m.unit_weights(chunk)[0].tolist()
-        logs[start : start + len(chunk)] = [
-            annealed_unnorm_log_prob(X, 1.0, m, row) for X, row in zip(chunk, rows)]
-    return logs
-
-
-def annealed_unnorm_log_prob(
-    X: OrderedPartition, tau: float, m: CFParams, logom: Optional[Sequence[float]] = None
-) -> float:
-    """log P*(X | tau): tau * log Omega(X) plus the marginalized hidden
-    terms sum_k log(1 + Omega_k(X)^tau).  ``logom``, X's row of
-    ``m.unit_weights`` where the caller has it, is ``m.log_omegas(X)``."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    tau = float(tau)
-    total = tau * log_weight(X, m)
-    for lo in m.log_omegas(X).tolist() if logom is None else logom:
-        total += _softplus(tau * lo)
-    return total
+    n, k = m.n_objects, m.n_hidden
+    if 3 ** min(n, 64) << min(k, 64) > EXACT_TERMS:  # clamped: no big integer
+        raise EnumerationCapError(
+            f"exact inference at n={n}, K={k} refused: 3^n 2^K terms exceed the bound {EXACT_TERMS}")
+    w, nu = m.u[None, :], np.array([m.nu])  # one row per hidden setting, a left fold over the units
+    for unit in range(k):
+        w, nu = np.concatenate([w, w + m.W[:, unit]]), np.concatenate([nu, nu + m.nu])
+    full = (1 << n) - 1
+    members = (np.arange(full + 1)[:, None] >> np.arange(n)) & 1  # [S, i]: is i in the bitmask S
+    size, sum_w = members.sum(axis=1), np.einsum("hi,si->hs", w, members)
+    log_zh, layers = np.zeros((len(nu), full + 1)), []
+    for r in range(1, n + 1):  # the sets R of r objects; S[i] the non-empty subsets of R[i]
+        R = np.flatnonzero(size == r)
+        S, left = np.zeros((len(R), 1), dtype=np.intp), R
+        for _ in range(r):
+            low = left & -left
+            S, left = np.concatenate([S, S | low[:, None]], axis=1), left ^ low
+        S, s = S[:, 1:], size[S[:, 1:]]
+        terms = (nu[:, None, None] * (s * (s - 1) // 2) + (r - s + 0.5 * (s - 1)) * sum_w[:, S]
+                 + log_zh[:, R[:, None] ^ S])
+        log_zh[:, R], step = _normalized(terms)
+        layers.append((R, S, step))
+    flow = np.zeros_like(log_zh)  # [h, R]: P(h, and the chain passes through R)
+    log_z, flow[:, full] = _normalized(log_zh[:, full])
+    taken = np.zeros((full + 1, n))  # [R, j]: P(the chain takes j's block from R)
+    block = np.zeros(full + 1)  # [S]: P(S is a block)
+    for R, S, step in reversed(layers):
+        step = flow[:, R, None] * step
+        into = (R[:, None] ^ S) + (np.arange(len(nu)) * (full + 1))[:, None, None]
+        flow += np.bincount(into.ravel(), step.ravel(), flow.size).reshape(flow.shape)
+        step = step.sum(axis=0)
+        block += np.bincount(S.ravel(), step.ravel(), full + 1)
+        taken[R] = np.stack([(step * (S >> j & 1)).sum(axis=1) for j in range(n)], axis=1)
+    order = np.einsum("ri,rj->ij", 1 - members, taken)
+    tie = np.einsum("s,si,sj->ij", block, members, members)
+    return float(log_z), order, tie
 
 
 def temperature_ladder(cfg: AISConfig) -> np.ndarray:

@@ -217,6 +217,11 @@ def reference_user_partitions(ds):
     return out
 
 
+def block_of(X) -> dict[int, int]:
+    """Map object index -> block index."""
+    return {x: t for t, block in enumerate(X.blocks) for x in block}
+
+
 def reference_worth_features(X):
     """``worth_features`` from its definition, for a fresh computation: per
     object in block order, half its within-block ties plus the objects
@@ -249,8 +254,8 @@ def reference_accumulate(entries, n_items: int, n_hidden: int):
 
 def reference_disagreement(sample, observed) -> float:
     """The pair loop ``pairwise_disagreement`` replaced, kept as an oracle."""
-    ra = sample.block_of()
-    rb = observed.block_of()
+    ra = block_of(sample)
+    rb = block_of(observed)
     if set(ra) != set(rb):
         raise ValueError("partitions must cover the same objects")
     objs = sorted(ra)

@@ -9,9 +9,10 @@ pairs, and a base table plus one table per hidden unit, ``LatentModel``,
 with ``as_latent`` taking a pair model as the latent model with no hidden
 units), the enumeration oracles of
 training (exact sufficient statistics, gradients, likelihoods and draws), the
-log joint weight and the scalar sigmoid, the enumeration forms of log Z and
-of the exact distribution (``exact_log_z``, ``exact_distribution``), which
-hold every state or weight at once, partitions from graded ratings and
+log joint weight and the scalar sigmoid, the annealed weight of one state
+(``annealed_unnorm_log_prob``), the enumeration forms of log Z and of the
+exact distribution (``exact_log_z``, ``exact_distribution``), which hold
+every state or weight at once, partitions from graded ratings and
 text, and rank reconstruction from a posterior.  They are small-size references the fast
 paths are checked against.  The pair tables go through the production
 kernel and partition functions unchanged, which read a model by its
@@ -57,7 +58,7 @@ from osmrank.core import (
 )
 from osmrank.latent import hidden_posterior
 from osmrank.learning import CFParams, GradientEstimate, _accumulate
-from osmrank.partition_function import annealed_unnorm_log_prob
+from osmrank.partition_function import _softplus
 from osmrank.pipeline import RankedList, _mean_worth, _rank
 from osmrank.sampler import (
     LOG_HALF,
@@ -651,7 +652,19 @@ def sample_partitions_exact(
     return out  # type: ignore[return-value]
 
 
-# osmrank.partition_function: the enumeration forms of log Z and the distribution
+# osmrank.partition_function: the annealed weight, the enumeration forms of log Z and the distribution
+def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: CFParams) -> float:
+    """log P*(X | tau): tau * log Omega(X) plus the marginalized hidden
+    terms sum_k log(1 + Omega_k(X)^tau)."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    tau = float(tau)
+    total = tau * log_weight(X, m)
+    for lo in m.log_omegas(X).tolist():
+        total += _softplus(tau * lo)
+    return total
+
+
 def exact_log_z(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """log Z by full enumeration (oracle).
 

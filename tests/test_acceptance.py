@@ -44,7 +44,7 @@ from osmrank.pipeline import (
 )
 from osmrank.sampler import advance_partition
 
-from helpers import gibbs_sweep, random_latent_model, random_matrix_model
+from helpers import block_of, gibbs_sweep, random_latent_model, random_matrix_model
 from oracles import (
     LogLinearParams,
     as_latent,
@@ -326,7 +326,7 @@ def test_criterion_07_learning_end_to_end(synthetic_cf):
             for X in held:
                 seen = restrict_partition(X, seen_items)
                 ranking = complete_rank(seen, unseen, m)
-                ranks = X.block_of()
+                ranks = block_of(X)
                 rel = {j: X.n_blocks - 1 - ranks[j] for j in unseen}
                 vals.append(ndcg_at([rel[j] for j in ranking.items], 5))
             return float(np.mean(vals))
@@ -348,7 +348,7 @@ def test_criterion_08_reconstruction_vs_hidden_size(synthetic_cf):
                 post = hidden_posterior(X, m)
                 ranking = reconstruct_rank(post, range(8), m)
                 pos = {j: r for r, j in enumerate(ranking.items)}
-                ranks = X.block_of()
+                ranks = block_of(X)
                 good = total = 0
                 for i in range(8):
                     for j in range(8):

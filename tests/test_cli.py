@@ -17,8 +17,10 @@ from osmrank import cli
 from osmrank.cli import build_parser, main
 from osmrank.combinatorics import fubini
 from osmrank.learning import CFParams, load_checkpoint, save_checkpoint
+from osmrank.partition_function import EXACT_TERMS
 
-from oracles import covers_universe, exact_distribution, exact_log_z, parse_partition
+from oracles import covers_universe, exact_log_z, parse_partition
+from test_partition_function import enumerated_marginals
 
 
 def make_ratings_file(path, n_users=60, n_items=40, seed=0):
@@ -210,12 +212,12 @@ class TestOracleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,code", [
-        (["--n", "9", "--count", "--exact-z"], 3),
+        (["--n", "15", "--count", "--exact-z"], 3),
         (["--n", "9", "--count", "--enumerate"], 3),
         (["--n", "3", "--count", "--exact-z", "--model", "four.ck"], 2),
     ])
     def test_failing_run_writes_nothing(self, argv, code, tmp_path, monkeypatch, capsys):
-        # the model and the cap are checked before the count is written
+        # the model, the cap and the exact modes' bound are checked before the count is written
         monkeypatch.chdir(tmp_path)
         save_checkpoint("four.ck", CFParams.zeros(4, 1))
         assert main(["oracle", *argv, "--out", "o.txt"]) == code
@@ -233,19 +235,44 @@ class TestOracleCommand:
     def test_exact_z_and_marginals_share_the_cap_message(self, capsys):
         errs = []
         for flag in ["--exact-z", "--marginals"]:
-            assert main(["oracle", "--n", "9", flag]) == 3
+            assert main(["oracle", "--n", "15", flag]) == 3
             errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1]
-        assert errs[0].startswith("osmrank: ") and errs[0].count("\n") == 1
-        assert f"fubini(9) = {fubini(9)}" in errs[0]
+        assert errs[0] == errs[1] == (f"osmrank: exact inference at n=15, K=0 refused: 3^n 2^K terms exceed "
+                                      f"the bound {EXACT_TERMS}\n")
+
+    @pytest.mark.parametrize("n,k", [(15, 0), (3, 20)], ids=["n-alone", "k-at-small-n"])
+    def test_exact_modes_refuse_past_the_term_bound(self, n, k, tmp_path, monkeypatch, capsys):
+        # 3^n 2^K past the bound, whatever --cap says; --n 9 is inside it
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint("m.ck", CFParams.zeros(n, k))
+        assert main(["oracle", "--n", str(n), "--model", "m.ck", "--exact-z", "--marginals", "--cap", "20",
+                     "--out", "o.txt"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"osmrank: exact inference at n={n}, K={k} refused: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_exact_modes_run_past_the_enumeration_cap(self, tmp_path, capsys):
+        # n = 10 lies past --cap 8, and 3^10 2^3 inside the exact modes' bound
+        rng = np.random.default_rng(10)
+        save_checkpoint(str(tmp_path / "m.ck"), CFParams(-0.4, rng.normal(0.0, 0.8, 10), rng.normal(0.0, 0.6, (10, 3))))
+        assert main(["oracle", "--n", "10", "--model", str(tmp_path / "m.ck"), "--exact-z", "--marginals"]) == 0
+        p = {tuple(line.split()[:3]): float(line.rsplit("=", 1)[1]) for line in capsys.readouterr().out.splitlines()}
+        assert len(p) == 1 + 90 + 45
+        for i in range(10):
+            for j in range(i + 1, 10):
+                total = p["order", f"i={i}", f"j={j}"] + p["order", f"i={j}", f"j={i}"] + p["tie", f"i={i}", f"j={j}"]
+                assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1300, 1500])
     def test_cap_message_does_not_write_out_the_count(self, n, capsys):
-        # fubini(1300) has 3693 digits, fubini(1500) more than int-to-str allows by default
-        for flag in ["--exact-z", "--marginals", "--enumerate"]:
+        # fubini(1300) has 3693 digits, fubini(1500) more than int-to-str allows by
+        # default; the exact modes' bound on 3^n does not write out 3^n either
+        for flag, start in [("--exact-z", f"exact inference at n={n}, K=0 refused: "),
+                            ("--marginals", f"exact inference at n={n}, K=0 refused: "),
+                            ("--enumerate", f"enumeration of n={n} refused: fubini({n}) ~ 10^")]:
             assert main(["oracle", "--n", str(n), flag]) == 3
             err = capsys.readouterr().err
-            assert err.startswith(f"osmrank: enumeration of n={n} refused: fubini({n}) ~ 10^")
+            assert err.startswith(f"osmrank: {start}")
             assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
@@ -263,11 +290,11 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("n", [15, 40])
     def test_weights_past_memory_are_a_cap_error(self, n, capsys):
-        # fubini(15) weights need ~8 PiB, past a 64-bit address space; numpy
-        # refuses fubini(40) as a size
+        # --cap bounds --enumerate only: 3^n terms past the exact modes' bound
+        # are refused whatever it says
         assert main(["oracle", "--n", str(n), "--exact-z", "--cap", str(n)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("osmrank: ") and err.count("\n") == 1
+        assert err.startswith(f"osmrank: exact inference at n={n}, K=0 refused: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("n,k", [(1, 0), (3, 0), (6, 0), (1, 2), (4, 2), (6, 2), (5, None)])
     def test_exact_z_and_marginals_equal_the_enumeration_oracles(self, n, k, tmp_path, capsys):
@@ -280,17 +307,17 @@ class TestOracleCommand:
                             CFParams(-0.4, rng.normal(0.0, 0.8, n), rng.normal(0.0, 0.6, (n, k))))
             model, flags = load_checkpoint(str(tmp_path / "m.ck")), ["--model", str(tmp_path / "m.ck")]
         assert main(["oracle", "--n", str(n), *flags, "--exact-z", "--marginals"]) == 0
-        states, probs = exact_distribution(model)
-        order, tie = np.zeros((n, n)), np.zeros((n, n))
-        for X, p in zip(states, probs):  # state by state, in enumeration order
-            ranks = X.block_of()
-            r = np.array([ranks[i] for i in range(n)])
-            order += p * (r[:, None] < r)
-            tie += p * np.triu(r[:, None] == r, 1)
-        want = [f"log_z={exact_log_z(model)!r}"]
-        want += [f"order i={i} j={j} p={float(order[i, j])!r}" for i in range(n) for j in range(n) if i != j]
-        want += [f"tie i={i} j={j} p={float(tie[i, j])!r}" for i in range(n) for j in range(i + 1, n)]
-        assert capsys.readouterr().out.splitlines() == want
+        order, tie = enumerated_marginals(model)
+        # the DP sums in another order than the enumeration: equal to 1e-12
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit("=", 1)[0] for line in lines] == (
+            ["log_z"] + [f"order i={i} j={j} p" for i in range(n) for j in range(n) if i != j]
+            + [f"tie i={i} j={j} p" for i in range(n) for j in range(i + 1, n)])
+        got = [float(line.rsplit("=", 1)[1]) for line in lines]
+        assert got[0] == pytest.approx(exact_log_z(model), rel=1e-12, abs=0.0)
+        want = [order[i, j] for i in range(n) for j in range(n) if i != j]
+        want += [tie[i, j] for i in range(n) for j in range(i + 1, n)]
+        assert got[1:] == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_exact_z_uniform(self, capsys):
         assert main(["oracle", "--n", "4", "--exact-z"]) == 0
@@ -317,6 +344,16 @@ class TestOracleCommand:
 
 
 class TestSampleCommand:
+    def test_n_other_than_the_model_is_data_error(self, tmp_path, capsys):
+        # --n was ignored next to --model, and 4-object partitions drawn
+        ck, out = tmp_path / "four.ck", tmp_path / "dump.txt"
+        save_checkpoint(str(ck), CFParams.zeros(4, 1))
+        assert main(["sample", "--model", str(ck), "--n", "9", "--steps", "3", "--thin", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: model covers 4 objects, --n is 9\n"
+        assert not out.exists()
+        assert main(["sample", "--model", str(ck), "--n", "4", "--steps", "3", "--out", str(out)]) == 0
+
     def test_uniform_dump_format_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.txt"
         out_b = tmp_path / "b.txt"
@@ -373,9 +410,9 @@ class TestSampleCommand:
 
 
 class TestBoundedMemory:
-    """``sample`` prints each draw as it is made and ``oracle`` keeps one
-    weight per state, so the traced peak of ``main`` does not grow with the
-    chain and stays small over an enumeration."""
+    """``sample`` prints each draw as it is made and ``oracle`` keeps tables
+    over subsets, not states, so the traced peak of ``main`` does not grow
+    with the chain and stays small where fubini(n) is large."""
 
     @staticmethod
     def traced_peak(argv):
@@ -392,7 +429,7 @@ class TestBoundedMemory:
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
     def test_oracle_marginals_peak(self, tmp_path):
-        # 47293 states; holding them with their features took ~39 MB
+        # 47293 states; holding them with their features took ~39 MB, the DP's tables ~0.1 MB
         assert self.traced_peak(["oracle", "--n", "7", "--marginals", "--out", str(tmp_path / "o.txt")]) < 8 * 2**20
 
 
@@ -425,6 +462,17 @@ class TestBadCheckpoint:
 
 
 class TestEstimateZCommand:
+    def test_n_other_than_the_model_is_data_error(self, tmp_path, capsys):
+        # --n was ignored next to --model, and Z estimated over 4 objects
+        ck, out = tmp_path / "four.ck", tmp_path / "z.txt"
+        save_checkpoint(str(ck), CFParams.zeros(4, 1))
+        assert main(["estimate-z", "--model", str(ck), "--n", "7", "--n-temps", "3", "--n-runs", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "osmrank: model covers 4 objects, --n is 7\n"
+        assert not out.exists()
+        assert main(["estimate-z", "--model", str(ck), "--n", "4", "--n-temps", "3", "--n-runs", "1",
+                     "--out", str(out)]) == 0
+
     def test_degenerate_uniform_equals_log_fubini(self, tmp_path):
         out = tmp_path / "z.txt"
         assert main(["estimate-z", "--uniform", "--n", "5", "--n-temps", "2",
@@ -869,7 +917,7 @@ class TestOutputContract:
     WORK = ["osmrank.cli.load_ratings", "osmrank.cli.train", "osmrank.cli.advance_partition",
             "osmrank.sampler.advance_partition", "osmrank.latent.advance_partition",
             "osmrank.cli.ais_log_z", "osmrank.cli.enumerate_ordered_partitions",
-            "osmrank.cli.enumeration_log_weights"]
+            "osmrank.cli.exact_inference"]
     COMMANDS = {
         "train": ["train", "--data", "r.dat", "--epochs", "1", "--log", "t.log"],
         "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--per-user", "pu.txt"],

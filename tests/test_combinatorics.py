@@ -16,7 +16,7 @@ from osmrank.combinatorics import (
     sample_uniform_ordered_partition,
 )
 
-from helpers import brute_force_ordered_partitions, brute_force_set_partitions
+from helpers import block_of, brute_force_ordered_partitions, brute_force_set_partitions
 from oracles import covers_universe, from_blocks, fubini_asymptotic, parse_partition, stirling2
 
 
@@ -51,7 +51,7 @@ class TestOrderedPartition:
 
     def test_block_of(self):
         X = OrderedPartition(((0, 2), (1,)), 3)
-        assert X.block_of() == {0: 0, 2: 0, 1: 1}
+        assert block_of(X) == {0: 0, 2: 0, 1: 1}
 
 
 class TestStirling2:

@@ -16,14 +16,15 @@ BLAS: numpy's OpenBLAS (0.3.31, built ``DYNAMIC_ARCH``) picks its kernels
 by CPU, or by ``OPENBLAS_CORETYPE``.  The unit weights ``coef @ W[items]``
 go through its gemv, and the last bit of a sum depends on the kernel.  On an
 AVX-512 Xeon (kernel SkylakeX), rerunning every case with the core type set
-to Haswell, Sandybridge, Nehalem or Prescott changed the bytes of five
-outputs by at most 6.2e-16 relative: the checkpoint of ``train`` K=3, the
-three ``estimate-z --model`` reports (linear only under Sandybridge and
-Prescott) and ``oracle --exact-z --marginals --model``.  Every train log,
-the K=0 and ``--uniform`` outputs, the eval reports (ranking makes no BLAS
-call) and both sample dumps kept their bytes: no accept decision flipped.
-Those five outputs are pinned in ``VALUES`` instead: the text with each
-float masked by digest, and the floats to 1e-9 relative.  One test reruns
+to Haswell, Sandybridge, Nehalem or Prescott changed the bytes of four
+outputs by at most 6.2e-16 relative: the checkpoint of ``train`` K=3 and
+the three ``estimate-z --model`` reports (linear only under Sandybridge and
+Prescott).  Every train log, the K=0 and ``--uniform`` outputs, the eval
+reports (ranking makes no BLAS call), the sample dumps and the ``oracle``
+outputs (its subset DP makes no BLAS call) kept their bytes: no accept
+decision flipped.  Those four outputs are pinned in ``VALUES`` instead:
+the text with each float masked by digest, and the floats to 1e-9
+relative.  One test reruns
 the table in a subprocess under the Prescott kernels, pinned to one CPU so
 that ``estimate-z`` runs its AIS runs in one process there.
 """
@@ -146,7 +147,6 @@ CASES = {
                                 "--out", "oracle_enum.txt"], ["oracle_enum.txt"]),
     "oracle-exact-z-marginals": (["oracle", "--n", "5", "--model", "small.ck", "--exact-z",
                                   "--marginals", "--out", "oracle_z.txt"], ["oracle_z.txt"]),
-    # K = 0 makes no BLAS call, so its floats are pinned by digest
     "oracle-exact-z-marginals-k0": (["oracle", "--n", "5", "--model", "small0.ck", "--exact-z",
                                      "--marginals", "--out", "oracle_k0.txt"], ["oracle_k0.txt"]),
     "oracle-all-n6": (["oracle", "--n", "6", "--model", "oracle6.ck", "--count", "--enumerate",
@@ -162,9 +162,11 @@ DIGESTS = {
     ("eval", "sweep.tsv"): "8db4bdf826eb76d753f4d4b7210daf4c185e142b5a8d4b09d3153d3bf659d7a0",
     ("eval-ties", "eval_tie.txt"): "4f345649bc8a4330abb6f5dcacbd60429d0494570074de5338261e219562e666",
     ("eval-ties", "per_user_tie.txt"): "3af67103cac1cb88ff9f5f484e85031e45a6c1814bbcda1bfd8ffbd1d439257f",
+    ("oracle-all-n6", "oracle_all6.txt"): "6fadbd81217cbb1b65df4ab9a2ab167638cbf6f0285b33493b003d71f42704ba",
     ("oracle-count-enumerate", "oracle_enum.txt"): "f760df91ed85e22796aeae5b6478bd4abc931e72060b65e65543c1d35249b33f",
-    ("oracle-exact-z-marginals-k0", "oracle_k0.txt"): "3e8cf58a3671fbd9074b83c3b50f886d1900792afdf5a1861d8b4a3061f5b147",
-    ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "caa64cb52834db103ec3df5eedf82049fa141b23c1e02688b51a1a09f1782f39",
+    ("oracle-exact-z-marginals", "oracle_z.txt"): "18adc78253740c5813b21293cb99f2d16a392ba114e25f6888b9bdf915d6954b",
+    ("oracle-exact-z-marginals-k0", "oracle_k0.txt"): "bb5a46aacf17f29b4d8306736745062b73431691981e881ac82fe8cb0e252457",
+    ("oracle-exact-z-marginals-uniform", "oracle_uniform.txt"): "85ee02867d607a56b5a97fe5c3dcc09efac7dba50696f2698b79080e1eeaf4b0",
     ("sample-model", "sample_model.txt"): "034fde103d64cc2b49a66d173351047e3246e882665877ae6c5937d1bff13b59",
     ("sample-model-burn-past-steps", "sample_model_burn-past-steps.txt"): "6e95614b98c9035c81e2742b79c47f8fd6176b1659d100dcafe5feb4de0298f4",
     ("sample-model-k0-burn-past-steps", "sample_model-k0_burn-past-steps.txt"): "6e95614b98c9035c81e2742b79c47f8fd6176b1659d100dcafe5feb4de0298f4",
@@ -203,36 +205,6 @@ VALUES = {
         """
         85.77367490133682 32.07520935258353 1.0000000655500423 54.79707780464638
         29.816568653981555 37.56304648440227
-        """,
-    ),
-    ("oracle-all-n6", "oracle_all6.txt"): (
-        "eebfd46098a1697efbb6332802a265d43b0b01e1d86d5ac7f1aedc2a5612c45c",
-        """
-        14.909183395702334 0.21215377016874795 0.21207104016980488 0.01733524411780857
-        0.5006449496737483 0.4171325489627034 0.7310794328250678 0.4645211190166325
-        0.09347320988818279 0.7524876605424233 0.6935793942042715 0.7315024588602044
-        0.4604296772725457 0.09058876833207674 0.7575668663003997 0.6929507933290732
-        0.9667357684644784 0.8441044543105904 0.8460680086134396 0.9681937429262171
-        0.95640928063624 0.4151803532772835 0.19445674002355695 0.189387507357308
-        0.016343790725248417 0.3792373147332995 0.5030092876752976 0.24595424173798291
-        0.24698152401803683 0.02324072445180078 0.5428938115034967 0.05676679700618226
-        0.05642650096998875 0.0159289874177093 0.08417469704896823 0.079858163361999
-        0.07504920371082205 0.062422335801223375 0.053055599434018295 0.06046636405774441
-        0.06334322305448004 0.053045626342290195 0.060067682652888796 0.01546246634853167
-        0.0203499949119556 0.07786887376320349
-        """,
-    ),
-    ("oracle-exact-z-marginals", "oracle_z.txt"): (
-        "1acad0fd927d46c2e067dd9fefefa88d51fb2d2558b2181d224f68411fe0afc3",
-        """
-        9.339486187085047 0.6967201169557574 0.3775615565608213 0.448388672727485
-        0.253811992310759 0.24456351952776748 0.1700428732297116 0.22645444696985054
-        0.09010103977182407 0.5678579621018324 0.785023648125591 0.5455140742283635
-        0.3327322228572697 0.4936470169619453 0.7181340085981034 0.3986938921732209
-        0.2714758879967612 0.6951657004341755 0.8802207349427303 0.6018831277995689
-        0.674584889290293 0.05871636351647539 0.05458048133734663 0.057964310310569415
-        0.05102230725506545 0.04493347864469762 0.055411544432046315 0.029678225285446107
-        0.05579203359841548 0.06538464934316161 0.053939222712946086
         """,
     ),
     ("train-k3", "k3.ck"): (

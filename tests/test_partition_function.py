@@ -3,6 +3,7 @@ import math
 import os
 import random
 import signal
+import sys
 import time
 import tracemalloc
 
@@ -14,17 +15,12 @@ from osmrank import partition_function
 from osmrank.combinatorics import EnumerationCapError, enumerate_ordered_partitions, fubini
 from osmrank.core import log_weight
 from osmrank.learning import CFParams
-from osmrank.partition_function import (
-    AISConfig,
-    ais_log_z,
-    annealed_unnorm_log_prob,
-    enumeration_log_weights,
-    temperature_ladder,
-)
+from osmrank.partition_function import AISConfig, ais_log_z, exact_inference, temperature_ladder
 
-from helpers import random_latent_model, random_matrix_model, reference_ais_log_weights
+from helpers import block_of, random_latent_model, random_matrix_model, reference_ais_log_weights
 from oracles import (
     LatentModel,
+    annealed_unnorm_log_prob,
     as_latent,
     exact_distribution,
     exact_log_z,
@@ -85,28 +81,76 @@ class TestExactDistribution:
         np.testing.assert_allclose(probs, expected / expected.sum(), atol=1e-12)
 
 
-class TestEnumerationLogWeights:
-    """The weighing pass gives each state ``annealed_unnorm_log_prob(X, 1.0,
-    m)`` bit for bit, in enumeration order, across its chunks."""
+def random_cf(n, k, seed, scale=1.0):
+    rng = np.random.default_rng([n, k, seed])
+    return CFParams(rng.normal(-0.3, 0.5 * scale), rng.normal(0.0, 0.8 * scale, n),
+                    rng.normal(0.0, 0.6 * scale, (n, k)))
 
-    @pytest.mark.parametrize("model", ["cf-k0", "cf-k2", "zero", "latent"])
-    def test_equals_the_annealed_weights(self, model, monkeypatch):
-        monkeypatch.setattr(partition_function, "ENUMERATION_CHUNK", 100)  # 541 states: 6 chunks
-        rng = np.random.default_rng(4)
-        m = {"cf-k0": CFParams(0.3, rng.normal(0.0, 0.8, 5), np.zeros((5, 0))),
-             "cf-k2": CFParams(-0.4, rng.normal(0.0, 0.8, 5), rng.normal(0.0, 0.6, (5, 2))),
-             "zero": CFParams.zeros(5, 0),
-             "latent": random_latent_model(5, 2, seed=6)}[model]
-        want = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(5)]
-        assert enumeration_log_weights(m).tobytes() == np.array(want).tobytes()
 
-    def test_cap_enforced_before_any_allocation(self):
-        with pytest.raises(EnumerationCapError):
-            enumeration_log_weights(CFParams.zeros(40, 0))
+def enumerated_marginals(m):
+    """``order[i, j]`` = P(i above j) and the upper triangle of ``tie`` from
+    ``exact_distribution``, state by state."""
+    n = m.n_objects
+    states, probs = exact_distribution(m)
+    order, tie = np.zeros((n, n)), np.zeros((n, n))
+    for X, p in zip(states, probs):
+        ranks = block_of(X)
+        r = np.array([ranks[i] for i in range(n)])
+        order += p * (r[:, None] < r)
+        tie += p * np.triu(r[:, None] == r, 1)
+    return order, tie
 
-    def test_count_past_the_address_space_is_a_memory_error(self):
-        with pytest.raises(MemoryError, match="fubini\\(40\\)"):
-            enumeration_log_weights(CFParams.zeros(40, 0), cap=40)
+
+class TestExactInference:
+    """The subset DP against the enumeration oracles of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, "uniform"])
+    def test_equals_the_enumeration_oracles(self, n, k):
+        m = CFParams.zeros(n, 0) if k == "uniform" else random_cf(n, k, seed=0)
+        log_z, order, tie = exact_inference(m)
+        assert log_z == pytest.approx(exact_log_z(m), rel=1e-12, abs=0.0)
+        want_order, want_tie = enumerated_marginals(m)
+        np.testing.assert_allclose(order, want_order, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.triu(tie, 1), want_tie, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(tie), 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_no_objects(self, k):
+        log_z, order, tie = exact_inference(CFParams(0.7, np.zeros(0), np.zeros((0, k))))
+        assert log_z == pytest.approx(k * math.log(2.0), abs=1e-15)
+        assert order.shape == tie.shape == (0, 0)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e16, 1e100, 1e300])
+    def test_parameters_near_the_float_bound_give_probabilities(self, scale):
+        # the flow of the chain is a sum of probabilities: no warning, no value
+        # past 1, and P(i above j) + P(j above i) + P(i ~ j) = 1 at any scale
+        for n, k in [(3, 2), (5, 1), (6, 0)]:
+            t = min(scale, sys.float_info.max / 4 / ((k + 1) * n**2) * 0.999)
+            rng = np.random.default_rng([n, k])
+            m = CFParams(rng.uniform(-t, t), rng.uniform(-t, t, n), rng.uniform(-t, t, (n, k)))
+            log_z, order, tie = exact_inference(m)
+            assert math.isfinite(log_z)
+            assert order.min() >= 0.0 and tie.min() >= 0.0
+            tie = np.triu(tie, 1) + np.triu(tie, 1).T
+            np.testing.assert_allclose(order + order.T + tie, 1.0 - np.eye(n), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(15, 0), (10**6, 0), (3, 20), (0, 10**6)])
+    def test_refuses_past_the_term_bound(self, n, k):
+        # 3^n 2^K past EXACT_TERMS: by n alone, or by K at a small n
+        with pytest.raises(EnumerationCapError) as exc:
+            exact_inference(CFParams.zeros(n, k))
+        assert str(exc.value) == (f"exact inference at n={n}, K={k} refused: 3^n 2^K terms exceed "
+                                  f"the bound {partition_function.EXACT_TERMS}")
+
+    def test_ais_lands_near_the_exact_log_z_at_n10(self):
+        # a size past the enumeration's cap; the tolerance is 3 standard
+        # errors of the AIS estimate, from the spread of its run weights
+        m = random_cf(10, 2, seed=1, scale=0.5)
+        res = ais_log_z(m, AISConfig(n_temperatures=600, n_runs=40, seed=6))
+        w = np.exp(res.log_weights - res.log_weights.max())
+        stderr = w.std(ddof=1) / w.mean() / math.sqrt(len(w))
+        assert abs(res.log_z_estimate - exact_inference(m)[0]) < 3 * stderr
 
 
 class TestAnnealedUnnormLogProb:

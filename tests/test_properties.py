@@ -31,6 +31,7 @@ from helpers import (
 from oracles import (
     LatentModel,
     MatrixPairModel,
+    annealed_unnorm_log_prob,
     covers_universe,
     exact_log_z,
     from_blocks,
@@ -56,7 +57,6 @@ from osmrank.partition_function import (
     AISConfig,
     _softplus,
     ais_log_z,
-    annealed_unnorm_log_prob,
     temperature_ladder,
 )
 from osmrank.pipeline import (

@@ -34,7 +34,7 @@ from osmrank.sampler import (
     propose_split,
 )
 
-from helpers import FakeRng, random_matrix_model
+from helpers import FakeRng, block_of, random_matrix_model
 from oracles import (
     _single_move,
     from_blocks,
@@ -251,7 +251,7 @@ class TestRunChain:
         states, pi = exact_pi(m)
 
         def above(X):
-            ranks = X.block_of()
+            ranks = block_of(X)
             return 1.0 if ranks[0] < ranks[1] else 0.0
 
         exact = sum(p * above(X) for X, p in zip(states, pi))
