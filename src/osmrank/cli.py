@@ -17,7 +17,6 @@ import warnings
 from typing import Optional
 
 from .combinatorics import (
-    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
@@ -26,7 +25,7 @@ from .combinatorics import (
 )
 from .latent import gibbs_mh_step
 from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
-from .partition_function import AISConfig, ais_log_z, exact_inference
+from .partition_function import AISConfig, ais_log_z, check_exact_terms, exact_inference
 from .pipeline import (
     DEFAULT_GRADES,
     DEFAULT_SCALE,
@@ -211,12 +210,20 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _model_from_flags(args) -> CFParams:
-    """The --model checkpoint's latent model, which must cover --n objects
-    where --n is given, or uniform potentials over --n objects: the model
-    with no hidden units and every parameter 0."""
+def _add_model_flags(p: argparse.ArgumentParser, count) -> None:
+    """``--model`` and ``--n``, with ``count`` the type of ``--n``: the
+    model is the checkpoint or else the uniform one over ``--n`` objects."""
+    p.add_argument("--model", default=None, help="checkpoint path (default: the uniform model)")
+    p.add_argument("--n", type=count, default=None,
+                   help="object count: the uniform model's, or the one --model must cover")
+
+
+def _checkpoint(args) -> Optional[CFParams]:
+    """The --model checkpoint, which must cover --n objects where --n is
+    given; None without --model, whose model is then the uniform one over
+    --n objects, ``CFParams.zeros(args.n, 0)``."""
     if not args.model:
-        return CFParams.zeros(args.n, 0)
+        return None
     model = load_checkpoint(args.model)
     if args.n is not None and model.n_objects != args.n:
         raise ValueError(f"model covers {model.n_objects} objects, --n is {args.n}")
@@ -225,9 +232,10 @@ def _model_from_flags(args) -> CFParams:
 
 def cmd_sample(args) -> int:
     """Burn in, then print a sample every ``--thin`` steps as it is drawn.  A
-    ``--model`` step is one Gibbs sweep and a ``--uniform`` step one MH move;
-    the seeded dumps depend on that.  Steps after the last sample are not run."""
-    model = _model_from_flags(args)
+    ``--model`` step is one Gibbs sweep and a step of the uniform model (only
+    ``--n``) one MH move; the seeded dumps depend on that.  Steps after the
+    last sample are not run."""
+    model = _checkpoint(args) or CFParams.zeros(args.n, 0)
     cfg = SamplerConfig(steps=args.steps, burn_in=args.burn_in, thin=args.thin, seed=args.seed)
     rng = random.Random(cfg.seed)
     if args.model:
@@ -253,7 +261,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate_z(args) -> int:
-    model = _model_from_flags(args)
+    model = _checkpoint(args) or CFParams.zeros(args.n, 0)
     cfg = AISConfig(n_temperatures=args.n_temps, n_runs=args.n_runs, schedule=args.schedule,
                     inner_steps=args.inner_steps, seed=args.seed)
     result = ais_log_z(model, cfg)
@@ -283,27 +291,31 @@ def _decimal(value: int) -> str:
 
 
 def cmd_oracle(args) -> int:
-    """Print the requested lines in flag order.  ``--exact-z`` and
-    ``--marginals`` come from one ``exact_inference`` run, made before
-    anything is written."""
-    listing = enumerate_ordered_partitions(args.n, cap=args.cap) if args.enumerate else ()
+    """Print the requested lines in flag order.  The model is loaded and both
+    size bounds are checked first, before the uniform model is built;
+    ``--exact-z`` and ``--marginals`` come from one ``exact_inference`` run,
+    made before anything is written."""
+    model = _checkpoint(args)
+    n, k = (args.n, 0) if model is None else (model.n_objects, model.n_hidden)
+    listing = enumerate_ordered_partitions(n) if args.enumerate else ()
     if args.exact_z or args.marginals:
-        log_z, order, tie = exact_inference(_model_from_flags(args))
+        check_exact_terms(n, k)
+        log_z, order, tie = exact_inference(model or CFParams.zeros(n, 0))
     with _output(args.out) as out:
         if args.count:
-            print(_decimal(fubini(args.n)), file=out)
+            print(_decimal(fubini(n)), file=out)
         if args.enumerate:
             for X in listing:
                 print(format_partition(X), file=out)
         if args.exact_z:
             print(f"log_z={log_z!r}", file=out)
         if args.marginals:
-            for i in range(args.n):
-                for j in range(args.n):
+            for i in range(n):
+                for j in range(n):
                     if i != j:
                         print(f"order i={i} j={j} p={float(order[i, j])!r}", file=out)
-            for i in range(args.n):
-                for j in range(i + 1, args.n):
+            for i in range(n):
+                for j in range(i + 1, n):
                     print(f"tie i={i} j={j} p={float(tie[i, j])!r}", file=out)
     return EXIT_OK
 
@@ -339,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_sample = sub.add_parser("sample", help="draw ordered partitions from a model")
-    src = p_sample.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", default=None, help="checkpoint path")
-    src.add_argument("--uniform", action="store_true", help="uniform potentials")
-    p_sample.add_argument("--n", type=_positive_int, default=None,
-                          help="object count for --uniform")
+    _add_model_flags(p_sample, _positive_int)
     p_sample.add_argument("--steps", type=_non_negative_int, required=True)
     p_sample.add_argument("--burn-in", type=_non_negative_int, default=None)
     p_sample.add_argument("--thin", type=_positive_int, default=SamplerConfig.thin)
@@ -352,10 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_z = sub.add_parser("estimate-z", help="AIS estimate of the partition function")
-    src = p_z.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", default=None)
-    src.add_argument("--uniform", action="store_true")
-    p_z.add_argument("--n", type=_positive_int, default=None)
+    _add_model_flags(p_z, _positive_int)
     p_z.add_argument("--n-temps", type=_number(int, 2), default=1000)
     p_z.add_argument("--n-runs", type=_positive_int, default=10)
     p_z.add_argument("--schedule", default=AISConfig.schedule, choices=["linear", "geometric"])
@@ -365,14 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.set_defaults(func=cmd_estimate_z)
 
     p_oracle = sub.add_parser("oracle", help="exact counting/enumeration/Z utilities")
-    p_oracle.add_argument("--n", type=_non_negative_int, required=True)
-    p_oracle.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ENUMERATION_CAP,
-                          help="largest --n that --enumerate lists")
+    _add_model_flags(p_oracle, _non_negative_int)
     p_oracle.add_argument("--count", action="store_true", help="print fubini(n)")
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.add_argument("--exact-z", action="store_true")
     p_oracle.add_argument("--marginals", action="store_true")
-    p_oracle.add_argument("--model", default=None, help="checkpoint for exact-z/marginals")
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -382,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "uniform", False) and args.n is None:
-        parser.error(f"{args.command} --uniform requires --n")
+    if "n" in vars(args) and args.n is None and args.model is None:
+        parser.error(f"{args.command} needs --model or --n")
     if args.command == "oracle" and not (args.count or args.enumerate or args.exact_z or args.marginals):
         parser.error("oracle needs one of --count, --enumerate, --exact-z, --marginals")
     named = _named_files(args)

@@ -17,17 +17,17 @@ __all__ = [
     "OrderedPartition",
     "EnumerationCapError",
     "fubini",
-    "log_fubini_asymptotic",
     "enumerate_ordered_partitions",
     "sample_uniform_ordered_partition",
     "format_partition",
 ]
 
-DEFAULT_ENUMERATION_CAP = 8
+# the most states that an enumeration lists, or terms that an exact computation sums
+EXACT_TERMS = 3**14
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exact enumeration or computation would exceed its size cap."""
+    """Raised when an exact enumeration or computation would exceed ``EXACT_TERMS``."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,36 +114,19 @@ def fubini(n: int) -> int:
     return _FUBINI[n]
 
 
-def log_fubini_asymptotic(n: int) -> float:
-    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
-    if n < 1:
-        raise ValueError("asymptotic formula needs n >= 1")
-    log2 = math.log(2.0)
-    return math.lgamma(n + 1) - log2 - (n + 1) * math.log(log2)
-
-
-def _fubini_size(n: int) -> str:
-    """``= fubini(n)`` while that has at most 50 digits, else its order of
-    magnitude from ``log_fubini_asymptotic``, without the big integer."""
-    log10 = log_fubini_asymptotic(n) / math.log(10)
-    return f"= {fubini(n)}" if log10 < 50 else f"~ 10^{log10:.1f}"
-
-
-def enumerate_ordered_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[OrderedPartition]:
+def enumerate_ordered_partitions(n: int) -> Iterator[OrderedPartition]:
     """Yield every ordered set partition of {0..n-1} exactly once.
 
     Generated by choosing the top-ranked block and recursing on the
     remainder, the same decomposition the uniform sampler uses.  Refuses
-    when n exceeds ``cap`` (fubini grows super-exponentially), on the call
+    when fubini(n) exceeds ``EXACT_TERMS``, that is at n >= 9, on the call
     itself, so a caller can check before writing anything.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > cap:
+    if fubini(min(n, 64)) > EXACT_TERMS:  # clamped: no big integer
         raise EnumerationCapError(
-            f"enumeration of n={n} refused: fubini({n}) {_fubini_size(n)} states exceeds cap {cap} "
-            f"(pass a larger cap to override)"
-        )
+            f"enumeration of n={n} refused: fubini(n) states exceed the bound {EXACT_TERMS}")
 
     def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if not remaining:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import EnumerationCapError, fubini, sample_uniform_ordered_partition
+from .combinatorics import EXACT_TERMS, EnumerationCapError, fubini, sample_uniform_ordered_partition
 from .core import log_weight, logsumexp
 from .latent import gibbs_mh_step
 from .learning import CFParams
@@ -31,13 +31,13 @@ from .learning import CFParams
 __all__ = [
     "AISConfig",
     "AISResult",
+    "check_exact_terms",
     "exact_inference",
     "temperature_ladder",
     "ais_log_z",
 ]
 
 LOG2 = math.log(2.0)
-EXACT_TERMS = 3**14  # the most terms, 3^n 2^K, that exact_inference sums
 
 
 @dataclass
@@ -91,6 +91,14 @@ def _normalized(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + _libm(math.log, total))[..., 0], e / total
 
 
+def check_exact_terms(n: int, k: int) -> None:
+    """Refuse exact inference over n objects and K hidden units, whose 3^n
+    2^K terms exceed ``EXACT_TERMS``, before any model of that size is built."""
+    if 3 ** min(n, 64) << min(k, 64) > EXACT_TERMS:  # clamped: no big integer
+        raise EnumerationCapError(
+            f"exact inference at n={n}, K={k} refused: 3^n 2^K terms exceed the bound {EXACT_TERMS}")
+
+
 def exact_inference(m: CFParams) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z of m and its pair marginals, ``order[i, j]`` = P(i ranked above
     j) and ``tie[i, j]`` = P(i tied with j), by a DP over subsets.
@@ -106,9 +114,7 @@ def exact_inference(m: CFParams) -> tuple[float, np.ndarray, np.ndarray]:
     without i.  It has 3^n steps per h; 3^n 2^K past ``EXACT_TERMS`` is refused.
     """
     n, k = m.n_objects, m.n_hidden
-    if 3 ** min(n, 64) << min(k, 64) > EXACT_TERMS:  # clamped: no big integer
-        raise EnumerationCapError(
-            f"exact inference at n={n}, K={k} refused: 3^n 2^K terms exceed the bound {EXACT_TERMS}")
+    check_exact_terms(n, k)
     w, nu = m.u[None, :], np.array([m.nu])  # one row per hidden setting, a left fold over the units
     for unit in range(k):
         w, nu = np.concatenate([w, w + m.W[:, unit]]), np.concatenate([nu, nu + m.nu])

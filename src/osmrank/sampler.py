@@ -18,9 +18,10 @@ with q_kind the move-type probability (1/2 when both kinds are feasible,
 1 when only one is).  Exact detailed balance of the induced kernel is
 verified against full enumeration in the tests.
 
-``advance_partition`` is the kernel every chain runs: ``sample --uniform``
-steps it on one ``LocalWorths``, and ``latent.gibbs_mh_step`` (training,
-AIS and ``sample --model``) on each sweep's effective worths.  The proposal
+``advance_partition`` is the kernel every chain runs: ``sample --n`` without
+``--model`` steps it on one ``LocalWorths`` of the uniform model, and
+``latent.gibbs_mh_step`` (training, AIS and ``sample --model``) on each
+sweep's effective worths.  The proposal
 objects ``propose_split`` and ``propose_merge`` build a validated partition
 per move.  The tests step them as the reference kernel (``_single_move`` in
 ``tests/oracles.py``, with the exact ``transition_matrix``) and require the

@@ -1,8 +1,8 @@
 """Exact oracles that only the tests use, moved out of ``src/osmrank``.
 
 Each definition is the library's former code, unchanged: the ordered-Bell
-asymptote as a float and the Stirling numbers, the proposal-object MH step, the
-exact one-step kernel of the split-merge sampler and its chain reference
+asymptote, as a log and as a float, the Stirling numbers, the proposal-object
+MH step, the exact one-step kernel of the split-merge sampler and its chain reference
 ``run_chain`` (every step's partition kept in a list), the generic pair-table
 model family (log-domain tie and order tables, log-linear features over
 pairs, and a base table plus one table per hidden unit, ``LatentModel``,
@@ -11,9 +11,9 @@ units), the enumeration oracles of
 training (exact sufficient statistics, gradients, likelihoods and draws), the
 log joint weight and the scalar sigmoid, the annealed weight of one state
 (``annealed_unnorm_log_prob``), the enumeration forms of log Z and of the
-exact distribution (``exact_log_z``, ``exact_distribution``), which hold
-every state or weight at once, partitions from graded ratings and
-text, and rank reconstruction from a posterior.  They are small-size references the fast
+exact distribution (``exact_enumeration``, and ``exact_log_z`` and
+``exact_distribution`` from it), which hold every state and weight at once,
+partitions from graded ratings and text, and rank reconstruction from a posterior.  They are small-size references the fast
 paths are checked against.  The pair tables go through the production
 kernel and partition functions unchanged, which read a model by its
 methods only.
@@ -41,12 +41,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from osmrank.combinatorics import (
-    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
     fubini,
-    log_fubini_asymptotic,
 )
 from osmrank.core import (
     LocalWorths,
@@ -81,6 +79,14 @@ def stirling2(n: int, t: int) -> int:
     for m in range(1, n + 1):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
     return row[t] if t <= n else 0
+
+
+def log_fubini_asymptotic(n: int) -> float:
+    """log of the n! / (2 (log 2)^(n+1)) asymptote, safe for any n."""
+    if n < 1:
+        raise ValueError("asymptotic formula needs n >= 1")
+    log2 = math.log(2.0)
+    return math.lgamma(n + 1) - log2 - (n + 1) * math.log(log2)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -563,7 +569,7 @@ def state_features(n: int, cap: int = 8) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _state_features(n: int) -> np.ndarray:
-    return _feature_rows(enumerate_ordered_partitions(n, cap=n), fubini(n), n)
+    return _feature_rows(enumerate_ordered_partitions(n), fubini(n), n)
 
 
 def _feature_rows(partitions: Iterable[OrderedPartition], count: int, n: int) -> np.ndarray:
@@ -642,7 +648,7 @@ def sample_partitions_exact(
         wanted.setdefault(int(s), []).append(pos)
     out: list[Optional[OrderedPartition]] = [None] * count
     remaining = len(wanted)
-    for s, X in enumerate(enumerate_ordered_partitions(p.n_items, cap)):
+    for s, X in enumerate(enumerate_ordered_partitions(p.n_items)):
         if s in wanted:
             for pos in wanted[s]:
                 out[pos] = X
@@ -665,25 +671,30 @@ def annealed_unnorm_log_prob(X: OrderedPartition, tau: float, m: CFParams) -> fl
     return total
 
 
-def exact_log_z(m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """log Z by full enumeration (oracle).
+def exact_enumeration(m: CFParams) -> tuple[float, list[OrderedPartition], np.ndarray]:
+    """log Z, and all states with their exact probabilities (latent:
+    X-marginal), from one weighing of each state by full enumeration (oracle).
 
     The hidden units are summed out analytically via the prod_k (1 + Omega_k)
     identity (the tau = 1 case of ``annealed_unnorm_log_prob``), so only
     partitions are enumerated.
     """
-    logs = [annealed_unnorm_log_prob(X, 1.0, m) for X in enumerate_ordered_partitions(m.n_objects, cap)]
-    return float(logsumexp(logs))
-
-
-def exact_distribution(
-    m: CFParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[list[OrderedPartition], np.ndarray]:
-    """All states with their exact probabilities (latent: X-marginal)."""
-    states = list(enumerate_ordered_partitions(m.n_objects, cap))
+    states = list(enumerate_ordered_partitions(m.n_objects))
     logs = np.array([annealed_unnorm_log_prob(X, 1.0, m) for X in states])
-    probs = np.exp(logs - logsumexp(logs))
+    log_z = float(logsumexp(logs))
+    probs = np.exp(logs - log_z)
     probs /= probs.sum()
+    return log_z, states, probs
+
+
+def exact_log_z(m: CFParams) -> float:
+    """log Z by full enumeration (oracle)."""
+    return exact_enumeration(m)[0]
+
+
+def exact_distribution(m: CFParams) -> tuple[list[OrderedPartition], np.ndarray]:
+    """All states with their exact probabilities (latent: X-marginal)."""
+    _, states, probs = exact_enumeration(m)
     return states, probs
 
 

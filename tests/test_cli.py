@@ -4,6 +4,7 @@ import contextlib
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import threading
@@ -15,11 +16,10 @@ import pytest
 
 from osmrank import cli
 from osmrank.cli import build_parser, main
-from osmrank.combinatorics import fubini
+from osmrank.combinatorics import EXACT_TERMS, fubini
 from osmrank.learning import CFParams, load_checkpoint, save_checkpoint
-from osmrank.partition_function import EXACT_TERMS
 
-from oracles import covers_universe, exact_log_z, parse_partition
+from oracles import covers_universe, parse_partition
 from test_partition_function import enumerated_marginals
 
 
@@ -91,12 +91,11 @@ class TestProgramEntry:
             assert (tmp_path / "program" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
 
     @pytest.mark.parametrize("argv,code,message", [
-        (["sample", "--uniform", "--steps", "3"], 1, "osmrank: error: sample --uniform requires --n"),
+        (["sample", "--steps", "3"], 1, "osmrank: error: sample needs --model or --n"),
         (["estimate-z", "--model", "missing.ck"], 2,
          "osmrank: [Errno 2] No such file or directory: 'missing.ck'"),
-        (["oracle", "--n", "9", "--enumerate", "--cap", "8"], 3,
-         "osmrank: enumeration of n=9 refused: fubini(9) = 7087261 states exceeds cap 8 "
-         "(pass a larger cap to override)"),
+        (["oracle", "--n", "9", "--enumerate"], 3,
+         "osmrank: enumeration of n=9 refused: fubini(n) states exceed the bound 4782969"),
     ])
     def test_errors_keep_their_code_and_one_message_line(self, argv, code, message, tmp_path):
         done = self.run(argv, tmp_path)
@@ -117,17 +116,43 @@ class TestProgramEntry:
         assert (proc.wait(timeout=60), err) == (2, "osmrank: [Errno 32] Broken pipe\n")
 
 
+def readme_commands():
+    """Each ``osmrank ...`` command of the ``sh`` block under the README's
+    "CLI" heading, as an argv without the program name, its continuation
+    lines joined."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("osmrank ")]
+
+
+class TestReadmeExamples:
+    """The README's usage examples parse with today's flags; none is run."""
+
+    def test_the_usage_block_lists_every_command(self):
+        commands = {argv[0] for argv in readme_commands()}
+        assert commands == {"train", "eval", "sample", "estimate-z", "oracle"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_example_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        if "n" in vars(args):  # main's one rule past argparse for the model commands
+            assert args.model is not None or args.n is not None
+
+
 class TestNumericFlags:
     """A missing or out-of-range numeric flag is a usage error (exit 1)."""
 
     CASES = {
-        "sample-uniform-without-n": ["sample", "--uniform", "--steps", "3"],
-        "estimate-z-one-temperature": ["estimate-z", "--uniform", "--n", "3", "--n-temps", "1"],
-        "estimate-z-zero-runs": ["estimate-z", "--uniform", "--n", "3", "--n-runs", "0"],
-        "estimate-z-negative-inner-steps": ["estimate-z", "--uniform", "--n", "3",
+        "sample-without-model-or-n": ["sample", "--steps", "3"],
+        "estimate-z-without-model-or-n": ["estimate-z", "--n-temps", "2"],
+        "oracle-without-model-or-n": ["oracle", "--count"],
+        "estimate-z-one-temperature": ["estimate-z", "--n", "3", "--n-temps", "1"],
+        "estimate-z-zero-runs": ["estimate-z", "--n", "3", "--n-runs", "0"],
+        "estimate-z-negative-inner-steps": ["estimate-z", "--n", "3",
                                             "--n-temps", "2", "--inner-steps", "-3"],
-        "sample-zero-thin": ["sample", "--uniform", "--n", "3", "--steps", "5", "--thin", "0"],
-        "sample-negative-steps": ["sample", "--uniform", "--n", "3", "--steps", "-1"],
+        "sample-zero-thin": ["sample", "--n", "3", "--steps", "5", "--thin", "0"],
+        "sample-negative-steps": ["sample", "--n", "3", "--steps", "-1"],
         "train-zero-block": ["train", "--data", "{data}", "--out", "{out}", "--block", "0"],
         "train-zero-grades": ["train", "--data", "{data}", "--out", "{out}", "--grades", "0"],
         "eval-zero-grades": ["eval", "--data", "{data}", "--model", "{out}", "--grades", "0"],
@@ -140,7 +165,6 @@ class TestNumericFlags:
         "train-negative-min-ratings": ["train", "--data", "{data}", "--out", "{out}",
                                        "--min-ratings", "-1"],
         "oracle-negative-n": ["oracle", "--n", "-1", "--count"],
-        "oracle-negative-cap": ["oracle", "--n", "3", "--enumerate", "--cap", "-1"],
         "train-negative-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "-1"],
         "train-zero-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "0"],
         "train-nan-lr": ["train", "--data", "{data}", "--out", "{out}", "--lr", "nan"],
@@ -217,20 +241,54 @@ class TestOracleCommand:
         (["--n", "3", "--count", "--exact-z", "--model", "four.ck"], 2),
     ])
     def test_failing_run_writes_nothing(self, argv, code, tmp_path, monkeypatch, capsys):
-        # the model, the cap and the exact modes' bound are checked before the count is written
+        # the model and both size bounds are checked before the count is written
         monkeypatch.chdir(tmp_path)
         save_checkpoint("four.ck", CFParams.zeros(4, 1))
         assert main(["oracle", *argv, "--out", "o.txt"]) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize("flag", ["--count", "--enumerate", "--exact-z", "--marginals"])
+    @pytest.mark.parametrize("model,message", [
+        ("missing.ck", "[Errno 2] No such file or directory: 'missing.ck'"),
+        ("four.ck", "model covers 4 objects, --n is 7"),
+    ], ids=["missing", "other-size"])
+    def test_model_is_checked_for_every_line_kind(self, flag, model, message, tmp_path, monkeypatch, capsys):
+        # --count and --enumerate once ignored --model, and printed for --n 7
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint("four.ck", CFParams.zeros(4, 1))
+        assert main(["oracle", "--n", "7", "--model", model, flag, "--out", "o.txt"]) == 2
+        assert capsys.readouterr().err == f"osmrank: {message}\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_model_alone_gives_the_object_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint("four.ck", CFParams(-0.2, np.array([0.1, -0.3, 0.5, 0.0]), np.full((4, 1), 0.2)))
+        outputs = []
+        for n_flag in ([], ["--n", "4"]):
+            assert main(["oracle", *n_flag, "--model", "four.ck", "--count", "--enumerate", "--exact-z",
+                         "--marginals"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[0] == "75" and len(outputs[0].splitlines()) == 1 + 75 + 1 + 12 + 6
+
+    @pytest.mark.parametrize("argv", [["--n", "100000000", "--exact-z"], ["--n", "300000000", "--marginals"],
+                                      ["--n", "100000000", "--enumerate"]])
+    def test_bounds_are_checked_before_the_uniform_model_is_built(self, argv, monkeypatch, capsys):
+        # --exact-z built the 10^8-object model, ~0.8 GB, and --marginals at 3 10^8
+        # failed to allocate it, before the bound was checked
+        def refuse(*_):
+            raise AssertionError("the uniform model was built")
+        monkeypatch.setattr(CFParams, "zeros", staticmethod(refuse))
+        assert main(["oracle", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("osmrank: ") and err.endswith(f" exceed the bound {EXACT_TERMS}\n")
+        assert err.count("\n") == 1
+
     def test_cap_exceeded_exit_code(self, capsys):
         assert main(["oracle", "--n", "12", "--enumerate"]) == 3
-        err = capsys.readouterr().err
-        assert str(fubini(12)) in err
-
-    def test_cap_override(self, capsys):
-        assert main(["oracle", "--n", "3", "--enumerate", "--cap", "2"]) == 3
+        assert capsys.readouterr().err == (f"osmrank: enumeration of n=12 refused: fubini(n) states exceed "
+                                           f"the bound {EXACT_TERMS}\n")
 
     def test_exact_z_and_marginals_share_the_cap_message(self, capsys):
         errs = []
@@ -242,17 +300,17 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("n,k", [(15, 0), (3, 20)], ids=["n-alone", "k-at-small-n"])
     def test_exact_modes_refuse_past_the_term_bound(self, n, k, tmp_path, monkeypatch, capsys):
-        # 3^n 2^K past the bound, whatever --cap says; --n 9 is inside it
+        # 3^n 2^K past the bound, by n or by K
         monkeypatch.chdir(tmp_path)
         save_checkpoint("m.ck", CFParams.zeros(n, k))
-        assert main(["oracle", "--n", str(n), "--model", "m.ck", "--exact-z", "--marginals", "--cap", "20",
+        assert main(["oracle", "--n", str(n), "--model", "m.ck", "--exact-z", "--marginals",
                      "--out", "o.txt"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"osmrank: exact inference at n={n}, K={k} refused: ") and err.count("\n") == 1
         assert not (tmp_path / "o.txt").exists()
 
     def test_exact_modes_run_past_the_enumeration_cap(self, tmp_path, capsys):
-        # n = 10 lies past --cap 8, and 3^10 2^3 inside the exact modes' bound
+        # fubini(10) states lie past the bound, and 3^10 2^3 terms inside it
         rng = np.random.default_rng(10)
         save_checkpoint(str(tmp_path / "m.ck"), CFParams(-0.4, rng.normal(0.0, 0.8, 10), rng.normal(0.0, 0.6, (10, 3))))
         assert main(["oracle", "--n", "10", "--model", str(tmp_path / "m.ck"), "--exact-z", "--marginals"]) == 0
@@ -266,10 +324,10 @@ class TestOracleCommand:
     @pytest.mark.parametrize("n", [1300, 1500])
     def test_cap_message_does_not_write_out_the_count(self, n, capsys):
         # fubini(1300) has 3693 digits, fubini(1500) more than int-to-str allows by
-        # default; the exact modes' bound on 3^n does not write out 3^n either
+        # default; neither bound writes out fubini(n) or 3^n
         for flag, start in [("--exact-z", f"exact inference at n={n}, K=0 refused: "),
                             ("--marginals", f"exact inference at n={n}, K=0 refused: "),
-                            ("--enumerate", f"enumeration of n={n} refused: fubini({n}) ~ 10^")]:
+                            ("--enumerate", f"enumeration of n={n} refused: fubini(n) states exceed ")]:
             assert main(["oracle", "--n", str(n), flag]) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"osmrank: {start}")
@@ -290,9 +348,8 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("n", [15, 40])
     def test_weights_past_memory_are_a_cap_error(self, n, capsys):
-        # --cap bounds --enumerate only: 3^n terms past the exact modes' bound
-        # are refused whatever it says
-        assert main(["oracle", "--n", str(n), "--exact-z", "--cap", str(n)]) == 3
+        # 3^n terms past the bound are refused before any table is built
+        assert main(["oracle", "--n", str(n), "--exact-z"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"osmrank: exact inference at n={n}, K=0 refused: ") and err.count("\n") == 1
 
@@ -307,14 +364,14 @@ class TestOracleCommand:
                             CFParams(-0.4, rng.normal(0.0, 0.8, n), rng.normal(0.0, 0.6, (n, k))))
             model, flags = load_checkpoint(str(tmp_path / "m.ck")), ["--model", str(tmp_path / "m.ck")]
         assert main(["oracle", "--n", str(n), *flags, "--exact-z", "--marginals"]) == 0
-        order, tie = enumerated_marginals(model)
+        log_z, order, tie = enumerated_marginals(model)
         # the DP sums in another order than the enumeration: equal to 1e-12
         lines = capsys.readouterr().out.splitlines()
         assert [line.rsplit("=", 1)[0] for line in lines] == (
             ["log_z"] + [f"order i={i} j={j} p" for i in range(n) for j in range(n) if i != j]
             + [f"tie i={i} j={j} p" for i in range(n) for j in range(i + 1, n)])
         got = [float(line.rsplit("=", 1)[1]) for line in lines]
-        assert got[0] == pytest.approx(exact_log_z(model), rel=1e-12, abs=0.0)
+        assert got[0] == pytest.approx(log_z, rel=1e-12, abs=0.0)
         want = [order[i, j] for i in range(n) for j in range(n) if i != j]
         want += [tie[i, j] for i in range(n) for j in range(i + 1, n)]
         assert got[1:] == pytest.approx(want, rel=0.0, abs=1e-12)
@@ -357,7 +414,7 @@ class TestSampleCommand:
     def test_uniform_dump_format_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.txt"
         out_b = tmp_path / "b.txt"
-        args = ["sample", "--uniform", "--n", "4", "--steps", "500", "--seed", "9"]
+        args = ["sample", "--n", "4", "--steps", "500", "--seed", "9"]
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
@@ -369,7 +426,7 @@ class TestSampleCommand:
 
     def test_uniform_needs_positive_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["sample", "--uniform", "--n", "0", "--steps", "5"])
+            main(["sample", "--n", "0", "--steps", "5"])
         assert exc.value.code == 1
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
@@ -390,7 +447,7 @@ class TestSampleCommand:
 
     def test_header_records_seed(self, tmp_path):
         out = tmp_path / "s.txt"
-        main(["sample", "--uniform", "--n", "3", "--steps", "100", "--seed", "5",
+        main(["sample", "--n", "3", "--steps", "100", "--seed", "5",
               "--out", str(out)])
         assert "seed=5" in out.read_text().splitlines()[0]
 
@@ -424,7 +481,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_sample_does_not_hold_its_draws(self, tmp_path):
-        peaks = [self.traced_peak(["sample", "--uniform", "--n", "30", "--steps", str(steps), "--thin", "1",
+        peaks = [self.traced_peak(["sample", "--n", "30", "--steps", str(steps), "--thin", "1",
                                    "--out", str(tmp_path / "s.txt")]) for steps in (2000, 20000)]
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
@@ -475,7 +532,7 @@ class TestEstimateZCommand:
 
     def test_degenerate_uniform_equals_log_fubini(self, tmp_path):
         out = tmp_path / "z.txt"
-        assert main(["estimate-z", "--uniform", "--n", "5", "--n-temps", "2",
+        assert main(["estimate-z", "--n", "5", "--n-temps", "2",
                      "--n-runs", "4", "--seed", "0", "--out", str(out)]) == 0
         text = out.read_text()
         log_z = float([ln for ln in text.splitlines() if ln.startswith("log_z=")][0][6:])
@@ -525,13 +582,13 @@ class TestEstimateZCommand:
     def test_ess_of_equal_weights_is_the_run_count(self, n_runs, tmp_path):
         # exp(2 logsumexp(w) - logsumexp(2 w)) rounds a hair above R here
         out = tmp_path / "z.txt"
-        assert main(["estimate-z", "--uniform", "--n", "4", "--n-temps", "3",
+        assert main(["estimate-z", "--n", "4", "--n-temps", "3",
                      "--n-runs", str(n_runs), "--out", str(out)]) == 0
         assert f"ess={float(n_runs)!r}" in out.read_text().splitlines()
 
     def test_reports_runs(self, tmp_path):
         out = tmp_path / "z.txt"
-        main(["estimate-z", "--uniform", "--n", "3", "--n-temps", "50",
+        main(["estimate-z", "--n", "3", "--n-temps", "50",
               "--n-runs", "7", "--seed", "1", "--out", str(out)])
         runs = [ln for ln in out.read_text().splitlines() if ln.startswith("run=")]
         assert len(runs) == 7
@@ -555,7 +612,7 @@ class TestEstimateZCommand:
     def test_run_count_past_index_size_is_cap_error(self, tmp_path, capsys):
         # 8 * 10**19 bytes do not fit a C ssize_t: refused like any size past memory
         out = tmp_path / "z.txt"
-        argv = ["estimate-z", "--uniform", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19),
+        argv = ["estimate-z", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19),
                 "--out", str(out)]
         assert main(argv) == 3
         err = capsys.readouterr().err
@@ -921,8 +978,8 @@ class TestOutputContract:
     COMMANDS = {
         "train": ["train", "--data", "r.dat", "--epochs", "1", "--log", "t.log"],
         "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--per-user", "pu.txt"],
-        "sample": ["sample", "--uniform", "--n", "4", "--steps", "5"],
-        "estimate-z": ["estimate-z", "--uniform", "--n", "60", "--n-temps", "500", "--n-runs", "1"],
+        "sample": ["sample", "--n", "4", "--steps", "5"],
+        "estimate-z": ["estimate-z", "--n", "60", "--n-temps", "500", "--n-runs", "1"],
         "sample-model": ["sample", "--model", "m.ck", "--steps", "5"],
         "oracle": ["oracle", "--n", "3", "--enumerate"],
         "oracle-exact": ["oracle", "--n", "3", "--exact-z", "--marginals"],
@@ -955,8 +1012,8 @@ class TestOutputContract:
         "eval": (["eval", "--data", "r.dat", "--model", "small.ck", "--per-user", "pu.txt",
                   "--sweep-out", "sweep.txt"], 2),
         "sample": (["sample", "--model", "truncated.ck", "--steps", "5"], 2),
-        "estimate-z": (["estimate-z", "--uniform", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19)], 3),
-        "oracle": (["oracle", "--n", "9", "--count", "--enumerate", "--cap", "8"], 3),
+        "estimate-z": (["estimate-z", "--n", "3", "--n-temps", "2", "--n-runs", str(10**19)], 3),
+        "oracle": (["oracle", "--n", "9", "--count", "--enumerate"], 3),
     }
 
     @pytest.mark.parametrize("out", ["new", "existing", "dangling-link"])
@@ -982,7 +1039,7 @@ class TestOutputContract:
     FIFO = {  # argv whose last flag names the output given a FIFO
         "train": ["train", "--data", "r.dat", "--hidden", "1", "--epochs", "1", "--log", "t.log", "--out"],
         "eval": ["eval", "--data", "r.dat", "--model", "m.ck", "--out", "report.txt", "--per-user"],
-        "estimate-z": ["estimate-z", "--uniform", "--n", "5", "--n-temps", "10", "--n-runs", "2", "--out"],
+        "estimate-z": ["estimate-z", "--n", "5", "--n-temps", "10", "--n-runs", "2", "--out"],
     }
 
     @pytest.mark.parametrize("command", list(FIFO))

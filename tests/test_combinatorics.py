@@ -6,18 +6,26 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from osmrank import combinatorics
 from osmrank.combinatorics import (
+    EXACT_TERMS,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
     format_partition,
     fubini,
-    log_fubini_asymptotic,
     sample_uniform_ordered_partition,
 )
 
 from helpers import block_of, brute_force_ordered_partitions, brute_force_set_partitions
-from oracles import covers_universe, from_blocks, fubini_asymptotic, parse_partition, stirling2
+from oracles import (
+    covers_universe,
+    from_blocks,
+    fubini_asymptotic,
+    log_fubini_asymptotic,
+    parse_partition,
+    stirling2,
+)
 
 
 class TestOrderedPartition:
@@ -159,26 +167,28 @@ class TestEnumeration:
             assert ours == brute
 
     def test_cap_refusal_mentions_size(self):
-        with pytest.raises(EnumerationCapError, match=str(fubini(9))):
-            list(enumerate_ordered_partitions(9))
-
-    @pytest.mark.parametrize("n", [37, 38, 100, 1300])
-    def test_cap_refusal_past_50_digits_gives_the_magnitude(self, n):
-        # fubini(37) has 49 digits, fubini(38) has 51
-        digits = len(str(fubini(n)))
         with pytest.raises(EnumerationCapError) as info:
-            list(enumerate_ordered_partitions(n))
-        if digits <= 50:
-            assert f"fubini({n}) = {fubini(n)} states" in str(info.value)
-        else:
-            log10 = math.log10(fubini(n))
-            assert f"fubini({n}) ~ 10^{log10:.1f} states" in str(info.value)
-            assert int(log10) + 1 == digits
+            list(enumerate_ordered_partitions(9))
+        assert str(info.value) == "enumeration of n=9 refused: fubini(n) states exceed the bound 4782969"
 
-    def test_cap_override(self):
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_ordered_partitions(3, cap=2))
-        assert len(list(enumerate_ordered_partitions(3, cap=3))) == 13
+    def test_bound_admits_n8_and_refuses_n9(self):
+        # the bound the exact inference DP takes: 3^14 lies between fubini(8) and fubini(9)
+        assert fubini(8) <= EXACT_TERMS == 3**14 < fubini(9)
+        enumerate_ordered_partitions(8)  # no refusal; its states are listed lazily
+
+    @pytest.mark.parametrize("n", [100, 1300, 10**8])
+    def test_cap_refusal_builds_no_big_integer(self, n, monkeypatch):
+        # fubini is called at n clamped to 64, so no count of thousands of digits is built
+        asked = []
+
+        def recorded(m):
+            asked.append(m)
+            return fubini(m)
+        monkeypatch.setattr(combinatorics, "fubini", recorded)
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_ordered_partitions(n)
+        assert str(info.value) == f"enumeration of n={n} refused: fubini(n) states exceed the bound {EXACT_TERMS}"
+        assert asked == [64]
 
 
 class TestUniformSampling:

@@ -19,7 +19,7 @@ AVX-512 Xeon (kernel SkylakeX), rerunning every case with the core type set
 to Haswell, Sandybridge, Nehalem or Prescott changed the bytes of four
 outputs by at most 6.2e-16 relative: the checkpoint of ``train`` K=3 and
 the three ``estimate-z --model`` reports (linear only under Sandybridge and
-Prescott).  Every train log, the K=0 and ``--uniform`` outputs, the eval
+Prescott).  Every train log, the K=0 and uniform-model outputs, the eval
 reports (ranking makes no BLAS call), the sample dumps and the ``oracle``
 outputs (its subset DP makes no BLAS call) kept their bytes: no accept
 decision flipped.  Those four outputs are pinned in ``VALUES`` instead:
@@ -128,17 +128,17 @@ CASES = {
                               "--out", "z_geometric.txt"], ["z_geometric.txt"]),
     "estimate-z-inner-steps": (["estimate-z", "--model", "ais.ck", *AIS, "--inner-steps", "3",
                                 "--out", "z_inner.txt"], ["z_inner.txt"]),
-    "estimate-z-uniform": (["estimate-z", "--uniform", "--n", "30", *AIS, "--out", "z_uniform.txt"],
+    "estimate-z-uniform": (["estimate-z", "--n", "30", *AIS, "--out", "z_uniform.txt"],
                            ["z_uniform.txt"]),
     "sample-model": (["sample", "--model", "ais.ck", "--steps", "60", "--thin", "6", "--seed", "5",
                       "--out", "sample_model.txt"], ["sample_model.txt"]),
-    "sample-uniform": (["sample", "--uniform", "--n", "7", "--steps", "400", "--thin", "8",
+    "sample-uniform": (["sample", "--n", "7", "--steps", "400", "--thin", "8",
                         "--seed", "6", "--out", "sample_uniform.txt"], ["sample_uniform.txt"]),
     # the sample schedule's edges: steps left after the last sample, a burn-in
     # that takes every step, a thin longer than the chain
     **{f"sample-{kind}-{edge}": (["sample", *source, *schedule, "--seed", "8",
                                   "--out", f"sample_{kind}_{edge}.txt"], [f"sample_{kind}_{edge}.txt"])
-       for kind, source in [("uniform", ["--uniform", "--n", "7"]), ("model", ["--model", "ais.ck"]),
+       for kind, source in [("uniform", ["--n", "7"]), ("model", ["--model", "ais.ck"]),
                             ("model-k0", ["--model", "small0.ck"])]
        for edge, schedule in [("remainder", ["--steps", "403", "--thin", "8"]),
                               ("burn-past-steps", ["--steps", "40", "--burn-in", "40"]),

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import logsumexp
 
 from osmrank import partition_function
-from osmrank.combinatorics import EnumerationCapError, enumerate_ordered_partitions, fubini
+from osmrank.combinatorics import EXACT_TERMS, EnumerationCapError, enumerate_ordered_partitions, fubini
 from osmrank.core import log_weight
 from osmrank.learning import CFParams
 from osmrank.partition_function import AISConfig, ais_log_z, exact_inference, temperature_ladder
@@ -23,6 +23,7 @@ from oracles import (
     annealed_unnorm_log_prob,
     as_latent,
     exact_distribution,
+    exact_enumeration,
     exact_log_z,
     from_blocks,
     log_joint_weight,
@@ -54,6 +55,8 @@ class TestExactLogZ:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
             exact_log_z(as_latent(uniform_pair_model(9)))
+        with pytest.raises(EnumerationCapError):
+            exact_distribution(as_latent(uniform_pair_model(9)))
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 4)])
     def test_latent_identity_vs_hidden_enumeration(self, n, k):
@@ -88,17 +91,17 @@ def random_cf(n, k, seed, scale=1.0):
 
 
 def enumerated_marginals(m):
-    """``order[i, j]`` = P(i above j) and the upper triangle of ``tie`` from
-    ``exact_distribution``, state by state."""
+    """log Z, ``order[i, j]`` = P(i above j) and the upper triangle of
+    ``tie``, from one ``exact_enumeration``, state by state."""
     n = m.n_objects
-    states, probs = exact_distribution(m)
+    log_z, states, probs = exact_enumeration(m)
     order, tie = np.zeros((n, n)), np.zeros((n, n))
     for X, p in zip(states, probs):
         ranks = block_of(X)
         r = np.array([ranks[i] for i in range(n)])
         order += p * (r[:, None] < r)
         tie += p * np.triu(r[:, None] == r, 1)
-    return order, tie
+    return log_z, order, tie
 
 
 class TestExactInference:
@@ -109,8 +112,8 @@ class TestExactInference:
     def test_equals_the_enumeration_oracles(self, n, k):
         m = CFParams.zeros(n, 0) if k == "uniform" else random_cf(n, k, seed=0)
         log_z, order, tie = exact_inference(m)
-        assert log_z == pytest.approx(exact_log_z(m), rel=1e-12, abs=0.0)
-        want_order, want_tie = enumerated_marginals(m)
+        want_log_z, want_order, want_tie = enumerated_marginals(m)
+        assert log_z == pytest.approx(want_log_z, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(order, want_order, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(np.triu(tie, 1), want_tie, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(np.diag(tie), 1.0, rtol=0.0, atol=1e-12)
@@ -141,7 +144,7 @@ class TestExactInference:
         with pytest.raises(EnumerationCapError) as exc:
             exact_inference(CFParams.zeros(n, k))
         assert str(exc.value) == (f"exact inference at n={n}, K={k} refused: 3^n 2^K terms exceed "
-                                  f"the bound {partition_function.EXACT_TERMS}")
+                                  f"the bound {EXACT_TERMS}")
 
     def test_ais_lands_near_the_exact_log_z_at_n10(self):
         # a size past the enumeration's cap; the tolerance is 3 standard
