@@ -17,13 +17,14 @@ import warnings
 from typing import Optional
 
 from .combinatorics import (
+    EXACT_TERMS,
     EnumerationCapError,
     OrderedPartition,
     enumerate_ordered_partitions,
     format_partition,
     fubini,
 )
-from .latent import gibbs_mh_step
+from .latent import gibbs_mh_step, unit_posteriors
 from .learning import CFParams, TrainConfig, load_checkpoint, save_checkpoint, train, trainable_users
 from .partition_function import AISConfig, ais_log_z, check_exact_terms, exact_inference
 from .pipeline import (
@@ -242,7 +243,7 @@ def cmd_sample(args) -> int:
         def advance(X: OrderedPartition, steps: int) -> OrderedPartition:
             for _ in range(steps):
                 logom, gathered = model.unit_weights([X])
-                X, _ = gibbs_mh_step(X, model, logom[0].tolist(), gathered[0], rng)
+                X, _ = gibbs_mh_step(X, model, unit_posteriors(logom[0]).tolist(), gathered[0], rng)
             return X
     else:
         local = model.split_ratio(range(model.n_objects))  # the uniform model's worths, all 0
@@ -291,12 +292,15 @@ def _decimal(value: int) -> str:
 
 
 def cmd_oracle(args) -> int:
-    """Print the requested lines in flag order.  The model is loaded and both
-    size bounds are checked first, before the uniform model is built;
-    ``--exact-z`` and ``--marginals`` come from one ``exact_inference`` run,
-    made before anything is written."""
+    """Print the requested lines in flag order.  The model is loaded and
+    every size bound is checked first, before the uniform model is built
+    (``--count``'s: fubini(n) sums a surjection triangle of ~n^2 / 2 big
+    integers); ``--exact-z`` and ``--marginals`` come from one
+    ``exact_inference`` run, made before anything is written."""
     model = _checkpoint(args)
     n, k = (args.n, 0) if model is None else (model.n_objects, model.n_hidden)
+    if args.count and n * n > EXACT_TERMS:
+        raise EnumerationCapError(f"count of n={n} refused: n^2 triangle terms exceed the bound {EXACT_TERMS}")
     listing = enumerate_ordered_partitions(n) if args.enumerate else ()
     if args.exact_z or args.marginals:
         check_exact_terms(n, k)
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact counting/enumeration/Z utilities")
     _add_model_flags(p_oracle, _non_negative_int)
-    p_oracle.add_argument("--count", action="store_true", help="print fubini(n)")
+    p_oracle.add_argument("--count", action="store_true", help="print fubini(n), for n^2 within the term bound")
     p_oracle.add_argument("--enumerate", action="store_true")
     p_oracle.add_argument("--exact-z", action="store_true")
     p_oracle.add_argument("--marginals", action="store_true")

@@ -132,6 +132,15 @@ def log_weight(X: OrderedPartition, m) -> float:
     return m.log_weight(X)
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f``, ``math.exp`` or ``math.log``, of each element, 2^16 at a time:
+    numpy's own exp and log round differently on each CPU it dispatches to."""
+    out, flat, chunk = np.empty(x.size), x.ravel(), 1 << 16
+    for start in range(0, x.size, chunk):
+        out[start : start + chunk] = list(map(f, flat[start : start + chunk].tolist()))
+    return out.reshape(x.shape)
+
+
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over a 1-d array, shifted by the maximum; the maximal
     entries are taken out of the shifted sum and counted (log1p for precision)."""

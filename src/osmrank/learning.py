@@ -360,16 +360,16 @@ def train(
     against the current parameter snapshot, then the block gradient (data
     statistics with exact posteriors minus chain statistics) is applied.
     The parameters are fixed within a block, so its unit weights are two
-    block passes over all its users: the observed partitions' rows, whose
-    posteriors come from one ``unit_posteriors`` pass, and the chain
-    states' ``unit_weights``, whose row and entry each user's first sweep
-    reads.  The per-user loop keeps what depends on ``rng``: the hidden
+    block passes over all its users, the observed partitions' and the chain
+    states', and each takes one ``unit_posteriors`` call: the observed
+    posteriors, and the chain rows that each user's first sweep reads with
+    its entry.  The per-user loop keeps what depends on ``rng``: the hidden
     draw, the effective worths of the drawn units and the moves (a later
-    sweep of a user computes its new state's weights as a one-partition
-    block).  The statistics are whole-block passes too: the new chain
-    states are stacked by one ``stack_worth_features`` pass, which the rank
-    rows and the gradient both read, and whose features the next sweeps
-    reuse.
+    sweep of a user computes its new state's weights and posteriors as a
+    one-partition block).  The statistics are whole-block passes too: the
+    new chain states are stacked by one ``stack_worth_features`` pass, which
+    the rank rows and the gradient both read, and whose features the next
+    sweeps reuse.
     ``callback``, when given, receives one record per block with the
     pairwise-disagreement diagnostic and a parameter snapshot.
     """
@@ -384,7 +384,7 @@ def train(
     width = max(sum(map(len, X.blocks)) for X in usable)
     observed_ranks = _rank_rows(usable, width)
 
-    n_users, K = len(usable), cfg.n_hidden
+    n_users = len(usable)
     block_counter = 0
     for epoch in range(cfg.epochs):
         order = list(range(n_users))
@@ -392,17 +392,16 @@ def train(
         for start in range(0, n_users, cfg.block_size):
             block = order[start : start + cfg.block_size]
             observed = [usable[ui] for ui in block]
-            flat = unit_posteriors(params.unit_weights(observed)[0].ravel().tolist())
-            posteriors = [flat[i * K : i * K + K] for i in range(len(block))]
+            posteriors = unit_posteriors(params.unit_weights(observed)[0])
             rows, gathered = params.unit_weights([chains[ui] for ui in block])
             states, hidden = [], []
-            for ui, logom_c, gathered_c in zip(block, rows.tolist(), gathered):
+            for ui, post_c, gathered_c in zip(block, unit_posteriors(rows).tolist(), gathered):
                 X_c = chains[ui]
                 for step in range(cfg.chain_steps_per_update):
                     if step:  # a later sweep starts from the state the last one left
                         one, more = params.unit_weights([X_c])
-                        logom_c, gathered_c = one[0].tolist(), more[0]
-                    X_c, h_c = gibbs_mh_step(X_c, params, logom_c, gathered_c, rng)
+                        post_c, gathered_c = unit_posteriors(one[0]).tolist(), more[0]
+                    X_c, h_c = gibbs_mh_step(X_c, params, post_c, gathered_c, rng)
                 chains[ui] = X_c
                 states.append(X_c)
                 hidden.append(h_c)

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import EXACT_TERMS, EnumerationCapError, fubini, sample_uniform_ordered_partition
-from .core import log_weight, logsumexp
-from .latent import gibbs_mh_step
+from .core import _libm, log_weight, logsumexp
+from .latent import gibbs_mh_step, unit_posteriors
 from .learning import CFParams
 
 __all__ = [
@@ -72,15 +72,6 @@ def _softplus(x: float) -> float:
     if x > 36.0:
         return x
     return math.log1p(math.exp(x))
-
-
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """``f``, ``math.exp`` or ``math.log``, of each element, 2^16 at a time:
-    numpy's own exp and log round differently on each CPU it dispatches to."""
-    out, flat, chunk = np.empty(x.size), x.ravel(), 1 << 16
-    for start in range(0, x.size, chunk):
-        out[start : start + chunk] = list(map(f, flat[start : start + chunk].tolist()))
-    return out.reshape(x.shape)
 
 
 def _normalized(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +169,11 @@ def _ais_run(m: CFParams, taus: list[float], steps: int, run_seed: int) -> float
     for s in range(1, len(taus)):
         t_hi, t_lo = taus[s], taus[s - 1]
         if s > 1:
-            X, _ = gibbs_mh_step(X, m, logom, gathered, run_rng, t_lo, steps)
+            X, _ = gibbs_mh_step(X, m, unit_posteriors(logom, t_lo).tolist(), gathered, run_rng, t_lo, steps)
         rows, more = m.unit_weights([X])  # the next transition reuses both
-        logom, gathered = rows[0].tolist(), more[0]
+        logom, gathered = rows[0], more[0]
         logw += (t_hi - t_lo) * log_weight(X, m)
-        for lo in logom:
+        for lo in logom.tolist():
             logw += _softplus(t_hi * lo) - _softplus(t_lo * lo)
     return logw
 

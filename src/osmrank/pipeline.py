@@ -15,7 +15,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import OrderedPartition
-from .latent import hidden_posterior
+from .core import _libm
+from .latent import hidden_posterior, unit_posteriors
 from .learning import CFParams
 from .metrics import err_rows, ndcg_rows
 
@@ -281,9 +282,7 @@ def entropy_filter(ds: RatingsDataset) -> RatingsDataset:
     totals = counts.sum(axis=1)
     totals[totals == 0] = 1.0
     p = counts / totals[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
-    entropy = -plogp.sum(axis=1)
+    entropy = -(p * _libm(math.log, np.where(p > 0, p, 1.0))).sum(axis=1)  # 0 log 0 taken as 0 log 1
     n_remove = n_items // 2
     order = np.argsort(entropy, kind="stable")
     keep_mask = np.ones(n_items, dtype=bool)
@@ -529,18 +528,15 @@ def _scored_test_records(
         raise ValueError("unseen items overlap the seen partition")
     # per hidden unit: log Omega_k of each user's training partition as one
     # weighted bincount (each user's first term is nu * pairs, so each sum is
-    # np.add.at's left fold in record order), its posterior as
-    # latent.unit_posteriors computes it (both branches), and its term of the
-    # test records' hidden worths, which sum over the units as a left fold
+    # np.add.at's left fold in record order), its posterior, and its term of
+    # the test records' hidden worths, which sum over the units as a left fold
     bins = np.concatenate([np.arange(train_ds.n_users), train_ds.users])
     terms = np.empty(len(bins))
     terms[: train_ds.n_users] = params.nu * pairs
     hidden_worth = np.zeros(len(keep))
     for w in params.W.T.copy():  # each unit's column made contiguous once
         terms[train_ds.n_users :] = coef * w[train_ds.items]
-        x = np.bincount(bins, weights=terms, minlength=train_ds.n_users)
-        e = np.exp(-np.abs(x))
-        posterior = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        posterior = unit_posteriors(np.bincount(bins, weights=terms, minlength=train_ds.n_users))
         hidden_worth += w[items] * posterior[users]
     lengths = np.bincount(users)
     return keep, lengths[lengths > 0], n_seen[users] * (params.u[items] + hidden_worth)

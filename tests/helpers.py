@@ -294,10 +294,10 @@ def reference_unit_weights(m, X):
 
 def gibbs_sweep(X, m, rng):
     """``gibbs_mh_step`` with X's unit weights from a one-partition block."""
-    from osmrank.latent import gibbs_mh_step
+    from osmrank.latent import gibbs_mh_step, unit_posteriors
 
     logom, gathered = m.unit_weights([X])
-    return gibbs_mh_step(X, m, logom[0].tolist(), gathered[0], rng)
+    return gibbs_mh_step(X, m, unit_posteriors(logom[0]).tolist(), gathered[0], rng)
 
 
 def reference_gibbs_step(X, m, rng):
@@ -317,8 +317,9 @@ def reference_train(data, cfg, callback=None):
     full-catalog effective models, on the same draws."""
     import random
 
-    from osmrank.latent import unit_posteriors
     from osmrank.learning import CFParams, cf_latent_model
+
+    from oracles import sigmoid
 
     rng = random.Random(cfg.seed)
     usable = [X for X in data if sum(map(len, X.blocks)) >= 2]
@@ -337,7 +338,8 @@ def reference_train(data, cfg, callback=None):
             disagreement = 0.0
             for ui in block:
                 X_obs = usable[ui]
-                observed.append((X_obs, np.array(unit_posteriors(reference_unit_weights(model, X_obs).tolist()))))
+                logom = reference_unit_weights(model, X_obs).tolist()
+                observed.append((X_obs, np.array([sigmoid(lo) for lo in logom])))
                 X_c = chains[ui]
                 for _ in range(cfg.chain_steps_per_update):
                     X_c, h_c = reference_gibbs_step(X_c, model, rng)

@@ -346,6 +346,24 @@ class TestOracleCommand:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("argv", [["--n", "2188"], ["--n", "100000000"], ["--model", "big.ck"]])
+    def test_count_past_the_triangle_bound_is_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # n^2 past the bound, n > 3^7 = 2187: refused before fubini builds its triangle
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint("big.ck", CFParams.zeros(2188, 0))
+        monkeypatch.setattr(cli, "fubini", lambda n: pytest.fail("the triangle was built"))
+        assert main(["oracle", *argv, "--count", "--out", "o.txt"]) == 3
+        n = "2188" if argv[0] == "--model" else argv[1]
+        assert capsys.readouterr().err == (f"osmrank: count of n={n} refused: n^2 triangle terms exceed "
+                                           f"the bound {EXACT_TERMS}\n")
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_count_at_the_triangle_bound_runs(self, monkeypatch, capsys):
+        assert 2187**2 == EXACT_TERMS
+        monkeypatch.setattr(cli, "fubini", lambda n: n + 1)
+        assert main(["oracle", "--n", "2187", "--count"]) == 0
+        assert capsys.readouterr().out == "2188\n"
+
     @pytest.mark.parametrize("n", [15, 40])
     def test_weights_past_memory_are_a_cap_error(self, n, capsys):
         # 3^n terms past the bound are refused before any table is built

@@ -12,6 +12,7 @@ from osmrank.latent import (
     effective_pair_model,
     hidden_posterior,
     sample_hidden,
+    unit_posteriors,
 )
 from osmrank.learning import CFParams
 
@@ -298,3 +299,32 @@ class TestSigmoid:
         assert sigmoid(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
         assert sigmoid(-800.0) == 0.0
         assert sigmoid(800.0) == 1.0
+
+
+class TestUnitPosteriors:
+    """``unit_posteriors``, the program's one sigmoid, equals the scalar
+    two-branch ``sigmoid`` bit for bit on any CPU: its exp is libm's, where
+    numpy's array exp picks a kernel by CPU and may round the last bit
+    differently."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        x = np.random.default_rng(30).normal(0.0, 4.0, 100_000)
+        e = -np.abs(x)
+        differs = np.array([math.exp(v) for v in e.tolist()]) != np.exp(e)
+        print(f"np.exp and math.exp differ on {int(differs.sum())} of {len(x)} draws on this CPU")
+        return x, x[differs]
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
+    def test_bitwise_equal_to_the_scalar_sigmoid(self, tau, draws):
+        x, differs = draws
+        specials = np.array([0.0, -0.0, 700.0, -700.0, 746.0, -746.0])
+        for logom in [x.reshape(-1, 10), x[:10], differs, specials, specials.reshape(2, 3)]:
+            got = unit_posteriors(logom, tau)
+            assert got.shape == logom.shape
+            expected = [sigmoid(tau * v) for v in logom.ravel().tolist()]
+            np.testing.assert_array_equal(self.bits(got).ravel(), self.bits(expected))

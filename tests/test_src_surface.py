@@ -16,7 +16,9 @@ reached body (matching by name, so conservative), and dunder methods are
 roots.  Imports themselves reach nothing, so a re-export does not keep a
 name alive.  Every name a module imports must also be used in that module,
 annotations included, and every name in a module's ``__all__`` must be
-defined there.
+defined there.  numpy's exp and log family is used only inside
+``NUMPY_TRANSCENDENTALS_ALLOWED``: its array kernels round differently on
+each CPU, so the rest of the package takes libm's (``core._libm``).
 """
 
 from __future__ import annotations
@@ -234,3 +236,44 @@ def test_every_exported_name_is_defined():
                 exported = ast.literal_eval(stmt.value)
                 undefined += [f"{module}.{name}" for name in exported if name not in defined]
     assert undefined == [], f"in __all__ but not defined: {', '.join(undefined)}"
+
+
+NUMPY_TRANSCENDENTALS = {"exp", "log", "log1p", "log2", "expm1", "logaddexp"}
+# the functions that still read numpy's exp or log, each named until its outputs
+# are made independent of the CPU
+NUMPY_TRANSCENDENTALS_ALLOWED = {"osmrank.core.logsumexp", "osmrank.partition_function.ais_log_z"}
+
+
+def numpy_transcendentals(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(innermost enclosing definition, as ``module.name`` or
+    ``module.Class.method``, and function) for each read of ``np.<f>`` or
+    ``numpy.<f>`` with f in ``NUMPY_TRANSCENDENTALS``, called or not."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in NUMPY_TRANSCENDENTALS
+                    and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+                found.add((scope, child.attr))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_numpy_exp_and_log_only_in_the_allowlist():
+    found = {hit for module, tree in package_modules().items() for hit in numpy_transcendentals(module, tree)}
+    outside = sorted(f"{scope}: np.{name}" for scope, name in found if scope not in NUMPY_TRANSCENDENTALS_ALLOWED)
+    assert outside == [], f"use core._libm with math's function: {', '.join(outside)}"
+    stale = NUMPY_TRANSCENDENTALS_ALLOWED - {scope for scope, _ in found}
+    assert not stale, f"allowed, but no longer reads numpy's exp or log: {', '.join(sorted(stale))}"
+
+
+def test_the_transcendental_scan_finds_every_form():
+    tree = ast.parse("import numpy as np\n"
+                     "def f(x):\n    return np.exp(x) + numpy.log1p(x)\n"
+                     "class C:\n    def g(self, x):\n        return list(map(np.log, x))\n"
+                     "TOP = np.expm1(1.0)\n"
+                     "def h(x):\n    return np.sqrt(x) + math.exp(x)\n")
+    assert numpy_transcendentals("m", tree) == {("m.f", "exp"), ("m.f", "log1p"), ("m.C.g", "log"), ("m", "expm1")}
